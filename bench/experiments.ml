@@ -845,18 +845,11 @@ let e23 () =
     let d = Directory.create instance in
     Option.iter (fun c -> Cache.attach c d) result_cache;
     let stats = Io_stats.create () in
-    (* One stats handle across engine rebuilds, so reads accumulate over
-       the whole stream (index construction is never charged). *)
-    let eng = ref None and eng_gen = ref (-1) in
-    let engine () =
-      if !eng_gen <> Directory.generation d then begin
-        eng :=
-          Some
-            (Engine.create ~mode:!eval_mode ~block ~with_attr_index:false ?result_cache ~stats
-               (Directory.instance d));
-        eng_gen := Directory.generation d
-      end;
-      Option.get !eng
+    (* One engine watching the directory for the whole stream, so reads
+       accumulate over every query (index maintenance is never charged). *)
+    let eng =
+      Engine.create ~mode:!eval_mode ~block ~with_attr_index:false ?result_cache ~stats
+        ~directory:d (Directory.instance d)
     in
     let rows = ref [] in
     ignore
@@ -866,7 +859,7 @@ let e23 () =
                match op with
                | `Query (uid, time, day) ->
                    let q = Tops.resolution_query ~uid ~time ~day () in
-                   rows := Ext_list.length (Engine.eval (engine ()) q) :: !rows
+                   rows := Ext_list.length (Engine.eval eng q) :: !rows
                | `Update (uid, j, p) ->
                    let dn =
                      Dn.of_string

@@ -14,7 +14,7 @@ open Ndq
 type state = {
   mutable directory : Directory.t;
   mutable engine : Engine.t;
-  mutable engine_generation : int;
+  mutable engine_stale : bool;  (* make a new engine before the next use *)
   mutable block : int;
   mutable verbose : bool;
   mutable cache : Cache.t;  (* survives engine rebuilds, off by default *)
@@ -35,24 +35,24 @@ let ensure_parent path =
   if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
-(* Rebuild the engine's indexes after updates.  The result cache is
-   attached to the directory's update hooks, so it survives the rebuild
-   with footprint-precise invalidation instead of being dropped. *)
+(* The engine watches the directory, so updates patch its indexes in
+   place and its path counters survive them; the result cache is
+   attached to the same hooks.  A new engine is made only when a
+   setting it is built with changes (a new directory, the cache). *)
 let engine st =
-  if st.engine_generation <> Directory.generation st.directory then begin
+  if st.engine_stale then begin
     st.engine <-
       Engine.create ~block:st.block ~mode:st.mode ~planner:st.planner
         ?result_cache:(if st.cache_on then Some st.cache else None)
-        (Directory.instance st.directory);
+        ~directory:st.directory (Directory.instance st.directory);
     (* journaled queries feed the default plan-quality store, and the
        planner reads its bias cells back: the self-tuning loop *)
     Engine.set_calibration st.engine (Some Planstats.default);
-    st.engine_generation <- Directory.generation st.directory
+    st.engine_stale <- false
   end;
   st.engine
 
-(* Force the next [engine] call to rebuild (generations are >= 0). *)
-let invalidate_engine st = st.engine_generation <- -1
+let invalidate_engine st = st.engine_stale <- true
 
 let load_directory kind size seed =
   match kind with
@@ -967,8 +967,8 @@ let main kind size seed block journal monitor_port serve_port serve_workers
   let st =
     {
       directory;
-      engine = Engine.create ~block dir;
-      engine_generation = Directory.generation directory;
+      engine = Engine.create ~block ~directory dir;
+      engine_stale = false;
       block;
       verbose = false;
       cache;

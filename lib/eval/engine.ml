@@ -33,8 +33,7 @@ type t = {
   mutable instance : Instance.t;
   pager : Pager.t;
   mutable dn_index : Dn_index.t;
-  mutable attr_index : Attr_index.t option;
-  with_attr_index : bool;
+  attr_index : Attr_index.t option;  (* patched in place by refreshes *)
   pool : Buffer_pool.t option;  (* page cache behind the dn-index *)
   window : int;  (* in-memory pages for each operator's stack *)
   algorithms : algorithms;
@@ -43,7 +42,7 @@ type t = {
   mutable planner : planner;
   mutable calib : Planstats.t option;  (* estimate corrections, if any *)
   mutable directory : Directory.t option;  (* watched for staleness *)
-  mutable dirty : bool;  (* directory changed since the indexes were built *)
+  mutable pending : Directory.update list;  (* ranges changed since the last refresh *)
   (* access paths taken by sub-scope atomics, for :planner / :top *)
   mutable n_path_index : int;
   mutable n_path_scan : int;
@@ -60,12 +59,31 @@ let m_path_scan = m_path "scan"
 let m_path_cache = m_path "cache"
 
 let m_refreshes =
-  Metrics.counter ~help:"index rebuilds after watched-directory updates"
+  Metrics.counter ~help:"index refreshes after watched-directory updates"
     "engine_index_refreshes_total"
 
+(* Past this many pending ranges they collapse into the whole namespace:
+   one diff over every slot is cheaper than a dn-index splice per range
+   (a bulk load between two queries), and the queue stays bounded. *)
+let max_pending = 64
+
+let everything = { Directory.dn = Dn.root; subtree = true }
+
+let enqueue t u =
+  t.pending <-
+    (match t.pending with
+    | [ { Directory.dn; subtree = true } ] when Dn.equal dn Dn.root -> t.pending
+    | p when List.length p >= max_pending -> [ everything ]
+    | p -> u :: p)
+
+(* The hook holds the engine weakly: a directory outlives the engines
+   made over it (ndqsh makes a new one on :cache), and a dropped engine
+   must neither be kept alive nor keep queueing through its hook. *)
 let watch t dir =
   t.directory <- Some dir;
-  Directory.on_update dir (fun _ -> t.dirty <- true)
+  let self = Weak.create 1 in
+  Weak.set self 0 (Some t);
+  Directory.on_update dir (fun u -> Option.iter (fun t -> enqueue t u) (Weak.get self 0))
 
 let create ?(block = 64) ?(window = 2) ?(with_attr_index = true)
     ?(algorithms = Stack_based) ?(cache_pages = 0) ?result_cache ?stats
@@ -83,9 +101,9 @@ let create ?(block = 64) ?(window = 2) ?(with_attr_index = true)
   (* Index construction is setup cost, not query cost. *)
   Io_stats.reset stats;
   let t =
-    { instance; pager; dn_index; attr_index; with_attr_index; pool; window;
+    { instance; pager; dn_index; attr_index; pool; window;
       algorithms; result_cache; mode; planner; calib = None; directory = None;
-      dirty = false; n_path_index = 0; n_path_scan = 0; n_path_cache = 0 }
+      pending = []; n_path_index = 0; n_path_scan = 0; n_path_cache = 0 }
   in
   Option.iter (watch t) directory;
   t
@@ -106,28 +124,39 @@ let calibration t = t.calib
 let set_calibration t c = t.calib <- c
 let path_counts t = (t.n_path_index, t.n_path_scan, t.n_path_cache)
 
-(* A watched directory swaps in a whole new instance on every mutation
-   (its generation bumps and hooks fire), so a dirty engine re-fetches
-   the instance and rebuilds both indexes before the next evaluation —
-   a post-update query through the index path must see the new values.
-   Rebuild I/O is maintenance, not query cost, so like [create] it is
+(* Bring both indexes up to date with a watched directory before the
+   next evaluation, so a post-update query through the index path sees
+   the new values.  Each pending range of the dn-index is merge-diffed
+   against the directory's current instance: entries the update left
+   physically untouched are skipped, and only the removed, added and
+   replaced ones move their postings in the attribute index, in place.
+   Maintenance I/O is not query cost, so like [create]'s build it is
    not left on the query counters. *)
 let refresh_if_dirty t =
-  if t.dirty then begin
-    t.dirty <- false;
-    match t.directory with
-    | None -> ()
-    | Some dir ->
-        let s = stats t in
-        let r0 = s.Io_stats.page_reads and w0 = s.Io_stats.page_writes in
-        t.instance <- Directory.instance dir;
-        t.dn_index <- Dn_index.build ?pool:t.pool t.pager t.instance;
-        if t.with_attr_index then
-          t.attr_index <- Some (Attr_index.build t.pager t.instance);
-        s.Io_stats.page_reads <- r0;
-        s.Io_stats.page_writes <- w0;
-        Metrics.incr m_refreshes
-  end
+  match (t.pending, t.directory) with
+  | [], _ | _, None -> ()
+  | pending, Some dir ->
+      t.pending <- [];
+      let s = stats t in
+      let r0 = s.Io_stats.page_reads and w0 = s.Io_stats.page_writes in
+      let instance = Directory.instance dir in
+      let removed, added =
+        match t.attr_index with
+        | Some idx -> (Attr_index.remove_entry idx, Attr_index.add_entry idx)
+        | None -> (ignore, ignore)
+      in
+      List.iter
+        (fun { Directory.dn; subtree } ->
+          let fresh =
+            if subtree then Instance.subtree instance dn
+            else Option.to_list (Instance.find instance dn)
+          in
+          t.dn_index <- Dn_index.sync t.dn_index dn ~subtree fresh ~removed ~added)
+        pending;
+      t.instance <- instance;
+      s.Io_stats.page_reads <- r0;
+      s.Io_stats.page_writes <- w0;
+      Metrics.incr m_refreshes
 
 (* --- Atomic queries ----------------------------------------------------- *)
 

@@ -74,11 +74,17 @@ val path_counts : t -> int * int * int
     served since the engine was built (the [:planner paths] view). *)
 
 val watch : t -> Directory.t -> unit
-(** Subscribe to the directory's update hooks; any update marks the
-    engine dirty and the next evaluation re-fetches the instance and
-    rebuilds both indexes before running (rebuild I/O is maintenance,
-    not query cost).  Queries through the index path therefore always
-    see post-update values. *)
+(** Subscribe to the directory's update hooks, which must describe the
+    engine's instance from then on (pass the directory's current one).
+    Every update queues its range (an entry, or a subtree); the next
+    evaluation re-fetches the instance and patches both indexes for the
+    queued ranges only: a merge diff of each range against the instance
+    skips untouched entries and moves the postings of the removed, added
+    and replaced ones, in place for the attribute index and by a pointer
+    splice for the dn-index.  Maintenance I/O is not query cost.
+    Queries through the index path therefore always see post-update
+    values.  The hook holds the engine weakly, so an engine dropped by
+    its owner is not kept alive by the directory. *)
 
 val plan_rewrite : ?mode:mode -> t -> Ast.t -> Ast.t
 (** The planner's tree rewrite as {!eval} applies it: under [Auto],
@@ -95,7 +101,8 @@ val dn_index : t -> Dn_index.t
 
 val attr_index : t -> Attr_index.t option
 (** The per-attribute secondary indexes, when built — the planner's
-    statistics source (shared with the distributed journal). *)
+    statistics source (shared with the distributed journal).  The same
+    value for the engine's whole life: refreshes patch it in place. *)
 
 val cache : t -> Buffer_pool.t option
 (** The buffer pool, when [cache_pages > 0]. *)

@@ -41,6 +41,32 @@ let add_entry t e =
             (Dn.rev_key d) e)
     (Entry.attrs e)
 
+(* Undo [add_entry]: each of [e]'s postings (physically [e]) leaves its
+   index, and an index left empty is dropped, as a fresh build would
+   never have made it. *)
+let remove_entry t e =
+  let drain tbl a remove is_empty =
+    match Hashtbl.find_opt tbl a with
+    | None -> ()
+    | Some idx ->
+        remove idx;
+        if is_empty idx then Hashtbl.remove tbl a
+  in
+  let trie_empty trie = Str_trie.size trie = 0 in
+  List.iter
+    (fun (a, v) ->
+      match v with
+      | Value.Int i ->
+          drain t.ints a (fun bt -> Btree.remove bt i e) (fun bt -> Btree.cardinal bt = 0)
+      | Value.Str s ->
+          drain t.str_exact a (fun trie -> Str_trie.remove trie s e) trie_empty;
+          drain t.str_sub a
+            (fun idx -> Str_trie.Substr.remove idx s e)
+            (fun idx -> Str_trie.Substr.count idx = 0)
+      | Value.Dn d ->
+          drain t.dn_exact a (fun trie -> Str_trie.remove trie (Dn.rev_key d) e) trie_empty)
+    (Entry.attrs e)
+
 let build pager instance =
   let t =
     {

@@ -10,6 +10,16 @@ type t
 
 val build : Pager.t -> Instance.t -> t
 
+val add_entry : t -> Entry.t -> unit
+(** Index every attribute value of one more entry, in place. *)
+
+val remove_entry : t -> Entry.t -> unit
+(** Undo {!add_entry} for an entry physically equal to the one added:
+    its postings leave every index, in place, and an attribute index
+    left empty is dropped.  Afterwards every lookup and count probe
+    answers as a fresh {!build} over the remaining entries would (up to
+    candidate order, which is unspecified anyway). *)
+
 val lookup_int_range : t -> string -> lo:int -> hi:int -> Entry.t list option
 (** Entries with an int value of the attribute in [lo, hi];
     [Some []] when the attribute has no int values anywhere. *)

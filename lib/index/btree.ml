@@ -186,6 +186,53 @@ let insert t k v =
           };
       charge_write t
 
+(* --- Removal ---------------------------------------------------------- *)
+
+(* [l] without its first element physically equal to [x], or None when
+   there is none; the other elements keep their order. *)
+let remove_first x l =
+  let rec go acc = function
+    | [] -> None
+    | y :: tl -> if y == x then Some (List.rev_append acc tl) else go (y :: acc) tl
+  in
+  go [] l
+
+(* Remove one posting, descending like an insertion.  Nodes are never
+   merged or rebalanced: a leaf may shrink to no keys at all, which the
+   invariants allow (there is no minimum fill) and the range walk steps
+   over.  Subtree totals are decremented only along a path that actually
+   lost a posting. *)
+let rec remove_node t node k v =
+  charge_read t;
+  match node with
+  | Leaf leaf -> (
+      let pos = lower_bound leaf.lkeys leaf.lcount k in
+      if pos >= leaf.lcount || leaf.lkeys.(pos) <> k then false
+      else
+        match remove_first v leaf.lvals.(pos) with
+        | None -> false
+        | Some rest ->
+            (match rest with
+            | [] ->
+                (* the key's last posting: drop its slot *)
+                let tail = leaf.lcount - pos - 1 in
+                Array.blit leaf.lkeys (pos + 1) leaf.lkeys pos tail;
+                Array.blit leaf.lvals (pos + 1) leaf.lvals pos tail;
+                leaf.lcount <- leaf.lcount - 1;
+                leaf.lvals.(leaf.lcount) <- []
+            | _ -> leaf.lvals.(pos) <- rest);
+            leaf.ltotal <- leaf.ltotal - 1;
+            charge_write t;
+            true)
+  | Internal inode ->
+      let removed =
+        remove_node t inode.children.(child_index inode.ikeys inode.icount k) k v
+      in
+      if removed then inode.itotal <- inode.itotal - 1;
+      removed
+
+let remove t k v = if remove_node t t.root k v then t.cardinal <- t.cardinal - 1
+
 (* --- Lookup ----------------------------------------------------------- *)
 
 let rec find_leaf t node k =
@@ -218,7 +265,8 @@ let range t ~lo ~hi =
       done;
       if !stop = leaf.lcount then
         match leaf.next with
-        | Some nxt when nxt.lcount > 0 && nxt.lkeys.(0) <= hi ->
+        (* a leaf emptied by [remove] is stepped over, not a stop *)
+        | Some nxt when nxt.lcount = 0 || nxt.lkeys.(0) <= hi ->
             charge_read t;
             walk nxt
         | Some _ | None -> ()

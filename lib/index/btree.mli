@@ -17,6 +17,13 @@ val cardinal : 'a t -> int
 
 val insert : 'a t -> int -> 'a -> unit
 
+val remove : 'a t -> int -> 'a -> unit
+(** Remove one posting of the key physically equal ([==]) to the given
+    value; a no-op when there is none.  A key whose last posting goes
+    loses its slot.  Nodes are not merged or rebalanced, so a leaf may
+    end up empty: counts, lookups and the invariants stay exact, only
+    the page count stays at its high-water mark. *)
+
 val find : 'a t -> int -> 'a list
 (** Postings of one key, in insertion order ([[]] if absent). *)
 

@@ -78,6 +78,64 @@ let subtree_range t base =
   done;
   (lo, !hi)
 
+(* Index range [lo, hi) of [dn]'s own entry: its slot, or the empty
+   range at the slot it would take. *)
+let entry_range t dn =
+  let key = Dn.rev_key dn in
+  let lo = lower_bound t key in
+  if lo < Array.length t.entries && String.equal (Entry.key t.entries.(lo)) key
+  then (lo, lo + 1)
+  else (lo, lo)
+
+(* Merge-diff one range of the entry file against [fresh], the range's
+   current entries in canonical order.  Physically equal entries are
+   skipped; every other old entry is [removed], every other new one
+   [added] (a replaced entry is both).  When anything differed the
+   result is a copy with the range spliced in — a pointer copy, so a
+   holder of [t] keeps a consistent snapshot — charged as writing the
+   spliced records; otherwise it is [t] itself. *)
+let sync t dn ~subtree fresh ~removed ~added =
+  let lo, hi = if subtree then subtree_range t dn else entry_range t dn in
+  let changed = ref false in
+  let rec merge i l =
+    match l with
+    | [] ->
+        for j = i to hi - 1 do
+          changed := true;
+          removed t.entries.(j)
+        done
+    | e :: rest when i = hi ->
+        changed := true;
+        added e;
+        merge i rest
+    | e :: rest ->
+        let old = t.entries.(i) in
+        if old == e then merge (i + 1) rest
+        else begin
+          changed := true;
+          let c = String.compare (Entry.key old) (Entry.key e) in
+          if c <= 0 then removed old;
+          if c >= 0 then added e;
+          merge (if c <= 0 then i + 1 else i) (if c >= 0 then rest else l)
+        end
+  in
+  merge lo fresh;
+  if not !changed then t
+  else begin
+    let slice = Array.of_list fresh in
+    let m = Array.length slice in
+    Pager.charge_scan_write t.pager m;
+    let entries =
+      Array.init
+        (Array.length t.entries - (hi - lo) + m)
+        (fun i ->
+          if i < lo then t.entries.(i)
+          else if i < lo + m then slice.(i - lo)
+          else t.entries.(i - m + hi - lo))
+    in
+    { t with entries }
+  end
+
 (* Scan a subtree as a stream: charges the descent plus a sequential
    read of the touched range; the kept entries flow out as a live
    source, ready to pipeline into an operator without ever being

@@ -21,6 +21,23 @@ val find : t -> Dn.t -> Entry.t option
 val subtree_range : t -> Dn.t -> int * int
 (** Index range [lo, hi) of the subtree rooted at the base. *)
 
+val sync :
+  t ->
+  Dn.t ->
+  subtree:bool ->
+  Entry.t list ->
+  removed:(Entry.t -> unit) ->
+  added:(Entry.t -> unit) ->
+  t
+(** [sync t dn ~subtree fresh ~removed ~added] brings the range of [dn]
+    (its own slot, or its whole subtree when [subtree]) to [fresh], the
+    range's current entries in canonical order.  A merge diff skips
+    physically equal entries, reports each other old entry to [removed]
+    and each other new one to [added] (a replaced entry to both), and
+    returns [t] itself when nothing differed.  Otherwise the result is a
+    new index with the range spliced in by pointer copy; [t] is left as
+    it was. *)
+
 val scan_subtree : ?keep:(Entry.t -> bool) -> t -> Dn.t -> Entry.t Ext_list.t
 (** The [sub] scope: descent + sequential read of the subtree range,
     filtered through [keep], output written through a standard writer. *)

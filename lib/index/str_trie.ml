@@ -41,6 +41,44 @@ let add t s payload =
   t.size <- t.size + 1;
   charge_write t
 
+(* [l] without its first element physically equal to [x], or None. *)
+let remove_first x l =
+  let rec go acc = function
+    | [] -> None
+    | y :: tl -> if y == x then Some (List.rev_append acc tl) else go (y :: acc) tl
+  in
+  go [] l
+
+(* Remove one payload of [s] (physical equality), if there is one.
+   Counts drop along the walked path and a child whose count reaches 0
+   is unlinked, so the node set — and with it every probe's reads and
+   counts — is the one a fresh build of the survivors has. *)
+let remove t s payload =
+  let rec walk node i =
+    let removed =
+      if i = String.length s then
+        match remove_first payload node.terminal with
+        | Some rest ->
+            node.terminal <- rest;
+            true
+        | None -> false
+      else
+        let c = s.[i] in
+        match Hashtbl.find_opt node.children c with
+        | None -> false
+        | Some child ->
+            let removed = walk child (i + 1) in
+            if removed && child.subtree_count = 0 then Hashtbl.remove node.children c;
+            removed
+    in
+    if removed then node.subtree_count <- node.subtree_count - 1;
+    removed
+  in
+  if walk t.root 0 then begin
+    t.size <- t.size - 1;
+    charge_write t
+  end
+
 (* Locate the node reached by walking [s]; charges one read per step. *)
 let descend t s =
   let rec walk node i =
@@ -93,13 +131,42 @@ module Substr = struct
 
   let create pager = { trie = create pager; count = 0 }
 
-  let add t s payload =
+  (* Every suffix of [s], the empty one included so [*] style scans see
+     the string. *)
+  let iter_suffixes f s =
     for i = 0 to String.length s - 1 do
-      add t.trie (String.sub s i (String.length s - i)) payload
+      f (String.sub s i (String.length s - i))
     done;
-    (* Also index the empty suffix so [*] style scans see the string. *)
-    add t.trie "" payload;
+    f ""
+
+  let add t s payload =
+    iter_suffixes (fun suf -> add t.trie suf payload) s;
     t.count <- t.count + 1
+
+  (* Indexed strings with [payload] that end in [s], with multiplicity:
+     each one puts its suffix [s] into that node's terminal once. *)
+  let ending_in t s payload =
+    match descend t.trie s with
+    | None -> 0
+    | Some n -> List.fold_left (fun k p -> if p == payload then k + 1 else k) 0 n.terminal
+
+  (* A suffix node cannot tell a whole string from the tail of a longer
+     one, but each longer string ending in [s] ends in exactly one
+     [c ^ s]: [s] was added whole with [payload] iff more such strings
+     end in [s] than in all the [c ^ s] together. *)
+  let added t s payload =
+    let longer =
+      Hashtbl.fold
+        (fun c _ k -> k + ending_in t (String.make 1 c ^ s) payload)
+        t.trie.root.children 0
+    in
+    ending_in t s payload > longer
+
+  let remove t s payload =
+    if added t s payload then begin
+      iter_suffixes (fun suf -> remove t.trie suf payload) s;
+      t.count <- t.count - 1
+    end
 
   let find_substring t sub =
     let hits = find_prefix t.trie sub in

@@ -7,10 +7,17 @@ type 'a t
 val create : Pager.t -> 'a t
 
 val size : 'a t -> int
-(** Strings inserted. *)
+(** Strings held. *)
 
 val add : 'a t -> string -> 'a -> unit
 (** Insert one string with a payload. *)
+
+val remove : 'a t -> string -> 'a -> unit
+(** Remove one occurrence of the string with a payload physically equal
+    ([==]) to the given one; a no-op when there is none.  Nodes left
+    holding nothing are pruned, so lookups, counts and the reads they
+    charge are those of a trie built fresh from the remaining strings
+    (up to the order of the returned payloads). *)
 
 val find_exact : 'a t -> string -> 'a list
 (** Payloads of exactly this string, in insertion order. *)
@@ -35,6 +42,13 @@ module Substr : sig
 
   val create : Pager.t -> 'a t
   val add : 'a t -> string -> 'a -> unit
+
+  val remove : 'a t -> string -> 'a -> unit
+  (** Undo one [add] of the string with a physically equal payload: all
+      its suffixes leave the trie.  A no-op when the string was never
+      added with that payload (even if it occurs inside another string
+      that was). *)
+
   val find_substring : 'a t -> string -> 'a list
   val count : 'a t -> int
 

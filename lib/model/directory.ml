@@ -42,8 +42,7 @@ let schema t = Instance.schema t.instance
 let size t = Instance.size t.instance
 
 let generation t = t.generation
-(* bumped on every successful mutation; engines use it to know when
-   their indexes are stale *)
+(* bumped on every successful mutation; a result cache's safety net *)
 
 let on_update t f = t.hooks <- t.hooks @ [ f ]
 

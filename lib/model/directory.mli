@@ -25,8 +25,8 @@ val schema : t -> Schema.t
 val size : t -> int
 
 val generation : t -> int
-(** Bumped on every successful mutation; engines use it to detect stale
-    indexes. *)
+(** Bumped on every successful mutation; a result cache uses it as a
+    safety net behind its update hooks. *)
 
 type update = { dn : Dn.t; subtree : bool }
 (** The locus of a successful mutation: the entry at [dn] changed, and
@@ -36,7 +36,7 @@ type update = { dn : Dn.t; subtree : bool }
 val on_update : t -> (update -> unit) -> unit
 (** Register a hook called after every successful mutation, in
     registration order (result caches use this for footprint-precise
-    invalidation).  [modify_dn] notifies both the old and the new
+    invalidation, watched engines to patch their indexes).  [modify_dn] notifies both the old and the new
     subtree roots; a rolled-back {!batch} notifies for its successful
     prefix and then conservatively for the whole namespace. *)
 

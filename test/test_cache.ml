@@ -262,15 +262,7 @@ let prop_cached_engine_matches_oracle (instance, pool, ops) =
   let c = Cache.create ~budget_pages:64 ~admit_min_io:0 () in
   Cache.attach c d;
   let pool = Array.of_list pool in
-  let eng = ref None and eng_gen = ref (-1) in
-  let engine () =
-    if !eng_gen <> Directory.generation d then begin
-      eng :=
-        Some (Engine.create ~block:8 ~result_cache:c (Directory.instance d));
-      eng_gen := Directory.generation d
-    end;
-    Option.get !eng
-  in
+  let eng = Engine.create ~block:8 ~result_cache:c ~directory:d (Directory.instance d) in
   let fresh = ref 1_000_000 in
   List.iter
     (fun op ->
@@ -278,7 +270,7 @@ let prop_cached_engine_matches_oracle (instance, pool, ops) =
       | Query i ->
           let q = pool.(i mod Array.length pool) in
           let actual =
-            Ext_list.to_list (Engine.eval (engine ()) q)
+            Ext_list.to_list (Engine.eval eng q)
           in
           let expected = Testkit.oracle (Directory.instance d) q in
           Alcotest.(check (list (pair string (list string))))

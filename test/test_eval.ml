@@ -454,6 +454,7 @@ let test_watched_engine_sees_updates () =
     | [ e ] -> Entry.dn e
     | _ -> Alcotest.fail "expected exactly one id=5"
   in
+  let attr_index = Engine.attr_index eng in
   (match
      Directory.modify d victim [ Directory.Replace ("tag", [ Value.Str "fresh" ]) ]
    with
@@ -463,11 +464,199 @@ let test_watched_engine_sees_updates () =
   | [ e ] ->
       Alcotest.(check bool) "the updated entry" true (Dn.equal (Entry.dn e) victim)
   | es -> Alcotest.failf "expected 1 fresh entry after update, got %d" (List.length es));
+  (* the refresh patched the index it had rather than building another *)
+  Alcotest.(check bool) "attribute index patched in place" true
+    (Engine.attr_index eng == attr_index);
   (* and the other direction: the old value is gone from the index *)
   Alcotest.(check int) "old even/odd tag dropped" 0
     (List.length
        (Engine.eval_entries eng
           (Qparser.of_string "(& ( ? sub ? id=5) ( ? sub ? tag=odd))")))
+
+(* Incremental maintenance under every update kind a directory reports:
+   watched engines (each planner policy, and one with the result cache)
+   must answer as the oracle over the current instance, and their
+   patched indexes must hold exactly what a fresh build would. *)
+type update_op =
+  | Read of int  (** evaluate a pool query on every engine *)
+  | Reprioritize of int * int
+  | Rename_value of int * int  (** a string value moves through the tries *)
+  | Add_child of int
+  | Delete of int * bool
+  | Move of int * int option  (** modify_dn, optionally under a new superior *)
+  | Failed_batch of int * int  (** a successful modify, then a rollback *)
+  | Burst of int  (** more updates between two reads than the engine queues *)
+
+let names = [| "milo"; "mil"; "camilo"; "lomi"; "x" |]
+
+let gen_update_ops =
+  let open QCheck2 in
+  let idx = Gen.int_range 0 10_000 in
+  let op =
+    Gen.frequency
+      [
+        (5, Gen.map (fun i -> Read i) idx);
+        (2, Gen.map2 (fun i p -> Reprioritize (i, p)) idx (Gen.int_range 0 9));
+        (2, Gen.map2 (fun i k -> Rename_value (i, k)) idx (Gen.int_range 0 4));
+        (2, Gen.map (fun i -> Add_child i) idx);
+        (1, Gen.map2 (fun i s -> Delete (i, s)) idx Gen.bool);
+        (1, Gen.map2 (fun i j -> Move (i, j)) idx (Gen.opt idx));
+        (1, Gen.map2 (fun i p -> Failed_batch (i, p)) idx (Gen.int_range 0 9));
+        (1, Gen.map (fun i -> Burst i) idx);
+      ]
+  in
+  let ( let* ) = Gen.( >>= ) in
+  let* instance = Testkit.gen_instance in
+  let* pool = Gen.list_size (Gen.int_range 2 5) (Testkit.gen_query instance) in
+  let* ops = Gen.list_size (Gen.int_range 10 40) op in
+  Gen.return (instance, pool, ops)
+
+let nth_dn d i =
+  match Instance.to_list (Directory.instance d) with
+  | [] -> Dn.root
+  | l -> Entry.dn (List.nth l (i mod List.length l))
+
+(* Refused updates (schema violations, missing entries) are part of the
+   stream: they must leave the engines untouched. *)
+let rec apply_update d fresh = function
+  | Read _ -> ()
+  | Burst i ->
+      for k = 0 to 69 do
+        apply_update d fresh (if k mod 7 = 0 then Add_child (i + k) else Reprioritize (i + k, k mod 10))
+      done
+  | Reprioritize (i, p) ->
+      ignore (Directory.modify d (nth_dn d i) [ Directory.Replace ("priority", [ Value.Int p ]) ])
+  | Rename_value (i, k) ->
+      ignore (Directory.modify d (nth_dn d i) [ Directory.Replace ("name", [ Value.Str names.(k) ]) ])
+  | Add_child i ->
+      incr fresh;
+      let parent = nth_dn d i in
+      ignore
+        (Directory.add d
+           (Entry.make
+              (Dn.child parent (Rdn.single "id" (Value.Int !fresh)))
+              [
+                (Schema.object_class, Value.Str "node");
+                ("id", Value.Int !fresh);
+                ("priority", Value.Int (i mod 10));
+                ("name", Value.Str names.(i mod Array.length names));
+                ("ref", Value.Dn parent);
+              ]))
+  | Delete (i, subtree) -> ignore (Directory.delete ~subtree d (nth_dn d i))
+  | Move (i, sup) ->
+      incr fresh;
+      let dn = nth_dn d i in
+      (* never below itself: the directory does not refuse that move *)
+      let new_superior =
+        match sup with
+        | Some j ->
+            let s = nth_dn d j in
+            if Dn.is_self_or_descendant_of ~descendant:s ~ancestor:dn then None else Some s
+        | None -> None
+      in
+      ignore (Directory.modify_dn ?new_superior d dn ~new_rdn:(Rdn.single "id" (Value.Int !fresh)))
+  | Failed_batch (i, p) -> (
+      match
+        Directory.batch d
+          [
+            (fun d -> Directory.modify d (nth_dn d i) [ Directory.Replace ("priority", [ Value.Int p ]) ]);
+            (fun d -> Directory.delete d (Dn.of_string "id=424242"));
+          ]
+      with
+      | Ok () -> QCheck2.Test.fail_report "a batch with a missing entry committed"
+      | Error _ -> ())
+
+let same_entries a b =
+  List.equal
+    (fun x y ->
+      String.equal (Entry.key x) (Entry.key y)
+      && List.equal
+           (fun (a, v) (a', v') -> String.equal a a' && Value.equal v v')
+           (Entry.attrs x) (Entry.attrs y))
+    a b
+
+(* Every lookup and count probe of [idx] answers as [fresh], a fresh
+   build over the instance, does; lookups must return the instance's
+   own entries. *)
+let attr_index_agrees ~probes ~fresh idx =
+  let lookups f =
+    let norm = Option.map (List.stable_sort Entry.compare_rev) in
+    match (norm (f idx), norm (f fresh)) with
+    | Some a, Some b -> List.length a = List.length b && List.for_all2 ( == ) a b
+    | None, None -> true
+    | _ -> false
+  in
+  let counts f = f idx = f fresh in
+  List.for_all
+    (fun (a, v) ->
+      match v with
+      | Value.Int i ->
+          List.for_all
+            (fun (lo, hi) ->
+              lookups (fun x -> Attr_index.lookup_int_range x a ~lo ~hi)
+              && counts (fun x -> Attr_index.count_int_range x a ~lo ~hi))
+            [ (i, i); (min_int, i) ]
+      | Value.Str s ->
+          let n = String.length s in
+          let head = String.sub s 0 (min 2 n) and tail = String.sub s (max 0 (n - 2)) (min 2 n) in
+          lookups (fun x -> Attr_index.lookup_str_eq x a s)
+          && counts (fun x -> Attr_index.count_str_eq x a s)
+          && lookups (fun x -> Attr_index.lookup_str_prefix x a head)
+          && counts (fun x -> Attr_index.count_prefix x a head)
+          && lookups (fun x -> Attr_index.lookup_substring x a tail)
+          && counts (fun x -> Attr_index.count_substring x a tail)
+      | Value.Dn d ->
+          lookups (fun x -> Attr_index.lookup_dn_eq x a d)
+          && counts (fun x -> Attr_index.count_dn_eq x a d))
+    probes
+
+let dn_index_agrees inst eng =
+  let held = Ext_list.to_list (Dn_index.scan_subtree (Engine.dn_index eng) Dn.root) in
+  let current = Instance.to_list inst in
+  List.compare_lengths held current = 0 && List.for_all2 ( == ) held current
+
+let values inst = Instance.fold (fun acc e -> List.rev_append (Entry.attrs e) acc) [] inst
+
+let prop_incremental_maintenance (instance, pool, ops) =
+  let d = Directory.create instance in
+  let cache = Cache.create ~budget_pages:64 ~admit_min_io:0 () in
+  Cache.attach cache d;
+  let watched ?result_cache planner =
+    Engine.create ~block:8 ~planner ?result_cache ~directory:d (Directory.instance d)
+  in
+  let engines =
+    watched ~result_cache:cache Engine.Auto
+    :: List.map (fun p -> watched p) Engine.[ Auto; Force_index; Force_scan; Off ]
+  in
+  let pool = Array.of_list pool and fresh = ref 1_000_000 in
+  let initial = values instance in
+  List.iteri
+    (fun step op ->
+      apply_update d fresh op;
+      match op with
+      | Read i ->
+          let q = pool.(i mod Array.length pool) in
+          let inst = Directory.instance d in
+          let expected = Testkit.oracle inst q in
+          let probes = List.sort_uniq compare (List.rev_append initial (values inst)) in
+          let fresh = Attr_index.build (Pager.create ~block:8 (Io_stats.create ())) inst in
+          List.iteri
+            (fun k eng ->
+              let fail what =
+                QCheck2.Test.fail_reportf "step %d, engine %d: %s (%s)" step k what
+                  (Qprinter.to_string q)
+              in
+              if not (same_entries expected (Engine.eval_entries eng q)) then
+                fail "result differs from the oracle";
+              if not (dn_index_agrees inst eng) then fail "dn-index differs from the instance";
+              match Engine.attr_index eng with
+              | Some idx when not (attr_index_agrees ~probes ~fresh idx) ->
+                  fail "attribute index differs from a fresh build"
+              | _ -> ())
+            engines
+      | _ -> ())
+    ops;
+  true
 
 (* :explain's contract: an estimated plan renders the chosen access
    path and the rejected alternatives with the costs that lost. *)
@@ -548,6 +737,8 @@ let () =
           Alcotest.test_case "cache access path" `Quick test_planner_cache_path;
           Alcotest.test_case "watched engine sees updates" `Quick
             test_watched_engine_sees_updates;
+          Testkit.qtest ~count:40 "incremental maintenance = oracle + fresh build"
+            gen_update_ops prop_incremental_maintenance;
           Alcotest.test_case "explain renders chosen vs rejected" `Quick
             test_explain_shows_paths;
         ] );

@@ -275,6 +275,163 @@ let prop_substr_count_upper_bound strs =
       >= List.length (Str_trie.Substr.find_substring idx s))
     ("" :: "a" :: "bc" :: "abc" :: strs)
 
+(* --- Removal: random insert/remove sequences against models ------------------- *)
+
+type 'k op = Ins of 'k * int | Del of 'k * int
+
+(* Payloads are small ints so removals often name an absent pair. *)
+let gen_ops gen_key =
+  QCheck2.Gen.(
+    list_size (int_range 0 150)
+      (map3
+         (fun ins k v -> if ins then Ins (k, v) else Del (k, v))
+         (frequency [ (3, return true); (2, return false) ])
+         gen_key (int_range 0 3)))
+
+(* [l] without its last occurrence of [v]: the B-tree drops the newest
+   physically equal posting, and its postings read in insertion order. *)
+let drop_last v l =
+  let rec go = function
+    | [] -> ([], false)
+    | x :: tl ->
+        let tl', dropped = go tl in
+        if dropped then (x :: tl', true) else if x = v then (tl', true) else (x :: tl', false)
+  in
+  fst (go l)
+
+let prop_btree_remove ops =
+  let _, pager = fresh () in
+  let bt = Btree.create ~order:2 pager in
+  let ranges = [ (0, 40); (5, 12); (20, 20); (30, 3); (min_int, 17); (min_int, max_int) ] in
+  let step model op =
+    let model =
+      match op with
+      | Ins (k, v) ->
+          Btree.insert bt k v;
+          Imap.update k (function None -> Some [ v ] | Some vs -> Some (vs @ [ v ])) model
+      | Del (k, v) ->
+          Btree.remove bt k v;
+          Imap.update
+            k
+            (function
+              | None -> None | Some vs -> ( match drop_last v vs with [] -> None | vs -> Some vs))
+            model
+    in
+    Btree.check_invariants bt;
+    let expect lo hi = Imap.bindings model |> List.filter (fun (k, _) -> lo <= k && k <= hi) in
+    let ok =
+      List.for_all (fun k -> Btree.find bt k = Option.value ~default:[] (Imap.find_opt k model))
+        (List.init 42 (fun k -> k - 1))
+      && List.for_all
+           (fun (lo, hi) ->
+             let e = expect lo hi in
+             Btree.range bt ~lo ~hi = e
+             && Btree.count_range bt ~lo ~hi = List.length (List.concat_map snd e))
+           ranges
+      && Btree.cardinal bt = Imap.fold (fun _ vs n -> n + List.length vs) model 0
+    in
+    if not ok then QCheck2.Test.fail_report "btree disagrees with the model";
+    model
+  in
+  ignore (List.fold_left step Imap.empty ops);
+  true
+
+let gen_key_str =
+  QCheck2.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c' ]) (int_range 0 5))
+
+let rec remove_one x = function
+  | [] -> []
+  | y :: tl -> if y = x then tl else y :: remove_one x tl
+
+let survivors ops =
+  List.fold_left
+    (fun live op -> match op with Ins (s, p) -> live @ [ (s, p) ] | Del (s, p) -> remove_one (s, p) live)
+    [] ops
+
+let trie_probes = [ ""; "a"; "b"; "ab"; "ba"; "abc"; "cc"; "aaaa"; "cab" ]
+
+(* After every step the patched trie answers — and charges — exactly as
+   a trie built fresh from the surviving strings. *)
+let prop_trie_remove ops =
+  let stats, pager = fresh () in
+  let t = Str_trie.create pager in
+  let sorted = List.sort Int.compare in
+  List.iteri
+    (fun i op ->
+      (match op with Ins (s, p) -> Str_trie.add t s p | Del (s, p) -> Str_trie.remove t s p);
+      let fstats, fpager = fresh () in
+      let f = Str_trie.create fpager in
+      List.iter (fun (s, p) -> Str_trie.add f s p) (survivors (List.filteri (fun j _ -> j <= i) ops));
+      let same probe ft tt =
+        let r0 = fstats.Io_stats.page_reads and r1 = stats.Io_stats.page_reads in
+        let a = probe ft and b = probe tt in
+        a = b && fstats.Io_stats.page_reads - r0 = stats.Io_stats.page_reads - r1
+      in
+      let ok =
+        Str_trie.size t = Str_trie.size f
+        && List.for_all
+             (fun s ->
+               same (fun x -> sorted (Str_trie.find_exact x s)) f t
+               && same (fun x -> sorted (Str_trie.find_prefix x s)) f t
+               && same (fun x -> Str_trie.count_exact x s) f t
+               && same (fun x -> Str_trie.count_prefix x s) f t)
+             trie_probes
+      in
+      if not ok then QCheck2.Test.fail_reportf "trie differs from a fresh build after op %d" i)
+    ops;
+  true
+
+let prop_substr_remove ops =
+  let _, pager = fresh () in
+  let idx = Str_trie.Substr.create pager in
+  let sorted = List.sort Int.compare in
+  List.iteri
+    (fun i op ->
+      (match op with
+      | Ins (s, p) -> Str_trie.Substr.add idx s p
+      | Del (s, p) -> Str_trie.Substr.remove idx s p);
+      let _, fpager = fresh () in
+      let f = Str_trie.Substr.create fpager in
+      List.iter
+        (fun (s, p) -> Str_trie.Substr.add f s p)
+        (survivors (List.filteri (fun j _ -> j <= i) ops));
+      let ok =
+        Str_trie.Substr.count idx = Str_trie.Substr.count f
+        && List.for_all
+             (fun s ->
+               sorted (Str_trie.Substr.find_substring idx s)
+               = sorted (Str_trie.Substr.find_substring f s)
+               && Str_trie.Substr.count_substring idx s = Str_trie.Substr.count_substring f s)
+             trie_probes
+      in
+      if not ok then QCheck2.Test.fail_reportf "substring index differs after op %d" i)
+    ops;
+  true
+
+(* A removal names one (string, payload) pair that was added: a string
+   that only occurs inside another one under the same payload is absent. *)
+let test_remove_absent_is_noop () =
+  let _, pager = fresh () in
+  let idx = Str_trie.Substr.create pager in
+  Str_trie.Substr.add idx "ab" 1;
+  Str_trie.Substr.remove idx "b" 1;
+  Str_trie.Substr.remove idx "ab" 2;
+  Alcotest.(check (list int)) "suffix still found" [ 1 ] (Str_trie.Substr.find_substring idx "b");
+  Alcotest.(check int) "suffix count kept" 1 (Str_trie.Substr.count_substring idx "b");
+  Alcotest.(check int) "all suffixes kept" 3 (Str_trie.Substr.count_substring idx "");
+  Alcotest.(check int) "string count kept" 1 (Str_trie.Substr.count idx);
+  let t = Str_trie.create pager in
+  Str_trie.add t "ab" 1;
+  Str_trie.remove t "a" 1;
+  Str_trie.remove t "ab" 2;
+  Str_trie.remove t "abc" 1;
+  Alcotest.(check (list int)) "trie kept" [ 1 ] (Str_trie.find_prefix t "");
+  let bt = Btree.create ~order:2 pager in
+  Btree.insert bt 3 (String.make 1 'x');
+  Btree.remove bt 3 (String.make 1 'x');  (* equal contents, another value *)
+  Btree.remove bt 4 (String.make 1 'x');
+  Alcotest.(check int) "btree kept" 1 (Btree.cardinal bt)
+
 let () =
   Alcotest.run "index"
     [
@@ -314,5 +471,17 @@ let () =
             prop_btree_counts_vs_range;
           Testkit.qtest ~count:200 "substring count is an upper bound"
             gen_strings prop_substr_count_upper_bound;
+        ] );
+      ( "removal",
+        [
+          Testkit.qtest ~count:200 "btree insert/remove vs multiset model"
+            (gen_ops QCheck2.Gen.(int_range 0 40))
+            prop_btree_remove;
+          Testkit.qtest ~count:100 "trie insert/remove = fresh build" (gen_ops gen_key_str)
+            prop_trie_remove;
+          Testkit.qtest ~count:100 "substring insert/remove = fresh build"
+            (gen_ops gen_key_str) prop_substr_remove;
+          Alcotest.test_case "removing an absent payload is a no-op" `Quick
+            test_remove_absent_is_noop;
         ] );
     ]

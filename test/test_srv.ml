@@ -63,6 +63,12 @@ let test_differential_concurrency () =
       | (k, text) :: _ ->
           Alcotest.failf "%d replies diverged from the oracle; first: #%d %s"
             (List.length !failures) k text);
+      (* a session thread notices its client's close only when its
+         receive timeout (0.5 s) next expires, so give it a bounded while *)
+      let deadline = Unix.gettimeofday () +. 3.0 in
+      while Srv.session_count srv > 0 && Unix.gettimeofday () < deadline do
+        Thread.delay 0.02
+      done;
       Alcotest.(check int) "no sessions linger" 0 (Srv.session_count srv))
 
 (* The HTTP face: index, liveness, query streaming (GET and POST),
