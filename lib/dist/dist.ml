@@ -229,76 +229,14 @@ let eval_shards t (a : Ast.atomic) =
                     Ext_list.materialize t.pager arr)))
       (involved_servers t a)
 
-let eval_atomic t (a : Ast.atomic) =
-  let shards = eval_shards t a in
-  (* Merge the sorted shards (pairwise unions). *)
-  Trace.with_span ~stats:t.stats "combine" (fun () ->
-      match shards with
-      | [] -> Ext_list.materialize t.pager [||]
-      | first :: rest -> List.fold_left Bool_ops.or_ first rest)
-
-(* Streaming variant: the shipped shards are still materialized, but the
-   merge pipelines them into the operator tree without writing the
-   merged list. *)
-let eval_atomic_src t (a : Ast.atomic) =
+(* The coordinator's leaf: an atomic's shards merged by pairwise
+   unions under the walker's edge policy, charged to the coordinator. *)
+let combine t ~mode (a : Ast.atomic) =
   let shards = eval_shards t a in
   Trace.with_span ~stats:t.stats "combine" (fun () ->
-      match shards with
+      match List.map Ext_list.Source.of_list shards with
       | [] -> Ext_list.Source.of_array [||]
-      | first :: rest ->
-          List.fold_left
-            (fun acc l ->
-              Bool_ops.or_src t.pager acc (Ext_list.Source.of_list l))
-            (Ext_list.Source.of_list first)
-            rest)
-
-(* Bottom-up evaluation with remote atomic queries and local operators. *)
-let rec eval_tree t (q : Ast.t) =
-  match q with
-  | Ast.Atomic a -> eval_atomic t a
-  | Ast.And (q1, q2) -> Bool_ops.and_ (eval_tree t q1) (eval_tree t q2)
-  | Ast.Or (q1, q2) -> Bool_ops.or_ (eval_tree t q1) (eval_tree t q2)
-  | Ast.Diff (q1, q2) -> Bool_ops.diff (eval_tree t q1) (eval_tree t q2)
-  | Ast.Hier (op, q1, q2, agg) ->
-      Hs_agg.compute_hier ?agg op (eval_tree t q1) (eval_tree t q2)
-  | Ast.Hier3 (op, q1, q2, q3, agg) ->
-      Hs_agg.compute_hier3 ?agg op (eval_tree t q1) (eval_tree t q2)
-        (eval_tree t q3)
-  | Ast.Gsel (q1, f) -> Simple_agg.compute f (eval_tree t q1)
-  | Ast.Eref (op, q1, q2, attr, agg) ->
-      Er.compute ?agg op (eval_tree t q1) (eval_tree t q2) attr
-
-(* The fused coordinator pipeline: shipped shards stay materialized,
-   every operator boundary above them streams. *)
-let rec eval_tree_src t (q : Ast.t) =
-  match q with
-  | Ast.Atomic a -> eval_atomic_src t a
-  | Ast.And (q1, q2) ->
-      let s1 = eval_tree_src t q1 in
-      let s2 = eval_tree_src t q2 in
-      Bool_ops.and_src t.pager s1 s2
-  | Ast.Or (q1, q2) ->
-      let s1 = eval_tree_src t q1 in
-      let s2 = eval_tree_src t q2 in
-      Bool_ops.or_src t.pager s1 s2
-  | Ast.Diff (q1, q2) ->
-      let s1 = eval_tree_src t q1 in
-      let s2 = eval_tree_src t q2 in
-      Bool_ops.diff_src t.pager s1 s2
-  | Ast.Hier (op, q1, q2, agg) ->
-      let s1 = eval_tree_src t q1 in
-      let s2 = eval_tree_src t q2 in
-      Hs_agg.compute_hier_src ?agg t.pager op s1 s2
-  | Ast.Hier3 (op, q1, q2, q3, agg) ->
-      let s1 = eval_tree_src t q1 in
-      let s2 = eval_tree_src t q2 in
-      let s3 = eval_tree_src t q3 in
-      Hs_agg.compute_hier3_src ?agg t.pager op s1 s2 s3
-  | Ast.Gsel (q1, f) -> Simple_agg.compute_src t.pager f (eval_tree_src t q1)
-  | Ast.Eref (op, q1, q2, attr, agg) ->
-      let s1 = eval_tree_src t q1 in
-      let s2 = eval_tree_src t q2 in
-      Er.compute_src ?agg t.pager op s1 s2 attr
+      | first :: rest -> List.fold_left (Engine.union ~mode t.pager) first rest)
 
 (* --- The coordinator's own journal entry --------------------------------- *)
 
@@ -357,13 +295,14 @@ let cache_note t before =
 
 (* Attach the plan's atomic-leaf cardinality estimates to the
    coordinator's "combine" rows.  The span tree under "coordinate"
-   holds one depth-1 combine per atomic sub-query, in evaluation order
-   (left to right), which is exactly the preorder order of the plan's
-   atomic leaves; counts must agree or the rows stay unannotated.
-   Reads/writes are left out: a combine merges already-shipped lists,
-   which the per-node cost model doesn't price.  The estimates come
-   from the home partition (the coordinator never sees the global
-   instance), so their q-error also measures partition-blindness. *)
+   holds one combine per atomic sub-query (nested in its operator
+   span), in evaluation order (left to right), which is exactly the
+   preorder order of the plan's atomic leaves; counts must agree or
+   the rows stay unannotated.  Reads/writes are left out: a combine
+   merges already-shipped lists, which the per-node cost model doesn't
+   price.  The estimates come from the home partition (the coordinator
+   never sees the global instance), so their q-error also measures
+   partition-blindness. *)
 let annotate_combines plan (ops : Qlog.op list) =
   let leaves =
     List.filter_map
@@ -371,9 +310,7 @@ let annotate_combines plan (ops : Qlog.op list) =
         if String.equal n.Plan.label "atomic" then Some n else None)
       (Plan.flatten plan)
   in
-  let is_combine (o : Qlog.op) =
-    o.Qlog.op_depth = 1 && String.equal o.Qlog.op_name "combine"
-  in
+  let is_combine (o : Qlog.op) = String.equal o.Qlog.op_name "combine" in
   let combines = List.length (List.filter is_combine ops) in
   if combines <> List.length leaves then ops
   else begin
@@ -390,77 +327,13 @@ let annotate_combines plan (ops : Qlog.op list) =
       ops
   end
 
-let journal_event t q ~mode ~cache ~result_count ~reads ~writes ~wall_ns
-    ~alloc_bytes ~outcome ~shipped span =
-  (* Estimated over the home partition — the coordinator never
-     materializes the global instance.  Under a cost-based home engine
-     the estimate prices access paths with the engine's own pager and
-     index (probe refunds must land on the counter the probes charge)
-     — the two pagers share the network's blocking factor, so the page
-     math is the same. *)
-  let home = t.home.engine in
-  let with_paths = Engine.planner home <> Engine.Off in
-  let plan =
-    if with_paths then
-      let force =
-        match Engine.planner home with
-        | Engine.Force_index -> Some Plan.Index
-        | Engine.Force_scan -> Some Plan.Scan
-        | Engine.Auto | Engine.Off -> None
-      in
-      Plan.estimate ~pager:(Engine.pager home) ~instance:t.home.instance
-        ?attr_index:(Engine.attr_index home)
-        ?calib:(Engine.calibration home)
-        ~streaming:(mode = Engine.Streaming) ?force q
-    else Plan.estimate ~pager:t.pager ~instance:t.home.instance q
-  in
-  let path =
-    if not with_paths then None
-    else
-      Plan.flatten plan
-      |> List.filter_map (fun ((n : Plan.node), _) ->
-             Option.map
-               (fun (c : Plan.choice) ->
-                 Plan.path_name c.Plan.chosen.Plan.alt_path)
-               n.Plan.access)
-      |> List.sort_uniq String.compare
-      |> function [] -> None | ps -> Some (String.concat "," ps)
-  in
-  let ops =
-    match span with
-    | Some sp -> annotate_combines plan (Qlog.ops_of_span sp)
-    | None -> []
-  in
-  let capture =
-    if wall_ns >= Qlog.threshold_ns () then
-      Some
-        {
-          Qlog.span_text =
-            (match span with
-            | Some sp -> Fmt.str "%a" Trace.pp_span sp
-            | None -> "");
-          plan_text = Plan.to_string plan;
-        }
-    else None
-  in
-  let trace_id =
-    match span with
-    | Some sp -> Some sp.Trace.trace_id
-    | None -> Trace.current_trace_id ()
-  in
-  let est_writes =
-    match mode with
-    | Engine.Streaming ->
-        max 0 (Plan.total_est_writes plan - Plan.total_est_writes_saved plan)
-    | Engine.Materialized -> Plan.total_est_writes plan
-  in
-  ignore
-    (Qlog.record ~cache ?path ~server:t.home.name ?trace_id ~shipped ~ops
-       ?capture
-       ~query:(Qprinter.to_string q)
-       ~fingerprint:(Plan.fingerprint q) ~result_count ~reads ~writes ~wall_ns
-       ~alloc_bytes ~outcome ~est_card:plan.Plan.est_rows
-       ~est_reads:(Plan.total_est_reads plan) ~est_writes ())
+(* Estimated over the home partition with the home engine's handles —
+   the coordinator never materializes the global instance; the two
+   pagers share the network's blocking factor, so the page math is the
+   same. *)
+let journal_event t q ~mode ~shipped =
+  Engine.record_event t.home.engine q ~mode ~annotate:annotate_combines
+    ~server:(Some t.home.name) ~shipped:(Some shipped)
 
 let eval ?(mode = Engine.Streaming) t q =
   let reads0 = t.stats.Io_stats.page_reads
@@ -486,39 +359,42 @@ let eval ?(mode = Engine.Streaming) t q =
       let detail = if Trace.enabled () then query_detail q else "" in
       match
         Trace.with_span_out ~detail ~stats:t.stats "coordinate" (fun () ->
+            let leaf = function
+              | Ast.Atomic a -> Some (combine t ~mode a)
+              | _ -> None
+            in
             let out =
-              match mode with
-              | Engine.Streaming ->
-                  Ext_list.Source.materialize t.pager (eval_tree_src t q)
-              | Engine.Materialized -> eval_tree t q
+              Engine.walk ~pager:t.pager
+                ~window:(Engine.window t.home.engine) ~mode ~leaf q
             in
             Trace.set_rows (Ext_list.length out);
             out)
       with
       | exception e ->
           if journal then
-            journal_event t q ~mode ~cache:(cache_note t probe0) ~result_count:0
+            journal_event t q ~mode ~shipped:[] ~cache:(cache_note t probe0)
+              ~result_count:0
               ~reads:(t.stats.Io_stats.page_reads - reads0)
               ~writes:(t.stats.Io_stats.page_writes - writes0)
               ~wall_ns:(Mclock.now_ns () - t0)
               ~alloc_bytes:(int_of_float (Gc.allocated_bytes () -. alloc0))
               ~outcome:(Qlog.Failed (Printexc.to_string e))
-              ~shipped:[] None;
+              None;
           raise e
       | out, span ->
           let wall_ns = Mclock.now_ns () - t0 in
           Metrics.incr m_dist_queries;
           Metrics.observe_ns m_dist_latency wall_ns;
           if journal then
-            journal_event t q ~mode ~cache:(cache_note t probe0)
+            journal_event t q ~mode
+              ~shipped:(shipping_delta ship0 (shipping_snapshot t))
+              ~cache:(cache_note t probe0)
               ~result_count:(Ext_list.length out)
               ~reads:(t.stats.Io_stats.page_reads - reads0)
               ~writes:(t.stats.Io_stats.page_writes - writes0)
               ~wall_ns
               ~alloc_bytes:(int_of_float (Gc.allocated_bytes () -. alloc0))
-              ~outcome:Qlog.Ok
-              ~shipped:(shipping_delta ship0 (shipping_snapshot t))
-              span;
+              ~outcome:Qlog.Ok span;
           out)
 
 let eval_entries ?mode t q = Ext_list.to_list (eval ?mode t q)

@@ -51,17 +51,9 @@ val involved_servers : coordinator -> Ast.atomic -> server list
 (** The owner of the base plus every server whose domain lies inside the
     base's subtree. *)
 
-val eval_atomic : coordinator -> Ast.atomic -> Entry.t Ext_list.t
-
-val eval_atomic_src :
-  coordinator -> Ast.atomic -> Entry.t Ext_list.Source.src
-(** Streaming merge of the shipped shards: the per-server results are
-    still materialized at the coordinator (a shard arrives whole before
-    the pipeline can consume it), but the merged union flows out as a
-    live source. *)
-
 val eval : ?mode:Engine.mode -> coordinator -> Ast.t -> Entry.t Ext_list.t
-(** Evaluate a query tree at this coordinator (default
+(** Evaluate a query tree at this coordinator through {!Engine.walk},
+    its leaf merging each atomic's shipped shards (default
     [Engine.Streaming]: operator boundaries above the shipped shards
     pipeline, and only the root result is written at the coordinator).
     When the query journal

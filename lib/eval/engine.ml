@@ -7,11 +7,11 @@
    so no intermediate re-sorting ever happens — the invariant Theorem 8.3
    rests on, checked by experiment E15.
 
-   The engine also exposes a naive mode that swaps every operator for its
-   quadratic nested-loop baseline (same results, different cost), used by
-   the crossover experiment E9. *)
-
-type algorithms = Stack_based | Naive_nested_loop
+   One walker ([walk]) evaluates every tree: the engine's own queries,
+   :explain's profile, the distributed coordinator and the fusion
+   rewrite, which differ only in the leaf function that answers atomics
+   (and any subtree they intercept).  Pipelined versus materialized
+   evaluation is an edge policy inside that walker, not a second one. *)
 
 (* How operator boundaries are handled (Theorem 8.3): [Materialized]
    writes every intermediate result to disk and re-reads it; [Streaming]
@@ -36,7 +36,6 @@ type t = {
   attr_index : Attr_index.t option;  (* patched in place by refreshes *)
   pool : Buffer_pool.t option;  (* page cache behind the dn-index *)
   window : int;  (* in-memory pages for each operator's stack *)
-  algorithms : algorithms;
   result_cache : Cache.t option;  (* semantic query-result cache *)
   mutable mode : mode;  (* default operator-boundary handling *)
   mutable planner : planner;
@@ -86,7 +85,7 @@ let watch t dir =
   Directory.on_update dir (fun u -> Option.iter (fun t -> enqueue t u) (Weak.get self 0))
 
 let create ?(block = 64) ?(window = 2) ?(with_attr_index = true)
-    ?(algorithms = Stack_based) ?(cache_pages = 0) ?result_cache ?stats
+    ?(cache_pages = 0) ?result_cache ?stats
     ?(mode = Streaming) ?(planner = Auto) ?directory instance =
   let stats = match stats with Some s -> s | None -> Io_stats.create () in
   let pager = Pager.create ~block stats in
@@ -101,8 +100,8 @@ let create ?(block = 64) ?(window = 2) ?(with_attr_index = true)
   (* Index construction is setup cost, not query cost. *)
   Io_stats.reset stats;
   let t =
-    { instance; pager; dn_index; attr_index; pool; window;
-      algorithms; result_cache; mode; planner; calib = None; directory = None;
+    { instance; pager; dn_index; attr_index; pool; window; result_cache;
+      mode; planner; calib = None; directory = None;
       pending = []; n_path_index = 0; n_path_scan = 0; n_path_cache = 0 }
   in
   Option.iter (watch t) directory;
@@ -110,6 +109,7 @@ let create ?(block = 64) ?(window = 2) ?(with_attr_index = true)
 
 let stats t = Pager.stats t.pager
 let pager t = t.pager
+let window t = t.window
 let instance t = t.instance
 let dn_index t = t.dn_index
 let attr_index t = t.attr_index
@@ -198,21 +198,15 @@ let choose_atomic ~streaming t (a : Ast.atomic) =
     ?attr_index:t.attr_index ?cache:t.result_cache ?calib:t.calib ~streaming
     ?force:(planner_force t) a
 
-(* The index path shared by both boundary modes: probe, refine to the
-   scope and the full filter, sort.  Charges reading the postings; the
-   caller decides how the sorted hits leave. *)
-let index_hits t (a : Ast.atomic) candidates =
-  let prefix = Dn.rev_key a.Ast.base in
-  let hits =
-    List.filter
-      (fun e ->
-        Entry.key_is_prefix ~prefix (Entry.key e)
-        && Afilter.matches a.Ast.filter e)
-      candidates
-    |> List.sort_uniq Entry.compare_rev
-  in
-  Pager.charge_scan_read t.pager (List.length candidates);
-  hits
+(* The engine-bound estimate of [q] as given: the same handles and
+   policy execution uses; under [Off], the legacy selectivity model. *)
+let estimate ~mode t q =
+  match t.planner with
+  | Off -> Plan.estimate ~pager:t.pager ~instance:t.instance q
+  | Auto | Force_index | Force_scan ->
+      Plan.estimate ~pager:t.pager ~instance:t.instance
+        ?attr_index:t.attr_index ?cache:t.result_cache ?calib:t.calib
+        ~streaming:(mode = Streaming) ?force:(planner_force t) q
 
 (* Serve a sub-scope atomic's cache hit, if one is (still) fresh: the
    mutating [find] does the LRU bump and hit accounting the planner's
@@ -258,25 +252,37 @@ let count_path t = function
       t.n_path_cache <- t.n_path_cache + 1;
       Metrics.incr m_path_cache
 
-let eval_atomic t (a : Ast.atomic) =
+(* One atomic query, its sorted hits leaving as a live source.  [mode]
+   reaches the planner (a pipeline saves the output write it prices)
+   and a result-cache hit, which under [Materialized] stays the resident
+   list its consumer scans and under [Streaming] flows on free. *)
+let atomic_src t ~mode (a : Ast.atomic) =
   refresh_if_dirty t;
   let keep e = Afilter.matches a.filter e in
-  let scan () = Dn_index.scan_subtree t.dn_index a.base ~keep in
+  let scan () = Dn_index.scan_subtree_src t.dn_index a.base ~keep in
+  (* the index path: refine the probed postings to the scope and the
+     full filter, sort; charges reading the postings *)
   let indexed candidates =
-    let w = Ext_list.Writer.make t.pager in
-    List.iter (Ext_list.Writer.push w) (index_hits t a candidates);
-    Ext_list.Writer.close w
+    let prefix = Dn.rev_key a.base in
+    let hits =
+      List.filter
+        (fun e -> Entry.key_is_prefix ~prefix (Entry.key e) && keep e)
+        candidates
+      |> List.sort_uniq Entry.compare_rev
+    in
+    Pager.charge_scan_read t.pager (List.length candidates);
+    Ext_list.Source.of_array (Array.of_list hits)
   in
   match a.scope with
-  | Ast.Base -> Dn_index.scan_base t.dn_index a.base ~keep
-  | Ast.One -> Dn_index.scan_children t.dn_index a.base ~keep
+  | Ast.Base -> Dn_index.scan_base_src t.dn_index a.base ~keep
+  | Ast.One -> Dn_index.scan_children_src t.dn_index a.base ~keep
   | Ast.Sub when t.planner = Off -> (
       (* legacy: the index whenever one applies *)
       match index_candidates t a.filter with
       | None -> scan ()
       | Some candidates -> indexed candidates)
   | Ast.Sub -> (
-      let choice = choose_atomic ~streaming:false t a in
+      let choice = choose_atomic ~streaming:(mode = Streaming) t a in
       let run = function
         | Plan.Scan ->
             count_path t Plan.Scan;
@@ -293,51 +299,19 @@ let eval_atomic t (a : Ast.atomic) =
       match choice.Plan.chosen.Plan.alt_path with
       | Plan.Cached -> (
           match atomic_cache_hit t a with
-          | Some arr ->
+          | Some arr -> (
               count_path t Plan.Cached;
-              Ext_list.of_array_resident t.pager arr
+              match mode with
+              | Streaming -> Ext_list.Source.of_array arr
+              | Materialized ->
+                  Ext_list.Source.of_list
+                    (Ext_list.of_array_resident t.pager arr))
           | None -> run (best_uncached choice))
       | (Plan.Index | Plan.Scan) as p -> run p)
 
-(* Streaming atomic evaluation: same path selection and index charges,
-   but the hits flow out as a live source instead of being written. *)
-let eval_atomic_src t (a : Ast.atomic) =
-  refresh_if_dirty t;
-  let keep e = Afilter.matches a.filter e in
-  let scan () = Dn_index.scan_subtree_src t.dn_index a.base ~keep in
-  let indexed candidates =
-    Ext_list.Source.of_array (Array.of_list (index_hits t a candidates))
-  in
-  match a.scope with
-  | Ast.Base -> Dn_index.scan_base_src t.dn_index a.base ~keep
-  | Ast.One -> Dn_index.scan_children_src t.dn_index a.base ~keep
-  | Ast.Sub when t.planner = Off -> (
-      match index_candidates t a.filter with
-      | None -> scan ()
-      | Some candidates -> indexed candidates)
-  | Ast.Sub -> (
-      let choice = choose_atomic ~streaming:true t a in
-      let run = function
-        | Plan.Scan ->
-            count_path t Plan.Scan;
-            scan ()
-        | Plan.Index | Plan.Cached -> (
-            match index_candidates t a.filter with
-            | Some candidates ->
-                count_path t Plan.Index;
-                indexed candidates
-            | None ->
-                count_path t Plan.Scan;
-                scan ())
-      in
-      match choice.Plan.chosen.Plan.alt_path with
-      | Plan.Cached -> (
-          match atomic_cache_hit t a with
-          | Some arr ->
-              count_path t Plan.Cached;
-              Ext_list.Source.of_array arr
-          | None -> run (best_uncached choice))
-      | (Plan.Index | Plan.Scan) as p -> run p)
+let leaf t mode = function
+  | Ast.Atomic a -> Some (atomic_src t ~mode a)
+  | _ -> None
 
 (* --- Query trees --------------------------------------------------------- *)
 
@@ -356,120 +330,98 @@ let span_detail : Ast.t -> string = function
   | Ast.Atomic a -> Afilter.to_string a.Ast.filter
   | _ -> ""
 
-let rec eval_node t (q : Ast.t) =
-  Trace.with_span
-    ~detail:(span_detail q)
-    ~stats:(stats t) (span_label q)
-    (fun () ->
-      let out = eval_op t q in
+(* The edge policy (Theorem 8.3) for one binary operator: a pipelined
+   node consumes its inputs' sources and hands on a live one; a
+   materialized node runs the operator's list entry point over resident
+   inputs (forcing an untouched list-backed source is free) and hands
+   on a scan of the list it wrote. *)
+let binary ~mode pager src lst s1 s2 =
+  match mode with
+  | Streaming -> src s1 s2
+  | Materialized ->
+      let force = Ext_list.Source.force pager in
+      Ext_list.Source.of_list (lst (force s1) (force s2))
+
+let union ~mode pager =
+  binary ~mode pager (Bool_ops.or_src pager) Bool_ops.or_
+
+(* The one query-tree walker: one traced span per node, children left
+   to right.  [leaf] answers every atomic and may intercept any other
+   subtree; under [Materialized] a leaf's output is written inside its
+   own span, like an operator's. *)
+let rec walk_src ~pager ~window ~mode ~leaf (q : Ast.t) =
+  let go = walk_src ~pager ~window ~mode ~leaf in
+  let binary = binary ~mode pager in
+  let force = Ext_list.Source.force pager in
+  Trace.with_span ~detail:(span_detail q) ~stats:(Pager.stats pager)
+    (span_label q) (fun () ->
+      let out =
+        match leaf q with
+        | Some s -> (
+            match mode with
+            | Streaming -> s
+            | Materialized -> Ext_list.Source.of_list (force s))
+        | None -> (
+            match q with
+            | Ast.Atomic _ -> invalid_arg "Engine.walk: leaf left an atomic"
+            | Ast.And (q1, q2) ->
+                let s1 = go q1 in
+                binary (Bool_ops.and_src pager) Bool_ops.and_ s1 (go q2)
+            | Ast.Or (q1, q2) ->
+                let s1 = go q1 in
+                union ~mode pager s1 (go q2)
+            | Ast.Diff (q1, q2) ->
+                let s1 = go q1 in
+                binary (Bool_ops.diff_src pager) Bool_ops.diff s1 (go q2)
+            | Ast.Hier (op, q1, q2, agg) ->
+                let s1 = go q1 in
+                binary
+                  (Hs_agg.compute_hier_src ~window ?agg pager op)
+                  (Hs_agg.compute_hier ~window ?agg op)
+                  s1 (go q2)
+            | Ast.Hier3 (op, q1, q2, q3, agg) -> (
+                let s1 = go q1 in
+                let s2 = go q2 in
+                let s3 = go q3 in
+                match mode with
+                | Streaming ->
+                    Hs_agg.compute_hier3_src ~window ?agg pager op s1 s2 s3
+                | Materialized ->
+                    Ext_list.Source.of_list
+                      (Hs_agg.compute_hier3 ~window ?agg op (force s1)
+                         (force s2) (force s3)))
+            | Ast.Gsel (q1, f) -> (
+                let s1 = go q1 in
+                match mode with
+                | Streaming -> Simple_agg.compute_src pager f s1
+                | Materialized ->
+                    Ext_list.Source.of_list (Simple_agg.compute f (force s1)))
+            | Ast.Eref (op, q1, q2, attr, agg) ->
+                let s1 = go q1 in
+                binary
+                  (fun s1 s2 -> Er.compute_src ?agg pager op s1 s2 attr)
+                  (fun l1 l2 -> Er.compute ?agg op l1 l2 attr)
+                  s1 (go q2))
+      in
       (* rows per operator, for :trace and the journal's op rows *)
-      Trace.set_rows (Ext_list.length out);
-      out)
-
-and eval_op t (q : Ast.t) =
-  match q with
-  | Ast.Atomic a -> eval_atomic t a
-  | Ast.And (q1, q2) ->
-      apply_bool t `And (eval_node t q1) (eval_node t q2)
-  | Ast.Or (q1, q2) -> apply_bool t `Or (eval_node t q1) (eval_node t q2)
-  | Ast.Diff (q1, q2) -> apply_bool t `Diff (eval_node t q1) (eval_node t q2)
-  | Ast.Hier (op, q1, q2, agg) -> (
-      let l1 = eval_node t q1 and l2 = eval_node t q2 in
-      match t.algorithms with
-      | Stack_based -> Hs_agg.compute_hier ~window:t.window ?agg op l1 l2
-      | Naive_nested_loop -> naive_hier op agg l1 l2)
-  | Ast.Hier3 (op, q1, q2, q3, agg) -> (
-      let l1 = eval_node t q1
-      and l2 = eval_node t q2
-      and l3 = eval_node t q3 in
-      match t.algorithms with
-      | Stack_based -> Hs_agg.compute_hier3 ~window:t.window ?agg op l1 l2 l3
-      | Naive_nested_loop -> naive_hier3 op agg l1 l2 l3)
-  | Ast.Gsel (q1, f) -> Simple_agg.compute f (eval_node t q1)
-  | Ast.Eref (op, q1, q2, attr, agg) -> (
-      let l1 = eval_node t q1 and l2 = eval_node t q2 in
-      match t.algorithms with
-      | Stack_based -> Er.compute ?agg op l1 l2 attr
-      | Naive_nested_loop -> naive_eref op agg l1 l2 attr)
-
-and apply_bool t op l1 l2 =
-  match (t.algorithms, op) with
-  | Stack_based, `And -> Bool_ops.and_ l1 l2
-  | Stack_based, `Or -> Bool_ops.or_ l1 l2
-  | Stack_based, `Diff -> Bool_ops.diff l1 l2
-  | Naive_nested_loop, op -> Naive.compute_bool op l1 l2
-
-(* The naive baselines only implement the count($2) > 0 selection; an
-   aggregate filter falls back to the stack algorithm so naive mode still
-   evaluates every query correctly. *)
-and naive_hier op agg l1 l2 =
-  match agg with
-  | None -> Naive.compute_hier op l1 l2
-  | Some _ -> Hs_agg.compute_hier ?agg op l1 l2
-
-and naive_hier3 op agg l1 l2 l3 =
-  match agg with
-  | None -> Naive.compute_hier3 op l1 l2 l3
-  | Some _ -> Hs_agg.compute_hier3 ?agg op l1 l2 l3
-
-and naive_eref op agg l1 l2 attr =
-  match agg with
-  | None -> Naive.compute_eref op l1 l2 attr
-  | Some _ -> Er.compute ?agg op l1 l2 attr
-
-(* The fused pipeline (Theorem 8.3): each operator consumes its
-   children's sources and produces one, so no operator-boundary write or
-   re-read is ever charged.  Children are evaluated left to right so
-   span order matches the materialized evaluator's. *)
-let rec eval_node_src t (q : Ast.t) =
-  Trace.with_span
-    ~detail:(span_detail q)
-    ~stats:(stats t) (span_label q)
-    (fun () ->
-      let out = eval_op_src t q in
       Trace.set_rows (Ext_list.Source.length out);
       out)
 
-and eval_op_src t (q : Ast.t) =
-  match q with
-  | Ast.Atomic a -> eval_atomic_src t a
-  | Ast.And (q1, q2) ->
-      let s1 = eval_node_src t q1 in
-      let s2 = eval_node_src t q2 in
-      Bool_ops.and_src t.pager s1 s2
-  | Ast.Or (q1, q2) ->
-      let s1 = eval_node_src t q1 in
-      let s2 = eval_node_src t q2 in
-      Bool_ops.or_src t.pager s1 s2
-  | Ast.Diff (q1, q2) ->
-      let s1 = eval_node_src t q1 in
-      let s2 = eval_node_src t q2 in
-      Bool_ops.diff_src t.pager s1 s2
-  | Ast.Hier (op, q1, q2, agg) ->
-      let s1 = eval_node_src t q1 in
-      let s2 = eval_node_src t q2 in
-      Hs_agg.compute_hier_src ~window:t.window ?agg t.pager op s1 s2
-  | Ast.Hier3 (op, q1, q2, q3, agg) ->
-      let s1 = eval_node_src t q1 in
-      let s2 = eval_node_src t q2 in
-      let s3 = eval_node_src t q3 in
-      Hs_agg.compute_hier3_src ~window:t.window ?agg t.pager op s1 s2 s3
-  | Ast.Gsel (q1, f) -> Simple_agg.compute_src t.pager f (eval_node_src t q1)
-  | Ast.Eref (op, q1, q2, attr, agg) ->
-      let s1 = eval_node_src t q1 in
-      let s2 = eval_node_src t q2 in
-      Er.compute_src ?agg t.pager op s1 s2 attr
+(* The root result is always materialized (exception (a) of Thm 8.3):
+   it is what the caller scans, pages through, or offers to the result
+   cache.  Under [Materialized] the root node already wrote it. *)
+let walk ~pager ~window ~mode ~leaf q =
+  let src = walk_src ~pager ~window ~mode ~leaf q in
+  match mode with
+  | Streaming -> Ext_list.Source.materialize pager src
+  | Materialized -> Ext_list.Source.force pager src
 
-(* Run a whole tree under the given boundary mode.  The root result is
-   always materialized (exception (a) of Thm 8.3): it is what the caller
-   scans, pages through, or offers to the result cache.  The naive
-   algorithms have no streaming form — E9's crossover baseline keeps its
-   classic bill. *)
+let eval_node_src t q =
+  walk_src ~pager:t.pager ~window:t.window ~mode:Streaming
+    ~leaf:(leaf t Streaming) q
+
 let run_root t ~mode q =
-  match (mode, t.algorithms) with
-  | Streaming, Stack_based ->
-      Ext_list.Source.materialize t.pager (eval_node_src t q)
-  | (Materialized | Streaming), _ -> eval_node t q
+  walk ~pager:t.pager ~window:t.window ~mode ~leaf:(leaf t mode) q
 
 (* Top-level entry point: one "execute" span per query tree (with one
    child span per operator, when tracing is on) plus process-wide
@@ -540,24 +492,26 @@ let m_miss_ns =
     ~labels:[ ("cache", "miss") ]
     "engine_cache_query_ns"
 
-(* Join the estimated plan onto the span tree's per-operator rows.  The
-   engine opens one span per operator, children left to right, so the
-   span tree under "execute" mirrors the AST and the two preorder
-   flattenings pair positionally — the label check guards the join
-   against any shape mismatch (then the rows simply stay unannotated).
-   In streaming mode the per-node write estimate is the materialized
-   one minus the writes the pipeline saves at that node (Thm 8.3). *)
-let est_writes_for ~mode (n : Plan.node) =
+(* Estimated writes under a boundary mode: a pipeline saves
+   [saved] of the materialized [writes] (Thm 8.3). *)
+let est_writes ~mode ~writes ~saved =
   match mode with
-  | Streaming -> max 0 (n.Plan.est_writes - n.Plan.est_writes_saved)
-  | Materialized -> n.Plan.est_writes
+  | Streaming -> max 0 (writes - saved)
+  | Materialized -> writes
+
+let with_paths t = t.planner <> Off
 
 let node_path (n : Plan.node) =
   Option.map
     (fun (c : Plan.choice) -> Plan.path_name c.Plan.chosen.Plan.alt_path)
     n.Plan.access
 
-let annotate_ops ~mode ~with_paths plan (ops : Qlog.op list) =
+(* Join the estimated plan onto the span tree's per-operator rows.  The
+   walker opens one span per operator, children left to right, so the
+   span tree under "execute" mirrors the AST and the two preorder
+   flattenings pair positionally — the label check guards the join
+   against any shape mismatch (then the rows simply stay unannotated). *)
+let annotate_ops t ~mode plan (ops : Qlog.op list) =
   match ops with
   | root :: rest ->
       let flat = Plan.flatten plan in
@@ -575,42 +529,33 @@ let annotate_ops ~mode ~with_paths plan (ops : Qlog.op list) =
                  o with
                  Qlog.op_est_rows = Some n.Plan.est_rows;
                  op_est_reads = Some n.Plan.est_reads;
-                 op_est_writes = Some (est_writes_for ~mode n);
-                 op_path = (if with_paths then node_path n else None);
+                 op_est_writes =
+                   Some
+                     (est_writes ~mode ~writes:n.Plan.est_writes
+                        ~saved:n.Plan.est_writes_saved);
+                 op_path = (if with_paths t then node_path n else None);
                })
              rest flat
       else ops
   | [] -> []
 
 (* The comma-joined distinct access paths a plan chose, sorted — the
-   event-level "path=" summary (["index"], ["index,scan"], ...). *)
-let plan_paths plan =
-  Plan.flatten plan
-  |> List.filter_map (fun (n, _) -> node_path n)
-  |> List.sort_uniq String.compare
-  |> function [] -> None | ps -> Some (String.concat "," ps)
+   event-level "path=" summary (["index"], ["index,scan"], ...); none
+   under the legacy planner. *)
+let plan_paths t plan =
+  if not (with_paths t) then None
+  else
+    Plan.flatten plan
+    |> List.filter_map (fun (n, _) -> node_path n)
+    |> List.sort_uniq String.compare
+    |> function [] -> None | ps -> Some (String.concat "," ps)
 
-let journal_event t q ~mode ~cache ~result_count ~reads ~writes ~wall_ns
-    ~alloc_bytes ~outcome span =
-  (* naive algorithms have no streaming form (run_root falls back), so
-     the write estimates must bill the materialized pipeline too *)
-  let mode =
-    match t.algorithms with
-    | Stack_based -> mode
-    | Naive_nested_loop -> Materialized
-  in
-  let with_paths = t.planner <> Off in
-  let plan =
-    if with_paths then
-      Plan.estimate ~pager:t.pager ~instance:t.instance
-        ?attr_index:t.attr_index ?cache:t.result_cache ?calib:t.calib
-        ~streaming:(mode = Streaming) ?force:(planner_force t) q
-    else Plan.estimate ~pager:t.pager ~instance:t.instance q
-  in
-  let path = if with_paths then plan_paths plan else None in
+let record_event t q ~mode ~annotate ~server ~shipped ~cache ~result_count
+    ~reads ~writes ~wall_ns ~alloc_bytes ~outcome span =
+  let plan = estimate ~mode t q in
   let ops =
     match span with
-    | Some sp -> annotate_ops ~mode ~with_paths plan (Qlog.ops_of_span sp)
+    | Some sp -> annotate plan (Qlog.ops_of_span sp)
     | None -> []
   in
   let capture =
@@ -630,18 +575,21 @@ let journal_event t q ~mode ~cache ~result_count ~reads ~writes ~wall_ns
     | Some sp -> Some sp.Trace.trace_id
     | None -> Trace.current_trace_id ()
   in
-  let est_writes =
-    match mode with
-    | Streaming ->
-        max 0 (Plan.total_est_writes plan - Plan.total_est_writes_saved plan)
-    | Materialized -> Plan.total_est_writes plan
-  in
   ignore
-    (Qlog.record ~cache ?path ?trace_id
+    (Qlog.record ~cache ?path:(plan_paths t plan) ?server ?trace_id ?shipped
+       ~ops ?capture
        ~query:(Qprinter.to_string q)
        ~fingerprint:(Plan.fingerprint q) ~result_count ~reads ~writes ~wall_ns
-       ~alloc_bytes ~outcome ~ops ?capture ~est_card:plan.Plan.est_rows
-       ~est_reads:(Plan.total_est_reads plan) ~est_writes ())
+       ~alloc_bytes ~outcome ~est_card:plan.Plan.est_rows
+       ~est_reads:(Plan.total_est_reads plan)
+       ~est_writes:
+         (est_writes ~mode ~writes:(Plan.total_est_writes plan)
+            ~saved:(Plan.total_est_writes_saved plan))
+       ())
+
+let journal_event t q ~mode =
+  record_event t q ~mode ~annotate:(annotate_ops t ~mode) ~server:None
+    ~shipped:None
 
 (* Full evaluation.  [probe] says how the result cache answered the
    lookup ([`Bypass] when there is none): a [`Miss] or [`Stale] result

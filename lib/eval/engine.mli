@@ -3,11 +3,10 @@
     Bottom-up evaluation of the query tree: atomic queries come sorted
     off the clustering dn-index (optionally index-assisted), and every
     operator consumes and produces canonically sorted lists, so nothing
-    is ever re-sorted.  A naive mode swaps each operator for its
-    quadratic baseline (same results, different cost) for the crossover
-    experiments. *)
-
-type algorithms = Stack_based | Naive_nested_loop
+    is ever re-sorted.  One walker ({!walk}) evaluates every tree — the
+    engine's own, {!Explain.profile}'s, the distributed coordinator's
+    and the fusion rewrite's — with the operator-boundary {!mode} as an
+    edge policy inside it. *)
 
 (** How operator boundaries are handled (Theorem 8.3): [Materialized]
     writes every intermediate result and re-reads it; [Streaming] fuses
@@ -33,7 +32,6 @@ val create :
   ?block:int ->
   ?window:int ->
   ?with_attr_index:bool ->
-  ?algorithms:algorithms ->
   ?cache_pages:int ->
   ?result_cache:Cache.t ->
   ?stats:Io_stats.t ->
@@ -96,6 +94,9 @@ val stats : t -> Io_stats.t
 val pager : t -> Pager.t
 val instance : t -> Instance.t
 
+val window : t -> int
+(** The per-operator stack window in pages. *)
+
 val dn_index : t -> Dn_index.t
 (** The engine's clustering index (shared with the fusion optimizer). *)
 
@@ -112,25 +113,73 @@ val result_cache : t -> Cache.t option
 
 val reset_stats : t -> unit
 
-val eval_atomic : t -> Ast.atomic -> Entry.t Ext_list.t
-(** One atomic query, answered from the indexes, sorted. *)
+val walk :
+  pager:Pager.t ->
+  window:int ->
+  mode:mode ->
+  leaf:(Ast.t -> Entry.t Ext_list.Source.src option) ->
+  Ast.t ->
+  Entry.t Ext_list.t
+(** The query-tree walker: one traced span per node (children left to
+    right), charged to [pager], hierarchical operators sweeping with a
+    [window]-page stack.  [leaf] must answer every atomic and may
+    intercept any other subtree.  [mode] is the policy at each edge:
+    [Streaming] pipelines every operator, [Materialized] runs each
+    operator's list entry point and writes every node's output (a
+    leaf's included) inside its span.  The root result is materialized
+    in both modes.  No planner rewrite, result cache, metrics or
+    journal: those are {!eval}'s. *)
 
-val eval_atomic_src : t -> Ast.atomic -> Entry.t Ext_list.Source.src
-(** Streaming atomic evaluation: same index charges, the hits flow out
-    as a live source. *)
+val leaf : t -> mode -> Ast.t -> Entry.t Ext_list.Source.src option
+(** The engine's leaf for {!walk}: atomics answered from its indexes
+    (or its result cache) through the access-path planner; no other
+    subtree is intercepted. *)
+
+val union :
+  mode:mode ->
+  Pager.t ->
+  Entry.t Ext_list.Source.src ->
+  Entry.t Ext_list.Source.src ->
+  Entry.t Ext_list.Source.src
+(** The walker's [|] node over two sources under the given edge
+    policy (the distributed coordinator's shard merge). *)
 
 val eval_node_src : t -> Ast.t -> Entry.t Ext_list.Source.src
-(** Evaluate a tree as one fused pipeline, returning the root's live
-    source unmaterialized (one traced span per operator, as with the
-    materialized evaluator).  Used by {!Explain.profile} and the
-    distributed coordinator; {!eval} materializes the root. *)
+(** {!walk} with the engine's leaf as one fused pipeline, returning
+    the root's live source unmaterialized.  Used by the server, which
+    ships rows as they are pulled; {!eval} materializes the root. *)
+
+val estimate : mode:mode -> t -> Ast.t -> Plan.node
+(** The engine-bound estimate of a tree as given (no rewrite): the
+    engine's index / cache / calibration handles under its current
+    planner policy, costs assuming [mode]. *)
+
+val record_event :
+  t ->
+  Ast.t ->
+  mode:mode ->
+  annotate:(Plan.node -> Qlog.op list -> Qlog.op list) ->
+  server:string option ->
+  shipped:(string * int * int) list option ->
+  cache:string ->
+  result_count:int ->
+  reads:int ->
+  writes:int ->
+  wall_ns:int ->
+  alloc_bytes:int ->
+  outcome:Qlog.outcome ->
+  Trace.span option ->
+  unit
+(** Record one query-journal event for a tree run under [mode]: the
+    {!estimate} joined onto the span tree's rows by [annotate], the
+    chosen access paths, estimate totals and, above the slow
+    threshold, a capture.  Shared with the distributed coordinator. *)
 
 val eval : ?mode:mode -> t -> Ast.t -> Entry.t Ext_list.t
 (** Evaluate a query tree; the result list is canonically sorted.
     [mode] overrides the engine's default boundary handling for this
     call; under [Streaming] the whole tree runs as one pipeline and only
-    the root result is written (naive algorithms always run
-    materialized).
+    the root result is written.
     When the query journal ({!Qlog}) is enabled, every call records one
     journal event — query text, plan fingerprint, result count, I/O and
     wall time, per-operator rows from the span tree — and queries at or

@@ -26,164 +26,71 @@ type node = Plan.node = {
   children : node list;
 }
 
-(* The engine-bound estimate: same handles, policy and boolean-chain
-   rewrite as [Engine.eval], so :explain shows the tree — and the
-   access-path decisions, chosen and rejected — that would actually
-   run.  Under [Off] it degrades to the legacy selectivity model. *)
+(* The engine-bound estimate of the tree [Engine.eval] would actually
+   run: its boolean-chain rewrite applied, then the access-path
+   decisions, chosen and rejected, under the engine's planner policy. *)
 let estimate ?mode engine q =
-  let q = Engine.plan_rewrite ?mode engine q in
-  let streaming =
-    Option.value mode ~default:(Engine.mode engine) = Engine.Streaming
-  in
-  match Engine.planner engine with
-  | Engine.Off ->
-      Plan.estimate ~pager:(Engine.pager engine)
-        ~instance:(Engine.instance engine) q
-  | p ->
-      let force =
-        match p with
-        | Engine.Force_index -> Some Plan.Index
-        | Engine.Force_scan -> Some Plan.Scan
-        | Engine.Auto | Engine.Off -> None
-      in
-      Plan.estimate ~pager:(Engine.pager engine)
-        ~instance:(Engine.instance engine)
-        ?attr_index:(Engine.attr_index engine)
-        ?cache:(Engine.result_cache engine)
-        ?calib:(Engine.calibration engine) ~streaming ?force q
+  let mode = Option.value mode ~default:(Engine.mode engine) in
+  Engine.estimate ~mode engine (Engine.plan_rewrite ~mode engine q)
 
 let fingerprint = Plan.fingerprint
 
 (* --- Profiled execution ---------------------------------------------------- *)
 
-(* Evaluate bottom-up, attributing the I/O and wall-clock time of each
-   operator (excluding its children) to its plan node.  [mode] picks the
-   operator-boundary handling; the default follows the engine. *)
+(* Pair the walker's operator spans with the plan nodes, both mirroring
+   the AST, and read each node's actuals off its span minus its
+   children's: self io, wall time and allocation (rows are the
+   operator's own output).  A shape or label mismatch leaves the node
+   unannotated. *)
+let rec attach (n : node) (sp : Trace.span) =
+  if
+    String.equal n.label sp.Trace.name
+    && List.compare_lengths n.children sp.Trace.children = 0
+  then
+    let self f =
+      f sp - List.fold_left (fun acc c -> acc + f c) 0 sp.Trace.children
+    in
+    {
+      n with
+      actual_rows = sp.Trace.rows;
+      actual_io = Some (self (fun s -> Io_stats.total_io s.Trace.io));
+      actual_ns = Some (self (fun s -> s.Trace.elapsed_ns));
+      actual_alloc = Some (self (fun s -> s.Trace.alloc_bytes));
+      children = List.map2 attach n.children sp.Trace.children;
+    }
+  else n
+
+(* Run the walker exactly as [Engine.eval] would (same rewrite, mode,
+   window and atomics; no result-cache lookup, no journal event) with
+   tracing forced on, then attribute from the operator spans.  The root
+   result's materialization, outside the root operator's span, is
+   billed to the root operator. *)
 let profile ?mode engine q =
   let mode = Option.value mode ~default:(Engine.mode engine) in
-  (* run the tree the planner would run, so the per-node estimates (and
-     access decisions) pair with the operators actually executed *)
   let q = Engine.plan_rewrite ~mode engine q in
-  let pager = Engine.pager engine in
   let stats = Engine.stats engine in
-  (* measure [f], annotating [est] with actual rows / io / ns *)
-  let measured est children f =
-    let before = Io_stats.total_io stats in
-    let alloc0 = Gc.allocated_bytes () in
-    let t0 = Mclock.now_ns () in
-    let out = f () in
-    let ns = Mclock.now_ns () - t0 in
-    ( out,
-      {
-        est with
-        actual_rows = Some (Ext_list.length out);
-        actual_io = Some (Io_stats.total_io stats - before);
-        actual_ns = Some ns;
-        actual_alloc = Some (int_of_float (Gc.allocated_bytes () -. alloc0));
-        children;
-      } )
+  let est =
+    Trace.with_span ~stats "plan" (fun () -> Engine.estimate ~mode engine q)
   in
-  (* as [measured], for a streaming operator producing a source *)
-  let measured_src est children f =
-    let before = Io_stats.total_io stats in
-    let alloc0 = Gc.allocated_bytes () in
-    let t0 = Mclock.now_ns () in
-    let out = f () in
-    let ns = Mclock.now_ns () - t0 in
-    ( out,
-      {
-        est with
-        actual_rows = Some (Ext_list.Source.length out);
-        actual_io = Some (Io_stats.total_io stats - before);
-        actual_ns = Some ns;
-        actual_alloc = Some (int_of_float (Gc.allocated_bytes () -. alloc0));
-        children;
-      } )
+  let result, span =
+    Engine.with_forced_tracing true (fun () ->
+        Trace.with_span_out ~stats "profile" (fun () ->
+            Engine.walk ~pager:(Engine.pager engine)
+              ~window:(Engine.window engine) ~mode
+              ~leaf:(Engine.leaf engine mode) q))
   in
-  let rec go (q : Ast.t) (est : node) =
-    match (q, est.children) with
-    | Ast.Atomic a, _ ->
-        measured est est.children (fun () -> Engine.eval_atomic engine a)
-    | Ast.And (q1, q2), [ e1; e2 ] -> binop Bool_ops.and_ q1 q2 e1 e2 est
-    | Ast.Or (q1, q2), [ e1; e2 ] -> binop Bool_ops.or_ q1 q2 e1 e2 est
-    | Ast.Diff (q1, q2), [ e1; e2 ] -> binop Bool_ops.diff q1 q2 e1 e2 est
-    | Ast.Hier (op, q1, q2, agg), [ e1; e2 ] ->
-        binop (fun l1 l2 -> Hs_agg.compute_hier ?agg op l1 l2) q1 q2 e1 e2 est
-    | Ast.Hier3 (op, q1, q2, q3, agg), [ e1; e2; e3 ] ->
-        let l1, n1 = go q1 e1 in
-        let l2, n2 = go q2 e2 in
-        let l3, n3 = go q3 e3 in
-        measured est [ n1; n2; n3 ] (fun () ->
-            Hs_agg.compute_hier3 ?agg op l1 l2 l3)
-    | Ast.Gsel (q1, f), [ e1 ] ->
-        let l1, n1 = go q1 e1 in
-        measured est [ n1 ] (fun () -> Simple_agg.compute f l1)
-    | Ast.Eref (op, q1, q2, attr, agg), [ e1; e2 ] ->
-        binop (fun l1 l2 -> Er.compute ?agg op l1 l2 attr) q1 q2 e1 e2 est
-    | _ -> assert false
-  and binop f q1 q2 e1 e2 est =
-    let l1, n1 = go q1 e1 in
-    let l2, n2 = go q2 e2 in
-    measured est [ n1; n2 ] (fun () -> f l1 l2)
-  in
-  (* The same recursion over the fused pipeline: operators consume and
-     produce sources, so no boundary write appears in any node's io. *)
-  let rec go_src (q : Ast.t) (est : node) =
-    match (q, est.children) with
-    | Ast.Atomic a, _ ->
-        measured_src est est.children (fun () -> Engine.eval_atomic_src engine a)
-    | Ast.And (q1, q2), [ e1; e2 ] ->
-        binop_src (Bool_ops.and_src pager) q1 q2 e1 e2 est
-    | Ast.Or (q1, q2), [ e1; e2 ] ->
-        binop_src (Bool_ops.or_src pager) q1 q2 e1 e2 est
-    | Ast.Diff (q1, q2), [ e1; e2 ] ->
-        binop_src (Bool_ops.diff_src pager) q1 q2 e1 e2 est
-    | Ast.Hier (op, q1, q2, agg), [ e1; e2 ] ->
-        binop_src
-          (fun s1 s2 -> Hs_agg.compute_hier_src ?agg pager op s1 s2)
-          q1 q2 e1 e2 est
-    | Ast.Hier3 (op, q1, q2, q3, agg), [ e1; e2; e3 ] ->
-        let s1, n1 = go_src q1 e1 in
-        let s2, n2 = go_src q2 e2 in
-        let s3, n3 = go_src q3 e3 in
-        measured_src est [ n1; n2; n3 ] (fun () ->
-            Hs_agg.compute_hier3_src ?agg pager op s1 s2 s3)
-    | Ast.Gsel (q1, f), [ e1 ] ->
-        let s1, n1 = go_src q1 e1 in
-        measured_src est [ n1 ] (fun () -> Simple_agg.compute_src pager f s1)
-    | Ast.Eref (op, q1, q2, attr, agg), [ e1; e2 ] ->
-        binop_src
-          (fun s1 s2 -> Er.compute_src ?agg pager op s1 s2 attr)
-          q1 q2 e1 e2 est
-    | _ -> assert false
-  and binop_src f q1 q2 e1 e2 est =
-    let s1, n1 = go_src q1 e1 in
-    let s2, n2 = go_src q2 e2 in
-    measured_src est [ n1; n2 ] (fun () -> f s1 s2)
-  in
-  let est = Trace.with_span ~stats "plan" (fun () -> estimate ~mode engine q) in
-  let result, annotated =
-    Trace.with_span ~stats "profile" (fun () ->
-        match mode with
-        | Engine.Materialized -> go q est
-        | Engine.Streaming ->
-            let src, n = go_src q est in
-            (* The root result is materialized in every mode; bill its
-               write to the root operator, as eval does. *)
-            let before = Io_stats.total_io stats in
-            let alloc0 = Gc.allocated_bytes () in
-            let out = Ext_list.Source.materialize pager src in
-            let extra = Io_stats.total_io stats - before in
-            let extra_alloc = int_of_float (Gc.allocated_bytes () -. alloc0) in
-            ( out,
-              {
-                n with
-                actual_io = Option.map (fun io -> io + extra) n.actual_io;
-                actual_alloc =
-                  Option.map (fun a -> a + extra_alloc) n.actual_alloc;
-              } ))
-  in
-  (result, annotated)
+  match span with
+  | Some ({ Trace.children = [ root ]; _ } as sp) ->
+      let n = attach est root in
+      let extra f = Option.map (fun v -> v + f sp - f root) in
+      ( result,
+        {
+          n with
+          actual_io = extra (fun s -> Io_stats.total_io s.Trace.io) n.actual_io;
+          actual_ns = extra (fun s -> s.Trace.elapsed_ns) n.actual_ns;
+          actual_alloc = extra (fun s -> s.Trace.alloc_bytes) n.actual_alloc;
+        } )
+  | _ -> (result, est)
 
 (* --- Rendering --------------------------------------------------------------- *)
 

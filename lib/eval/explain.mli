@@ -42,12 +42,16 @@ val fingerprint : Ast.t -> string
     journal groups events by. *)
 
 val profile : ?mode:Engine.mode -> Engine.t -> Ast.t -> Entry.t Ext_list.t * node
-(** Execute the query, attributing actual rows, I/O and wall-clock time
-    to each operator (children's costs excluded from their parents).
-    [mode] picks the boundary handling (default: the engine's); under
-    [Streaming] the measured io per node shows the writes the pipeline
-    avoided, and the root's write is billed to the root operator.
-    When tracing is on, also records "plan" and "profile" spans. *)
+(** Execute the query through {!Engine.walk}, exactly as {!Engine.eval}
+    would run it (same rewrite, mode, window and atomics, but no result
+    cache lookup and no journal event), and attribute actual rows, I/O,
+    wall-clock time and allocation to each operator from its traced
+    span minus its children's.  [mode] picks the boundary handling
+    (default: the engine's); under [Streaming] the measured io per node
+    shows the writes the pipeline avoided, and the root's write is
+    billed to the root operator.  Tracing is forced on for the run; the
+    "profile" span (and, when tracing is on, a "plan" span) is
+    recorded. *)
 
 val pp_node : Format.formatter -> node -> unit
 val pp : Format.formatter -> node -> unit

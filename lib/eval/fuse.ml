@@ -52,22 +52,19 @@ let rec scan_count = function
   | Scan _ | Leaf _ -> 1
   | Op (_, children) -> List.fold_left (fun n c -> n + scan_count c) 0 children
 
-let rec eval_plan engine = function
-  | Leaf a -> Engine.eval_atomic engine a
-  | Scan lq -> Ldap.eval_indexed (Engine.dn_index engine) lq
-  | Op (op, children) -> (
-      let results = List.map (eval_plan engine) children in
-      match (op, results) with
-      | P_and, [ l1; l2 ] -> Bool_ops.and_ l1 l2
-      | P_or, [ l1; l2 ] -> Bool_ops.or_ l1 l2
-      | P_diff, [ l1; l2 ] -> Bool_ops.diff l1 l2
-      | P_hier (o, agg), [ l1; l2 ] -> Hs_agg.compute_hier ?agg o l1 l2
-      | P_hier3 (o, agg), [ l1; l2; l3 ] -> Hs_agg.compute_hier3 ?agg o l1 l2 l3
-      | P_gsel f, [ l1 ] -> Simple_agg.compute f l1
-      | P_eref (o, attr, agg), [ l1; l2 ] -> Er.compute ?agg o l1 l2 attr
-      | _ -> assert false)
+(* Evaluate through the engine's walker in the engine's boundary mode:
+   the leaf intercepts exactly the subtrees [plan_of] fuses and answers
+   each with one scan; atomics and operators run as in [Engine.eval]. *)
+let eval engine q =
+  let mode = Engine.mode engine in
+  let leaf (q : Ast.t) =
+    match (q, Ldap.of_l0 q) with
+    | Ast.Atomic _, _ | _, None -> Engine.leaf engine mode q
+    | _, Some lq -> Some (Ldap.eval_indexed (Engine.dn_index engine) lq)
+  in
+  Engine.walk ~pager:(Engine.pager engine) ~window:(Engine.window engine)
+    ~mode ~leaf q
 
-let eval engine q = eval_plan engine (plan_of q)
 let eval_entries engine q = Ext_list.to_list (eval engine q)
 
 let rec pp_plan ppf = function

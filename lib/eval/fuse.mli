@@ -26,5 +26,8 @@ val scan_count : plan -> int
     leaf). *)
 
 val eval : Engine.t -> Ast.t -> Entry.t Ext_list.t
+(** Evaluate through {!Engine.walk} in the engine's boundary mode, each
+    fused subtree answered by one scan. *)
+
 val eval_entries : Engine.t -> Ast.t -> Entry.t list
 val pp_plan : Format.formatter -> plan -> unit

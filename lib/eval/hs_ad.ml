@@ -9,14 +9,3 @@ let compute ?window op l1 l2 =
   match op with
   | `A -> ancestors ?window l1 l2
   | `D -> descendants ?window l1 l2
-
-let ancestors_src ?window pager s1 s2 =
-  Hs_agg.compute_hier_src ?window pager Ast.A s1 s2
-
-let descendants_src ?window pager s1 s2 =
-  Hs_agg.compute_hier_src ?window pager Ast.D s1 s2
-
-let compute_src ?window pager op s1 s2 =
-  match op with
-  | `A -> ancestors_src ?window pager s1 s2
-  | `D -> descendants_src ?window pager s1 s2

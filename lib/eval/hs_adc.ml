@@ -9,14 +9,3 @@ let compute ?window op l1 l2 l3 =
   match op with
   | `Ac -> ancestors_c ?window l1 l2 l3
   | `Dc -> descendants_c ?window l1 l2 l3
-
-let ancestors_c_src ?window pager s1 s2 s3 =
-  Hs_agg.compute_hier3_src ?window pager Ast.Ac s1 s2 s3
-
-let descendants_c_src ?window pager s1 s2 s3 =
-  Hs_agg.compute_hier3_src ?window pager Ast.Dc s1 s2 s3
-
-let compute_src ?window pager op s1 s2 s3 =
-  match op with
-  | `Ac -> ancestors_c_src ?window pager s1 s2 s3
-  | `Dc -> descendants_c_src ?window pager s1 s2 s3

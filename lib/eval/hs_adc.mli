@@ -25,29 +25,3 @@ val compute :
   Entry.t Ext_list.t ->
   Entry.t Ext_list.t ->
   Entry.t Ext_list.t
-
-val ancestors_c_src :
-  ?window:int ->
-  Pager.t ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src
-
-val descendants_c_src :
-  ?window:int ->
-  Pager.t ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src
-
-val compute_src :
-  ?window:int ->
-  Pager.t ->
-  [ `Ac | `Dc ] ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src
-(** Streaming variants over {!Ext_list.Source} streams. *)

@@ -9,14 +9,3 @@ let compute ?window op l1 l2 =
   match op with
   | `P -> parents ?window l1 l2
   | `C -> children ?window l1 l2
-
-let parents_src ?window pager s1 s2 =
-  Hs_agg.compute_hier_src ?window pager Ast.P s1 s2
-
-let children_src ?window pager s1 s2 =
-  Hs_agg.compute_hier_src ?window pager Ast.C s1 s2
-
-let compute_src ?window pager op s1 s2 =
-  match op with
-  | `P -> parents_src ?window pager s1 s2
-  | `C -> children_src ?window pager s1 s2

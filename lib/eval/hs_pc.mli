@@ -16,26 +16,3 @@ val compute :
   Entry.t Ext_list.t ->
   Entry.t Ext_list.t ->
   Entry.t Ext_list.t
-
-val parents_src :
-  ?window:int ->
-  Pager.t ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src
-
-val children_src :
-  ?window:int ->
-  Pager.t ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src
-
-val compute_src :
-  ?window:int ->
-  Pager.t ->
-  [ `P | `C ] ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src ->
-  Entry.t Ext_list.Source.src
-(** Streaming variants over {!Ext_list.Source} streams. *)

@@ -42,9 +42,9 @@ let eval instance q =
 let eval_indexed dn_index q =
   let keep e = matches q.filter e in
   match q.scope with
-  | Ast.Base -> Dn_index.scan_base dn_index q.base ~keep
-  | Ast.One -> Dn_index.scan_children dn_index q.base ~keep
-  | Ast.Sub -> Dn_index.scan_subtree dn_index q.base ~keep
+  | Ast.Base -> Dn_index.scan_base_src dn_index q.base ~keep
+  | Ast.One -> Dn_index.scan_children_src dn_index q.base ~keep
+  | Ast.Sub -> Dn_index.scan_subtree_src dn_index q.base ~keep
 
 (* --- Translations (Theorem 8.1) ---------------------------------------- *)
 

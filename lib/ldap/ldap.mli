@@ -23,8 +23,9 @@ val in_scope : query -> Entry.t -> bool
 val eval : Instance.t -> query -> Entry.t list
 (** Reference evaluation (mirrors Definition 4.1), in canonical order. *)
 
-val eval_indexed : Dn_index.t -> query -> Entry.t Ext_list.t
-(** One accounted scan of the base's scope range. *)
+val eval_indexed : Dn_index.t -> query -> Entry.t Ext_list.Source.src
+(** One accounted scan of the base's scope range, its hits flowing out
+    as a live source. *)
 
 val to_l0 : query -> Ast.t
 (** Theorem 8.1 (LDAP <= L0): push the filter's boolean structure to

@@ -26,6 +26,7 @@ type error =
   | Parent_missing of Dn.t
   | Has_children of Dn.t
   | Rdn_would_change of Dn.t  (* modify may not break rdn(r) <= val(r) *)
+  | Moved_below_itself of Dn.t  (* modify-dn into the entry's own subtree *)
 
 let pp_error ppf = function
   | Invalid v -> Instance.pp_violation ppf v
@@ -34,6 +35,8 @@ let pp_error ppf = function
   | Has_children dn -> Fmt.pf ppf "%a has children (delete them first)" Dn.pp dn
   | Rdn_would_change dn ->
       Fmt.pf ppf "modification would remove an rdn value of %a" Dn.pp dn
+  | Moved_below_itself dn ->
+      Fmt.pf ppf "cannot move %a under itself or its own subtree" Dn.pp dn
 
 let create instance = { instance; generation = 0; hooks = [] }
 let of_schema schema = create (Instance.empty schema)
@@ -156,7 +159,11 @@ let modify_dn ?(delete_old_rdn = true) ?new_superior t dn ~new_rdn =
       let parent_exists =
         parent = [] || Instance.mem t.instance parent
       in
-      if not parent_exists then Error (Parent_missing (Dn.child parent new_rdn))
+      (* a superior at or below the entry would cut the moved subtree
+         off from the namespace *)
+      if Dn.is_self_or_descendant_of ~descendant:parent ~ancestor:dn then
+        Error (Moved_below_itself dn)
+      else if not parent_exists then Error (Parent_missing (Dn.child parent new_rdn))
       else
         let new_dn = Dn.child parent new_rdn in
         if Instance.mem t.instance new_dn && not (Dn.equal new_dn dn) then

@@ -15,6 +15,9 @@ type error =
   | Has_children of Dn.t
   | Rdn_would_change of Dn.t
       (** a modify may not remove the rdn's values (Def 3.2(d)(ii)) *)
+  | Moved_below_itself of Dn.t
+      (** a modify-dn's new superior is the entry or one of its
+          descendants *)
 
 val pp_error : Format.formatter -> error -> unit
 
@@ -65,7 +68,8 @@ val modify_dn :
 (** Rename an entry (and implicitly its whole subtree), optionally
     moving it under a new superior; the new rdn's pairs are added to the
     entry's values, the old rdn's dropped when [delete_old_rdn]
-    (default). *)
+    (default).  A new superior equal to or below the entry is refused
+    with [Moved_below_itself]. *)
 
 val find : t -> Dn.t -> Entry.t option
 val mem : t -> Dn.t -> bool

@@ -16,10 +16,10 @@ let oracle instance q = Semantics.eval instance q
 
 (* A fresh engine over [instance] with small pages so that page-level
    effects show up even on small inputs. *)
-let engine ?(block = 8) ?(window = 2) ?(with_attr_index = true)
-    ?(algorithms = Engine.Stack_based) ?mode ?planner ?directory instance =
-  Engine.create ~block ~window ~with_attr_index ~algorithms ?mode ?planner
-    ?directory instance
+let engine ?(block = 8) ?(window = 2) ?(with_attr_index = true) ?mode
+    ?planner ?directory instance =
+  Engine.create ~block ~window ~with_attr_index ?mode ?planner ?directory
+    instance
 
 (* --- QCheck generators -------------------------------------------------- *)
 

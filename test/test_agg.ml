@@ -159,6 +159,49 @@ let prop_profile_total_io_near_engine (i, q) =
   let direct = Io_stats.total_io (Engine.stats eng) in
   total >= 0 && (direct = 0 || total <= 4 * direct + 8)
 
+(* Sum of the per-node actual io of a profile, against what Engine.eval
+   costs on a fresh engine built the same way. *)
+let profile_vs_eval ~mk ?mode q =
+  let result, plan = Explain.profile ?mode (mk ()) q in
+  let eng = mk () in
+  let expected = Engine.eval_entries ?mode eng q in
+  (result, plan, expected, Io_stats.total_io (Engine.stats eng))
+
+(* A one-page stack window over a chain deeper than one page: the
+   hierarchical sweep spills, and the profile must pay the spills of the
+   engine's window, not of the default one. *)
+let test_profile_honours_window () =
+  let i =
+    Dif_gen.generate
+      ~params:
+        { Dif_gen.default_params with size = 60; seed = 5; depth_bias = 1.0; roots = 1 }
+      ()
+  in
+  let q = Qparser.of_string "(d ( ? sub ? id=*) ( ? sub ? id=*))" in
+  List.iter
+    (fun mode ->
+      let _, plan, _, direct =
+        profile_vs_eval ~mk:(fun () -> Testkit.engine ~window:1 i) ~mode q
+      in
+      Alcotest.(check int) "per-node io sums to eval's" direct
+        (Explain.total_actual_io plan))
+    Engine.[ Streaming; Materialized ]
+
+(* Profile and eval run the same walker: same result, the root's rows
+   are the result count, and the per-node io adds up to eval's io. *)
+let prop_profile_is_eval (i, q) =
+  List.for_all
+    (fun mode ->
+      let result, plan, expected, direct =
+        profile_vs_eval ~mk:(fun () -> Testkit.engine i) ~mode q
+      in
+      let result = Ext_list.to_list result in
+      List.length result = List.length expected
+      && List.for_all2 Entry.equal_dn result expected
+      && plan.Explain.actual_rows = Some (List.length expected)
+      && Explain.total_actual_io plan = direct)
+    Engine.[ Streaming; Materialized ]
+
 let () =
   Alcotest.run "agg"
     [
@@ -185,6 +228,10 @@ let () =
         [
           Alcotest.test_case "profile = eval" `Quick test_profile_matches_eval;
           Alcotest.test_case "estimate shape" `Quick test_estimate_shape;
+          Alcotest.test_case "profile honours the engine's window" `Quick
+            test_profile_honours_window;
+          Testkit.qtest ~count:100 "profile = eval in both modes"
+            Testkit.gen_instance_and_query prop_profile_is_eval;
           Testkit.qtest ~count:60 "profiled io sane"
             Testkit.gen_instance_and_query prop_profile_total_io_near_engine;
         ] );

@@ -70,7 +70,9 @@ let prop_indexed_matches_direct q =
   let stats = Io_stats.create () in
   let idx = Dn_index.build (Pager.create ~block:8 stats) i in
   let direct = Ldap.eval i q in
-  let indexed = Ext_list.to_list (Ldap.eval_indexed idx q) in
+  let indexed =
+    Array.to_list (Ext_list.Source.drain (Ldap.eval_indexed idx q))
+  in
   List.length direct = List.length indexed
   && List.for_all2 Entry.equal_dn direct indexed
 

@@ -175,6 +175,29 @@ let test_move_new_superior () =
        ~new_superior:(dn "ou=c, dc=org")
        ~new_rdn:(Rdn.single "id" (Value.Int 1)))
 
+(* A new superior at or below the moved entry would detach the subtree
+   from the namespace: refused, nothing changes, no hook fires. *)
+let test_move_below_itself_refused () =
+  let d = small_dir () in
+  let fired = ref 0 in
+  Directory.on_update d (fun _ -> incr fired);
+  let before = Directory.instance d in
+  List.iter
+    (fun sup ->
+      match
+        Directory.modify_dn d (dn "ou=a, dc=org") ~new_superior:(dn sup)
+          ~new_rdn:(Rdn.single "ou" (Value.Str "z"))
+      with
+      | Error (Directory.Moved_below_itself moved) ->
+          Alcotest.(check string) ("refused under " ^ sup) "ou=a, dc=org"
+            (Dn.to_string moved)
+      | Error e -> Alcotest.failf "%s: wrong error %a" sup Directory.pp_error e
+      | Ok () -> Alcotest.failf "move under %s was accepted" sup)
+    [ "ou=a, dc=org"; "id=1, ou=a, dc=org" ];
+  Alcotest.(check bool) "instance unchanged" true (Directory.instance d == before);
+  Alcotest.(check int) "no update reported" 0 !fired;
+  Alcotest.(check int) "valid" 0 (List.length (Directory.validate d))
+
 let test_batch_atomicity () =
   let d = small_dir () in
   let size0 = Directory.size d in
@@ -280,6 +303,8 @@ let () =
           Alcotest.test_case "rename leaf" `Quick test_rename_leaf;
           Alcotest.test_case "rename subtree" `Quick test_rename_subtree;
           Alcotest.test_case "move to new superior" `Quick test_move_new_superior;
+          Alcotest.test_case "move below itself refused" `Quick
+            test_move_below_itself_refused;
           Alcotest.test_case "batch atomicity" `Quick test_batch_atomicity;
           Alcotest.test_case "query after updates" `Quick test_query_after_updates;
         ] );
