@@ -84,7 +84,6 @@ let () =
       (match List.assoc_opt id Experiments.all with
       | Some f -> f ()
       | None -> Fmt.epr "unknown experiment %S (e1..e15, bechamel)@." id);
-      Runtime.sample ();
       Alerts.tick Alerts.default;
       (* Scrape our own endpoint mid-run, like an external collector
          would, and keep the snapshot next to the result rows. *)

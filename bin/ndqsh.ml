@@ -21,7 +21,6 @@ type state = {
   mutable cache_on : bool;
   mutable monitor : Monitor.t option;  (* live introspection server *)
   mutable server : Srv.t option;  (* query-serving front-end *)
-  mutable ticker : Runtime.ticker option;  (* GC sampler + alert ticks *)
   mutable mode : Engine.mode;  (* operator-boundary handling *)
   mutable planner : Engine.planner;  (* access-path policy *)
 }
@@ -113,7 +112,8 @@ let help () =
     \  :monitor <port>  serve /metrics /healthz /slowlog /trace@,\
     \                   /planstats /workload /cache /alerts /tail@,\
     \                   /range /dashboard (live flight-recorder page)@,\
-    \                   (also starts the runtime + tsdb samplers)@,\
+    \                   (also starts the tsdb sampler, which@,\
+    \                   ticks the alert rules)@,\
     \  :monitor off     stop the introspection server@,\
     \  :serve <port> [workers <n>] [queue <n>]   start the query-serving@,\
     \                   front-end: HTTP /query + line protocol, worker@,\
@@ -123,13 +123,14 @@ let help () =
     \  :alerts rules    the installed rule expressions@,\
     \  :alerts history [n]      recent state transitions@,\
     \  :alerts silence <name> [off]   mute/unmute an alert's export@,\
-    \  :alerts tick     sample gauges + evaluate rules once, by hand@,\
+    \  :alerts tick     take a tsdb sample + evaluate rules, by hand@,\
     \  :tail            tail-sampled traces (slow/errored/shed/deadline@,\
     \                   always kept, plus a seeded 1-in-N baseline)@,\
     \  :tail threshold <ms> | sample <n> | budget <spans> | clear@,\
     \  :tsdb            flight-recorder status (windows, series held)@,\
     \  :tsdb save <path>        write the recorded windows (JSON lines)@,\
-    \  :tsdb on|off     start/stop the tsdb sampler by hand@,\
+    \  :tsdb on|off     start/stop the tsdb sampler (and alert@,\
+    \                   ticks) by hand@,\
     \  :top [n]         live metrics view (n one-second refreshes;@,\
     \                   sparklines when the flight recorder has data)@,\
     \  :mode streaming|materialized   operator-boundary handling@,\
@@ -391,17 +392,21 @@ let show_top st frames =
     frame i
   done
 
+(* The shell's one clock: the flight recorder's sampler thread, whose
+   period ticks the alert evaluator (an alert tick takes the period's
+   one sample, runtime gauges included). *)
+let start_sampler () =
+  Tsdb.start ~tick:(fun () -> Alerts.tick Alerts.default) Tsdb.default
+
 (* The flight recorder samples whenever something live feeds on it —
-   the monitor (/range, /dashboard, the windowed alert rules) or the
-   serving front-end.  When the last consumer stops, so does the
-   sampler thread; ndqsh exits with no thread left behind. *)
+   the monitor (/range, /dashboard, /alerts) or the serving front-end.
+   When the last consumer stops, so does the sampler thread; ndqsh
+   exits with no thread left behind. *)
 let sync_tsdb st =
-  if st.monitor <> None || st.server <> None then Tsdb.start Tsdb.default
+  if st.monitor <> None || st.server <> None then start_sampler ()
   else if Tsdb.running Tsdb.default then Tsdb.stop Tsdb.default
 
 let stop_monitor st =
-  Option.iter Runtime.stop st.ticker;
-  st.ticker <- None;
   let stopped =
     match st.monitor with
     | None -> false
@@ -425,13 +430,6 @@ let start_monitor st port =
                  (Json.to_string (Cache.stats_json st.cache)))
           else None);
       st.monitor <- Some m;
-      (* While the monitor serves, a sampler thread keeps the runtime
-         gauges fresh and ticks the alert evaluator once a second. *)
-      st.ticker <-
-        Some
-          (Runtime.start ~period:1.0
-             ~on_tick:(fun () -> Alerts.tick Alerts.default)
-             ());
       sync_tsdb st;
       Fmt.pr "monitoring on http://127.0.0.1:%d/ (:monitor off to stop)@."
         (Monitor.port m)
@@ -717,7 +715,6 @@ let run_command st line =
         Fmt.pr "%s %s@." name (if on then "silenced" else "unsilenced")
       else Fmt.pr "no alert rule named %s@." name
   | ":alerts" :: "tick" :: _ ->
-      Runtime.sample ();
       Alerts.tick Alerts.default;
       Fmt.pr "tick %d: %d firing@."
         (Alerts.ticks Alerts.default)
@@ -779,7 +776,7 @@ let run_command st line =
       Tsdb.save Tsdb.default path;
       Fmt.pr "wrote %d windows to %s@." (Tsdb.window_count Tsdb.default) path
   | ":tsdb" :: "on" :: _ ->
-      Tsdb.start Tsdb.default;
+      start_sampler ();
       Fmt.pr "tsdb sampler on (%.3gs resolution)@."
         (Tsdb.resolution_s Tsdb.default)
   | ":tsdb" :: "off" :: _ ->
@@ -962,7 +959,7 @@ let main kind size seed block journal monitor_port serve_port serve_workers
      :planstats, /planstats and /workload are live from the start. *)
   Planstats.attach Planstats.default;
   (* Stock service-health rules; :alerts and /alerts show them, the
-     runtime sampler ticks them while the monitor runs. *)
+     flight recorder's sampler ticks them while it runs. *)
   Alerts.install_defaults ();
   let st =
     {
@@ -975,7 +972,6 @@ let main kind size seed block journal monitor_port serve_port serve_workers
       cache_on = false;
       monitor = None;
       server = None;
-      ticker = None;
       mode = Engine.Streaming;
       planner = Engine.Auto;
     }

@@ -1,5 +1,5 @@
 (* The SLO alerting engine: a small rule language evaluated over a
-   Metrics registry on each tick.
+   flight-recorder store and its Metrics registry on each tick.
 
    A rule names a condition over the registry —
 
@@ -9,18 +9,21 @@
 
    — and carries a Prometheus-style pending -> firing -> resolved state
    machine: the condition must hold for [for] consecutive ticks before
-   the alert fires, and the first false tick resolves it.  Windowed
+   the alert fires, and the first false tick resolves it.  Per-tick
    sources make resolution work over monotone instruments: [rate] is
-   the counter's per-tick delta, and a histogram quantile is computed
-   over the observations that arrived *since the previous tick* (the
-   delta of the cumulative bucket arrays), so a quiet system's
-   latency alert goes back down instead of averaging over all history.
+   the counter's increment and a histogram quantile covers the
+   observations that arrived *since the previous tick*, so a quiet
+   system's latency alert goes back down instead of averaging over all
+   history.  Those deltas are not computed here: a tick samples the
+   Tsdb store once and reads the windows recorded since its previous
+   tick, picked by window number, so the store's delta rules (counter
+   resets, first sight) are the only ones.
 
    Evaluation is driven from outside — [tick] — because the right
-   cadence belongs to the host: the shell ticks from the runtime
-   sampler thread, the bench harness ticks between experiments, the
-   tests tick by hand.  Every state transition lands in a bounded
-   history ring, and firing alerts export as Prometheus
+   cadence belongs to the host: the shell ticks from the flight
+   recorder's sampler thread, the bench harness ticks between
+   experiments, the tests tick by hand.  Every state transition lands
+   in a bounded history ring, and firing alerts export as Prometheus
    [ALERTS{alertname,severity}] gauges in the same registry the rules
    read, so a scraper sees them next to the series that tripped them.
    Silencing suppresses the export (and flags the rule in listings)
@@ -30,8 +33,8 @@ type selector = { sel_name : string; sel_labels : (string * string) list }
 
 type source =
   | Value of selector  (* a gauge's (or counter's) current value *)
-  | Rate of selector  (* a counter's per-tick delta *)
-  | Quantile of selector * float  (* quantile over the tick's window *)
+  | Rate of selector  (* a counter's increment since the previous tick *)
+  | Quantile of selector * float  (* quantile over the tick's windows *)
   | Windowed of source * float
       (* the same source over a trailing wall-clock window of N
          seconds, read from the flight recorder instead of the live
@@ -42,7 +45,7 @@ type cmp = Gt | Ge | Lt | Le
 
 type expr =
   | Threshold of term * cmp * float
-  | Increasing of selector  (* strictly grew since the previous tick *)
+  | Increasing of selector  (* grew since the previous tick *)
 
 type rule = {
   name : string;
@@ -74,32 +77,31 @@ type transition = {
 }
 
 type t = {
-  registry : Metrics.t;
-  tsdb : Tsdb.t;  (* backs the [over(window)] sources *)
+  tsdb : Tsdb.t;  (* sampled each tick; its registry holds the rules' series *)
+  mutable seen : int;  (* the store's newest window at the previous tick *)
   mutable rules : rule list;  (* in add order *)
   states : (string, state) Hashtbl.t;  (* by rule name *)
   values : (string, float) Hashtbl.t;  (* last measured value, by rule *)
   exemplars : (string, string) Hashtbl.t;  (* incident trace id, by rule *)
   silenced : (string, unit) Hashtbl.t;
-  prev_value : (string, float) Hashtbl.t;  (* rate/increasing snapshots *)
-  prev_hist : (string, int array) Hashtbl.t;  (* cumulative bucket snaps *)
   mutable history : transition list;  (* newest first, bounded *)
   mutable ticks : int;
 }
 
 let history_capacity = 256
 
-let create ?(registry = Metrics.default) ?(tsdb = Tsdb.default) () =
+(* Creation samples the store, so the first tick reads only what
+   happened after it. *)
+let create ?(tsdb = Tsdb.default) () =
+  Tsdb.sample tsdb;
   {
-    registry;
     tsdb;
+    seen = Tsdb.seq tsdb;
     rules = [];
     states = Hashtbl.create 8;
     values = Hashtbl.create 8;
     exemplars = Hashtbl.create 4;
     silenced = Hashtbl.create 4;
-    prev_value = Hashtbl.create 8;
-    prev_hist = Hashtbl.create 8;
     history = [];
     ticks = 0;
   }
@@ -280,13 +282,7 @@ let remove t name =
 
 let rules t = t.rules
 
-(* --- Reading the registry -------------------------------------------------- *)
-
-let sel_key sel =
-  sel.sel_name ^ "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> k ^ "=" ^ v) (List.sort compare sel.sel_labels))
-  ^ "}"
+(* --- Reading the registry and the store -------------------------------------- *)
 
 (* All series whose labels include the selector's; summing the matches
    gives Prometheus-style aggregation over unnamed label dimensions
@@ -319,110 +315,35 @@ let scalar_value views =
              | Metrics.V_histogram h -> acc +. h.Metrics.hv_sum)
            0. views)
 
-let summed_cumulative views =
-  let acc = Array.make Metrics.bucket_count 0 in
-  let any = ref false in
-  List.iter
-    (function
-      | Metrics.V_histogram h ->
-          any := true;
-          Array.iteri (fun i c -> acc.(i) <- acc.(i) + c) h.Metrics.hv_cumulative
-      | _ -> ())
-    views;
-  if !any then Some acc else None
+(* One tick's evaluation environment: the live registry (read lazily,
+   for plain values and exemplars) and the numbers of the store windows
+   recorded since the previous tick. *)
+type env = { export : Metrics.family_view list Lazy.t; seqs : int * int }
 
-(* Quantile over a window given as a cumulative bucket-count array:
-   interpolate inside the covering power-of-two bucket (we only have
-   bucket bounds for the window, not its min/max). *)
-let quantile_of_cumulative cum q =
-  let total = cum.(Array.length cum - 1) in
-  if total = 0 then None
-  else begin
-    let rank = Float.max 1. (Float.of_int total *. q) in
-    let i = ref 0 in
-    while float_of_int cum.(!i) < rank do incr i done;
-    let below = if !i = 0 then 0 else cum.(!i - 1) in
-    let inside = cum.(!i) - below in
-    let lo = if !i = 0 then 0. else Metrics.bucket_upper (!i - 1) in
-    let hi = Metrics.bucket_upper !i in
-    let frac =
-      if inside = 0 then 1.
-      else (rank -. float_of_int below) /. float_of_int inside
-    in
-    Some (lo +. (frac *. (hi -. lo)))
-  end
-
-(* One tick's evaluation environment: windowed sources are computed at
-   most once per selector (so two rules over the same rate share one
-   window), and the previous-tick snapshots they consume are committed
-   only after every rule has been evaluated. *)
-type env = {
-  export : Metrics.family_view list;
-  memo : (string, float option) Hashtbl.t;
-  mutable commits : (unit -> unit) list;
-}
-
-let memoized env key f =
-  match Hashtbl.find_opt env.memo key with
-  | Some v -> v
-  | None ->
-      let v = f () in
-      Hashtbl.add env.memo key v;
-      v
+(* One store read as a single value: the tick's windows, or the
+   trailing [over] seconds.  A series the store has no points for reads
+   None — the rule simply is not in violation. *)
+let read t env ?over sel agg =
+  let seqs = if over = None then Some env.seqs else None in
+  match
+    Tsdb.range t.tsdb ~labels:sel.sel_labels ?seqs ?window_s:over
+      ?step_s:over ~agg sel.sel_name
+  with
+  | [ (_, v) ] -> v
+  | _ -> None
 
 let source_value t env = function
-  | Value sel ->
-      memoized env ("v:" ^ sel_key sel) (fun () ->
-          scalar_value (matching_views env.export sel))
-  | Rate sel ->
-      memoized env ("r:" ^ sel_key sel) (fun () ->
-          match scalar_value (matching_views env.export sel) with
-          | None -> None
-          | Some now ->
-              let key = sel_key sel in
-              env.commits <-
-                (fun () -> Hashtbl.replace t.prev_value key now)
-                :: env.commits;
-              let prev =
-                Option.value ~default:now (Hashtbl.find_opt t.prev_value key)
-              in
-              Some (Float.max 0. (now -. prev)))
-  | Quantile (sel, q) ->
-      memoized env
-        (Printf.sprintf "q:%s:%g" (sel_key sel) q)
-        (fun () ->
-          match summed_cumulative (matching_views env.export sel) with
-          | None -> None
-          | Some now ->
-              let key = sel_key sel in
-              env.commits <-
-                (fun () -> Hashtbl.replace t.prev_hist key now) :: env.commits;
-              let window =
-                match Hashtbl.find_opt t.prev_hist key with
-                | None -> now  (* first sight: everything so far *)
-                | Some prev -> Array.mapi (fun i c -> max 0 (c - prev.(i))) now
-              in
-              quantile_of_cumulative window q)
-  | Windowed (src, w) ->
-      (* Read the trailing [w] seconds from the flight recorder as one
-         bucket; the last populated point is the window's value.  A
-         store with no samples (sampler off, metric absent) evaluates
-         to None — the rule simply is not in violation. *)
-      let sel, agg =
-        match src with
-        | Value sel -> (sel, Tsdb.Avg)
-        | Rate sel -> (sel, Tsdb.Rate)
-        | Quantile (sel, q) -> (sel, Tsdb.Quantile q)
-        | Windowed _ -> fail "nested over() windows"
-      in
-      memoized env
-        (Printf.sprintf "o:%g:%s:%s" w (Tsdb.agg_to_string agg) (sel_key sel))
-        (fun () ->
-          Tsdb.range t.tsdb ~labels:sel.sel_labels ~window_s:w ~step_s:w ~agg
-            sel.sel_name
-          |> List.fold_left
-               (fun acc (_, v) -> if v <> None then v else acc)
-               None)
+  | Value sel -> scalar_value (matching_views (Lazy.force env.export) sel)
+  | Rate sel -> read t env sel Tsdb.Sum
+  | Quantile (sel, q) -> read t env sel (Tsdb.Quantile q)
+  | Windowed (src, w) -> (
+      (* over a trailing window [rate] is per second and a plain
+         selector averages *)
+      match src with
+      | Value sel -> read t env ~over:w sel Tsdb.Avg
+      | Rate sel -> read t env ~over:w sel Tsdb.Rate
+      | Quantile (sel, q) -> read t env ~over:w sel (Tsdb.Quantile q)
+      | Windowed _ -> fail "nested over() windows")
 
 let term_value t env = function
   | Source s -> source_value t env s
@@ -446,18 +367,9 @@ let eval_expr t env = function
       | None -> (false, 0.)
       | Some v -> (compare_with cmp v threshold, v))
   | Increasing sel -> (
-      match scalar_value (matching_views env.export sel) with
+      match read t env sel Tsdb.Sum with
       | None -> (false, 0.)
-      | Some now ->
-          let key = "i:" ^ sel_key sel in
-          env.commits <-
-            (fun () -> Hashtbl.replace t.prev_value key now) :: env.commits;
-          let grew =
-            match Hashtbl.find_opt t.prev_value key with
-            | None -> false  (* first sight: nothing to compare against *)
-            | Some prev -> now > prev
-          in
-          (grew, now))
+      | Some grew -> (grew > 0., grew))
 
 (* --- The state machine ----------------------------------------------------- *)
 
@@ -505,12 +417,12 @@ let exemplar_for env expr =
                   | _ -> best := Some ex)
                 h.Metrics.hv_exemplars
           | _ -> ())
-        (matching_views env.export sel))
+        (matching_views (Lazy.force env.export) sel))
     (sels_of_expr expr);
   Option.map (fun ex -> ex.Metrics.ex_trace_id) !best
 
 let alert_gauge t r =
-  Metrics.gauge ~registry:t.registry
+  Metrics.gauge ~registry:(Tsdb.registry t.tsdb)
     ~help:"alert state by rule: 1 firing, 0 otherwise"
     ~labels:[ ("alertname", r.name); ("severity", r.severity) ]
     "ALERTS"
@@ -557,15 +469,16 @@ let step t env r violated value =
 
 let tick t =
   t.ticks <- t.ticks + 1;
-  let env =
-    { export = Metrics.export t.registry; memo = Hashtbl.create 8; commits = [] }
-  in
+  Tsdb.sample t.tsdb;
+  let upto = Tsdb.seq t.tsdb in
+  let export = lazy (Metrics.export (Tsdb.registry t.tsdb)) in
+  let env = { export; seqs = (t.seen, upto) } in
   List.iter
     (fun r ->
       let violated, value = eval_expr t env r.expr in
       step t env r violated value)
     t.rules;
-  List.iter (fun commit -> commit ()) env.commits
+  t.seen <- upto
 
 let ticks t = t.ticks
 let state t name = Hashtbl.find_opt t.states name
@@ -608,8 +521,6 @@ let clear t =
   Hashtbl.reset t.values;
   Hashtbl.reset t.exemplars;
   Hashtbl.reset t.silenced;
-  Hashtbl.reset t.prev_value;
-  Hashtbl.reset t.prev_hist;
   t.history <- [];
   t.ticks <- 0
 

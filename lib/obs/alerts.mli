@@ -1,6 +1,7 @@
 (** The SLO alerting engine: threshold and burn-rate rules evaluated
-    over a {!Metrics} registry, with a Prometheus-style
-    pending → firing → resolved state machine.
+    over a {!Tsdb} flight-recorder store and its {!Metrics} registry,
+    with a Prometheus-style pending → firing → resolved state
+    machine.
 
     A rule is one line of a small expression language:
 
@@ -13,20 +14,21 @@
     v}
 
     Grammar: [source [/ source] cmp number ["for" N ["ticks"]]] or
-    [selector increasing].  A source is a selector (summing every
-    series whose labels include the selector's [{k=v,...}]), a
-    selector with a quantile ([p50|p90|p95|p99] — computed over the
-    observations that arrived since the previous tick, so alerts
-    resolve when the system goes quiet), or [rate(selector)] (the
-    counter's per-tick delta).  Any source may be suffixed with
-    [over(60s)] (also [over(500ms)], bare seconds): the same
-    aggregation read from the {!Tsdb} flight recorder's trailing
-    wall-clock window instead of the live registry — [rate] becomes a
-    per-second rate over the window, a quantile merges the window's
-    recorded bucket deltas, and a plain selector averages.  Windowed
-    sources evaluate to no-violation until the store's sampler has
-    data.  Thresholds accept [ns/us/ms/s] duration suffixes and a bare
-    [x] multiplier.
+    [selector increasing].  A source is a selector (the live sum of
+    every series whose labels include the selector's [{k=v,...}]), a
+    selector with a quantile ([p50|p90|p95|p99] over the observations
+    since the previous tick, so alerts resolve when the system goes
+    quiet), or [rate(selector)] (the counter's increment since the
+    previous tick); [increasing] holds when that increment is
+    positive.  These per-tick sources read the store's windows
+    recorded since the previous tick (by window number, {!Tsdb.seq}),
+    so they follow its delta rules: a counter first seen, or reset,
+    counts its whole value.  Suffixing a source with [over(60s)] (also
+    [over(500ms)], bare seconds) reads the store's trailing wall-clock
+    window instead: [rate] becomes per second, a quantile merges the
+    window's bucket deltas, a plain selector averages.  Both quantile
+    forms use {!Metrics.bucket_quantile}.  Thresholds accept
+    [ns/us/ms/s] duration suffixes and a bare [x] multiplier.
 
     When a rule goes pending or firing, the evaluator captures an
     {e exemplar}: the trace id attached to the largest recent
@@ -81,10 +83,11 @@ type transition = {
 
 type t
 
-val create : ?registry:Metrics.t -> ?tsdb:Tsdb.t -> unit -> t
-(** A fresh evaluator over [registry] (default {!Metrics.default});
-    starts with no rules.  [tsdb] (default {!Tsdb.default}) backs the
-    [over(window)] sources. *)
+val create : ?tsdb:Tsdb.t -> unit -> t
+(** A fresh evaluator over [tsdb] (default {!Tsdb.default}) and the
+    registry it samples; starts with no rules.  Creation samples the
+    store once, so the first {!tick} reads only what happened after
+    it. *)
 
 val default : t
 (** The process-wide evaluator behind the monitor's [/alerts] route and
@@ -117,10 +120,12 @@ val install_defaults : ?t:t -> unit -> unit
 (** {1 Evaluation} *)
 
 val tick : t -> unit
-(** Evaluate every rule against the registry once and advance the
-    state machines.  The host picks the cadence: the shell ticks from
-    the {!Runtime} sampler, the bench harness between experiments,
-    tests by hand. *)
+(** Sample the store, evaluate every rule once and advance the state
+    machines.  The host picks the cadence: the shell ticks from the
+    store's sampler thread ({!Tsdb.start}'s hook), the bench harness
+    between experiments, tests by hand.  A tick reads the windows the
+    store's ring still holds: increments older than its capacity are
+    lost. *)
 
 val ticks : t -> int
 val state : t -> string -> state option
@@ -149,8 +154,8 @@ val silence : t -> string -> bool -> bool
 val is_silenced : t -> string -> bool
 
 val clear : t -> unit
-(** Drop every rule, state, snapshot and the history; zero the
-    exported [ALERTS] gauges. *)
+(** Drop every rule, state and the history; zero the exported
+    [ALERTS] gauges. *)
 
 (** {1 Rendering} *)
 

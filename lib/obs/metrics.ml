@@ -169,28 +169,35 @@ let observe_ns ?trace_id h ns = observe ?trace_id h (float_of_int ns)
 let histogram_count h = h.hcount
 let histogram_sum h = h.hsum
 
-(* Quantile estimate: find the bucket holding the rank, interpolate
-   linearly inside it, clamp to the observed min/max.  The unlocked
-   variant serves the exporters below, which already hold the lock. *)
-let quantile_unlocked h q =
-  if h.hcount = 0 then 0.
+(* Quantile estimate from per-bucket counts: find the bucket holding
+   the ceil-rank, interpolate linearly inside it.  The one estimator of
+   the obs layer: histogram exports below and the flight recorder's
+   merged window deltas both read quantiles through it. *)
+let bucket_quantile counts q =
+  let total = Array.fold_left ( + ) 0 counts in
+  if total <= 0 then None
   else begin
     let q = Float.max 0. (Float.min 1. q) in
-    let rank = max 1 (int_of_float (ceil (q *. float_of_int h.hcount))) in
+    let rank = max 1 (int_of_float (ceil (q *. float_of_int total))) in
     let rec go i cum =
-      if i >= hbuckets then h.hmax
-      else
-        let c = h.buckets.(i) in
-        if cum + c >= rank then begin
-          let lo = if i = 0 then 0. else ldexp 1. i in
-          let hi = ldexp 1. (i + 1) in
-          let frac = float_of_int (rank - cum) /. float_of_int c in
-          Float.min h.hmax (Float.max h.hmin (lo +. (frac *. (hi -. lo))))
-        end
-        else go (i + 1) (cum + c)
+      let c = counts.(i) in
+      if cum + c >= rank then begin
+        let lo = if i = 0 then 0. else ldexp 1. i in
+        let hi = ldexp 1. (i + 1) in
+        lo +. (float_of_int (rank - cum) /. float_of_int c *. (hi -. lo))
+      end
+      else go (i + 1) (cum + c)
     in
-    go 0 0
+    Some (go 0 0)
   end
+
+(* A live histogram also knows its observed min/max, so its estimate is
+   clamped to them.  The unlocked variant serves the exporters below,
+   which already hold the lock. *)
+let quantile_unlocked h q =
+  match bucket_quantile h.buckets q with
+  | None -> 0.
+  | Some v -> Float.min h.hmax (Float.max h.hmin v)
 
 let quantile h q = locked (fun () -> quantile_unlocked h q)
 

@@ -101,6 +101,14 @@ val bucket_upper : int -> float
 (** [bucket_upper i] is the exclusive upper bound [2^(i+1)] of bucket
     [i]. *)
 
+val bucket_quantile : int array -> float -> float option
+(** [bucket_quantile counts q] estimates the [q] quantile from
+    per-bucket observation counts ([counts.(i)] for bucket [i]): the
+    ceil-rank's bucket, interpolated linearly between its bounds.
+    [None] when every count is zero.  {!quantile} is this, clamped to
+    the histogram's observed min/max; {!Tsdb} applies it to merged
+    window deltas. *)
+
 val pp : Format.formatter -> t -> unit
 (** Text exporter: one line per series, sorted by name then labels. *)
 

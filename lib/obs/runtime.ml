@@ -2,15 +2,14 @@
 
    Everything else in lib/obs measures *queries*; this module measures
    the *process* an operator watches — collection counts, heap size,
-   allocation, uptime, the journal sink — published into the default
-   Metrics registry so the same /metrics page (and the alerting engine)
-   sees them.  Sampling is explicit ([sample]) or periodic ([start]
-   spawns a ticker thread that samples and then runs an optional
-   callback, which is where the alert evaluator hooks in).
+   live data, allocation, uptime, the journal sink — published into the
+   default Metrics registry so the same /metrics page (and the alerting
+   engine) sees them.  There is no clock here: the flight recorder
+   refreshes these gauges at the start of every [Tsdb.sample], so its
+   sampler thread is the one that keeps them current.
 
-   [Gc.quick_stat] fills every counter we publish without walking the
-   heap; live words need a full [Gc.stat] heap traversal, so they are
-   only refreshed when a sample asks for them ([~full:true]). *)
+   [Gc.quick_stat] fills every field we publish, live words included,
+   without walking the heap. *)
 
 let started_ns = Mclock.now_ns ()
 let bytes_per_word = float_of_int (Sys.word_size / 8)
@@ -31,7 +30,7 @@ let g_top_heap_words =
   g "gc_top_heap_words" "largest size the major heap ever reached, in words"
 
 let g_live_words =
-  g "gc_live_words" "live data in the major heap, in words (full samples only)"
+  g "gc_live_words" "live data in the major heap, in words"
 
 let g_promoted =
   g "gc_promoted_bytes" "bytes promoted from the minor to the major heap"
@@ -39,7 +38,7 @@ let g_promoted =
 let g_sink =
   g "qlog_sink_bytes" "bytes in the live query-journal file (0 when disabled)"
 
-let sample ?(full = false) () =
+let sample () =
   let s = Gc.quick_stat () in
   Metrics.set g_uptime (float_of_int (Mclock.now_ns () - started_ns) /. 1e9);
   Metrics.set g_allocated (Gc.allocated_bytes ());
@@ -48,48 +47,6 @@ let sample ?(full = false) () =
   Metrics.set g_compactions (float_of_int s.Gc.compactions);
   Metrics.set g_heap_words (float_of_int s.Gc.heap_words);
   Metrics.set g_top_heap_words (float_of_int s.Gc.top_heap_words);
+  Metrics.set g_live_words (float_of_int s.Gc.live_words);
   Metrics.set g_promoted (s.Gc.promoted_words *. bytes_per_word);
-  if full then Metrics.set g_live_words (float_of_int (Gc.stat ()).Gc.live_words);
   Metrics.set g_sink (float_of_int (Qlog.sink_bytes ()))
-
-(* --- The ticker ----------------------------------------------------------- *)
-
-type ticker = {
-  period : float;
-  full : bool;
-  on_tick : (unit -> unit) option;
-  mutable running : bool;
-  mutable thread : Thread.t option;
-}
-
-let tick_of t =
-  sample ~full:t.full ();
-  match t.on_tick with
-  | Some f -> ( try f () with _ -> ())
-  | None -> ()
-
-let loop t =
-  (* sleep in short slices so [stop] returns promptly *)
-  let rec nap remaining =
-    if t.running && remaining > 0. then begin
-      Thread.delay (Float.min remaining 0.05);
-      nap (remaining -. 0.05)
-    end
-  in
-  while t.running do
-    tick_of t;
-    nap t.period
-  done
-
-let start ?(period = 1.0) ?(full = false) ?on_tick () =
-  if period <= 0. then invalid_arg "Runtime.start: period must be positive";
-  let t = { period; full; on_tick; running = true; thread = None } in
-  t.thread <- Some (Thread.create loop t);
-  t
-
-let stop t =
-  if t.running then begin
-    t.running <- false;
-    Option.iter Thread.join t.thread;
-    t.thread <- None
-  end

@@ -10,23 +10,11 @@
       [gc_promoted_bytes]
     - [qlog_sink_bytes] (the live query-journal file's size)
 
-    Gauges only change when sampled: call {!sample} explicitly (the
-    bench harness does, between experiments) or {!start} a ticker
-    thread (the shell does while the monitor serves). *)
+    Gauges only change when sampled.  {!Tsdb.sample} calls {!sample}
+    just before it exports its registry, so whatever drives the flight
+    recorder (its sampler thread, an {!Alerts.tick}) keeps them fresh;
+    there is no separate ticker. *)
 
-val sample : ?full:bool -> unit -> unit
-(** Refresh every gauge from [Gc.quick_stat].  With [full] (default
-    [false]) also refresh [gc_live_words], which requires a full
-    [Gc.stat] heap traversal. *)
-
-type ticker
-
-val start :
-  ?period:float -> ?full:bool -> ?on_tick:(unit -> unit) -> unit -> ticker
-(** Spawn a thread that {!sample}s every [period] seconds (default 1.0)
-    and then runs [on_tick] — the alert evaluator's hook (exceptions
-    from it are swallowed).  One sample happens immediately.
-    @raise Invalid_argument when [period <= 0]. *)
-
-val stop : ticker -> unit
-(** Stop and join the ticker thread.  Idempotent. *)
+val sample : unit -> unit
+(** Refresh every gauge from [Gc.quick_stat] (which fills live words
+    without a heap traversal) and the journal sink. *)

@@ -5,7 +5,10 @@
    dimension an operator actually needs during an incident: a sampler
    thread snapshots the registry on a fixed cadence (default 1s) and
    keeps the last N windows (default 3600 — an hour at 1s resolution)
-   in a ring.  Each window stores *deltas*, not cumulative state:
+   in a ring.  It is the obs layer's only clock: each sample first
+   refreshes the Runtime gauges, and [start] may run a host's hook
+   (an Alerts tick, which samples) in place of the bare sample.  Each
+   window stores *deltas*, not cumulative state:
 
    - counters   -> the increment since the previous sample (a counter
                    reset — restart, Metrics.reset — shows up as a
@@ -18,8 +21,10 @@
 
    Range queries ([rate], [sum], [avg], [min], [max], [quantile p])
    re-aggregate those deltas over [now - window, now] at a chosen step,
-   merging histogram bucket deltas so a per-window p99 is exact up to
-   the registry's factor-of-two bucketing.  The whole store serializes
+   or over a run of window numbers (an alert tick's "since my previous
+   tick", immune to the wall clock), merging histogram bucket deltas so
+   a per-window p99 is exact up to the registry's factor-of-two
+   bucketing.  The whole store serializes
    to JSON-lines ([save]/[load]) with deterministic float rendering, so
    a bench run leaves a replayable series and save∘load∘save is
    byte-identical.
@@ -56,7 +61,11 @@ type prev =
   | PC_counter of int
   | PC_hist of { pc_count : int; pc_sum : float; pc_cum : int array }
 
-type sampler = { mutable s_running : bool; mutable s_thread : Thread.t option }
+type sampler = {
+  s_tick : unit -> unit;
+  mutable s_running : bool;
+  mutable s_thread : Thread.t option;
+}
 
 type t = {
   registry : Metrics.t;
@@ -65,6 +74,7 @@ type t = {
   ring : window option array;
   mutable head : int;  (* next slot to write *)
   mutable filled : int;
+  mutable seq : int;  (* windows ever pushed: the newest's number *)
   prevs : (key, prev) Hashtbl.t;
   mutable last_ts : float;  (* 0. before the first sample *)
   mutable smp : sampler option;
@@ -83,6 +93,7 @@ let create ?(registry = Metrics.default) ?(resolution_s = 1.0) ?(capacity = 3600
     ring = Array.make capacity None;
     head = 0;
     filled = 0;
+    seq = 0;
     prevs = Hashtbl.create 64;
     last_ts = 0.;
     smp = None;
@@ -103,11 +114,14 @@ let locked t f =
 
 let capacity t = t.cap
 let resolution_s t = t.resolution_s
+let registry t = t.registry
 let window_count t = locked t (fun () -> t.filled)
+let seq t = locked t (fun () -> t.seq)
 
 (* --- Sampling --------------------------------------------------------------- *)
 
 let push t w =
+  t.seq <- t.seq + 1;
   t.ring.(t.head) <- Some w;
   t.head <- (t.head + 1) mod t.cap;
   if t.filled < t.cap then t.filled <- t.filled + 1
@@ -138,6 +152,7 @@ let hist_delta prev (h : Metrics.hview) =
   end
 
 let sample t =
+  Runtime.sample ();
   let now = Unix.gettimeofday () in
   let fams = Metrics.export t.registry in
   locked t @@ fun () ->
@@ -211,28 +226,6 @@ let agg_to_string = function
 let labels_match ~want have =
   List.for_all (fun (k, v) -> List.assoc_opt k have = Some v) want
 
-(* Quantile over merged sparse bucket increments: rank search with
-   linear interpolation inside the covering power-of-two bucket. *)
-let quantile_of_buckets buckets total q =
-  if total <= 0 then None
-  else begin
-    let q = Float.max 0. (Float.min 1. q) in
-    let rank = max 1 (int_of_float (ceil (q *. float_of_int total))) in
-    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) buckets in
-    let rec go cum = function
-      | [] -> None
-      | (i, c) :: rest ->
-          if cum + c >= rank then begin
-            let lo = if i = 0 then 0. else ldexp 1. i in
-            let hi = ldexp 1. (i + 1) in
-            let frac = float_of_int (rank - cum) /. float_of_int c in
-            Some (lo +. (frac *. (hi -. lo)))
-          end
-          else go (cum + c) rest
-    in
-    go 0 sorted
-  end
-
 (* One aggregation bucket being accumulated across windows/series. *)
 type accum = {
   mutable a_delta : float;  (* summed counter increments *)
@@ -243,7 +236,7 @@ type accum = {
   mutable a_max : float;
   mutable a_hcount : int;
   mutable a_hsum : float;
-  mutable a_hbuckets : (int, int) Hashtbl.t;
+  a_hbuckets : int array;  (* merged bucket increments *)
   mutable a_touched : bool;
 }
 
@@ -257,7 +250,7 @@ let fresh_accum () =
     a_max = neg_infinity;
     a_hcount = 0;
     a_hsum = 0.;
-    a_hbuckets = Hashtbl.create 8;
+    a_hbuckets = Array.make Metrics.bucket_count 0;
     a_touched = false;
   }
 
@@ -278,11 +271,7 @@ let finish agg a =
         else None
     | Min -> if a.a_min < infinity then Some a.a_min else None
     | Max -> if a.a_max > neg_infinity then Some a.a_max else None
-    | Quantile q ->
-        let buckets =
-          Hashtbl.fold (fun i c acc -> (i, c) :: acc) a.a_hbuckets []
-        in
-        quantile_of_buckets buckets a.a_hcount q
+    | Quantile q -> Metrics.bucket_quantile a.a_hbuckets q
 
 let feed a point =
   match point with
@@ -303,56 +292,59 @@ let feed a point =
       a.a_hsum <- a.a_hsum +. h.w_sum;
       List.iter
         (fun (i, c) ->
-          let cur = Option.value ~default:0 (Hashtbl.find_opt a.a_hbuckets i) in
-          Hashtbl.replace a.a_hbuckets i (cur + c))
+          if i >= 0 && i < Metrics.bucket_count then
+            a.a_hbuckets.(i) <- a.a_hbuckets.(i) + c)
         h.w_buckets
 
-(* Windows oldest-first. *)
-let windows_unlocked t =
-  let out = ref [] in
-  for k = t.filled downto 1 do
-    let idx = (t.head - k + (t.cap * 2)) mod t.cap in
-    match t.ring.(idx) with Some w -> out := w :: !out | None -> ()
-  done;
-  List.rev !out
+(* Windows oldest-first, or only those numbered [lo+1 .. hi]: found
+   by position, since window number [t.seq] sits just before [head]. *)
+let windows ?(seqs = (0, max_int)) t =
+  locked t @@ fun () ->
+  let lo = max (fst seqs) (t.seq - t.filled) and hi = min (snd seqs) t.seq in
+  List.filter_map
+    (fun k -> t.ring.((t.head - t.seq + lo + k + t.cap) mod t.cap))
+    (List.init (max 0 (hi - lo)) Fun.id)
 
-let windows t = locked t (fun () -> windows_unlocked t)
-
-let range t ?(labels = []) ?step_s ~window_s ~agg name =
-  let step =
-    match step_s with
-    | Some s when s > 0. -> s
-    | _ -> t.resolution_s
-  in
+let range t ?(labels = []) ?step_s ?seqs ?window_s ~agg name =
   let now = Unix.gettimeofday () in
-  let t0 = now -. window_s in
-  let nsteps = max 1 (int_of_float (ceil (window_s /. step))) in
+  (* [slot_of ts] is the bucket a window sampled at [ts] lands in, if
+     any; [end_of i] stamps bucket [i]. *)
+  let nsteps, slot_of, end_of =
+    match window_s with
+    | None -> (1, (fun _ -> Some 0), fun _ -> now)
+    | Some window_s ->
+        let step =
+          match step_s with Some s when s > 0. -> s | _ -> t.resolution_s
+        in
+        let t0 = now -. window_s in
+        let n = max 1 (int_of_float (ceil (window_s /. step))) in
+        ( n,
+          (fun ts ->
+            if ts > t0 && ts <= now then
+              Some (min (n - 1) (int_of_float ((ts -. t0) /. step)))
+            else None),
+          fun i -> t0 +. ((float_of_int i +. 1.) *. step) )
+  in
   let accums = Array.init nsteps (fun _ -> fresh_accum ()) in
-  let ws = windows t in
   List.iter
     (fun w ->
-      if w.w_ts > t0 && w.w_ts <= now then begin
-        let slot =
-          min (nsteps - 1) (int_of_float ((w.w_ts -. t0) /. step))
-        in
-        let a = accums.(slot) in
-        let window_counted = ref false in
-        List.iter
-          (fun ((n, ls), p) ->
-            if n = name && labels_match ~want:labels ls then begin
-              if not !window_counted then begin
-                a.a_dt <- a.a_dt +. w.w_dt;
-                window_counted := true
-              end;
-              feed a p
-            end)
-          w.w_points
-      end)
-    ws;
-  Array.to_list
-    (Array.mapi
-       (fun i a -> (t0 +. ((float_of_int i +. 1.) *. step), finish agg a))
-       accums)
+      match slot_of w.w_ts with
+      | Some slot ->
+          let a = accums.(slot) in
+          let window_counted = ref false in
+          List.iter
+            (fun ((n, ls), p) ->
+              if n = name && labels_match ~want:labels ls then begin
+                if not !window_counted then begin
+                  a.a_dt <- a.a_dt +. w.w_dt;
+                  window_counted := true
+                end;
+                feed a p
+              end)
+            w.w_points
+      | None -> ())
+    (windows ?seqs t);
+  Array.to_list (Array.mapi (fun i a -> (end_of i, finish agg a)) accums)
 
 (* Series present anywhere in the ring: name -> kind ("rate"|"gauge"|"hist"),
    for the dashboard's metric listing. *)
@@ -507,17 +499,18 @@ let loop t s =
     end
   in
   while s.s_running do
-    (try sample t with _ -> ());
+    (try s.s_tick () with _ -> ());
     nap t.resolution_s
   done
 
-let start t =
+let start ?tick t =
+  let s_tick = Option.value tick ~default:(fun () -> sample t) in
   let go =
     locked t (fun () ->
         match t.smp with
         | Some s when s.s_running -> None
         | _ ->
-            let s = { s_running = true; s_thread = None } in
+            let s = { s_tick; s_running = true; s_thread = None } in
             t.smp <- Some s;
             Some s)
   in

@@ -9,6 +9,13 @@
     hour of serving telemetry fits in a few MB regardless of how long
     the process has been up.
 
+    The sampler is the obs layer's one clock: every {!sample} first
+    refreshes the {!Runtime} gauges, and {!start}'s hook lets a host
+    tick an {!Alerts} evaluator on the same beat.  Windows are numbered
+    in sample order ({!seq}), so {!range} can read a run of them — an
+    alert tick's "since my previous tick" — as well as a trailing
+    wall-clock interval.
+
     The whole store serializes to JSON-lines with deterministic float
     rendering, so bench runs leave a replayable series
     ([BENCH_tsdb.json]) and [save] ∘ [load] round-trips
@@ -28,12 +35,19 @@ val create :
 val default : t
 (** The store the shell, server and monitor share. *)
 
+val registry : t -> Metrics.t
+(** The registry the store samples. *)
+
 val sample : t -> unit
-(** Snapshot the registry into a new window: counters delta'd against
-    the previous sample (a negative delta — counter reset — restarts
-    from the new cumulative value), gauges recorded as-is, histograms
-    as sparse bucket increments (only when the window saw
-    observations). *)
+(** Refresh the {!Runtime} gauges, then snapshot the registry into a
+    new window: counters delta'd against the previous sample (a
+    negative delta — counter reset — restarts from the new cumulative
+    value), gauges recorded as-is, histograms as sparse bucket
+    increments (only when the window saw observations). *)
+
+val seq : t -> int
+(** The number of the newest window (windows count from 1 in sample
+    order; 0 before the first sample). *)
 
 val capacity : t -> int
 
@@ -61,7 +75,8 @@ val range :
   t ->
   ?labels:Metrics.labels ->
   ?step_s:float ->
-  window_s:float ->
+  ?seqs:int * int ->
+  ?window_s:float ->
   agg:agg ->
   string ->
   (float * float option) list
@@ -69,9 +84,12 @@ val range :
     over [[now - window_s, now]] into [window_s / step_s] buckets
     (step defaults to the store's resolution), oldest first.  Each
     element is [(bucket_end_ts, value)]; [None] marks a bucket no
-    window landed in.  [?labels] restricts to series whose label set
-    contains every given pair; by default all label sets of the name
-    are merged. *)
+    window landed in.  Without [window_s], every window the ring holds
+    goes into one bucket stamped now.  [?seqs:(lo, hi)] keeps only the
+    windows numbered [lo+1 .. hi] (see {!seq}), however far apart in
+    time.  [?labels] restricts to series whose label set contains
+    every given pair; by default all label sets of the name are
+    merged. *)
 
 val series : t -> (string * string) list
 (** Metric names present anywhere in the ring, with their point kind
@@ -91,9 +109,12 @@ val of_json_lines : string -> t
 
 (** {1 The sampler thread} *)
 
-val start : t -> unit
-(** Spawn the sampler ticking every [resolution_s].  Idempotent while
-    running. *)
+val start : ?tick:(unit -> unit) -> t -> unit
+(** Spawn the sampler thread: every [resolution_s] it runs [tick]
+    (default [fun () -> sample t]; exceptions are swallowed).  A hook
+    must sample [t] itself — e.g. {!Alerts.tick} on an evaluator over
+    [t] — so each period adds exactly one window.  Idempotent while
+    running (a running sampler keeps its hook). *)
 
 val stop : t -> unit
 (** Stop and join the sampler thread.  No-op when not running. *)

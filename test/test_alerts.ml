@@ -1,5 +1,6 @@
 (* The operational-health layer: alert rules and their state machine,
-   runtime gauge sampling, per-span allocation attribution, journal
+   the per-tick windows they read from the flight recorder, runtime
+   gauge sampling and the sampler's tick hook, per-span allocation attribution, journal
    file-count rotation and the hardened monitor endpoint. *)
 
 let contains haystack needle =
@@ -43,7 +44,7 @@ let test_parse_errors () =
   bad "a p99 increasing"
 
 let test_duplicate_rule_rejected () =
-  let a = Alerts.create ~registry:(Metrics.create ()) () in
+  let a = Alerts.create ~tsdb:(Tsdb.create ~registry:(Metrics.create ()) ()) () in
   ignore (Alerts.add a ~name:"dup" "gc_heap_words > 5");
   (match Alerts.add a ~name:"dup" "gc_heap_words > 9" with
   | _ -> Alcotest.fail "duplicate rule name accepted"
@@ -53,9 +54,15 @@ let test_duplicate_rule_rejected () =
 
 (* --- The state machine -------------------------------------------------------- *)
 
-let fresh () =
+(* A private registry, its store, and an evaluator over the store. *)
+let fresh_store () =
   let r = Metrics.create () in
-  (r, Alerts.create ~registry:r ())
+  let tsdb = Tsdb.create ~registry:r () in
+  (r, tsdb, Alerts.create ~tsdb ())
+
+let fresh () =
+  let r, _, a = fresh_store () in
+  (r, a)
 
 let state_of a name = Option.get (Alerts.state a name)
 
@@ -154,8 +161,12 @@ let test_rate_rule () =
   ignore (Alerts.add a ~name:"burst" "rate(hits_total) > 5");
   Metrics.add c 100;
   Alerts.tick a;
-  Alcotest.(check bool) "first sight is not a burst" true
-    (state_of a "burst" = Alerts.Inactive);
+  (* a counter first seen at a tick counts its whole value, as in the
+     store's windows *)
+  Alcotest.(check bool) "first sight counts its whole value" true
+    (state_of a "burst" = Alerts.Firing);
+  Alcotest.(check (option (float 0.))) "first-sight value" (Some 100.)
+    (Alerts.last_value a "burst");
   Metrics.add c 10;
   Alerts.tick a;
   Alcotest.(check bool) "delta over threshold fires" true
@@ -240,41 +251,117 @@ let test_install_defaults () =
   Alerts.install_defaults ~t:a ();
   Alcotest.(check int) "idempotent" n (List.length (Alerts.rules a))
 
+(* --- One window: per-tick sources read the store ------------------------------ *)
+
+(* Per-tick and windowed quantiles go through one estimator, so on one
+   window of data they agree. *)
+let test_tick_and_window_quantiles_agree () =
+  let r, a = fresh () in
+  let h = Metrics.histogram ~registry:r "lat_ns" in
+  ignore (Alerts.add a ~name:"tick" "lat_ns p50 > 0");
+  ignore (Alerts.add a ~name:"window" "lat_ns p50 over(60s) > 0");
+  List.iter (Metrics.observe h) [ 1100.; 1200.; 1300. ];
+  Alerts.tick a;
+  let v name = Option.get (Alerts.last_value a name) in
+  Alcotest.(check (float 1e-9)) "p50 = p50 over(60s)" (v "window") (v "tick");
+  Alcotest.(check (float 0.01)) "ceil-rank interpolation" 1706.67 (v "tick")
+
+(* The evaluator reads the registry its store samples: a private
+   registry's rule and its over(60s) form agree. *)
+let test_private_registry_windows () =
+  let r, a = fresh () in
+  let g = Metrics.gauge ~registry:r "load_g" in
+  ignore (Alerts.add a ~name:"live" "load_g > 5");
+  ignore (Alerts.add a ~name:"window" "load_g over(60s) > 5");
+  Metrics.set g 10.;
+  Alerts.tick a;
+  Alcotest.(check bool) "live rule fires" true
+    (state_of a "live" = Alerts.Firing);
+  Alcotest.(check bool) "windowed rule fires too" true
+    (state_of a "window" = Alerts.Firing)
+
+let test_rate_after_reset () =
+  let r, a = fresh () in
+  let c = Metrics.counter ~registry:r "c_total" in
+  ignore (Alerts.add a ~name:"burst" "rate(c_total) > 1e9");
+  Metrics.add c 100;
+  Alerts.tick a;
+  Metrics.reset r;
+  Metrics.add c 50;
+  Alerts.tick a;
+  Alcotest.(check (option (float 0.))) "a reset restarts from the new value"
+    (Some 50.) (Alerts.last_value a "burst")
+
+(* Other samplers of the same store (a sampler thread, a second
+   evaluator) split a tick's increments across several windows; the
+   tick merges all of them, and two ticks in a row split by window
+   number, not by clock. *)
+let test_interleaved_samples () =
+  let r, tsdb, a = fresh_store () in
+  let c = Metrics.counter ~registry:r "c_total" in
+  let h = Metrics.histogram ~registry:r "lat_ns" in
+  ignore (Alerts.add a ~name:"rate" "rate(c_total) > 1e9");
+  ignore (Alerts.add a ~name:"p99" "lat_ns p99 > 1e12");
+  Metrics.add c 5;
+  Metrics.observe h 10.;
+  Tsdb.sample tsdb;
+  Metrics.add c 7;
+  Tsdb.sample tsdb;
+  Metrics.add c 3;
+  Metrics.observe h 5000.;
+  Alerts.tick a;
+  Alcotest.(check (option (float 0.))) "every increment since creation"
+    (Some 15.) (Alerts.last_value a "rate");
+  Alcotest.(check bool) "quantile merges the interleaved windows" true
+    (Option.get (Alerts.last_value a "p99") > 4096.);
+  Metrics.add c 4;
+  Alerts.tick a;
+  Alcotest.(check (option (float 0.))) "back-to-back ticks split exactly"
+    (Some 4.) (Alerts.last_value a "rate");
+  Alerts.tick a;
+  Alcotest.(check (option (float 0.))) "quiet tick reads zero" (Some 0.)
+    (Alerts.last_value a "rate")
+
 (* --- Runtime gauges ------------------------------------------------------------ *)
 
 let test_runtime_sample () =
-  Runtime.sample ~full:true ();
   let value name = Metrics.gauge_value (Metrics.gauge name) in
+  Metrics.set (Metrics.gauge "gc_live_words") 0.;
+  (* any store's sample refreshes the runtime gauges first *)
+  Tsdb.sample (Tsdb.create ~registry:(Metrics.create ()) ());
+  Alcotest.(check bool) "live words on every sample" true
+    (value "gc_live_words" > 0.);
+  Runtime.sample ();
   Alcotest.(check bool) "uptime >= 0" true (value "process_uptime_seconds" >= 0.);
   Alcotest.(check bool) "allocated > 0" true
     (value "process_allocated_bytes" > 0.);
   Alcotest.(check bool) "heap words > 0" true (value "gc_heap_words" > 0.);
   Alcotest.(check bool) "top heap >= heap" true
     (value "gc_top_heap_words" >= value "gc_heap_words");
-  Alcotest.(check bool) "live words > 0 (full sample)" true
-    (value "gc_live_words" > 0.);
+  Alcotest.(check bool) "live words > 0" true (value "gc_live_words" > 0.);
   Alcotest.(check bool) "minor collections >= 0" true
     (value "gc_minor_collections" >= 0.)
 
-let test_runtime_ticker () =
-  let ticks = ref 0 in
-  let t = Runtime.start ~period:0.01 ~on_tick:(fun () -> incr ticks) () in
+(* The sampler thread runs its hook in place of a bare sample: an
+   alert tick per period, one window per tick. *)
+let test_sampler_tick_hook () =
+  let r = Metrics.create () in
+  let tsdb = Tsdb.create ~registry:r ~resolution_s:0.01 () in
+  let a = Alerts.create ~tsdb () in
+  Tsdb.start ~tick:(fun () -> Alerts.tick a) tsdb;
   let deadline = Unix.gettimeofday () +. 5. in
-  while !ticks = 0 && Unix.gettimeofday () < deadline do
-    Thread.yield ();
-    ignore (Unix.select [] [] [] 0.02)
+  while Alerts.ticks a < 3 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.01
   done;
-  Runtime.stop t;
-  Runtime.stop t (* idempotent *);
-  Alcotest.(check bool) "ticker ran" true (!ticks >= 1);
-  let after = !ticks in
-  ignore (Unix.select [] [] [] 0.05);
-  Alcotest.(check int) "stopped ticker stays stopped" after !ticks;
-  (match Runtime.start ~period:0. () with
-  | exception Invalid_argument _ -> ()
-  | t ->
-      Runtime.stop t;
-      Alcotest.fail "period 0 accepted")
+  Tsdb.stop tsdb;
+  Tsdb.stop tsdb (* idempotent *);
+  Alcotest.(check bool) "hook ran" true (Alerts.ticks a >= 3);
+  Alcotest.(check bool) "stopped" false (Tsdb.running tsdb);
+  let ticks = Alerts.ticks a in
+  Alcotest.(check int) "one window per period (plus creation's)" (ticks + 1)
+    (Tsdb.window_count tsdb);
+  Thread.delay 0.05;
+  Alcotest.(check int) "stopped sampler stays stopped" ticks (Alerts.ticks a)
 
 (* --- Allocation attribution ----------------------------------------------------- *)
 
@@ -428,10 +515,20 @@ let () =
           Alcotest.test_case "clear and json" `Quick test_clear_and_json;
           Alcotest.test_case "install_defaults" `Quick test_install_defaults;
         ] );
+      ( "one window",
+        [
+          Alcotest.test_case "tick and over() quantiles agree" `Quick
+            test_tick_and_window_quantiles_agree;
+          Alcotest.test_case "private registry windows" `Quick
+            test_private_registry_windows;
+          Alcotest.test_case "rate after reset" `Quick test_rate_after_reset;
+          Alcotest.test_case "interleaved samples" `Quick
+            test_interleaved_samples;
+        ] );
       ( "runtime",
         [
           Alcotest.test_case "sample fills gauges" `Quick test_runtime_sample;
-          Alcotest.test_case "ticker" `Quick test_runtime_ticker;
+          Alcotest.test_case "sampler tick hook" `Quick test_sampler_tick_hook;
         ] );
       ( "attribution",
         [

@@ -87,6 +87,27 @@ let test_ring_wraparound () =
   in
   Alcotest.(check (float 1e-9)) "only the surviving windows count" 4. sum
 
+(* Window numbers select by sample order, whatever the clock says; a
+   run partly overwritten by the ring reads what survives. *)
+let test_range_by_window_number () =
+  let registry = Metrics.create () in
+  let t = Tsdb.create ~registry ~capacity:4 () in
+  let c = Metrics.counter ~registry "n_total" in
+  for i = 1 to 10 do
+    Metrics.add c i;
+    Tsdb.sample t
+  done;
+  Alcotest.(check int) "newest window number" 10 (Tsdb.seq t);
+  let sum seqs =
+    match Tsdb.range t ~seqs ~agg:Tsdb.Sum "n_total" with
+    | [ (_, v) ] -> Option.value ~default:0. v
+    | _ -> Alcotest.fail "a numbered run is one bucket"
+  in
+  Alcotest.(check (float 0.)) "one window" 9. (sum (8, 9));
+  Alcotest.(check (float 0.)) "the newest two" 19. (sum (8, 10));
+  Alcotest.(check (float 0.)) "overwritten windows are gone" 34. (sum (0, 10));
+  Alcotest.(check (float 0.)) "an empty run" 0. (sum (10, 10))
+
 let test_quantile_over_empty_window () =
   let registry = Metrics.create () in
   let t = Tsdb.create ~registry () in
@@ -314,7 +335,7 @@ let test_exemplar_roundtrip () =
 let test_alerts_over_window () =
   let registry = Metrics.create () in
   let tsdb = Tsdb.create ~registry () in
-  let a = Alerts.create ~registry ~tsdb () in
+  let a = Alerts.create ~tsdb () in
   let g = Metrics.gauge ~registry "load_g" in
   Metrics.set g 10.;
   Tsdb.sample tsdb;
@@ -338,7 +359,7 @@ let test_alerts_over_window () =
 
 let test_alerts_exemplar_on_transition () =
   let registry = Metrics.create () in
-  let a = Alerts.create ~registry () in
+  let a = Alerts.create ~tsdb:(Tsdb.create ~registry ()) () in
   let h = Metrics.histogram ~registry "slow_ns" in
   let tid = Trace.next_trace_id () in
   Metrics.observe ~trace_id:tid h 1e9;
@@ -387,8 +408,8 @@ let thread_count () =
   n
 
 (* Repeatedly start and stop every background thread the observability
-   stack spawns — monitor accept loop, tsdb sampler, runtime ticker,
-   serving front-end — and require the process back at its baseline
+   stack spawns — monitor accept loop, tsdb sampler, serving
+   front-end — and require the process back at its baseline
    thread and fd counts: the ndqsh exit path in miniature, five times
    over. *)
 let test_shutdown_stress () =
@@ -416,7 +437,6 @@ let test_shutdown_stress () =
     let m = Monitor.start ~registry ~port:0 () in
     let ts = Tsdb.create ~registry ~resolution_s:0.005 () in
     Tsdb.start ts;
-    let rt = Runtime.start ~period:0.005 () in
     let srv =
       Srv.start ~registry ~workers:2 ~queue:4 ~port:0
         ~make_engine:(fun () -> Engine.create ~block:32 instance)
@@ -426,7 +446,6 @@ let test_shutdown_stress () =
     Alcotest.(check int) "monitor serves while up" 200 status;
     Thread.delay 0.02;
     Srv.stop srv;
-    Runtime.stop rt;
     Tsdb.stop ts;
     Monitor.stop m;
     Alcotest.(check bool) "sampler stopped" false (Tsdb.running ts)
@@ -446,6 +465,8 @@ let () =
           Alcotest.test_case "counter deltas + reset" `Quick
             test_counter_deltas_and_reset;
           Alcotest.test_case "ring wrap-around" `Quick test_ring_wraparound;
+          Alcotest.test_case "range by window number" `Quick
+            test_range_by_window_number;
           Alcotest.test_case "quantile over empty window" `Quick
             test_quantile_over_empty_window;
           Alcotest.test_case "histogram window quantile" `Quick
