@@ -59,11 +59,17 @@ let () =
     match !monitor_port with
     | None -> None
     | Some port ->
-        let m = Monitor.start ~port () in
+        (* A monitor-only server: with zero workers no engine is ever
+           made, and the introspection routes answer on [port]. *)
+        let m =
+          Srv.start ~workers:0 ~port
+            ~make_engine:(fun () -> invalid_arg "monitor-only server")
+            ()
+        in
         (* The flight recorder samples while the monitor serves, so
            /range and /dashboard have series to draw mid-run. *)
         Tsdb.start Tsdb.default;
-        Fmt.pr "monitoring on http://127.0.0.1:%d/@." (Monitor.port m);
+        Fmt.pr "monitoring on http://127.0.0.1:%d/@." (Srv.port m);
         Some m
   in
   (* Journal every engine query of the run; at threshold 0 each one is
@@ -89,7 +95,7 @@ let () =
          would, and keep the snapshot next to the result rows. *)
       match monitor with
       | Some m -> (
-          match Monitor.get ~port:(Monitor.port m) "/metrics" with
+          match Monitor.get ~port:(Srv.port m) "/metrics" with
           | 200, body -> Telemetry.snapshot ~after:id body
           | status, _ ->
               Fmt.epr "monitor scrape after %s failed with HTTP %d@." id status
@@ -130,7 +136,7 @@ let () =
      Fmt.pr "wrote %d flight-recorder windows to BENCH_tsdb.json@."
        (Tsdb.window_count Tsdb.default)
    end);
-  Option.iter Monitor.stop monitor;
+  Option.iter Srv.stop monitor;
   Fmt.pr "wrote %d slow-query captures to %s (journal: %s)@." captures slowlog
     !journal;
   Fmt.pr "@.done.@."

@@ -19,8 +19,7 @@ type state = {
   mutable verbose : bool;
   mutable cache : Cache.t;  (* survives engine rebuilds, off by default *)
   mutable cache_on : bool;
-  mutable monitor : Monitor.t option;  (* live introspection server *)
-  mutable server : Srv.t option;  (* query-serving front-end *)
+  mutable server : Srv.t option;  (* the listener: queries + introspection *)
   mutable mode : Engine.mode;  (* operator-boundary handling *)
   mutable planner : Engine.planner;  (* access-path policy *)
 }
@@ -109,16 +108,15 @@ let help () =
     \  :cache clear     drop every cached result@,\
     \  :cache budget <pages>    set the cache's page budget@,\
     \  :cache threshold <io>    min evaluation io to admit a result@,\
-    \  :monitor <port>  serve /metrics /healthz /slowlog /trace@,\
-    \                   /planstats /workload /cache /alerts /tail@,\
-    \                   /range /dashboard (live flight-recorder page)@,\
-    \                   (also starts the tsdb sampler, which@,\
-    \                   ticks the alert rules)@,\
-    \  :monitor off     stop the introspection server@,\
-    \  :serve <port> [workers <n>] [queue <n>]   start the query-serving@,\
-    \                   front-end: HTTP /query + line protocol, worker@,\
-    \                   pool, bounded admission queue (0 = free port)@,\
-    \  :serve off       stop the serving front-end@,\
+    \  :serve <port> [workers <n>] [queue <n>]   start the server: HTTP@,\
+    \                   /query + line protocol on a worker pool with a@,\
+    \                   bounded admission queue (0 = free port), and@,\
+    \                   /metrics /healthz /slowlog /trace /planstats@,\
+    \                   /workload /cache /alerts /tail /range@,\
+    \                   /dashboard on the same port (also starts the@,\
+    \                   tsdb sampler, which ticks the alert rules)@,\
+    \  :serve off       stop the server@,\
+    \  :monitor <port>|off   :serve <port> workers 0 | :serve off@,\
     \  :alerts          rule states (pending/firing) and last values@,\
     \  :alerts rules    the installed rule expressions@,\
     \  :alerts history [n]      recent state transitions@,\
@@ -362,10 +360,6 @@ let show_top st frames =
       Mclock.pp_ns (Qlog.threshold_ns ());
     Fmt.pr "  journal   %s@."
       (match Qlog.path () with Some p -> p | None -> "off");
-    Fmt.pr "  monitor   %s@."
-      (match st.monitor with
-      | Some m -> Printf.sprintf "http://127.0.0.1:%d/" (Monitor.port m)
-      | None -> "off");
     (match st.server with
     | None -> Fmt.pr "  serving   off@."
     | Some srv ->
@@ -398,43 +392,12 @@ let show_top st frames =
 let start_sampler () =
   Tsdb.start ~tick:(fun () -> Alerts.tick Alerts.default) Tsdb.default
 
-(* The flight recorder samples whenever something live feeds on it —
-   the monitor (/range, /dashboard, /alerts) or the serving front-end.
-   When the last consumer stops, so does the sampler thread; ndqsh
-   exits with no thread left behind. *)
+(* The flight recorder samples whenever the server runs (/range,
+   /dashboard and /alerts feed on it).  When the server stops, so does
+   the sampler thread; ndqsh exits with no thread left behind. *)
 let sync_tsdb st =
-  if st.monitor <> None || st.server <> None then start_sampler ()
+  if st.server <> None then start_sampler ()
   else if Tsdb.running Tsdb.default then Tsdb.stop Tsdb.default
-
-let stop_monitor st =
-  let stopped =
-    match st.monitor with
-    | None -> false
-    | Some m ->
-        Monitor.stop m;
-        st.monitor <- None;
-        true
-  in
-  sync_tsdb st;
-  stopped
-
-let start_monitor st port =
-  ignore (stop_monitor st);
-  match Monitor.start ~port () with
-  | m ->
-      (* /cache lives above lib/obs, so the shell registers it. *)
-      Monitor.add_handler m "cache" (fun path ->
-          if path = "/cache" then
-            Some
-              (Monitor.respond ~content_type:"application/json"
-                 (Json.to_string (Cache.stats_json st.cache)))
-          else None);
-      st.monitor <- Some m;
-      sync_tsdb st;
-      Fmt.pr "monitoring on http://127.0.0.1:%d/ (:monitor off to stop)@."
-        (Monitor.port m)
-  | exception Unix.Unix_error (e, _, _) ->
-      Fmt.pr "cannot listen on port %d: %s@." port (Unix.error_message e)
 
 let stop_server st =
   let stopped =
@@ -451,7 +414,8 @@ let stop_server st =
 (* The serving workers each build their own engine over the directory's
    instance at start time — updates made at the shell afterwards are
    not visible to them until :serve is restarted (the instance itself
-   is immutable, so concurrent serving needs no locks). *)
+   is immutable, so concurrent serving needs no locks).  Zero workers
+   is the monitor-only server. *)
 let start_server st ~port ~workers ~queue =
   ignore (stop_server st);
   let instance = Directory.instance st.directory in
@@ -462,12 +426,25 @@ let start_server st ~port ~workers ~queue =
       ()
   with
   | s ->
+      (* /cache lives above lib/obs, so the shell registers it. *)
+      Srv.add_handler s "cache" (fun path ->
+          if path = "/cache" then
+            Some
+              (Monitor.respond ~content_type:"application/json"
+                 (Json.to_string (Cache.stats_json st.cache)))
+          else None);
       st.server <- Some s;
       sync_tsdb st;
-      Fmt.pr
-        "serving on 127.0.0.1:%d (%d workers, queue %d; HTTP /query + line \
-         protocol; :serve off to stop)@."
-        (Srv.port s) workers queue
+      if workers = 0 then
+        Fmt.pr
+          "monitoring on http://127.0.0.1:%d/ (no workers, queries are shed; \
+           :monitor off to stop)@."
+          (Srv.port s)
+      else
+        Fmt.pr
+          "serving on http://127.0.0.1:%d/ (%d workers, queue %d; HTTP /query \
+           + line protocol + introspection; :serve off to stop)@."
+          (Srv.port s) workers queue
   | exception Unix.Unix_error (e, _, _) ->
       Fmt.pr "cannot listen on port %d: %s@." port (Unix.error_message e)
 
@@ -476,7 +453,7 @@ let rec parse_serve_opts ~workers ~queue = function
   | [] -> Some (workers, queue)
   | "workers" :: n :: rest -> (
       match int_of_string_opt n with
-      | Some w when w > 0 -> parse_serve_opts ~workers:w ~queue rest
+      | Some w when w >= 0 -> parse_serve_opts ~workers:w ~queue rest
       | _ -> None)
   | "queue" :: n :: rest -> (
       match int_of_string_opt n with
@@ -655,17 +632,11 @@ let run_command st line =
         "result cache is %s (usage: :cache \
          on|off|stats|clear|budget <pages>|threshold <io>)@."
         (if st.cache_on then "on" else "off")
-  | ":monitor" :: "off" :: _ ->
-      if stop_monitor st then Fmt.pr "monitor stopped@."
-      else Fmt.pr "monitor is not running@."
   | ":monitor" :: port :: _ when int_of_string_opt port <> None ->
-      start_monitor st (Option.get (int_of_string_opt port))
-  | ":monitor" :: _ ->
-      Fmt.pr "monitor is %s (usage: :monitor <port>|off)@."
-        (match st.monitor with
-        | Some m -> Printf.sprintf "on http://127.0.0.1:%d/" (Monitor.port m)
-        | None -> "off")
-  | ":serve" :: "off" :: _ ->
+      start_server st
+        ~port:(Option.get (int_of_string_opt port))
+        ~workers:0 ~queue:64
+  | (":serve" | ":monitor") :: "off" :: _ ->
       if stop_server st then Fmt.pr "serving stopped@."
       else Fmt.pr "serving is not running@."
   | ":serve" :: port :: rest when int_of_string_opt port <> None -> (
@@ -675,7 +646,7 @@ let run_command st line =
             ~port:(Option.get (int_of_string_opt port))
             ~workers ~queue
       | None -> Fmt.pr "usage: :serve <port> [workers <n>] [queue <n>]@.")
-  | ":serve" :: _ ->
+  | (":serve" | ":monitor") :: _ ->
       Fmt.pr "serving is %s (usage: :serve <port> [workers <n>] [queue <n>]|off)@."
         (match st.server with
         | Some s ->
@@ -950,6 +921,12 @@ let repl st =
 
 let main kind size seed block journal monitor_port serve_port serve_workers
     serve_queue queries =
+  if monitor_port <> None && serve_port <> None then begin
+    Fmt.epr
+      "ndqsh: --monitor and --serve both start the one server; --serve \
+       already answers every introspection route@.";
+    exit 2
+  end;
   let dir = load_directory kind size seed in
   Fmt.pr "loaded %S: %d entries (block %d)@." kind (Instance.size dir) block;
   let directory = Directory.create dir in
@@ -970,7 +947,6 @@ let main kind size seed block journal monitor_port serve_port serve_workers
       verbose = false;
       cache;
       cache_on = false;
-      monitor = None;
       server = None;
       mode = Engine.Streaming;
       planner = Engine.Auto;
@@ -983,7 +959,9 @@ let main kind size seed block journal monitor_port serve_port serve_workers
       Qlog.enable path;
       Fmt.pr "journaling to %s@." path
   | None -> ());
-  Option.iter (start_monitor st) monitor_port;
+  Option.iter
+    (fun port -> start_server st ~port ~workers:0 ~queue:serve_queue)
+    monitor_port;
   Option.iter
     (fun port ->
       start_server st ~port ~workers:serve_workers ~queue:serve_queue)
@@ -1005,8 +983,7 @@ let main kind size seed block journal monitor_port serve_port serve_workers
        Unix.sleepf 0.5
      done
    end);
-  ignore (stop_server st);
-  ignore (stop_monitor st)
+  ignore (stop_server st)
 
 open Cmdliner
 
@@ -1043,8 +1020,11 @@ let monitor_port =
     & opt (some int) None
     & info [ "monitor" ] ~docv:"PORT"
         ~doc:
-          "Serve live introspection (/metrics, /healthz, /slowlog, /trace, \
-           /planstats, /workload, /cache) on 127.0.0.1:$(docv).")
+          "Serve live introspection only (/metrics, /healthz, /slowlog, \
+           /trace, /planstats, /workload, /cache, ...) on 127.0.0.1:$(docv): \
+           the server of $(b,--serve) with zero workers, so queries are \
+           shed.  Not together with $(b,--serve), which serves the same \
+           routes.")
 
 let serve_port =
   Arg.(
@@ -1052,16 +1032,19 @@ let serve_port =
     & opt (some int) None
     & info [ "serve" ] ~docv:"PORT"
         ~doc:
-          "Start the query-serving front-end on 127.0.0.1:$(docv) (0 picks \
-           a free port): HTTP /query plus the line protocol, a worker pool \
-           and a bounded admission queue.  The process keeps serving after \
-           the REPL or $(b,--eval) queries finish, until killed.")
+          "Start the server on 127.0.0.1:$(docv) (0 picks a free port): \
+           HTTP /query plus the line protocol on a worker pool with a \
+           bounded admission queue, and every introspection route.  The \
+           process keeps serving after the REPL or $(b,--eval) queries \
+           finish, until killed.")
 
 let serve_workers =
   Arg.(
     value & opt int 4
     & info [ "workers" ] ~docv:"N"
-        ~doc:"Worker threads of the serving front-end (with $(b,--serve)).")
+        ~doc:
+          "Worker threads of the serving front-end (with $(b,--serve)); 0 \
+           serves introspection only.")
 
 let serve_queue =
   Arg.(

@@ -1,15 +1,10 @@
-(* The live introspection server: a dependency-free HTTP/1.1 endpoint
-   over Unix sockets serving the observability surface while the
-   process runs — Prometheus-style scraping instead of post-hoc files.
-
-   One accept thread serves requests serially (handlers read shared
-   single-threaded state; OCaml sys-threads interleave at safe points,
-   so a scrape sees a consistent-enough snapshot for monitoring
-   purposes and never corrupts the registry).  Built-in routes:
+(* The introspection route table: the observability surface as HTTP
+   routes, plus the minimal HTTP/1.1 plumbing (response heads, targets,
+   a loopback client) shared with the one listener, [Srv], which reads
+   every request and dispatches here for anything that is not /query.
 
      /           plain-text index of the routes
      /metrics    OpenMetrics exposition of the registry (with exemplars)
-     /healthz    {"status":"ok", uptime, served request count}
      /slowlog    the slow-query captures, JSON lines (newest threshold)
      /trace      summaries of the recent-trace ring, JSON
      /trace/<n>  the n-th recent trace (0 = newest; or a trace id —
@@ -19,29 +14,17 @@
      /range      flight-recorder range query (?metric=&agg=&window=&step=)
      /dashboard  self-contained live HTML dashboard
 
-   Extra handlers (e.g. /cache, whose stats live above this layer)
-   register with [add_handler]; they receive the full request target
-   (query string included — [split_target] parses it).  Monitoring is
-   opt-in: nothing listens until [start] is called. *)
+   /healthz is assembled by the server from [healthz_fields] plus its
+   own counters.  Route bodies may run on several session threads at
+   once: the registry, journal, trace ring, tail store and tsdb are
+   mutexed; the alert and plan-quality stores are read unlocked, which
+   sys-threads keep memory-safe and consistent enough for monitoring. *)
 
 type response = { status : int; content_type : string; body : string }
 
 let respond ?(status = 200) ?(content_type = "text/plain; charset=utf-8") body
     =
   { status; content_type; body }
-
-type t = {
-  sock : Unix.file_descr;
-  port : int;
-  registry : Metrics.t;
-  started_ns : int;
-  client_timeout : float;
-  mutable stopping : bool;
-  mutable handlers : (string * (string -> response option)) list;
-  mutable thread : Thread.t option;
-  mutable served : int;  (* total requests, for /healthz *)
-  open_conns : Metrics.gauge;
-}
 
 let reason = function
   | 200 -> "OK"
@@ -253,9 +236,10 @@ let range_response params =
                   ])))
 
 let index_body =
-  "ndq introspection server\n\
+  "ndq server\n\
+   /query?q=<query>[&deadline_ms=<n>]  evaluate (GET, or POST with the query as body)\n\
    /metrics    OpenMetrics exposition (exemplars link to retained traces)\n\
-   /healthz    liveness + uptime + journal sink\n\
+   /healthz    liveness, workers, queue, sessions, uptime, journal sink\n\
    /alerts     alert rules, states and transition history (JSON)\n\
    /slowlog    slow-query captures (JSON lines, trace_retained join)\n\
    /trace      recent traces (JSON summaries)\n\
@@ -264,79 +248,58 @@ let index_body =
    /range      flight-recorder range query: ?metric=NAME&agg=p99&window=300\n\
    /dashboard  live dashboard (self-contained HTML, inline SVG sparklines)\n\
    /planstats  plan-quality observatory: q-error summaries + calibration\n\
-   /workload   top plans by wall time (count, io, cache hit rate, worst q)\n"
+   /workload   top plans by wall time (count, io, cache hit rate, worst q)\n\
+   \n\
+   Line protocol: connect and send one query per line; rows stream\n\
+   back, each response ends with a `# status=...` trailer.\n"
 
-let builtin t path params =
+(* The introspection half of /healthz; the server appends its own
+   fields (workers, queue, sessions, uptime, request count). *)
+let healthz_fields () =
+  [
+    ("status", Json.Str "ok");
+    ( "journal",
+      Json.Obj
+        ([ ("enabled", Json.Bool (Qlog.enabled ())) ]
+        @ (match Qlog.path () with
+          | None -> []
+          | Some p -> [ ("path", Json.Str p) ])
+        @ [
+            ("sink_bytes", Json.Num (float_of_int (Qlog.sink_bytes ())));
+            ( "max_bytes",
+              match Qlog.max_bytes () with
+              | None -> Json.Null
+              | Some n -> Json.Num (float_of_int n) );
+            ("max_files", Json.Num (float_of_int (Qlog.max_files ())));
+          ]) );
+    ( "alerts_firing",
+      Json.Num (float_of_int (List.length (Alerts.firing Alerts.default))) );
+  ]
+
+(* The built-in routes on the bare path, the query string already
+   parsed into [params]; [None] means the path is not ours. *)
+let route ~registry path params =
+  let json j =
+    Some (respond ~content_type:"application/json" (Json.to_string j))
+  in
   match path with
   | "/" -> Some (respond index_body)
   | "/metrics" ->
       Some
         (respond ~content_type:Promexp.content_type_openmetrics
-           (Promexp.to_openmetrics t.registry))
+           (Promexp.to_openmetrics registry))
   | "/range" -> Some (range_response params)
   | "/dashboard" ->
       Some (respond ~content_type:"text/html; charset=utf-8" (Dashboard.page ()))
-  | "/tail" ->
-      Some
-        (respond ~content_type:"application/json"
-           (Json.to_string (tail_json ())))
-  | "/healthz" ->
-      Some
-        (respond ~content_type:"application/json"
-           (Json.to_string
-              (Json.Obj
-                 [
-                   ("status", Json.Str "ok");
-                   (* Whole seconds: a fractional uptime serializes with
-                      variable width, so a HEAD rendered moments after a GET
-                      could advertise a different Content-Length. *)
-                   ( "uptime_s",
-                     Json.Num
-                       (float_of_int
-                          ((Mclock.now_ns () - t.started_ns) / 1_000_000_000))
-                   );
-                   ("requests", Json.Num (float_of_int t.served));
-                   ( "journal",
-                     Json.Obj
-                       ([ ("enabled", Json.Bool (Qlog.enabled ())) ]
-                       @ (match Qlog.path () with
-                         | None -> []
-                         | Some p -> [ ("path", Json.Str p) ])
-                       @ [
-                           ( "sink_bytes",
-                             Json.Num (float_of_int (Qlog.sink_bytes ())) );
-                           ( "max_bytes",
-                             match Qlog.max_bytes () with
-                             | None -> Json.Null
-                             | Some n -> Json.Num (float_of_int n) );
-                           ( "max_files",
-                             Json.Num (float_of_int (Qlog.max_files ())) );
-                         ]) );
-                   ( "alerts_firing",
-                     Json.Num
-                       (float_of_int
-                          (List.length (Alerts.firing Alerts.default))) );
-                 ])))
-  | "/alerts" ->
-      Some
-        (respond ~content_type:"application/json"
-           (Json.to_string (Alerts.to_json Alerts.default)))
+  | "/tail" -> json (tail_json ())
+  | "/alerts" -> json (Alerts.to_json Alerts.default)
   | "/slowlog" ->
       Some
         (respond ~content_type:"application/x-ndjson"
            (jsonl_of_events (Qlog.slowest 64)))
-  | "/planstats" ->
-      Some
-        (respond ~content_type:"application/json"
-           (Json.to_string (Planstats.to_json Planstats.default)))
-  | "/workload" ->
-      Some
-        (respond ~content_type:"application/json"
-           (Json.to_string (Planstats.workload_json Planstats.default)))
-  | "/trace" | "/trace/" ->
-      Some
-        (respond ~content_type:"application/json"
-           (Json.to_string (trace_summaries ())))
+  | "/planstats" -> json (Planstats.to_json Planstats.default)
+  | "/workload" -> json (Planstats.workload_json Planstats.default)
+  | "/trace" | "/trace/" -> json (trace_summaries ())
   | path when String.length path > 7 && String.sub path 0 7 = "/trace/" -> (
       let sel = String.sub path 7 (String.length path - 7) in
       match find_trace sel with
@@ -344,92 +307,38 @@ let builtin t path params =
           Some
             (respond ~content_type:"application/json"
                (Chrome_trace.to_string [ span ]))
-      | None ->
-          Some
-            (respond ~status:404 (Printf.sprintf "no trace %S\n" sel)))
+      | None -> Some (respond ~status:404 (Printf.sprintf "no trace %S\n" sel)))
   | _ -> None
 
 (* --- HTTP plumbing -------------------------------------------------------- *)
 
 (* Self-metrics label the first path segment only (so /trace/<n> stays
-   one series) and the response status; the endpoint observing itself
-   is the first thing an operator checks when scrapes look wrong. *)
+   one series) and the response status; the introspection surface
+   observing itself is the first thing an operator checks when scrapes
+   look wrong. *)
 let route_label path =
   match String.index_from_opt path 1 '/' with
   | Some i -> String.sub path 0 i
   | None -> path
   | exception Invalid_argument _ -> path
 
-let observe_request t ~route ~status ~ns =
-  t.served <- t.served + 1;
+let observe ~registry ~path ~status ~ns =
+  let route = route_label path in
   Metrics.incr
-    (Metrics.counter ~registry:t.registry
-       ~help:"requests served by the introspection endpoint"
+    (Metrics.counter ~registry
+       ~help:"requests served by the introspection routes"
        ~labels:[ ("route", route); ("status", string_of_int status) ]
        "monitor_requests_total");
   Metrics.observe_ns
-    (Metrics.histogram ~registry:t.registry
+    (Metrics.histogram ~registry
        ~help:"wall nanoseconds per introspection request"
        ~labels:[ ("route", route) ]
        "monitor_request_ns")
     ns
 
-(* Registered handlers see the full target (query string included);
-   the builtins route on the bare path with the query string parsed
-   into params. *)
-let handle t target =
-  let path, params = split_target target in
-  let rec try_handlers = function
-    | [] -> (
-        match builtin t path params with
-        | Some r -> r
-        | None -> respond ~status:404 (Printf.sprintf "no route %s\n" path))
-    | (_, h) :: rest -> (
-        match h target with Some r -> r | None -> try_handlers rest)
-  in
-  try try_handlers t.handlers
-  with e ->
-    respond ~status:500
-      (Printf.sprintf "handler error: %s\n" (Printexc.to_string e))
-
-let read_request fd =
-  (* Read until the blank line ending the header block (we never expect
-     bodies), bounded so a misbehaving client can't grow the buffer. *)
-  let b = Buffer.create 256 in
-  let chunk = Bytes.create 1024 in
-  let rec fill () =
-    if Buffer.length b < 16_384 then begin
-      let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-      if n > 0 then begin
-        Buffer.add_subbytes b chunk 0 n;
-        let text = Buffer.contents b in
-        let done_ =
-          (* header terminator seen? *)
-          let rec scan i =
-            i + 3 < String.length text
-            && ((text.[i] = '\r' && text.[i + 1] = '\n' && text.[i + 2] = '\r'
-                 && text.[i + 3] = '\n')
-               || scan (i + 1))
-          in
-          scan 0
-        in
-        if not done_ then fill ()
-      end
-    end
-  in
-  (try fill () with Unix.Unix_error _ -> ());
-  let text = Buffer.contents b in
-  match String.index_opt text '\n' with
-  | None -> None
-  | Some i -> (
-      let line = String.trim (String.sub text 0 i) in
-      match String.split_on_char ' ' line with
-      | meth :: target :: _ when meth <> "" -> Some (meth, target)
-      | _ -> None)
-
-(* The response head alone — shared with the serving front-end, whose
-   streamed responses send a head with no [Content-Length] (the body is
-   EOF-delimited) followed by rows as they are produced. *)
+(* The response head alone: streamed /query responses send a head with
+   no [Content-Length] (the body is EOF-delimited) followed by rows as
+   they are produced. *)
 let http_head ?(content_type = "text/plain; charset=utf-8") ?(headers = [])
     ?content_length status =
   let b = Buffer.create 128 in
@@ -457,104 +366,6 @@ let write_response fd ~head_only { status; content_type; body } =
       if n > 0 then write_all (off + n)
   in
   try write_all 0 with Unix.Unix_error _ -> ()
-
-let serve_client t fd =
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      (* Per-connection send/receive deadlines: a stalled client times
-         out instead of wedging the single accept thread. *)
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.client_timeout;
-      Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.client_timeout;
-      let t0 = Mclock.now_ns () in
-      let finish ~route response head_only =
-        write_response fd ~head_only response;
-        observe_request t ~route ~status:response.status
-          ~ns:(Mclock.now_ns () - t0)
-      in
-      match read_request fd with
-      | None -> finish ~route:"(bad)" (respond ~status:400 "bad request\n") false
-      | Some (meth, target) when meth = "GET" || meth = "HEAD" ->
-          (* HEAD gets the same status/headers as GET, body withheld;
-             Content-Length still names the GET body's size, as the
-             spec wants. *)
-          finish
-            ~route:(route_label (fst (split_target target)))
-            (handle t target) (meth = "HEAD")
-      | Some (meth, target) ->
-          finish
-            ~route:(route_label (fst (split_target target)))
-            (respond ~status:405
-               (Printf.sprintf "method %s not allowed (GET, HEAD)\n" meth))
-            false)
-
-let accept_loop t =
-  while not t.stopping do
-    match Unix.accept t.sock with
-    | client, _ ->
-        if t.stopping then (try Unix.close client with Unix.Unix_error _ -> ())
-        else begin
-          Metrics.set t.open_conns 1.;
-          (try serve_client t client with _ -> ());
-          Metrics.set t.open_conns 0.
-        end
-    | exception Unix.Unix_error _ -> ()  (* stop() closes the socket *)
-  done
-
-(* --- Lifecycle ------------------------------------------------------------ *)
-
-let start ?(registry = Metrics.default) ?(client_timeout_s = 2.) ~port () =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt sock Unix.SO_REUSEADDR true;
-     Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-     Unix.listen sock 16
-   with e ->
-     (try Unix.close sock with Unix.Unix_error _ -> ());
-     raise e);
-  let port =
-    match Unix.getsockname sock with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
-  in
-  let t =
-    {
-      sock;
-      port;
-      registry;
-      started_ns = Mclock.now_ns ();
-      client_timeout = (if client_timeout_s > 0. then client_timeout_s else 2.);
-      stopping = false;
-      handlers = [];
-      thread = None;
-      served = 0;
-      open_conns =
-        Metrics.gauge ~registry
-          ~help:"connections the introspection endpoint is serving"
-          "monitor_open_connections";
-    }
-  in
-  t.thread <- Some (Thread.create accept_loop t);
-  t
-
-let port t = t.port
-
-let add_handler t name h = t.handlers <- t.handlers @ [ (name, h) ]
-
-let stop t =
-  if not t.stopping then begin
-    t.stopping <- true;
-    (* wake a blocked accept with a throwaway connection *)
-    (try
-       let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-       Fun.protect
-         ~finally:(fun () -> try Unix.close s with Unix.Unix_error _ -> ())
-         (fun () ->
-           Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, t.port)))
-     with Unix.Unix_error _ -> ());
-    Option.iter Thread.join t.thread;
-    try Unix.close t.sock with Unix.Unix_error _ -> ()
-  end
 
 (* --- A minimal loopback client ---------------------------------------------- *)
 

@@ -1,74 +1,52 @@
-(** The live introspection server: a dependency-free HTTP endpoint over
-    [Unix] sockets, serving the observability surface while the process
-    runs.
+(** The introspection route table: the observability surface as HTTP
+    routes, served by the one listener, {!Srv}, which reads every
+    request and hands any path other than [/query] to its registered
+    handlers and then to {!route}.  [Monitor] owns no socket and no
+    thread.
 
-    Built-in routes: [/] (index), [/metrics] (OpenMetrics exposition
-    of the registry, histogram exemplars included), [/healthz]
-    (liveness JSON: uptime, request count, journal sink size and
-    rotation limits, firing-alert count), [/alerts] (the default
-    {!Alerts} evaluator's rules, states and transition history as
-    JSON), [/slowlog] (slow-query captures as JSON lines, each
-    annotated with whether its trace is tail-retained), [/trace]
-    (recent trace summaries), [/trace/<sel>] (one trace as Chrome
-    trace-event JSON; [sel] is an index into the recent ring, a trace
-    id — tail-retained ids resolve too — or [last]), [/tail] (the
-    {!Tail} sampler's retained traces), [/range] (a {!Tsdb} range
-    query: [?metric=NAME&agg=p99&window=300&step=2], extra params act
-    as label matchers), [/dashboard] (the self-contained live HTML
-    dashboard), [/planstats] (the default {!Planstats} store's q-error
-    summaries + calibration) and [/workload] (its top plans by wall
-    time).  Layers above [lib/obs] add their own routes (the shell
-    registers [/cache]) with {!add_handler}.
+    Built-in routes: [/] (index of every route the server answers),
+    [/metrics] (OpenMetrics exposition of the registry, histogram
+    exemplars included), [/alerts] (the default {!Alerts} evaluator's
+    rules, states and transition history as JSON), [/slowlog]
+    (slow-query captures as JSON lines, each annotated with whether
+    its trace is tail-retained), [/trace] (recent trace summaries),
+    [/trace/<sel>] (one trace as Chrome trace-event JSON; [sel] is an
+    index into the recent ring, a trace id — tail-retained ids resolve
+    too — or [last]), [/tail] (the {!Tail} sampler's retained traces),
+    [/range] (a {!Tsdb} range query:
+    [?metric=NAME&agg=p99&window=300&step=2], extra params act as label
+    matchers), [/dashboard] (the self-contained live HTML dashboard),
+    [/planstats] (the default {!Planstats} store's q-error summaries +
+    calibration) and [/workload] (its top plans by wall time).
+    [/healthz] is the server's: {!healthz_fields} plus its own
+    counters.
 
-    The endpoint observes itself:
+    The routes observe themselves through {!observe}:
     [monitor_requests_total{route,status}] counters and a
-    [monitor_request_ns{route}] histogram (routes truncated to their
-    first path segment), plus a [monitor_open_connections] gauge.
-    Each connection gets send/receive deadlines so one stalled client
-    cannot wedge the accept thread past the timeout.
-
-    [GET] and [HEAD] are served (HEAD returns the GET response's
-    headers — [Content-Length] included — with the body withheld);
-    every other method gets a [405], and every response, errors
-    included, carries [Content-Length].
-
-    The accept loop runs in one system thread and serves requests
-    serially; handlers read the process's single-threaded observability
-    state, which is safe for monitoring reads.  Monitoring is opt-in:
-    nothing listens until {!start}. *)
-
-type t
+    [monitor_request_ns{route}] histogram, routes truncated to their
+    first path segment. *)
 
 type response = { status : int; content_type : string; body : string }
 
 val respond : ?status:int -> ?content_type:string -> string -> response
 (** [status] defaults to 200, [content_type] to [text/plain]. *)
 
-val start :
-  ?registry:Metrics.t -> ?client_timeout_s:float -> port:int -> unit -> t
-(** Bind the loopback interface on [port] (0 picks a free port — see
-    {!port}) and start serving.  [registry] defaults to
-    {!Metrics.default}; [client_timeout_s] (default 2.0) sets each
-    connection's send/receive deadline.
-    @raise Unix.Unix_error when the port is taken. *)
+val route :
+  registry:Metrics.t -> string -> (string * string) list -> response option
+(** [route ~registry path params] answers a built-in route ([/metrics]
+    exposes [registry]); [None] when [path] is not one. *)
 
-val port : t -> int
-(** The bound port (useful after [start ~port:0]). *)
+val healthz_fields : unit -> (string * Json.t) list
+(** The introspection part of [/healthz]: [status], [journal] (sink
+    size and rotation limits) and [alerts_firing]. *)
 
-val stop : t -> unit
-(** Stop serving, join the accept thread and close the socket.
-    Idempotent. *)
-
-val add_handler : t -> string -> (string -> response option) -> unit
-(** [add_handler t name fn] consults [fn] with each request target
-    (query string included — {!split_target} parses it) before the
-    built-in routes; [None] falls through.  [name] only labels the
-    handler. *)
+val observe : registry:Metrics.t -> path:string -> status:int -> ns:int -> unit
+(** Count one request answered by the route table in
+    [monitor_requests_total] and [monitor_request_ns]. *)
 
 val split_target : string -> string * (string * string) list
 (** [split_target "/p?a=1&b=x%20y"] is [("/p", [("a","1"); ("b","x y")])]:
-    the path and the url-decoded query parameters in order.  Shared
-    with the serving front-end's request parsing. *)
+    the path and the url-decoded query parameters in order. *)
 
 val url_decode : string -> string
 
@@ -92,11 +70,7 @@ val request :
     [meth] defaults to ["GET"].
     @raise Unix.Unix_error when nothing listens. *)
 
-(** {1 HTTP plumbing shared with the serving front-end}
-
-    [lib/srv] speaks the same minimal HTTP/1.1 as this endpoint; it
-    reuses the head builder and response writer rather than growing a
-    second implementation. *)
+(** {1 Response writing} *)
 
 val http_head :
   ?content_type:string ->
@@ -110,5 +84,5 @@ val http_head :
 
 val write_response : Unix.file_descr -> head_only:bool -> response -> unit
 (** Write a complete (head + body) response; [head_only] withholds the
-    body (HEAD).  Write errors are swallowed — the peer hanging up
-    mid-response is its own problem. *)
+    body (HEAD) but keeps [Content-Length].  Write errors are swallowed
+    — the peer hanging up mid-response is its own problem. *)

@@ -31,8 +31,8 @@
 
    Thread safety: one mutex per store guards the ring, the
    previous-cumulative tables and the sampler handle; [sample] and
-   [range] interleave freely from the sampler thread and the monitor's
-   accept thread. *)
+   [range] interleave freely from the sampler thread and the server's
+   session threads. *)
 
 type labels = Metrics.labels
 

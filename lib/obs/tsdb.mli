@@ -22,7 +22,7 @@
     byte-identically.
 
     All operations are thread-safe; [sample] (from the sampler thread)
-    and [range] (from the monitor's accept thread) interleave freely. *)
+    and [range] (from the server's session threads) interleave freely. *)
 
 type t
 

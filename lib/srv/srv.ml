@@ -1,9 +1,12 @@
-(* The concurrent query-serving front-end.
+(* The one listener: the query-serving front-end, which also answers
+   every introspection route on the same port.
 
    One listening socket accepts both protocols: the first line of a
    connection is sniffed — `GET /query?... HTTP/1.1` marks HTTP, any
    other line starts the line-oriented text protocol (one query per
    line, rows streamed back, a `# status=...` trailer per query).
+   HTTP paths other than /query go through the router: registered
+   handlers, then /healthz and Monitor's route table.
    Each connection gets a session thread that parses requests and
    submits them to a bounded admission queue; a fixed pool of worker
    threads — each owning its own [Engine] over the shared read-only
@@ -20,11 +23,13 @@
    query is still running, so time-to-first-row is independent of
    result size.
 
-   Instrumented end to end: srv_requests_total{route,status},
-   srv_request_ns{route} (admission to completion — queue wait
-   included, which is what an SLO on served latency must measure),
-   srv_queue_depth, srv_sessions, srv_shed_total; each executed query
-   journals a Qlog event carrying a fresh trace id. *)
+   Instrumented end to end: query requests count in
+   srv_requests_total{route,status} and srv_request_ns{route}
+   (admission to completion — queue wait included, which is what an
+   SLO on served latency must measure); routed requests count in
+   Monitor's monitor_* series; srv_queue_depth, srv_sessions,
+   srv_shed_total; each executed query journals a Qlog event carrying
+   a fresh trace id. *)
 
 type status = S_ok | S_error of string | S_busy | S_deadline
 
@@ -44,6 +49,9 @@ type t = {
   queue_cap : int;
   n_workers : int;
   deadline_ns : int;  (* default per-request budget *)
+  started_ns : int;
+  served : int Atomic.t;  (* requests answered, for /healthz *)
+  mutable handlers : (string * (string -> Monitor.response option)) list;
   mutable stopping : bool;
   queue : job Queue.t;
   qmu : Mutex.t;
@@ -58,6 +66,7 @@ type t = {
 }
 
 let observe ?trace_id t ~route ~status ~ns =
+  Atomic.incr t.served;
   Metrics.incr
     (Metrics.counter ~registry:t.registry
        ~help:"requests handled by the serving front-end"
@@ -76,9 +85,12 @@ let set_depth t n = Metrics.set t.g_depth (float_of_int n)
 
 type admission = Admitted of job | Shed
 
+(* With no workers (a monitor-only server) nothing would ever run a
+   job, so every query is shed. *)
 let submit t run =
   Mutex.lock t.qmu;
-  if t.stopping || Queue.length t.queue >= t.queue_cap then begin
+  if t.stopping || t.n_workers = 0 || Queue.length t.queue >= t.queue_cap
+  then begin
     Mutex.unlock t.qmu;
     Metrics.incr t.c_shed;
     Shed
@@ -140,9 +152,18 @@ let write_all fd s =
     true
   with Unix.Unix_error _ -> false
 
-(* A buffered reader over a socket with a short receive timeout: reads
-   poll every half second so a session blocked on an idle client still
-   notices [stopping] and exits promptly. *)
+(* The limits of the one reader.  Line-protocol sessions may idle
+   forever (reads poll every [poll_s] so a blocked session still
+   notices [stopping]); an HTTP head — request line plus headers — is
+   bounded in size and in time from the request line to the blank
+   line.  Past a head limit the request is answered 400 and closed. *)
+let poll_s = 0.5
+let send_timeout_s = 5.
+let line_max = 65_536
+let body_max = 1_048_576
+let head_max = 16_384
+let head_deadline_ns = 2_000_000_000
+
 type reader = {
   fd : Unix.file_descr;
   buf : Buffer.t;
@@ -170,9 +191,9 @@ let refill t r =
         false
   end
 
-(* One line, newline stripped (CR too); [None] at EOF/stop.  Bounded so
-   a misbehaving client cannot grow the buffer without limit. *)
-let read_line t r =
+(* One line, newline stripped (CR too); [None] at EOF/stop, once the
+   unterminated line outgrows [max] bytes, or past [deadline]. *)
+let read_line ?deadline ?(max = line_max) t r =
   let rec go () =
     let text = Buffer.contents r.buf in
     match String.index_opt text '\n' with
@@ -188,7 +209,10 @@ let read_line t r =
         in
         Some line
     | None ->
-        if Buffer.length r.buf > 65_536 then None
+        if Buffer.length r.buf > max then None
+        else if
+          match deadline with Some d -> Mclock.now_ns () > d | None -> false
+        then None
         else if refill t r then go ()
         else None
   in
@@ -203,17 +227,11 @@ let read_exact t r n =
       Buffer.add_string r.buf (String.sub text n (String.length text - n));
       Some body
     end
-    else if n > 1_048_576 then None
+    else if n > body_max then None
     else if refill t r then go ()
     else None
   in
   go ()
-
-(* --- Request text --------------------------------------------------------- *)
-
-(* Target parsing (path + url-decoded query params) is shared with the
-   introspection endpoint — one HTTP dialect, one parser. *)
-let split_target = Monitor.split_target
 
 (* --- Execution ------------------------------------------------------------ *)
 
@@ -420,40 +438,83 @@ let serve_query t fd ~route ~write_head ~deadline_ns query_text =
 
 (* --- The HTTP face --------------------------------------------------------- *)
 
-let index_body =
-  "ndq serving front-end\n\
-   /query?q=<query>[&deadline_ms=<n>]   evaluate (GET or POST, body = query)\n\
-   /healthz                             liveness JSON\n\
-   \n\
-   Line protocol: connect and send one query per line; rows stream\n\
-   back, each response ends with a `# status=...` trailer.\n"
+(* The rest of the head after the request line: the Content-Length it
+   declares (0 when none), or [None] when the head breaks a limit or
+   the client goes away first. *)
+let read_head t r ~request_line =
+  let deadline = Mclock.now_ns () + head_deadline_ns in
+  let rec go budget length =
+    if budget < 0 then None
+    else
+      match read_line ~deadline ~max:budget t r with
+      | None -> None
+      | Some "" -> Some length
+      | Some line ->
+          let length =
+            match String.index_opt line ':' with
+            | Some i
+              when String.lowercase_ascii (String.trim (String.sub line 0 i))
+                   = "content-length" ->
+                let v = String.sub line (i + 1) (String.length line - i - 1) in
+                Option.value ~default:length (int_of_string_opt (String.trim v))
+            | _ -> length
+          in
+          go (budget - String.length line - 2) length
+  in
+  go (head_max - String.length request_line - 2) 0
 
-let healthz_body t =
-  Json.to_string
-    (Json.Obj
-       [
-         ("status", Json.Str "ok");
-         ("workers", Json.Num (float_of_int t.n_workers));
-         ( "queue_depth",
-           Json.Num
-             (float_of_int
-                (Mutex.lock t.qmu;
-                 let n = Queue.length t.queue in
-                 Mutex.unlock t.qmu;
-                 n)) );
-         ( "sessions",
-           Json.Num
-             (float_of_int
-                (Mutex.lock t.smu;
-                 let n = Hashtbl.length t.sessions in
-                 Mutex.unlock t.smu;
-                 n)) );
-       ])
+let locked mu f =
+  Mutex.lock mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
-let respond_simple t fd ~route response =
-  let t0 = Mclock.now_ns () in
-  Monitor.write_response fd ~head_only:false response;
-  observe t ~route ~status:response.Monitor.status ~ns:(Mclock.now_ns () - t0)
+let healthz t =
+  let num n = Json.Num (float_of_int n) in
+  Monitor.respond ~content_type:"application/json"
+    (Json.to_string
+       (Json.Obj
+          (Monitor.healthz_fields ()
+          @ [
+              ("workers", num t.n_workers);
+              ("queue_depth", num (locked t.qmu (fun () -> Queue.length t.queue)));
+              ("sessions", num (locked t.smu (fun () -> Hashtbl.length t.sessions)));
+              (* Whole seconds: a fractional uptime serializes with
+                 variable width, so a HEAD rendered moments after a GET
+                 could advertise a different Content-Length. *)
+              ("uptime_s", num ((Mclock.now_ns () - t.started_ns) / 1_000_000_000));
+              ("requests", num (Atomic.get t.served));
+            ])))
+
+(* Every path but /query: the registered handlers first (they see the
+   full target, query string included), then /healthz and the
+   introspection routes, then 404. *)
+let route t target =
+  let path, params = Monitor.split_target target in
+  let rec go = function
+    | (_, h) :: rest -> ( match h target with Some r -> r | None -> go rest)
+    | [] -> (
+        match
+          if path = "/healthz" then Some (healthz t)
+          else Monitor.route ~registry:t.registry path params
+        with
+        | Some r -> r
+        | None -> Monitor.respond ~status:404 (Printf.sprintf "no route %s\n" path))
+  in
+  try go t.handlers
+  with e ->
+    Monitor.respond ~status:500
+      (Printf.sprintf "handler error: %s\n" (Printexc.to_string e))
+
+(* A complete response, HEAD withholding the body but keeping its
+   Content-Length.  Answers on /query (errors) count as query requests,
+   every other route under monitor_*. *)
+let answer t fd ~t0 ~path ?(head_only = false) response =
+  Monitor.write_response fd ~head_only response;
+  let status = response.Monitor.status and ns = Mclock.now_ns () - t0 in
+  if path = "/query" then observe t ~route:path ~status ~ns
+  else begin
+    Atomic.incr t.served;
+    Monitor.observe ~registry:t.registry ~path ~status ~ns
+  end
 
 (* Streamed /query head: no Content-Length, the body is EOF-delimited;
    busy additionally advertises Retry-After, the explicit backpressure
@@ -463,76 +524,42 @@ let query_head status =
   Monitor.http_head ~content_type:"text/plain; charset=utf-8" ~headers
     (http_code status)
 
-let handle_http t fd r first_line =
-  match String.split_on_char ' ' first_line with
-  | meth :: target :: _ -> (
-      (* drain headers; keep Content-Length for the body *)
-      let content_length = ref 0 in
-      let rec headers () =
-        match read_line t r with
-        | None | Some "" -> ()
-        | Some line ->
-            (match String.index_opt line ':' with
-            | Some i
-              when String.lowercase_ascii (String.trim (String.sub line 0 i))
-                   = "content-length" -> (
-                match
-                  int_of_string_opt
-                    (String.trim
-                       (String.sub line (i + 1) (String.length line - i - 1)))
-                with
-                | Some n -> content_length := n
-                | None -> ())
-            | _ -> ());
-            headers ()
-      in
-      headers ();
-      let body =
-        if !content_length > 0 then
-          Option.value ~default:"" (read_exact t r !content_length)
-        else ""
-      in
-      let path, params = split_target target in
-      match (meth, path) with
-      | ("GET" | "HEAD"), "/" ->
-          respond_simple t fd ~route:"/" (Monitor.respond index_body)
-      | ("GET" | "HEAD"), "/healthz" ->
-          respond_simple t fd ~route:"/healthz"
-            (Monitor.respond ~content_type:"application/json" (healthz_body t))
-      | ("GET" | "POST"), "/query" -> (
-          let query_text =
-            if body <> "" then String.trim body
-            else
-              match List.assoc_opt "q" params with
-              | Some q -> String.trim q
-              | None -> ""
-          in
-          let deadline_ns =
-            match List.assoc_opt "deadline_ms" params with
-            | Some s -> (
-                match int_of_string_opt s with
-                | Some ms when ms > 0 -> ms * 1_000_000
-                | _ -> t.deadline_ns)
-            | None -> t.deadline_ns
-          in
-          match query_text with
-          | "" ->
-              respond_simple t fd ~route:"/query"
-                (Monitor.respond ~status:400
-                   "missing query: GET /query?q=... or POST the query text\n")
-          | q -> serve_query t fd ~route:"/query" ~write_head:query_head
-                   ~deadline_ns q)
-      | _, ("/" | "/healthz" | "/query") ->
-          respond_simple t fd ~route:path
+let handle_query t fd r ~answer ~length params =
+  let body =
+    if length > 0 then Option.value ~default:"" (read_exact t r length) else ""
+  in
+  let query_text =
+    if body <> "" then String.trim body
+    else Option.fold ~none:"" ~some:String.trim (List.assoc_opt "q" params)
+  in
+  let deadline_ns =
+    match Option.bind (List.assoc_opt "deadline_ms" params) int_of_string_opt with
+    | Some ms when ms > 0 -> ms * 1_000_000
+    | _ -> t.deadline_ns
+  in
+  match query_text with
+  | "" ->
+      answer
+        (Monitor.respond ~status:400
+           "missing query: GET /query?q=... or POST the query text\n")
+  | q -> serve_query t fd ~route:"/query" ~write_head:query_head ~deadline_ns q
+
+let handle_http t fd r request_line =
+  let t0 = Mclock.now_ns () in
+  match (String.split_on_char ' ' request_line, read_head t r ~request_line) with
+  | meth :: target :: _, Some length -> (
+      let path, params = Monitor.split_target target in
+      let answer = answer t fd ~t0 ~path in
+      match (meth, path = "/query") with
+      | ("GET" | "POST"), true -> handle_query t fd r ~answer ~length params
+      | ("GET" | "HEAD"), false ->
+          answer ~head_only:(meth = "HEAD") (route t target)
+      | _, query ->
+          answer
             (Monitor.respond ~status:405
-               (Printf.sprintf "method %s not allowed\n" meth))
-      | _ ->
-          respond_simple t fd ~route:"(other)"
-            (Monitor.respond ~status:404
-               (Printf.sprintf "no route %s\n" path)))
-  | _ ->
-      respond_simple t fd ~route:"(bad)"
-        (Monitor.respond ~status:400 "bad request\n")
+               (Printf.sprintf "method %s not allowed (%s)\n" meth
+                  (if query then "GET, POST" else "GET, HEAD"))))
+  | _ -> answer t fd ~t0 ~path:"(bad)" (Monitor.respond ~status:400 "bad request\n")
 
 (* --- The line-protocol face ------------------------------------------------ *)
 
@@ -583,8 +610,8 @@ let session t fd =
       try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       (try
-         Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.5;
-         Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.
+         Unix.setsockopt_float fd Unix.SO_RCVTIMEO poll_s;
+         Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout_s
        with Unix.Unix_error _ -> ());
       let r = reader fd in
       match read_line t r with
@@ -615,7 +642,7 @@ let accept_loop t () =
 
 let start ?(registry = Metrics.default) ?(workers = 4) ?(queue = 64)
     ?(deadline_ms = 5_000) ?(port = 0) ~make_engine () =
-  if workers < 1 then invalid_arg "Srv.start: workers must be positive";
+  if workers < 0 then invalid_arg "Srv.start: workers must not be negative";
   if queue < 1 then invalid_arg "Srv.start: queue must be positive";
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
@@ -636,6 +663,9 @@ let start ?(registry = Metrics.default) ?(workers = 4) ?(queue = 64)
       queue_cap = queue;
       n_workers = workers;
       deadline_ns = deadline_ms * 1_000_000;
+      started_ns = Mclock.now_ns ();
+      served = Atomic.make 0;
+      handlers = [];
       stopping = false;
       queue = Queue.create ();
       qmu = Mutex.create ();
@@ -663,19 +693,11 @@ let start ?(registry = Metrics.default) ?(workers = 4) ?(queue = 64)
 
 let port t = t.port
 let workers t = t.n_workers
+let add_handler t name h = t.handlers <- t.handlers @ [ (name, h) ]
 let queue_capacity t = t.queue_cap
 
-let queue_depth t =
-  Mutex.lock t.qmu;
-  let n = Queue.length t.queue in
-  Mutex.unlock t.qmu;
-  n
-
-let session_count t =
-  Mutex.lock t.smu;
-  let n = Hashtbl.length t.sessions in
-  Mutex.unlock t.smu;
-  n
+let queue_depth t = locked t.qmu (fun () -> Queue.length t.queue)
+let session_count t = locked t.smu (fun () -> Hashtbl.length t.sessions)
 
 let stop t =
   if not t.stopping then begin

@@ -21,6 +21,13 @@ let engine ?(block = 8) ?(window = 2) ?(with_attr_index = true) ?mode
   Engine.create ~block ~window ~with_attr_index ?mode ?planner ?directory
     instance
 
+(* A monitor-only server on a free port: zero workers, so no engine is
+   ever made and only the introspection routes answer. *)
+let start_monitor ?registry () =
+  Srv.start ?registry ~workers:0
+    ~make_engine:(fun () -> invalid_arg "monitor-only server")
+    ()
+
 (* --- QCheck generators -------------------------------------------------- *)
 
 open QCheck2

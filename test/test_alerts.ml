@@ -435,11 +435,11 @@ let test_qlog_max_files () =
 
 let test_monitor_alerts_route () =
   Alerts.install_defaults ();
-  let m = Monitor.start ~port:0 () in
+  let m = Testkit.start_monitor () in
   Fun.protect
-    ~finally:(fun () -> Monitor.stop m)
+    ~finally:(fun () -> Srv.stop m)
     (fun () ->
-      let port = Monitor.port m in
+      let port = Srv.port m in
       let status, body = Monitor.get ~port "/alerts" in
       Alcotest.(check int) "alerts 200" 200 status;
       let doc = Json.of_string body in
@@ -458,13 +458,13 @@ let test_monitor_alerts_route () =
         (contains metrics "monitor_request_ns"))
 
 let test_monitor_slow_client_cannot_wedge () =
-  let m = Monitor.start ~port:0 ~client_timeout_s:0.2 () in
+  let m = Testkit.start_monitor () in
   Fun.protect
-    ~finally:(fun () -> Monitor.stop m)
+    ~finally:(fun () -> Srv.stop m)
     (fun () ->
-      let port = Monitor.port m in
-      (* a client that connects and never sends its request line: the
-         receive deadline must shed it so the serial accept loop moves on *)
+      let port = Srv.port m in
+      (* a client that connects and never sends its request line must
+         not keep the others from being served *)
       let stalled = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.connect stalled
         (Unix.ADDR_INET (Unix.inet_addr_loopback, port));

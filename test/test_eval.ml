@@ -582,7 +582,12 @@ let rec apply_update d fresh = function
       incr fresh;
       let dn = nth_dn d i in
       let new_superior = Option.map (nth_dn d) sup in
+      (* Only an existing entry can be moved below itself: once the
+         stream has emptied the directory, [nth_dn] falls back to the
+         root, which is not an entry, and [No_such_entry] comes first. *)
       let below_itself =
+        Directory.mem d dn
+        &&
         match new_superior with
         | Some s -> Dn.is_self_or_descendant_of ~descendant:s ~ancestor:dn
         | None -> false

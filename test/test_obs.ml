@@ -907,11 +907,11 @@ let test_qlog_trace_id_roundtrip () =
 (* --- Monitor ------------------------------------------------------------------- *)
 
 let test_monitor_routes () =
-  let m = Monitor.start ~port:0 () in
+  let m = Testkit.start_monitor () in
   Fun.protect
-    ~finally:(fun () -> Monitor.stop m)
+    ~finally:(fun () -> Srv.stop m)
     (fun () ->
-      let port = Monitor.port m in
+      let port = Srv.port m in
       let status, body = Monitor.get ~port "/healthz" in
       Alcotest.(check int) "healthz 200" 200 status;
       Alcotest.(check string) "healthz ok" "ok"
@@ -923,7 +923,7 @@ let test_monitor_routes () =
       ignore (parse_samples body);
       let status, _ = Monitor.get ~port "/nope" in
       Alcotest.(check int) "unknown route 404" 404 status;
-      Monitor.add_handler m "cache" (fun path ->
+      Srv.add_handler m "cache" (fun path ->
           if path = "/cache" then
             Some
               (Monitor.respond ~content_type:"application/json" "{\"hits\":0}")
@@ -934,16 +934,16 @@ let test_monitor_routes () =
       let status, _ = Monitor.get ~port "/trace" in
       Alcotest.(check int) "trace index 200" 200 status);
   (* stop is idempotent *)
-  Monitor.stop m
+  Srv.stop m
 
 let test_monitor_trace_route () =
   with_tracing (fun () ->
       Trace.with_span "query" (fun () -> Trace.with_span "child" (fun () -> ()));
-      let m = Monitor.start ~port:0 () in
+      let m = Testkit.start_monitor () in
       Fun.protect
-        ~finally:(fun () -> Monitor.stop m)
+        ~finally:(fun () -> Srv.stop m)
         (fun () ->
-          let port = Monitor.port m in
+          let port = Srv.port m in
           let status, body = Monitor.get ~port "/trace/last" in
           Alcotest.(check int) "trace/last 200" 200 status;
           let events =

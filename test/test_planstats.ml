@@ -1,7 +1,7 @@
 (* Tests for the plan-quality observatory: q-error arithmetic, bucket
    boundaries, calibration persistence, the online==offline rebuild
-   guarantee, and the monitor's /planstats, /workload, HEAD and 405
-   handling. *)
+   guarantee, and the /planstats, /workload, HEAD and 405 handling of
+   the server's introspection routes. *)
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -158,11 +158,11 @@ let test_monitor_planstats_routes () =
   Planstats.clear Planstats.default;
   Planstats.note_event Planstats.default
     (mk_event ~est_card:4 ~card:8 ~reads:2 ~writes:0 ());
-  let m = Monitor.start ~port:0 () in
+  let m = Testkit.start_monitor () in
   Fun.protect
-    ~finally:(fun () -> Monitor.stop m)
+    ~finally:(fun () -> Srv.stop m)
     (fun () ->
-      let port = Monitor.port m in
+      let port = Srv.port m in
       let status, headers, body = Monitor.request ~port "/planstats" in
       Alcotest.(check int) "/planstats 200" 200 status;
       Alcotest.(check string) "json" "application/json"
@@ -176,40 +176,64 @@ let test_monitor_planstats_routes () =
       check_content_length headers body;
       Alcotest.(check bool) "has rows" true (contains body "\"rows\""))
 
+(* GET/HEAD/405 on the routes, against a monitor-only server and a
+   serving one: one router answers both. *)
+let check_head_and_405 srv =
+  let port = Srv.port srv in
+  (* HEAD = GET minus the body, Content-Length preserved *)
+  let gstatus, gheaders, gbody = Monitor.request ~port "/healthz" in
+  let hstatus, hheaders, hbody =
+    Monitor.request ~meth:"HEAD" ~port "/healthz"
+  in
+  Alcotest.(check int) "HEAD status matches GET" gstatus hstatus;
+  Alcotest.(check string) "HEAD body empty" "" hbody;
+  Alcotest.(check bool) "GET body nonempty" true (String.length gbody > 0);
+  Alcotest.(check string) "HEAD advertises GET's length"
+    (header gheaders "content-length")
+    (header hheaders "content-length");
+  let status, headers, body = Monitor.request ~meth:"HEAD" ~port "/" in
+  Alcotest.(check int) "HEAD / 200" 200 status;
+  Alcotest.(check string) "HEAD / body empty" "" body;
+  Alcotest.(check bool) "HEAD / has a length" true
+    (int_of_string (header headers "content-length") > 0);
+  (* errors carry Content-Length too, on both methods *)
+  let status, headers, body = Monitor.request ~port "/nope" in
+  Alcotest.(check int) "GET 404" 404 status;
+  check_content_length headers body;
+  let status, headers, body = Monitor.request ~meth:"HEAD" ~port "/nope" in
+  Alcotest.(check int) "HEAD 404" 404 status;
+  Alcotest.(check string) "404 HEAD body empty" "" body;
+  Alcotest.(check bool) "404 HEAD has a length" true
+    (int_of_string (header headers "content-length") > 0);
+  (* anything but GET/HEAD is 405 *)
+  let status, headers, body = Monitor.request ~meth:"POST" ~port "/metrics" in
+  Alcotest.(check int) "POST 405" 405 status;
+  check_content_length headers body;
+  Alcotest.(check bool) "405 names the allowed methods" true
+    (contains body "GET")
+
 let test_monitor_head_and_405 () =
-  let m = Monitor.start ~port:0 () in
+  let m = Testkit.start_monitor () in
+  Fun.protect ~finally:(fun () -> Srv.stop m) (fun () -> check_head_and_405 m)
+
+let test_serving_head_and_405 () =
+  let instance =
+    Dif_gen.generate ~params:{ Dif_gen.default_params with size = 50 } ()
+  in
+  let srv =
+    Srv.start ~workers:1 ~make_engine:(fun () -> Engine.create instance) ()
+  in
   Fun.protect
-    ~finally:(fun () -> Monitor.stop m)
+    ~finally:(fun () -> Srv.stop srv)
     (fun () ->
-      let port = Monitor.port m in
-      (* HEAD = GET minus the body, Content-Length preserved *)
-      let gstatus, gheaders, gbody = Monitor.request ~port "/healthz" in
-      let hstatus, hheaders, hbody =
-        Monitor.request ~meth:"HEAD" ~port "/healthz"
+      check_head_and_405 srv;
+      (* the query route keeps taking POST *)
+      let status, _, body =
+        Monitor.request ~meth:"POST" ~body:"( ? sub ? id=* )"
+          ~port:(Srv.port srv) "/query"
       in
-      Alcotest.(check int) "HEAD status matches GET" gstatus hstatus;
-      Alcotest.(check string) "HEAD body empty" "" hbody;
-      Alcotest.(check bool) "GET body nonempty" true (String.length gbody > 0);
-      Alcotest.(check string) "HEAD advertises GET's length"
-        (header gheaders "content-length")
-        (header hheaders "content-length");
-      (* errors carry Content-Length too, on both methods *)
-      let status, headers, body = Monitor.request ~port "/nope" in
-      Alcotest.(check int) "GET 404" 404 status;
-      check_content_length headers body;
-      let status, headers, body = Monitor.request ~meth:"HEAD" ~port "/nope" in
-      Alcotest.(check int) "HEAD 404" 404 status;
-      Alcotest.(check string) "404 HEAD body empty" "" body;
-      Alcotest.(check bool) "404 HEAD has a length" true
-        (int_of_string (header headers "content-length") > 0);
-      (* anything but GET/HEAD is 405 *)
-      let status, headers, body =
-        Monitor.request ~meth:"POST" ~port "/metrics"
-      in
-      Alcotest.(check int) "POST 405" 405 status;
-      check_content_length headers body;
-      Alcotest.(check bool) "405 names the allowed methods" true
-        (contains body "GET"))
+      Alcotest.(check int) "POST /query 200" 200 status;
+      Alcotest.(check bool) "query trailer" true (contains body "# status=ok"))
 
 let () =
   Alcotest.run "planstats"
@@ -231,5 +255,7 @@ let () =
           Alcotest.test_case "planstats routes" `Quick
             test_monitor_planstats_routes;
           Alcotest.test_case "HEAD and 405" `Quick test_monitor_head_and_405;
+          Alcotest.test_case "HEAD and 405 while serving" `Quick
+            test_serving_head_and_405;
         ] );
     ]

@@ -206,6 +206,142 @@ let test_line_protocol_controls () =
         (reply.Srv_client.status = Srv_client.Ok);
       Srv_client.close conn)
 
+(* --- The bounded HTTP head ------------------------------------------------ *)
+
+(* Connect, send [payload], then read until the server closes; returns
+   what came back and how long the close took. *)
+let raw_exchange ~port payload =
+  let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close s with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.setsockopt_float s Unix.SO_RCVTIMEO 5.;
+      Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let t0 = Unix.gettimeofday () in
+      let bytes = Bytes.of_string payload in
+      ignore (Unix.write s bytes 0 (Bytes.length bytes));
+      let b = Buffer.create 256 and chunk = Bytes.create 4096 in
+      let rec drain () =
+        match Unix.read s chunk 0 (Bytes.length chunk) with
+        | 0 -> true
+        | n ->
+            Buffer.add_subbytes b chunk 0 n;
+            drain ()
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            false (* still open after the receive timeout *)
+        | exception Unix.Unix_error _ -> true
+      in
+      let closed = drain () in
+      (Buffer.contents b, closed, Unix.gettimeofday () -. t0))
+
+let starts_with ~prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+let wait_sessions_gone srv =
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  while Srv.session_count srv > 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.02
+  done;
+  Alcotest.(check int) "no sessions linger" 0 (Srv.session_count srv)
+
+(* More than 16 KB of request head, in headers or in the request line
+   alone: a 400, then the server hangs up. *)
+let test_head_flood () =
+  let instance = mk_instance ~size:50 () in
+  with_srv ~workers:1 instance (fun srv ->
+      let header = "X-Flood: " ^ String.make 1000 'a' ^ "\r\n" in
+      List.iter
+        (fun (what, payload) ->
+          let reply, closed, _ = raw_exchange ~port:(Srv.port srv) payload in
+          Alcotest.(check bool) (what ^ ": answered 400") true
+            (starts_with ~prefix:"HTTP/1.1 400" reply);
+          Alcotest.(check bool) (what ^ ": socket closed") true closed)
+        [
+          ( "headers",
+            "GET /healthz HTTP/1.1\r\n"
+            ^ String.concat "" (List.init 20 (fun _ -> header)) );
+          ( "request line",
+            "GET /healthz?x=" ^ String.make 17_000 'a' ^ " HTTP/1.1\r\n\r\n" );
+        ];
+      wait_sessions_gone srv)
+
+(* A request line and then silence: the head deadline (2 s) closes the
+   connection well before the line protocol's idle wait would. *)
+let test_head_stall () =
+  let instance = mk_instance ~size:50 () in
+  with_srv ~workers:1 instance (fun srv ->
+      let reply, closed, elapsed =
+        raw_exchange ~port:(Srv.port srv) "GET /healthz HTTP/1.1\r\n"
+      in
+      Alcotest.(check bool) "socket closed" true closed;
+      Alcotest.(check bool)
+        (Printf.sprintf "closed within 3 s (took %.2f s)" elapsed)
+        true (elapsed < 3.0);
+      Alcotest.(check bool) "answered 400" true
+        (starts_with ~prefix:"HTTP/1.1 400" reply);
+      wait_sessions_gone srv)
+
+(* --- Introspection on the serving port ------------------------------------ *)
+
+(* Each connection's session thread answers the introspection routes,
+   so scrapes run concurrently with each other, with the flight
+   recorder's sampler and with queries.  Eight scrapers at once: every
+   answer must be whole. *)
+let test_concurrent_scrapes () =
+  let instance = mk_instance () in
+  Alerts.install_defaults ();
+  let sampling = not (Tsdb.running Tsdb.default) in
+  if sampling then
+    Tsdb.start ~tick:(fun () -> Alerts.tick Alerts.default) Tsdb.default;
+  Fun.protect
+    ~finally:(fun () -> if sampling then Tsdb.stop Tsdb.default)
+    (fun () ->
+      with_srv ~workers:2 instance (fun srv ->
+          let port = Srv.port srv in
+          let routes =
+            [ "/metrics"; "/range?metric=srv_request_ns"; "/alerts"; "/tail"; "/dashboard" ]
+          in
+          let failures = ref [] and fmu = Mutex.create () in
+          let fail msg =
+            Mutex.lock fmu;
+            failures := msg :: !failures;
+            Mutex.unlock fmu
+          in
+          let scraper i =
+            (* keep srv_request_ns moving under the scrapes *)
+            let conn = Srv_client.connect ~port () in
+            Fun.protect
+              ~finally:(fun () -> Srv_client.close conn)
+              (fun () ->
+                for round = 1 to 3 do
+                  ignore (Srv_client.query conn "( ? sub ? id=* )");
+                  List.iter
+                    (fun route ->
+                      match Monitor.request ~port route with
+                      | 200, headers, body -> (
+                          match List.assoc_opt "content-length" headers with
+                          | Some n when int_of_string_opt n = Some (String.length body) -> ()
+                          | n ->
+                              fail
+                                (Printf.sprintf "%s: Content-Length %s, body %d bytes"
+                                   route (Option.value ~default:"(none)" n)
+                                   (String.length body)))
+                      | status, _, _ ->
+                          fail
+                            (Printf.sprintf "scraper %d round %d: %s answered %d" i
+                               round route status))
+                    routes
+                done)
+          in
+          let threads = List.init 8 (fun i -> Thread.create scraper i) in
+          List.iter Thread.join threads;
+          match !failures with
+          | [] -> ()
+          | first :: _ ->
+              Alcotest.failf "%d bad answers; first: %s" (List.length !failures)
+                first))
+
 let () =
   Alcotest.run "srv"
     [
@@ -220,6 +356,16 @@ let () =
         [
           Alcotest.test_case "full queue sheds" `Quick test_shed_backpressure;
           Alcotest.test_case "deadline expiry" `Quick test_deadline_expiry;
+        ] );
+      ( "http-limits",
+        [
+          Alcotest.test_case "head flood gets 400" `Quick test_head_flood;
+          Alcotest.test_case "stalled head is closed" `Quick test_head_stall;
+        ] );
+      ( "introspection",
+        [
+          Alcotest.test_case "concurrent scrapes" `Quick
+            test_concurrent_scrapes;
         ] );
       ( "line-protocol",
         [

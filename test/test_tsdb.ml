@@ -408,8 +408,8 @@ let thread_count () =
   n
 
 (* Repeatedly start and stop every background thread the observability
-   stack spawns — monitor accept loop, tsdb sampler, serving
-   front-end — and require the process back at its baseline
+   stack spawns — the server (accept loop, workers, sessions) and the
+   tsdb sampler — and require the process back at its baseline
    thread and fd counts: the ndqsh exit path in miniature, five times
    over. *)
 let test_shutdown_stress () =
@@ -434,7 +434,6 @@ let test_shutdown_stress () =
   in
   for _ = 1 to 5 do
     let registry = Metrics.create () in
-    let m = Monitor.start ~registry ~port:0 () in
     let ts = Tsdb.create ~registry ~resolution_s:0.005 () in
     Tsdb.start ts;
     let srv =
@@ -442,12 +441,11 @@ let test_shutdown_stress () =
         ~make_engine:(fun () -> Engine.create ~block:32 instance)
         ()
     in
-    let status, _ = Monitor.get ~port:(Monitor.port m) "/healthz" in
+    let status, _ = Monitor.get ~port:(Srv.port srv) "/healthz" in
     Alcotest.(check int) "monitor serves while up" 200 status;
     Thread.delay 0.02;
     Srv.stop srv;
     Tsdb.stop ts;
-    Monitor.stop m;
     Alcotest.(check bool) "sampler stopped" false (Tsdb.running ts)
   done;
   if linux then begin

@@ -198,6 +198,18 @@ let test_move_below_itself_refused () =
   Alcotest.(check int) "no update reported" 0 !fired;
   Alcotest.(check int) "valid" 0 (List.length (Directory.validate d))
 
+(* The root is not an entry: moving it, even under itself, is a missing
+   entry before it is a move below itself. *)
+let test_move_root_under_root () =
+  let d = Directory.of_schema (Dif_gen.schema ()) in
+  match
+    Directory.modify_dn ~new_superior:Dn.root d Dn.root
+      ~new_rdn:(Rdn.single "id" (Value.Int 1))
+  with
+  | Error (Directory.No_such_entry _) -> ()
+  | Error e -> Alcotest.failf "wrong error %a" Directory.pp_error e
+  | Ok () -> Alcotest.fail "moving the root was accepted"
+
 let test_batch_atomicity () =
   let d = small_dir () in
   let size0 = Directory.size d in
@@ -305,6 +317,8 @@ let () =
           Alcotest.test_case "move to new superior" `Quick test_move_new_superior;
           Alcotest.test_case "move below itself refused" `Quick
             test_move_below_itself_refused;
+          Alcotest.test_case "move root under root" `Quick
+            test_move_root_under_root;
           Alcotest.test_case "batch atomicity" `Quick test_batch_atomicity;
           Alcotest.test_case "query after updates" `Quick test_query_after_updates;
         ] );
