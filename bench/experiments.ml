@@ -984,14 +984,21 @@ let e23 () =
   (* One stitched distributed trace for the CI artifact: trace the
      cross-root OR query (it involves both servers), so the exported
      Chrome trace shows the coordinator's merge spans and each server's
-     engine spans in their own lanes, all under one trace id. *)
+     engine spans in their own lanes, all under one trace id.  The
+     coordinator offers its tree to Tail (the harness runs at slow
+     threshold 0, so it is retained), where it is the newest entry of
+     origin "dist". *)
   let tracing_was = Trace.enabled () in
   Trace.set_enabled true;
   let coord = Dist.coordinator net (Dn.of_string "dc=root0") in
   ignore (Dist.eval_entries coord pool.(2));
   Trace.set_enabled tracing_was;
-  (match Trace.last () with
-  | Some span ->
+  (match
+     List.find_opt
+       (fun (r : Tail.retained) -> r.Tail.r_origin = "dist")
+       (Tail.retained ())
+   with
+  | Some { Tail.r_span = span; _ } ->
       let out = open_out "BENCH_dist_trace.json" in
       output_string out (Chrome_trace.to_string [ span ]);
       output_char out '\n';

@@ -18,6 +18,24 @@ let ensure_parent path =
   if dir <> "." && dir <> "/" && not (Sys.file_exists dir) then
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
 
+(* The run's 64 costliest journal events by wall time, as JSON lines.
+   The bench journal never rotates, so it holds every event of the
+   run. *)
+let write_costliest ~journal path =
+  let events =
+    List.stable_sort
+      (fun a b -> compare b.Qlog.wall_ns a.Qlog.wall_ns)
+      (Qlog.load journal)
+    |> List.filteri (fun i _ -> i < 64)
+  in
+  Out_channel.with_open_text path (fun oc ->
+      List.iter
+        (fun ev ->
+          output_string oc (Json.to_string (Qlog.to_json ev));
+          output_char oc '\n')
+        events);
+  List.length events
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let monitor_port = ref None
@@ -72,11 +90,12 @@ let () =
         Fmt.pr "monitoring on http://127.0.0.1:%d/@." (Srv.port m);
         Some m
   in
-  (* Journal every engine query of the run; at threshold 0 each one is
-     "slow", so the slowlog retains the costliest captures. *)
+  (* Journal every engine query of the run; at slow threshold 0 each
+     one is "slow", so every event carries a capture and Tail retains
+     every tree (within its span budget). *)
   ensure_parent !journal;
   Qlog.enable ~append:false !journal;
-  Qlog.set_threshold_ns 0;
+  Tail.set_slow_threshold_ns 0;
   (* Feed the plan-quality store online, so /planstats and /workload
      serve live numbers during a monitored run and the end-of-run
      artifacts below reflect the whole workload. *)
@@ -108,8 +127,8 @@ let () =
   Telemetry.write !out;
   let slowlog = Filename.concat (Filename.dirname !journal) "BENCH_slow_queries.jsonl" in
   ensure_parent slowlog;
-  let captures = Qlog.write_slowlog slowlog in
   Qlog.disable ();
+  let captures = write_costliest ~journal:!journal slowlog in
   (* Plan-quality artifacts: the q-error/workload report CI gates on,
      and the calibration cells an offline rebuild of the journal must
      reproduce byte for byte. *)
@@ -137,6 +156,6 @@ let () =
        (Tsdb.window_count Tsdb.default)
    end);
   Option.iter Srv.stop monitor;
-  Fmt.pr "wrote %d slow-query captures to %s (journal: %s)@." captures slowlog
+  Fmt.pr "wrote the %d costliest queries to %s (journal: %s)@." captures slowlog
     !journal;
   Fmt.pr "@.done.@."

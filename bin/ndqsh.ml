@@ -22,6 +22,7 @@ type state = {
   mutable server : Srv.t option;  (* the listener: queries + introspection *)
   mutable mode : Engine.mode;  (* operator-boundary handling *)
   mutable planner : Engine.planner;  (* access-path policy *)
+  mutable last_trace : Trace.span option;  (* root of the last traced query *)
 }
 
 (* Runtime artifacts (journals, slowlogs) default under _build/ so they
@@ -86,15 +87,15 @@ let help () =
     \  :size            number of entries@,\
     \  :verbose         toggle printing full entries@,\
     \  :stats           show accumulated io counters@,\
-    \  :stats reset     reset io counters, metrics and traces@,\
+    \  :stats reset     reset io counters, metrics and retained traces@,\
     \  :reset           reset io counters@,\
     \  :metrics [json]  show the metrics registry (text or JSON lines)@,\
     \  :trace on|off    toggle span tracing of queries@,\
     \  :trace last      show the span tree of the last traced query@,\
     \  :journal on|off|<path>   journal every query as JSON lines@,\
     \                   (on = _build/ndq_journal.jsonl)@,\
-    \  :slowlog [n]     show the n slowest captured queries@,\
-    \  :slowlog threshold <ms>  set the slow-query capture threshold@,\
+    \  :slowlog [n]     show the n slowest journaled queries Tail retains@,\
+    \                   (threshold: :tail threshold <ms>, default 50)@,\
     \  :replay <path>   re-run a journal, diffing result counts and io@,\
     \                   (ends with an estimate-accuracy summary)@,\
     \  :planstats       q-error summary of the plan-quality store@,\
@@ -166,29 +167,33 @@ let run_query st line =
   try
     (* One root span per shell query: parse and execute become children,
        so :trace last shows the full pipeline. *)
-    Trace.with_span ~detail:line ~stats:(Engine.stats eng) "query" (fun () ->
-        if String.length line >= 5 && String.sub line 0 5 = "ldap:" then begin
-          let q =
-            Trace.with_span ~detail:line "parse" (fun () ->
-                Ldap.of_string ~schema line)
-          in
-          (* evaluate via the L0 translation so the same engine serves it *)
-          let entries = Engine.eval_entries eng (Ldap.to_l0 q) in
-          show_result st entries
-        end
-        else begin
-          let q =
-            Trace.with_span ~detail:line "parse" (fun () ->
-                Qparser.of_string ~schema line)
-          in
-          (match Lang.check q with
-          | Ok () -> ()
-          | Error errs ->
-              List.iter (fun e -> Fmt.pr "warning: %a@." Lang.pp_error e) errs);
-          Fmt.pr "[%s] " (Lang.level_to_string (Lang.level q));
-          let entries = Engine.eval_entries eng q in
-          show_result st entries
-        end)
+    let (), span =
+      Trace.with_span_out ~detail:line ~stats:(Engine.stats eng) "query"
+        (fun () ->
+          if String.length line >= 5 && String.sub line 0 5 = "ldap:" then begin
+            let q =
+              Trace.with_span ~detail:line "parse" (fun () ->
+                  Ldap.of_string ~schema line)
+            in
+            (* evaluate via the L0 translation so the same engine serves it *)
+            let entries = Engine.eval_entries eng (Ldap.to_l0 q) in
+            show_result st entries
+          end
+          else begin
+            let q =
+              Trace.with_span ~detail:line "parse" (fun () ->
+                  Qparser.of_string ~schema line)
+            in
+            (match Lang.check q with
+            | Ok () -> ()
+            | Error errs ->
+                List.iter (fun e -> Fmt.pr "warning: %a@." Lang.pp_error e) errs);
+            Fmt.pr "[%s] " (Lang.level_to_string (Lang.level q));
+            let entries = Engine.eval_entries eng q in
+            show_result st entries
+          end)
+    in
+    Option.iter (fun sp -> st.last_trace <- Some sp) span
   with
   | Qparser.Parse_error m -> Fmt.pr "parse error: %s@." m
   | Ldap.Parse_error m -> Fmt.pr "ldap parse error: %s@." m
@@ -355,9 +360,9 @@ let show_top st frames =
     Fmt.pr "  cache     %s  %a@."
       (if st.cache_on then "on" else "off")
       Cache.pp st.cache;
-    Fmt.pr "  slowlog   %d captures (threshold %a)@."
-      (List.length (Qlog.slowest 64))
-      Mclock.pp_ns (Qlog.threshold_ns ());
+    Fmt.pr "  slowlog   %d slow queries (threshold %a)@."
+      (List.length (Tail.slowlog 64))
+      Mclock.pp_ns (Tail.slow_threshold_ns ());
     Fmt.pr "  journal   %s@."
       (match Qlog.path () with Some p -> p | None -> "off");
     (match st.server with
@@ -475,7 +480,8 @@ let run_command st line =
   | ":stats" :: "reset" :: _ ->
       Engine.reset_stats (engine st);
       Metrics.reset Metrics.default;
-      Trace.clear ();
+      Tail.clear ();
+      st.last_trace <- None;
       Fmt.pr "io counters, metrics and traces reset@."
   | ":stats" :: _ -> Fmt.pr "%a@." Io_stats.pp (Engine.stats (engine st))
   | ":reset" :: _ ->
@@ -490,7 +496,7 @@ let run_command st line =
       Trace.set_enabled false;
       Fmt.pr "tracing off@."
   | ":trace" :: "last" :: _ -> (
-      match Trace.last () with
+      match st.last_trace with
       | Some span -> Fmt.pr "%a@." Trace.pp_span span
       | None -> Fmt.pr "no trace recorded (try :trace on, then a query)@.")
   | ":trace" :: _ ->
@@ -511,24 +517,18 @@ let run_command st line =
       match Qlog.path () with
       | Some p -> Fmt.pr "journaling to %s (usage: :journal on|off|<path>)@." p
       | None -> Fmt.pr "journal is off (usage: :journal on|off|<path>)@.")
-  | ":slowlog" :: "threshold" :: ms :: _ -> (
-      match int_of_string_opt ms with
-      | Some v when v >= 0 ->
-          Qlog.set_threshold_ns (v * 1_000_000);
-          Fmt.pr "slow-query threshold = %dms@." v
-      | _ -> Fmt.pr "usage: :slowlog threshold <milliseconds>@.")
   | ":slowlog" :: rest -> (
       let n =
         match rest with
         | s :: _ -> Option.value ~default:10 (int_of_string_opt s)
         | [] -> 10
       in
-      match Qlog.slowest n with
+      match Tail.slowlog n with
       | [] ->
           Fmt.pr
-            "no slow-query captures (threshold %a; enable the journal with \
+            "no slow queries retained (threshold %a; enable the journal with \
              :journal on)@."
-            Mclock.pp_ns (Qlog.threshold_ns ())
+            Mclock.pp_ns (Tail.slow_threshold_ns ())
       | events ->
           let indented text =
             List.iter
@@ -536,7 +536,7 @@ let run_command st line =
               (String.split_on_char '\n' text)
           in
           List.iter
-            (fun (ev : Qlog.event) ->
+            (fun (_, (ev : Qlog.event)) ->
               Fmt.pr "%a@." Qlog.pp_event ev;
               match ev.Qlog.capture with
               | None -> ()
@@ -706,7 +706,7 @@ let run_command st line =
       match float_of_string_opt v with
       | Some ms when ms >= 0. ->
           Tail.set_slow_threshold_ns (int_of_float (ms *. 1e6));
-          Fmt.pr "tail slow threshold = %gms@." ms
+          Fmt.pr "slow-query threshold = %gms@." ms
       | _ -> Fmt.pr "usage: :tail threshold <ms>@.")
   | ":tail" :: "sample" :: v :: _ -> (
       match int_of_string_opt v with
@@ -726,7 +726,7 @@ let run_command st line =
       Fmt.pr "tail store cleared@."
   | ":tail" :: _ ->
       let rs = Tail.retained () in
-      Fmt.pr "tail: %d traces, %d/%d spans; slow>%a, baseline %s@."
+      Fmt.pr "tail: %d traces, %d/%d spans; slow>=%a, baseline %s@."
         (List.length rs) (Tail.retained_spans ()) (Tail.budget_spans ())
         Mclock.pp_ns (Tail.slow_threshold_ns ())
         (match Tail.sample_every () with
@@ -950,6 +950,7 @@ let main kind size seed block journal monitor_port serve_port serve_workers
       server = None;
       mode = Engine.Streaming;
       planner = Engine.Auto;
+      last_trace = None;
     }
   in
   Engine.set_calibration st.engine (Some Planstats.default);

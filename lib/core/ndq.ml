@@ -115,11 +115,11 @@ module Metrics = Metrics
 (** Process-wide registry of counters, gauges and latency histograms. *)
 
 module Trace = Trace
-(** Per-query span trees (wall-clock + I/O deltas), recent-trace ring,
-    trace-id propagation for distributed stitching. *)
+(** Per-query span trees (wall-clock + I/O deltas) and trace-id
+    propagation for distributed stitching; [Tail] keeps the trees. *)
 
 module Qlog = Qlog
-(** The query journal: JSON-lines per-query events and the slowlog. *)
+(** The query journal: JSON-lines per-query events. *)
 
 module Promexp = Promexp
 (** Prometheus text exposition of the metrics registry. *)

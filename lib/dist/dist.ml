@@ -357,44 +357,59 @@ let eval ?(mode = Engine.Streaming) t q =
       let ship0 = if journal then shipping_snapshot t else [] in
       let probe0 = cache_probe_snapshot t in
       let detail = if Trace.enabled () then query_detail q else "" in
-      match
+      (* the thunk catches, so a failed query's tree is ours too *)
+      let result, span =
         Trace.with_span_out ~detail ~stats:t.stats "coordinate" (fun () ->
             let leaf = function
               | Ast.Atomic a -> Some (combine t ~mode a)
               | _ -> None
             in
-            let out =
+            match
               Engine.walk ~pager:t.pager
                 ~window:(Engine.window t.home.engine) ~mode ~leaf q
-            in
-            Trace.set_rows (Ext_list.length out);
-            out)
-      with
-      | exception e ->
-          if journal then
-            journal_event t q ~mode ~shipped:[] ~cache:(cache_note t probe0)
-              ~result_count:0
-              ~reads:(t.stats.Io_stats.page_reads - reads0)
-              ~writes:(t.stats.Io_stats.page_writes - writes0)
-              ~wall_ns:(Mclock.now_ns () - t0)
-              ~alloc_bytes:(int_of_float (Gc.allocated_bytes () -. alloc0))
-              ~outcome:(Qlog.Failed (Printexc.to_string e))
-              None;
+            with
+            | out ->
+                Trace.set_rows (Ext_list.length out);
+                Ok out
+            | exception e -> Error e)
+      in
+      let wall_ns = Mclock.now_ns () - t0 in
+      let reads = t.stats.Io_stats.page_reads - reads0
+      and writes = t.stats.Io_stats.page_writes - writes0
+      and alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
+      (* journal first, then offer the stitched tree with its event to
+         the tail store; it subsumes the servers' engine subtrees,
+         which share its trace id *)
+      let offer ~outcome event =
+        Option.iter
+          (fun sp ->
+            ignore (Tail.consider ?event ~origin:"dist" ~outcome ~wall_ns sp))
+          span
+      in
+      match result with
+      | Error e ->
+          offer ~outcome:`Error
+            (if journal then
+               Some
+                 (journal_event t q ~mode ~shipped:[]
+                    ~cache:(cache_note t probe0) ~result_count:0 ~reads
+                    ~writes ~wall_ns ~alloc_bytes
+                    ~outcome:(Qlog.Failed (Printexc.to_string e))
+                    None)
+             else None);
           raise e
-      | out, span ->
-          let wall_ns = Mclock.now_ns () - t0 in
+      | Ok out ->
           Metrics.incr m_dist_queries;
           Metrics.observe_ns m_dist_latency wall_ns;
-          if journal then
-            journal_event t q ~mode
-              ~shipped:(shipping_delta ship0 (shipping_snapshot t))
-              ~cache:(cache_note t probe0)
-              ~result_count:(Ext_list.length out)
-              ~reads:(t.stats.Io_stats.page_reads - reads0)
-              ~writes:(t.stats.Io_stats.page_writes - writes0)
-              ~wall_ns
-              ~alloc_bytes:(int_of_float (Gc.allocated_bytes () -. alloc0))
-              ~outcome:Qlog.Ok span;
+          offer ~outcome:`Ok
+            (if journal then
+               Some
+                 (journal_event t q ~mode
+                    ~shipped:(shipping_delta ship0 (shipping_snapshot t))
+                    ~cache:(cache_note t probe0)
+                    ~result_count:(Ext_list.length out)
+                    ~reads ~writes ~wall_ns ~alloc_bytes ~outcome:Qlog.Ok span)
+             else None);
           out)
 
 let eval_entries ?mode t q = Ext_list.to_list (eval ?mode t q)

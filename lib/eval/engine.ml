@@ -559,7 +559,7 @@ let record_event t q ~mode ~annotate ~server ~shipped ~cache ~result_count
     | None -> []
   in
   let capture =
-    if wall_ns >= Qlog.threshold_ns () then
+    if Tail.is_slow wall_ns then
       Some
         {
           Qlog.span_text =
@@ -575,17 +575,16 @@ let record_event t q ~mode ~annotate ~server ~shipped ~cache ~result_count
     | Some sp -> Some sp.Trace.trace_id
     | None -> Trace.current_trace_id ()
   in
-  ignore
-    (Qlog.record ~cache ?path:(plan_paths t plan) ?server ?trace_id ?shipped
-       ~ops ?capture
-       ~query:(Qprinter.to_string q)
-       ~fingerprint:(Plan.fingerprint q) ~result_count ~reads ~writes ~wall_ns
-       ~alloc_bytes ~outcome ~est_card:plan.Plan.est_rows
-       ~est_reads:(Plan.total_est_reads plan)
-       ~est_writes:
-         (est_writes ~mode ~writes:(Plan.total_est_writes plan)
-            ~saved:(Plan.total_est_writes_saved plan))
-       ())
+  Qlog.record ~cache ?path:(plan_paths t plan) ?server ?trace_id ?shipped ~ops
+    ?capture
+    ~query:(Qprinter.to_string q)
+    ~fingerprint:(Plan.fingerprint q) ~result_count ~reads ~writes ~wall_ns
+    ~alloc_bytes ~outcome ~est_card:plan.Plan.est_rows
+    ~est_reads:(Plan.total_est_reads plan)
+    ~est_writes:
+      (est_writes ~mode ~writes:(Plan.total_est_writes plan)
+         ~saved:(Plan.total_est_writes_saved plan))
+    ()
 
 let journal_event t q ~mode =
   record_event t q ~mode ~annotate:(annotate_ops t ~mode) ~server:None
@@ -606,39 +605,45 @@ let eval_uncached t ~mode q ~probe =
   in
   with_forced_tracing journal (fun () ->
       let detail = if Trace.enabled () then query_detail q else "" in
-      match
+      (* the thunk catches, so a failed query's tree is ours too *)
+      let result, span =
         Trace.with_span_out ~detail ~stats:s "execute" (fun () ->
-            let out = run_root t ~mode q in
-            Trace.set_rows (Ext_list.length out);
-            out)
-      with
-      | exception e ->
-          if journal then
-            journal_event t q ~mode ~cache:cache_note ~result_count:0
-              ~reads:(s.Io_stats.page_reads - reads0)
-              ~writes:(s.Io_stats.page_writes - writes0)
-              ~wall_ns:(Mclock.now_ns () - t0)
-              ~alloc_bytes:(int_of_float (Gc.allocated_bytes () -. alloc0))
-              ~outcome:(Qlog.Failed (Printexc.to_string e))
-              None;
+            match run_root t ~mode q with
+            | out ->
+                Trace.set_rows (Ext_list.length out);
+                Ok out
+            | exception e -> Error e)
+      in
+      let wall_ns = Mclock.now_ns () - t0 in
+      let reads = s.Io_stats.page_reads - reads0
+      and writes = s.Io_stats.page_writes - writes0
+      and alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
+      (* journal first, then offer the tree with its event to the tail
+         store, which decides whether to keep it.  Inside a served or
+         coordinated query this tree shares the root's trace id, and
+         the root tree supersedes it. *)
+      let offer ~outcome event =
+        Option.iter
+          (fun sp ->
+            ignore (Tail.consider ?event ~origin:"engine" ~outcome ~wall_ns sp))
+          span
+      in
+      match result with
+      | Error e ->
+          offer ~outcome:`Error
+            (if journal then
+               Some
+                 (journal_event t q ~mode ~cache:cache_note ~result_count:0
+                    ~reads ~writes ~wall_ns ~alloc_bytes
+                    ~outcome:(Qlog.Failed (Printexc.to_string e))
+                    None)
+             else None);
           raise e
-      | out, span ->
-          let wall_ns = Mclock.now_ns () - t0 in
-          let reads = s.Io_stats.page_reads - reads0
-          and writes = s.Io_stats.page_writes - writes0
-          and alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
+      | Ok out ->
           Metrics.incr m_queries;
           Metrics.observe_ns
             ?trace_id:(Option.map (fun sp -> sp.Trace.trace_id) span)
             m_latency wall_ns;
-          (* tail sampling: hand the completed tree over when tracing
-             produced one; the sampler decides whether to keep it.
-             Inside a served request this tree shares the request's
-             trace id, and the server's root tree supersedes it. *)
-          Option.iter
-            (fun sp ->
-              ignore (Tail.consider ~origin:"engine" ~outcome:`Ok ~wall_ns sp))
-            span;
           Metrics.add m_reads reads;
           Metrics.add m_writes writes;
           Metrics.add m_alloc alloc_bytes;
@@ -646,10 +651,13 @@ let eval_uncached t ~mode q ~probe =
              journal's post-hoc estimate peeks the cache, and must see
              it as execution did — a root atomic that missed and is
              about to be stored would otherwise claim path=cache *)
-          if journal then
-            journal_event t q ~mode ~cache:cache_note
-              ~result_count:(Ext_list.length out)
-              ~reads ~writes ~wall_ns ~alloc_bytes ~outcome:Qlog.Ok span;
+          offer ~outcome:`Ok
+            (if journal then
+               Some
+                 (journal_event t q ~mode ~cache:cache_note
+                    ~result_count:(Ext_list.length out)
+                    ~reads ~writes ~wall_ns ~alloc_bytes ~outcome:Qlog.Ok span)
+             else None);
           (match t.result_cache with
           | Some c when probe <> `Bypass ->
               Metrics.observe_ns m_miss_ns wall_ns;

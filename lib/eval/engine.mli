@@ -169,11 +169,12 @@ val record_event :
   alloc_bytes:int ->
   outcome:Qlog.outcome ->
   Trace.span option ->
-  unit
-(** Record one query-journal event for a tree run under [mode]: the
-    {!estimate} joined onto the span tree's rows by [annotate], the
-    chosen access paths, estimate totals and, above the slow
-    threshold, a capture.  Shared with the distributed coordinator. *)
+  Qlog.event
+(** Record and return one query-journal event for a tree run under
+    [mode]: the {!estimate} joined onto the span tree's rows by
+    [annotate], the chosen access paths, estimate totals and, when
+    [Tail.is_slow wall_ns], a capture.  Shared with the distributed
+    coordinator. *)
 
 val eval : ?mode:mode -> t -> Ast.t -> Entry.t Ext_list.t
 (** Evaluate a query tree; the result list is canonically sorted.
@@ -182,10 +183,11 @@ val eval : ?mode:mode -> t -> Ast.t -> Entry.t Ext_list.t
     the root result is written.
     When the query journal ({!Qlog}) is enabled, every call records one
     journal event — query text, plan fingerprint, result count, I/O and
-    wall time, per-operator rows from the span tree — and queries at or
-    above the slow threshold carry a full capture (span tree + rendered
+    wall time, per-operator rows from the span tree — and slow queries
+    ([Tail.is_slow]) carry a full capture (span tree + rendered
     estimated plan).  Tracing is forced on for the extent of a
-    journaled query.
+    journaled query, and the span tree, with the event when journaled,
+    is offered to [Tail] (origin ["engine"]).
 
     With a [result_cache], the evaluation is preceded by a cache lookup
     (a fresh entry is served as a resident list, charging no page io)

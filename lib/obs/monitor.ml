@@ -5,20 +5,19 @@
 
      /           plain-text index of the routes
      /metrics    OpenMetrics exposition of the registry (with exemplars)
-     /slowlog    the slow-query captures, JSON lines (newest threshold)
-     /trace      summaries of the recent-trace ring, JSON
-     /trace/<n>  the n-th recent trace (0 = newest; or a trace id —
-                 including tail-retained ones — or "last") as Chrome
-                 trace-event JSON
-     /tail       the tail sampler's retained traces, JSON
+     /slowlog    the slow queries Tail retains, slowest first, JSON lines
+     /trace      summaries of Tail's retained traces, newest first, JSON
+     /trace/<n>  the n-th retained trace (0 = newest; or a trace id, or
+                 "last") as Chrome trace-event JSON
+     /tail       the tail sampler's retained traces and knobs, JSON
      /range      flight-recorder range query (?metric=&agg=&window=&step=)
      /dashboard  self-contained live HTML dashboard
 
    /healthz is assembled by the server from [healthz_fields] plus its
    own counters.  Route bodies may run on several session threads at
-   once: the registry, journal, trace ring, tail store and tsdb are
-   mutexed; the alert and plan-quality stores are read unlocked, which
-   sys-threads keep memory-safe and consistent enough for monitoring. *)
+   once: the registry, journal, tail store and tsdb are mutexed; the
+   alert and plan-quality stores are read unlocked, which sys-threads
+   keep memory-safe and consistent enough for monitoring. *)
 
 type response = { status : int; content_type : string; body : string }
 
@@ -83,96 +82,83 @@ let split_target target =
 
 (* --- Built-in routes ------------------------------------------------------ *)
 
-(* Slow-query events annotated with whether their trace survives in
-   the tail sampler — the join an operator follows from a slowlog line
+let num n = Json.Num (float_of_int n)
+
+(* One line per slowlog entry: the journal event joined to the trace
+   Tail holds for it — the join an operator follows from a slowlog line
    straight to /trace/<id>. *)
-let jsonl_of_events events =
+let slowlog_jsonl () =
   String.concat ""
     (List.map
-       (fun ev ->
-         let j = Qlog.to_json ev in
-         let j =
-           match j with
-           | Json.Obj fields -> (
-               match Json.member "trace_id" j with
-               | Json.Str tid -> (
-                   match Tail.find tid with
-                   | Some r ->
-                       Json.Obj
-                         (fields
-                         @ [
-                             ("trace_retained", Json.Bool true);
-                             ( "trace_reason",
-                               Json.Str (Tail.reason_to_string r.Tail.r_reason)
-                             );
-                           ])
-                   | None ->
-                       Json.Obj (fields @ [ ("trace_retained", Json.Bool false) ])
-                   )
-               | _ -> j)
-           | j -> j
+       (fun ((r : Tail.retained), ev) ->
+         let fields =
+           match Qlog.to_json { ev with Qlog.trace_id = Some r.Tail.r_trace_id } with
+           | Json.Obj fields -> fields
+           | _ -> []
          in
-         Json.to_string j ^ "\n")
-       events)
+         Json.to_string
+           (Json.Obj
+              (fields
+              @ [
+                  ("trace_retained", Json.Bool true);
+                  ("trace_reason", Json.Str (Tail.reason_to_string r.Tail.r_reason));
+                ]))
+         ^ "\n")
+       (Tail.slowlog 64))
+
+(* The fields /trace and /tail share for one retained trace. *)
+let summary (r : Tail.retained) =
+  let s = r.Tail.r_span in
+  [
+    ("trace_id", Json.Str r.Tail.r_trace_id);
+    ("name", Json.Str s.Trace.name);
+    ("detail", Json.Str s.Trace.detail);
+    ("spans", num (Trace.span_count s));
+    ("wall_ns", num r.Tail.r_wall_ns);
+  ]
 
 let trace_summaries () =
   Json.Arr
     (List.mapi
-       (fun i (s : Trace.span) ->
+       (fun i (r : Tail.retained) ->
+         let lane a = Json.Str (if a = "" then "main" else a) in
          Json.Obj
-           [
-             ("n", Json.Num (float_of_int i));
-             ("trace_id", Json.Str s.Trace.trace_id);
-             ("name", Json.Str s.Trace.name);
-             ("detail", Json.Str s.Trace.detail);
-             ("spans", Json.Num (float_of_int (Trace.span_count s)));
-             ("actors", Json.Arr (List.map (fun a -> Json.Str (if a = "" then "main" else a)) (Trace.actors s)));
-             ("wall_ns", Json.Num (float_of_int s.Trace.elapsed_ns));
-           ])
-       (Trace.recent ()))
+           ((("n", num i) :: summary r)
+           @ [ ("actors", Json.Arr (List.map lane (Trace.actors r.Tail.r_span))) ]))
+       (Tail.retained ()))
 
+(* A trace id first (one of 16 hex digits may be all decimal), then
+   "last" or a position in Tail's newest-first list. *)
 let find_trace sel =
-  let ring = Trace.recent () in
-  match sel with
-  | "last" -> (match ring with [] -> None | s :: _ -> Some s)
-  | sel -> (
-      match int_of_string_opt sel with
-      | Some n -> List.nth_opt ring n
-      | None -> (
-          match
-            List.find_opt (fun (s : Trace.span) -> s.Trace.trace_id = sel) ring
-          with
-          | Some s -> Some s
-          | None ->
-              (* the recent ring is shallow; tail-retained traces live
-                 longer, and exemplars/slowlog point at those ids *)
-              Option.map (fun r -> r.Tail.r_span) (Tail.find sel)))
+  let nth n = if n < 0 then None else List.nth_opt (Tail.retained ()) n in
+  let found =
+    match Tail.find sel with
+    | Some _ as r -> r
+    | None when sel = "last" -> nth 0
+    | None -> Option.bind (int_of_string_opt sel) nth
+  in
+  Option.map (fun r -> r.Tail.r_span) found
 
 let tail_json () =
   Json.Obj
     [
-      ("retained", Json.Num (float_of_int (Tail.retained_count ())));
-      ("retained_spans", Json.Num (float_of_int (Tail.retained_spans ())));
-      ("budget_spans", Json.Num (float_of_int (Tail.budget_spans ())));
+      ("retained", num (Tail.retained_count ()));
+      ("retained_spans", num (Tail.retained_spans ()));
+      ("budget_spans", num (Tail.budget_spans ()));
       ( "slow_threshold_ms",
         Json.Num (float_of_int (Tail.slow_threshold_ns ()) /. 1e6) );
-      ("sample_every", Json.Num (float_of_int (Tail.sample_every ())));
+      ("sample_every", num (Tail.sample_every ()));
       ( "traces",
         Json.Arr
           (List.map
              (fun (r : Tail.retained) ->
                Json.Obj
-                 [
-                   ("trace_id", Json.Str r.Tail.r_trace_id);
-                   ("reason", Json.Str (Tail.reason_to_string r.Tail.r_reason));
-                   ("origin", Json.Str r.Tail.r_origin);
-                   ("ts", Json.Num r.Tail.r_ts);
-                   ("wall_ns", Json.Num (float_of_int r.Tail.r_wall_ns));
-                   ( "spans",
-                     Json.Num (float_of_int (Trace.span_count r.Tail.r_span)) );
-                   ("name", Json.Str r.Tail.r_span.Trace.name);
-                   ("detail", Json.Str r.Tail.r_span.Trace.detail);
-                 ])
+                 (summary r
+                 @ [
+                     ("reason", Json.Str (Tail.reason_to_string r.Tail.r_reason));
+                     ("origin", Json.Str r.Tail.r_origin);
+                     ("ts", Json.Num r.Tail.r_ts);
+                   ]))
              (Tail.retained ())) );
     ]
 
@@ -241,8 +227,8 @@ let index_body =
    /metrics    OpenMetrics exposition (exemplars link to retained traces)\n\
    /healthz    liveness, workers, queue, sessions, uptime, journal sink\n\
    /alerts     alert rules, states and transition history (JSON)\n\
-   /slowlog    slow-query captures (JSON lines, trace_retained join)\n\
-   /trace      recent traces (JSON summaries)\n\
+   /slowlog    slow queries with retained traces (JSON lines, slowest first)\n\
+   /trace      retained traces, newest first (JSON summaries)\n\
    /trace/<n>  one trace as Chrome trace-event JSON (n, trace id or 'last')\n\
    /tail       tail-sampled retained traces (JSON)\n\
    /range      flight-recorder range query: ?metric=NAME&agg=p99&window=300\n\
@@ -294,9 +280,7 @@ let route ~registry path params =
   | "/tail" -> json (tail_json ())
   | "/alerts" -> json (Alerts.to_json Alerts.default)
   | "/slowlog" ->
-      Some
-        (respond ~content_type:"application/x-ndjson"
-           (jsonl_of_events (Qlog.slowest 64)))
+      Some (respond ~content_type:"application/x-ndjson" (slowlog_jsonl ()))
   | "/planstats" -> json (Planstats.to_json Planstats.default)
   | "/workload" -> json (Planstats.workload_json Planstats.default)
   | "/trace" | "/trace/" -> json (trace_summaries ())

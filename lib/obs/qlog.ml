@@ -1,14 +1,14 @@
 (* The query journal: an append-only, JSON-lines record of every query
    the engine (or the distributed coordinator) evaluates.
 
-   Where Metrics aggregates and Trace keeps a small ring of recent span
-   trees, the journal is the durable per-query account: query text, a
+   Where Metrics aggregates and Tail keeps the span trees worth
+   keeping, the journal is the durable per-query account: query text, a
    normalized plan fingerprint, result cardinality, page reads/writes,
    wall-clock nanoseconds, outcome, and the per-operator cost rows
-   lifted from the span tree.  Queries slower than a configurable
-   threshold are promoted to a full capture — the rendered span tree
-   plus the rendered estimated plan — and the slowest captures are kept
-   in memory for the shell's [:slowlog].
+   lifted from the span tree.  A recording layer may promote a slow
+   query to a full capture — the rendered span tree plus the rendered
+   estimated plan.  The events stay with their trees in Tail, whose
+   slowlog view the shell's [:slowlog] and /slowlog read.
 
    The module is a sink: instrumented layers call [record]; they decide
    what goes into an event (this keeps lib/obs free of any dependency
@@ -65,18 +65,15 @@ type event = {
 
 let seq_counter = ref 0
 let sink : (string * out_channel) option ref = ref None
-let threshold = ref 100_000_000 (* 100ms *)
 let rotate_limit : int option ref = ref None
 let rotate_files = ref 1
-let slow_capacity = 64
-let slow : event list ref = ref []  (* slowest first, bounded *)
 let current_server : string option ref = ref None
 
 (* One lock over the whole journal: the serving front-end's workers
    record concurrently, and an interleaved JSON line (or two threads
    rotating the same generation) would corrupt the sink.  [record]
    holds it across the sequence assignment, the append, the rotation
-   check, the slowlog update and the observer fan-out, so an online
+   check and the observer fan-out, so an online
    consumer sees exactly the stream an offline replay reconstructs —
    in the same total order the sink received. *)
 let mu = Mutex.create ()
@@ -142,20 +139,12 @@ let sink_bytes () =
 let max_bytes () = !rotate_limit
 let max_files () = !rotate_files
 
-let set_threshold_ns n = threshold := max 0 n
-let threshold_ns () = !threshold
-
 let with_server name f =
   let saved = !current_server in
   current_server := Some name;
   Fun.protect ~finally:(fun () -> current_server := saved) f
 
-let slowest n = locked (fun () -> List.filteri (fun i _ -> i < n) !slow)
-
-let clear () =
-  locked (fun () ->
-      slow := [];
-      seq_counter := 0)
+let clear () = locked (fun () -> seq_counter := 0)
 
 (* --- Lifting per-operator rows from a span tree ----------------------------- *)
 
@@ -184,15 +173,20 @@ let ops_of_span span =
 
 (* --- JSON encoding / decoding ------------------------------------------------- *)
 
-(* Optional int fields are omitted when absent, so journals written
-   before a field existed parse identically to ones where the recording
-   layer supplied nothing. *)
+(* Optional fields are omitted when absent, so journals written before
+   a field existed parse identically to ones where the recording layer
+   supplied nothing. *)
 let opt_int name = function
   | None -> []
   | Some n -> [ (name, Json.Num (float_of_int n)) ]
 
-let read_opt_int name j =
-  match Json.member name j with Json.Null -> None | v -> Some (Json.to_int v)
+let opt_str name = function None -> [] | Some v -> [ (name, Json.Str v) ]
+
+let read_opt read name j =
+  match Json.member name j with Json.Null -> None | v -> Some (read v)
+
+let read_opt_int = read_opt Json.to_int
+let read_opt_str = read_opt Json.str
 
 let op_to_json o =
   Json.Obj
@@ -209,9 +203,7 @@ let op_to_json o =
     @ opt_int "est_rows" o.op_est_rows
     @ opt_int "est_reads" o.op_est_reads
     @ opt_int "est_writes" o.op_est_writes
-    @ match o.op_path with
-      | None -> []
-      | Some p -> [ ("path", Json.Str p) ])
+    @ opt_str "path" o.op_path)
 
 let to_json ev =
   Json.Obj
@@ -221,9 +213,7 @@ let to_json ev =
        ("query", Json.Str ev.query);
        ("fingerprint", Json.Str ev.fingerprint);
      ]
-    @ (match ev.trace_id with
-      | None -> []
-      | Some id -> [ ("trace_id", Json.Str id) ])
+    @ opt_str "trace_id" ev.trace_id
     @ [
        ( "outcome",
          Json.Str (match ev.outcome with Ok -> "ok" | Failed _ -> "error") );
@@ -241,15 +231,9 @@ let to_json ev =
     @ opt_int "est_card" ev.est_card
     @ opt_int "est_reads" ev.est_reads
     @ opt_int "est_writes" ev.est_writes
-    @ (match ev.cache with
-      | None -> []
-      | Some c -> [ ("cache", Json.Str c) ])
-    @ (match ev.path with
-      | None -> []
-      | Some p -> [ ("path", Json.Str p) ])
-    @ (match ev.server with
-      | None -> []
-      | Some s -> [ ("server", Json.Str s) ])
+    @ opt_str "cache" ev.cache
+    @ opt_str "path" ev.path
+    @ opt_str "server" ev.server
     @ (match ev.shipped with
       | [] -> []
       | shipped ->
@@ -293,10 +277,7 @@ let op_of_json j =
     op_est_rows = read_opt_int "est_rows" j;
     op_est_reads = read_opt_int "est_reads" j;
     op_est_writes = read_opt_int "est_writes" j;
-    op_path =
-      (match Json.member "path" j with
-      | Json.Null -> None
-      | v -> Some (Json.str v));
+    op_path = read_opt_str "path" j;
   }
 
 let of_json j =
@@ -305,10 +286,7 @@ let of_json j =
     ts = Json.to_float (Json.member "ts" j);
     query = Json.str (Json.member "query" j);
     fingerprint = Json.str (Json.member "fingerprint" j);
-    trace_id =
-      (match Json.member "trace_id" j with
-      | Json.Null -> None
-      | v -> Some (Json.str v));
+    trace_id = read_opt_str "trace_id" j;
     result_count = Json.to_int (Json.member "result_count" j);
     reads = Json.to_int (Json.member "reads" j);
     writes = Json.to_int (Json.member "writes" j);
@@ -321,18 +299,9 @@ let of_json j =
       (match Json.str (Json.member "outcome" j) with
       | "error" -> Failed (Json.str (Json.member "error" j))
       | _ -> Ok);
-    cache =
-      (match Json.member "cache" j with
-      | Json.Null -> None
-      | v -> Some (Json.str v));
-    path =
-      (match Json.member "path" j with
-      | Json.Null -> None
-      | v -> Some (Json.str v));
-    server =
-      (match Json.member "server" j with
-      | Json.Null -> None
-      | v -> Some (Json.str v));
+    cache = read_opt_str "cache" j;
+    path = read_opt_str "path" j;
+    server = read_opt_str "server" j;
     shipped =
       List.map
         (fun s ->
@@ -410,28 +379,9 @@ let record ?cache ?path ?server ?trace_id ?(shipped = []) ?(ops = []) ?capture
       flush oc;
       maybe_rotate ()
   | None -> ());
-  if ev.capture <> None then begin
-    Metrics.incr m_slow;
-    slow :=
-      List.filteri
-        (fun i _ -> i < slow_capacity)
-        (List.stable_sort
-           (fun a b -> compare b.wall_ns a.wall_ns)
-           (ev :: !slow))
-  end;
+  if ev.capture <> None then Metrics.incr m_slow;
   (match !on_record with Some f -> f ev | None -> ());
   ev
-
-let write_slowlog p =
-  locked @@ fun () ->
-  let oc = open_out p in
-  List.iter
-    (fun ev ->
-      output_string oc (Json.to_string (to_json ev));
-      output_char oc '\n')
-    !slow;
-  close_out oc;
-  List.length !slow
 
 (* --- Rendering -------------------------------------------------------------------- *)
 

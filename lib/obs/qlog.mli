@@ -3,16 +3,18 @@
 
     One event per query: text, normalized plan fingerprint, result
     cardinality, page reads/writes, wall nanoseconds, outcome, and
-    per-operator cost rows lifted from the {!Trace} span tree.  Queries
-    at or above the threshold additionally carry a capture (rendered
-    span tree + rendered estimated plan) and enter the bounded
-    in-memory slowlog.  Instrumented layers call {!record}; this module
-    never inspects queries itself, so [lib/obs] stays below the query
-    and evaluation layers.  One journal per process.
+    per-operator cost rows lifted from the {!Trace} span tree.  A slow
+    query ([Tail.is_slow]) recorded by the engine additionally carries
+    a capture (rendered span tree + rendered estimated plan).  This
+    module keeps no events in memory: the recording layer hands each
+    event to [Tail] with its span tree, and the slowlog is [Tail]'s
+    view.  Instrumented layers call {!record}; this module never
+    inspects queries itself, so [lib/obs] stays below the query and
+    evaluation layers.  One journal per process.
 
     {!record} is thread-safe: one process-wide mutex covers the
-    sequence assignment, the sink append, the size-rotation check, the
-    slowlog update and the {!set_on_record} observer fan-out, so
+    sequence assignment, the sink append, the size-rotation check and
+    the {!set_on_record} observer fan-out, so
     concurrent workers can never interleave JSON lines, double-rotate a
     generation, or show an online observer a different order than the
     journal file records. *)
@@ -111,12 +113,6 @@ val max_bytes : unit -> int option
 val max_files : unit -> int
 (** The configured number of rotated generations kept (>= 1). *)
 
-val set_threshold_ns : int -> unit
-(** Queries with [wall_ns >=] this are promoted to full captures
-    (default 100ms; clamped to be non-negative). *)
-
-val threshold_ns : unit -> int
-
 val with_server : string -> (unit -> 'a) -> 'a
 (** Attribute every event recorded inside the thunk to the named
     server (the distributed coordinator wraps per-server evaluation). *)
@@ -148,9 +144,8 @@ val record :
   unit ->
   event
 (** Assign the next sequence number, append one JSON line to the open
-    journal (if any), and stash the event in the slowlog when it
-    carries a capture.  Safe to call with no journal open (the slowlog
-    still collects). *)
+    journal (if any) and return the event.  Safe to call with no
+    journal open. *)
 
 val set_on_record : (event -> unit) option -> unit
 (** Install (or clear) the event observer: called once with every event
@@ -159,16 +154,8 @@ val set_on_record : (event -> unit) option -> unit
     an offline replay of the same journal — both see the identical
     event stream in the identical order. *)
 
-(** {1 The slowlog} *)
-
-val slowest : int -> event list
-(** The [n] slowest captured events, slowest first (bounded at 64). *)
-
-val write_slowlog : string -> int
-(** Dump the slowlog as JSON lines; returns the number of captures. *)
-
 val clear : unit -> unit
-(** Drop the slowlog and restart sequence numbering. *)
+(** Restart sequence numbering. *)
 
 (** {1 Reading a journal back} *)
 

@@ -16,11 +16,15 @@
    first when the budget overflows, except the newest entry always
    survives admission.
 
-   Both the serving layer and the engine feed the same store (a request
-   journaled by the engine inside a served query shares its trace id
-   with the server's root span), so [consider] dedups by trace id and
-   keeps whichever tree has more spans — the server's root tree
-   subsumes the engine's subtree regardless of arrival order. *)
+   This is the one store of completed span trees.  The server, the
+   engine and the distributed coordinator all feed it (the engine's
+   subtree inside a served or coordinated query shares its trace id
+   with the root), so [consider] dedups by trace id and keeps whichever
+   tree has more spans — the root tree subsumes a subtree regardless of
+   arrival order.  An offer may carry the journal event recorded for
+   its query; the merged entry keeps an event if either offer had one,
+   and the slowlog is the view of the entries holding one that were
+   slow when retained. *)
 
 type reason = Slow | Errored | Shed | Deadline | Sampled
 
@@ -36,10 +40,12 @@ type outcome = [ `Ok | `Error | `Shed | `Deadline ]
 type retained = {
   r_trace_id : string;
   r_reason : reason;
-  r_origin : string;  (* "srv" | "engine" *)
+  r_origin : string;  (* "srv" | "engine" | "dist" *)
   r_ts : float;  (* unix seconds at retention *)
   r_wall_ns : int;
   r_span : Trace.span;
+  r_event : Qlog.event option;  (* the query's journal event, if journaled *)
+  r_slow : bool;  (* [is_slow r_wall_ns] when retained *)
 }
 
 let mu = Mutex.create ()
@@ -88,6 +94,7 @@ let g_spans =
 
 let set_slow_threshold_ns ns = cfg_slow_threshold_ns := max 0 ns
 let slow_threshold_ns () = !cfg_slow_threshold_ns
+let is_slow wall_ns = wall_ns >= !cfg_slow_threshold_ns
 
 let set_sample_every n = cfg_sample_every := max 0 n
 let sample_every () = !cfg_sample_every
@@ -134,7 +141,7 @@ let decide ~outcome ~wall_ns =
   | `Deadline -> Some Deadline
   | `Error -> Some Errored
   | `Ok ->
-      if wall_ns > !cfg_slow_threshold_ns then Some Slow
+      if is_slow wall_ns then Some Slow
       else if
         !cfg_sample_every > 0
         && Int64.rem (Int64.logand (next_rand ()) Int64.max_int)
@@ -143,7 +150,7 @@ let decide ~outcome ~wall_ns =
       then Some Sampled
       else None
 
-let consider ~origin ~outcome ~wall_ns (span : Trace.span) =
+let consider ?event ~origin ~outcome ~wall_ns (span : Trace.span) =
   let now = Unix.gettimeofday () in
   let verdict =
     locked (fun () ->
@@ -159,6 +166,8 @@ let consider ~origin ~outcome ~wall_ns (span : Trace.span) =
                 r_ts = now;
                 r_wall_ns = wall_ns;
                 r_span = span;
+                r_event = event;
+                r_slow = is_slow wall_ns;
               }
             in
             (match
@@ -170,13 +179,21 @@ let consider ~origin ~outcome ~wall_ns (span : Trace.span) =
                 store := entry :: !store;
                 stored_spans := !stored_spans + n
             | old :: _, rest ->
-                (* same trace seen from the other origin: keep the
-                   bigger tree, refresh recency *)
+                (* same trace seen from another origin: keep the
+                   bigger tree and an event from either offer, refresh
+                   recency *)
                 let old_n = Trace.span_count old.r_span in
-                let winner = if n >= old_n then entry else { old with r_ts = now } in
-                store := winner :: rest;
-                stored_spans :=
-                  !stored_spans - old_n + Trace.span_count winner.r_span);
+                let big, small = if n >= old_n then (entry, old) else (old, entry) in
+                let merged =
+                  {
+                    big with
+                    r_ts = now;
+                    r_event = (match big.r_event with None -> small.r_event | e -> e);
+                    r_slow = big.r_slow || small.r_slow;
+                  }
+                in
+                store := merged :: rest;
+                stored_spans := !stored_spans - old_n + max n old_n);
             enforce_budget_unlocked ();
             Some reason)
   in
@@ -186,3 +203,13 @@ let consider ~origin ~outcome ~wall_ns (span : Trace.span) =
       Metrics.set g_spans (float_of_int (retained_spans ()))
   | None -> ());
   verdict
+
+let slowlog_max = 64
+
+let slowlog n =
+  List.filter_map
+    (fun r ->
+      match r.r_event with Some ev when r.r_slow -> Some (r, ev) | _ -> None)
+    (retained ())
+  |> List.stable_sort (fun (_, a) (_, b) -> compare b.Qlog.wall_ns a.Qlog.wall_ns)
+  |> List.filteri (fun i _ -> i < min n slowlog_max)

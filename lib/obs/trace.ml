@@ -19,15 +19,15 @@
    with one lane per actor.
 
    Tracing is off by default and costs one branch per instrumentation
-   point when off.  Completed root spans land in a bounded ring of
-   recent traces (oldest evicted first), which the shell exposes as
-   [:trace last].
+   point when off.  This module only records: a caller that wants the
+   tree it just produced takes it from [with_span_out], and [Tail] is
+   the one store that keeps completed trees.
 
    Ambient state — the open-span stack, the bound trace id and actor —
    is per thread: each serving worker builds its own span tree, with
    its own trace id, exactly as the single-threaded engine always did.
-   The shared structures (the recent ring, the id stream, the
-   thread-state table) sit behind one mutex. *)
+   The shared structures (the id stream and the thread-state table)
+   sit behind one mutex. *)
 
 type span = {
   name : string;
@@ -46,9 +46,9 @@ let enabled_flag = ref false
 let set_enabled b = enabled_flag := b
 let enabled () = !enabled_flag
 
-(* One lock for everything threads share: the id stream, the recent
-   ring and the per-thread state table.  Critical sections are a few
-   words of mutation; the span bodies themselves run unlocked. *)
+(* One lock for everything threads share: the id stream and the
+   per-thread state table.  Critical sections are a few words of
+   mutation; the span bodies themselves run unlocked. *)
 let mu = Mutex.create ()
 
 let locked f =
@@ -137,28 +137,6 @@ let with_actor name f =
 let current_actor () =
   match find_tls () with Some t -> t.bound_actor | None -> ""
 
-(* --- The ring of recent root traces ------------------------------------- *)
-
-let ring_capacity = ref 16
-let ring : span list ref = ref []  (* newest first, length <= capacity *)
-
-let truncate n l = List.filteri (fun i _ -> i < n) l
-
-let set_capacity n =
-  if n < 1 then invalid_arg "Trace.set_capacity: capacity must be positive";
-  locked (fun () ->
-      ring_capacity := n;
-      ring := truncate n !ring)
-
-let capacity () = !ring_capacity
-
-let push_root s =
-  locked (fun () -> ring := truncate !ring_capacity (s :: !ring))
-
-let recent () = !ring
-let last () = match !ring with [] -> None | s :: _ -> Some s
-let clear () = locked (fun () -> ring := [])
-
 (* --- Recording ------------------------------------------------------------ *)
 
 let current_trace_id () =
@@ -218,7 +196,7 @@ let with_span_out ?(detail = "") ?stats name f =
       t.stack <- parent;
       (match parent with
       | p :: _ -> p.children <- span :: p.children
-      | [] -> push_root span);
+      | [] -> ());
       drop_if_default t
     in
     (Fun.protect ~finally:finish f, Some span)

@@ -8,14 +8,15 @@
     was open.  For distributed stitching, every span records a trace id
     (minted at the root, inherited by children, overridable with
     {!with_trace_id}) and the actor that did the work
-    ({!with_actor}).  Completed root spans land in a bounded ring of
-    recent traces.  Off by default; one branch per instrumentation
+    ({!with_actor}).  This module only records: the caller takes the
+    completed tree from {!with_span_out}, and [Tail] is the one store
+    that retains trees.  Off by default; one branch per instrumentation
     point when off.
 
     Thread-safe: the ambient state (open-span stack, bound trace id and
     actor) is per thread, so concurrent serving workers each build
-    their own span tree with their own trace id; the shared structures
-    (the recent ring, the id stream) sit behind one mutex. *)
+    their own span tree with their own trace id; the shared id stream
+    sits behind one mutex. *)
 
 type span = {
   name : string;
@@ -43,8 +44,10 @@ val with_span_out :
   ?detail:string -> ?stats:Io_stats.t -> string -> (unit -> 'a) -> 'a * span option
 (** Like {!with_span}, additionally returning the completed span (for
     callers that attribute costs after the fact, like the query
-    journal).  [None] when tracing is off.  A raising thunk still
-    closes and attaches the span, but the exception propagates. *)
+    journal, or the tail store).  [None] when tracing is off.  A
+    raising thunk still closes the span and attaches it to its parent,
+    but the exception propagates, so a caller that wants a root which
+    may fail catches inside the thunk. *)
 
 val set_rows : int -> unit
 (** Annotate the innermost open span with its result cardinality.
@@ -68,22 +71,6 @@ val current_trace_id : unit -> string option
 (** The bound trace id, else the innermost open span's id. *)
 
 val current_actor : unit -> string
-
-(** {1 The recent-trace ring} *)
-
-val last : unit -> span option
-(** The most recently completed root span. *)
-
-val recent : unit -> span list
-(** Recently completed root spans, newest first (bounded ring). *)
-
-val clear : unit -> unit
-
-val set_capacity : int -> unit
-(** Resize the ring (evicting oldest traces).
-    @raise Invalid_argument when the capacity is not positive. *)
-
-val capacity : unit -> int
 
 val total_io : span -> int
 val depth : span -> int

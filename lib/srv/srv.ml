@@ -269,9 +269,10 @@ let tail_outcome = function
 (* Evaluate one query on a worker's engine, streaming rows to [emit]
    in batches, checking the deadline between batches.  Returns the
    final status, the rows shipped, the wall time and the trace id.
-   Every request runs force-traced — the completed span tree goes to
-   the tail sampler, which decides whether it is worth keeping — and
-   journals a Qlog event when the journal is open. *)
+   Every request runs force-traced and journals a Qlog event when the
+   journal is open; the completed span tree then goes, with that
+   event, to the tail sampler, which decides whether it is worth
+   keeping. *)
 let execute engine ~query_text ~deadline_ns ~emit =
   let journal = Qlog.enabled () in
   let tid = Trace.next_trace_id () in
@@ -281,7 +282,7 @@ let execute engine ~query_text ~deadline_ns ~emit =
   let alloc0 = Gc.allocated_bytes () in
   let t0 = Mclock.now_ns () in
   let rows = ref 0 in
-  let outcome, span =
+  let outcome, span, event =
     Engine.with_forced_tracing true @@ fun () ->
     Trace.with_trace_id tid @@ fun () ->
     Trace.with_actor "srv" @@ fun () ->
@@ -326,44 +327,49 @@ let execute engine ~query_text ~deadline_ns ~emit =
               `Ran (ast, !status))
     with
     | `Ran (ast, status), span ->
-        if journal then begin
-          let ops =
-            match span with Some s -> Qlog.ops_of_span s | None -> []
-          in
-          let out : Qlog.outcome =
-            match status with
-            | S_ok -> Qlog.Ok
-            | S_deadline -> Qlog.Failed "deadline"
-            | S_busy -> Qlog.Failed "busy"
-            | S_error m -> Qlog.Failed m
-          in
-          ignore
-            (Qlog.record ~trace_id:tid ~ops ~query:query_text
-               ~fingerprint:(Plan.fingerprint ast)
-               ~result_count:!rows
-               ~reads:(stats.Io_stats.page_reads - reads0)
-               ~writes:(stats.Io_stats.page_writes - writes0)
-               ~wall_ns:(Mclock.now_ns () - t0)
-               ~alloc_bytes:(int_of_float (Gc.allocated_bytes () -. alloc0))
-               ~outcome:out ())
-        end;
-        (status, span)
+        let ev =
+          if not journal then None
+          else
+            let ops =
+              match span with Some s -> Qlog.ops_of_span s | None -> []
+            in
+            let out : Qlog.outcome =
+              match status with
+              | S_ok -> Qlog.Ok
+              | S_deadline -> Qlog.Failed "deadline"
+              | S_busy -> Qlog.Failed "busy"
+              | S_error m -> Qlog.Failed m
+            in
+            Some
+              (Qlog.record ~trace_id:tid ~ops ~query:query_text
+                 ~fingerprint:(Plan.fingerprint ast)
+                 ~result_count:!rows
+                 ~reads:(stats.Io_stats.page_reads - reads0)
+                 ~writes:(stats.Io_stats.page_writes - writes0)
+                 ~wall_ns:(Mclock.now_ns () - t0)
+                 ~alloc_bytes:(int_of_float (Gc.allocated_bytes () -. alloc0))
+                 ~outcome:out ())
+        in
+        (status, span, ev)
     | `Parse msg, span ->
-        if journal then
-          ignore
-            (Qlog.record ~trace_id:tid ~query:query_text ~fingerprint:"(parse)"
-               ~result_count:0 ~reads:0 ~writes:0
-               ~wall_ns:(Mclock.now_ns () - t0)
-               ~outcome:(Qlog.Failed msg) ());
-        (S_error msg, span)
-    | exception e -> (S_error (Printexc.to_string e), None)
+        let ev =
+          if journal then
+            Some
+              (Qlog.record ~trace_id:tid ~query:query_text
+                 ~fingerprint:"(parse)" ~result_count:0 ~reads:0 ~writes:0
+                 ~wall_ns:(Mclock.now_ns () - t0)
+                 ~outcome:(Qlog.Failed msg) ())
+          else None
+        in
+        (S_error msg, span, ev)
+    | exception e -> (S_error (Printexc.to_string e), None, None)
   in
   let wall = Mclock.now_ns () - t0 in
   Metrics.set g_resident (float_of_int stats.Io_stats.max_resident_pages);
   Option.iter
     (fun s ->
       ignore
-        (Tail.consider ~origin:"srv" ~outcome:(tail_outcome outcome)
+        (Tail.consider ?event ~origin:"srv" ~outcome:(tail_outcome outcome)
            ~wall_ns:wall s))
     span;
   (outcome, !rows, wall, tid)

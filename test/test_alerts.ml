@@ -371,13 +371,15 @@ let test_span_alloc_nesting () =
   Fun.protect
     ~finally:(fun () -> Trace.set_enabled was)
     (fun () ->
-      Trace.with_span "parent" (fun () ->
-          let keep = ref [] in
-          Trace.with_span "child" (fun () ->
-              (* ~80kB retained so the child's delta is visibly > 0 *)
-              keep := List.init 10 (fun _ -> Bytes.create 8192));
-          ignore (Sys.opaque_identity !keep));
-      match Trace.last () with
+      let (), span =
+        Trace.with_span_out "parent" (fun () ->
+            let keep = ref [] in
+            Trace.with_span "child" (fun () ->
+                (* ~80kB retained so the child's delta is visibly > 0 *)
+                keep := List.init 10 (fun _ -> Bytes.create 8192));
+            ignore (Sys.opaque_identity !keep))
+      in
+      match span with
       | None -> Alcotest.fail "no span captured"
       | Some parent ->
           let child = List.hd parent.Trace.children in

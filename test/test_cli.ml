@@ -139,7 +139,7 @@ let test_journal_slowlog_replay () =
         run
           [
             "-d"; "figure12";
-            "-e"; ":slowlog threshold 0";
+            "-e"; ":tail threshold 0";
             "-e"; ":journal " ^ path;
             "-e"; "( ? sub ? SourcePort=25)";
             "-e"; "( ? sub ? objectClass=SLAPolicyRules)";

@@ -1,6 +1,6 @@
 (* Tests for the observability layer: metrics registry semantics,
-   span-tree nesting, the recent-trace ring, and per-operator profiling
-   through Explain. *)
+   span-tree nesting, the journal and its slowlog view in Tail, and
+   per-operator profiling through Explain. *)
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -101,21 +101,22 @@ let test_exporters () =
 (* --- Trace -------------------------------------------------------------------- *)
 
 let with_tracing f =
-  Trace.clear ();
   Trace.set_enabled true;
   Fun.protect ~finally:(fun () -> Trace.set_enabled false) f
 
 let test_span_nesting () =
   with_tracing (fun () ->
       let stats = Io_stats.create () in
-      Trace.with_span ~stats "root" (fun () ->
-          Trace.with_span ~stats "child1" (fun () ->
-              Io_stats.read_page ~n:2 stats;
-              Trace.with_span ~stats "grandchild" (fun () ->
-                  Io_stats.write_page stats));
-          Trace.with_span ~stats "child2" (fun () ->
-              Io_stats.read_page stats));
-      match Trace.last () with
+      let (), span =
+        Trace.with_span_out ~stats "root" (fun () ->
+            Trace.with_span ~stats "child1" (fun () ->
+                Io_stats.read_page ~n:2 stats;
+                Trace.with_span ~stats "grandchild" (fun () ->
+                    Io_stats.write_page stats));
+            Trace.with_span ~stats "child2" (fun () ->
+                Io_stats.read_page stats))
+      in
+      match span with
       | None -> Alcotest.fail "no trace recorded"
       | Some root ->
           Alcotest.(check string) "root name" "root" root.Trace.name;
@@ -132,68 +133,36 @@ let test_span_nesting () =
 
 let test_span_closes_on_raise () =
   with_tracing (fun () ->
-      (try
-         Trace.with_span "boom" (fun () ->
-             Trace.with_span "inner" (fun () -> failwith "expected"))
-       with Failure _ -> ());
-      match Trace.last () with
-      | None -> Alcotest.fail "raising span not recorded"
-      | Some root ->
+      let (), outer =
+        Trace.with_span_out "outer" (fun () ->
+            try
+              Trace.with_span "boom" (fun () ->
+                  Trace.with_span "inner" (fun () -> failwith "expected"))
+            with Failure _ -> ())
+      in
+      (match outer with
+      | Some { Trace.children = [ root ]; _ } ->
           Alcotest.(check string) "root recorded" "boom" root.Trace.name;
-          Alcotest.(check int) "inner recorded too" 2 (Trace.span_count root);
-      (* the span stack is clean: a new root lands as a root *)
-      Trace.with_span "after" (fun () -> ());
-      match Trace.last () with
-      | Some s -> Alcotest.(check string) "stack unwound" "after" s.Trace.name
-      | None -> Alcotest.fail "no span after recovery")
-
-let test_ring_eviction () =
-  with_tracing (fun () ->
-      let old = Trace.capacity () in
-      Fun.protect
-        ~finally:(fun () -> Trace.set_capacity old)
-        (fun () ->
-          Trace.set_capacity 3;
-          for i = 1 to 5 do
-            Trace.with_span (Printf.sprintf "t%d" i) (fun () -> ())
-          done;
-          Alcotest.(check (list string))
-            "newest first, oldest evicted" [ "t5"; "t4"; "t3" ]
-            (List.map (fun s -> s.Trace.name) (Trace.recent ()));
-          Alcotest.check_raises "positive capacity only"
-            (Invalid_argument "Trace.set_capacity: capacity must be positive")
-            (fun () -> Trace.set_capacity 0)))
-
-let test_capacity_truncates_ring () =
-  (* shrinking the ring below its population keeps only the newest *)
-  with_tracing (fun () ->
-      let old = Trace.capacity () in
-      Fun.protect
-        ~finally:(fun () -> Trace.set_capacity old)
-        (fun () ->
-          Trace.set_capacity 8;
-          for i = 1 to 6 do
-            Trace.with_span (Printf.sprintf "t%d" i) (fun () -> ())
-          done;
-          Trace.set_capacity 2;
-          Alcotest.(check (list string))
-            "truncated to newest two" [ "t6"; "t5" ]
-            (List.map (fun s -> s.Trace.name) (Trace.recent ()));
-          (* and the shrunken ring still rotates correctly *)
-          Trace.with_span "t7" (fun () -> ());
-          Alcotest.(check (list string))
-            "rotation after truncation" [ "t7"; "t6" ]
-            (List.map (fun s -> s.Trace.name) (Trace.recent ()))))
+          Alcotest.(check int) "inner recorded too" 2 (Trace.span_count root)
+      | _ -> Alcotest.fail "raising span not recorded");
+      (* a raising root unwinds the span stack: no span stays open, so
+         the next span lands as a root *)
+      (try Trace.with_span "boom" (fun () -> failwith "expected")
+       with Failure _ -> ());
+      Alcotest.(check (option string)) "stack unwound" None
+        (Trace.current_trace_id ()))
 
 let test_failing_child_attached () =
   (* a child whose thunk raises is still attached to its parent, with
      its elapsed time recorded, and the parent completes normally *)
   with_tracing (fun () ->
-      Trace.with_span "parent" (fun () ->
-          (try Trace.with_span "bad child" (fun () -> failwith "expected")
-           with Failure _ -> ());
-          Trace.with_span "good child" (fun () -> ()));
-      match Trace.last () with
+      let (), span =
+        Trace.with_span_out "parent" (fun () ->
+            (try Trace.with_span "bad child" (fun () -> failwith "expected")
+             with Failure _ -> ());
+            Trace.with_span "good child" (fun () -> ()))
+      in
+      match span with
       | None -> Alcotest.fail "no trace recorded"
       | Some root ->
           Alcotest.(check string) "parent completed" "parent" root.Trace.name;
@@ -223,12 +192,15 @@ let test_set_rows () =
   Alcotest.(check bool) "no span when disabled" true (span = None)
 
 let test_disabled_records_nothing () =
-  Trace.clear ();
   Trace.set_enabled false;
-  let r = Trace.with_span "ghost" (fun () -> 41 + 1) in
+  let r, span =
+    Trace.with_span_out "ghost" (fun () ->
+        Trace.with_span "inner" (fun () -> 41 + 1))
+  in
   Alcotest.(check int) "thunk still runs" 42 r;
-  Alcotest.(check (list string)) "nothing recorded" []
-    (List.map (fun s -> s.Trace.name) (Trace.recent ()))
+  Alcotest.(check bool) "nothing recorded" true (span = None);
+  Alcotest.(check (option string)) "no ambient trace" None
+    (Trace.current_trace_id ())
 
 (* --- Json --------------------------------------------------------------------- *)
 
@@ -284,16 +256,28 @@ let test_json_lines_and_accessors () =
 
 (* --- Qlog --------------------------------------------------------------------- *)
 
-(* Every Qlog test saves and restores the journal's global state. *)
+(* Save and restore the tail store's knobs around a test, starting
+   and ending with it empty. *)
+let with_tail f =
+  let thr = Tail.slow_threshold_ns () and every = Tail.sample_every () in
+  Tail.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      Tail.set_slow_threshold_ns thr;
+      Tail.set_sample_every every;
+      Tail.clear ())
+    f
+
+(* Every Qlog test saves and restores the journal's global state, and
+   the one slow threshold. *)
 let with_qlog f =
-  let old_threshold = Qlog.threshold_ns () in
+  with_tail @@ fun () ->
   Qlog.disable ();
   Qlog.clear ();
   Fun.protect
     ~finally:(fun () ->
       Qlog.disable ();
-      Qlog.clear ();
-      Qlog.set_threshold_ns old_threshold)
+      Qlog.clear ())
     f
 
 let temp_journal () =
@@ -387,32 +371,36 @@ let test_qlog_append_mode () =
 
 let test_qlog_slowlog () =
   with_qlog (fun () ->
-      (* captures enter the slowlog; slowest wins, regardless of order *)
-      let record ?capture wall_ns =
+      (* the slowlog is Tail's view: retained entries holding an event
+         that were slow when retained, slowest first *)
+      Tail.set_slow_threshold_ns 150;
+      Tail.set_sample_every 1;
+      let offer ?(event = true) wall_ns =
+        let ev =
+          Qlog.record
+            ~query:(Printf.sprintf "q%d" wall_ns)
+            ~fingerprint:"f" ~result_count:0 ~reads:0 ~writes:0 ~wall_ns
+            ~outcome:Qlog.Ok ()
+        in
+        let _, span = Trace.with_span_out "q" (fun () -> ()) in
         ignore
-          (Qlog.record ?capture
-             ~query:(Printf.sprintf "q%d" wall_ns)
-             ~fingerprint:"f" ~result_count:0 ~reads:0 ~writes:0 ~wall_ns
-             ~outcome:Qlog.Ok ())
+          (Tail.consider
+             ?event:(if event then Some ev else None)
+             ~origin:"engine" ~outcome:`Ok ~wall_ns (Option.get span))
       in
-      let cap = { Qlog.span_text = "s"; plan_text = "p" } in
-      record ~capture:cap 300;
-      record 9999;
-      (* no capture: fast path, not in the slowlog *)
-      record ~capture:cap 100;
-      record ~capture:cap 200;
+      with_tracing (fun () ->
+          offer 300;
+          offer ~event:false 9999;
+          (* fast: retained by the 1-in-1 sample, but not slow *)
+          offer 100;
+          offer 200);
       Alcotest.(check (list int))
-        "slowest first, uncaptured excluded" [ 300; 200 ]
-        (List.map (fun e -> e.Qlog.wall_ns) (Qlog.slowest 2));
-      Alcotest.(check int) "bounded request" 3
-        (List.length (Qlog.slowest 50));
-      let path = temp_journal () in
-      Alcotest.(check int) "write_slowlog count" 3 (Qlog.write_slowlog path);
-      Alcotest.(check int) "slowlog file readable" 3
-        (List.length (Qlog.load path));
-      Qlog.clear ();
-      Alcotest.(check int) "clear drops captures" 0
-        (List.length (Qlog.slowest 50)))
+        "slowest first, non-slow excluded" [ 300; 200 ]
+        (List.map (fun (_, e) -> e.Qlog.wall_ns) (Tail.slowlog 50));
+      Alcotest.(check int) "bounded request" 1 (List.length (Tail.slowlog 1));
+      Tail.clear ();
+      Alcotest.(check int) "clear drops the slowlog" 0
+        (List.length (Tail.slowlog 50)))
 
 let test_qlog_ops_of_span () =
   with_tracing (fun () ->
@@ -448,13 +436,13 @@ let test_engine_journals_queries () =
       let eng = Engine.create ~block:16 instance in
       let path = temp_journal () in
       Qlog.enable ~append:false path;
-      Qlog.set_threshold_ns 0;
+      Tail.set_slow_threshold_ns 0;
       (* everything is "slow": captures everywhere *)
       let n1 =
         List.length (Engine.eval_entries eng (Qparser.of_string "( ? sub ? tag=even)"))
       in
       ignore (Engine.eval_entries eng (Qparser.of_string "( ? sub ? tag=odd)"));
-      Qlog.set_threshold_ns max_int;
+      Tail.set_slow_threshold_ns max_int;
       (* fast path: no capture *)
       ignore (Engine.eval_entries eng (Qparser.of_string "( ? sub ? priority>=1)"));
       Alcotest.(check bool) "journaling leaves tracing off" false
@@ -503,7 +491,7 @@ let test_dist_journals_attribution () =
       let coord = Dist.coordinator net (Dn.of_string "dc=root0") in
       let path = temp_journal () in
       Qlog.enable ~append:false path;
-      Qlog.set_threshold_ns max_int;
+      Tail.set_slow_threshold_ns max_int;
       (* a root-scoped query touches both servers *)
       ignore
         (Dist.eval_entries coord
@@ -733,64 +721,67 @@ let test_promexp_exposition () =
 
 let test_trace_id_propagation () =
   with_tracing (fun () ->
-      Trace.with_span "a" (fun () -> Trace.with_span "b" (fun () -> ()));
-      Trace.with_span "c" (fun () -> ());
-      (match Trace.recent () with
-      | [ c; a ] ->
-          Alcotest.(check int) "16 hex digits" 16
-            (String.length a.Trace.trace_id);
-          let b = List.hd a.Trace.children in
-          Alcotest.(check string) "child inherits the root's id"
-            a.Trace.trace_id b.Trace.trace_id;
-          Alcotest.(check bool) "each root mints a fresh id" true
-            (a.Trace.trace_id <> c.Trace.trace_id)
-      | _ -> Alcotest.fail "expected two roots");
+      let root name f = Option.get (snd (Trace.with_span_out name f)) in
+      let a = root "a" (fun () -> Trace.with_span "b" (fun () -> ())) in
+      let c = root "c" (fun () -> ()) in
+      Alcotest.(check int) "16 hex digits" 16 (String.length a.Trace.trace_id);
+      let b = List.hd a.Trace.children in
+      Alcotest.(check string) "child inherits the root's id" a.Trace.trace_id
+        b.Trace.trace_id;
+      Alcotest.(check bool) "each root mints a fresh id" true
+        (a.Trace.trace_id <> c.Trace.trace_id);
       (* an explicitly bound id wins over minting *)
-      Trace.with_trace_id "deadbeefdeadbeef" (fun () ->
-          Trace.with_span "x" (fun () -> ()));
-      (match Trace.last () with
-      | Some s ->
-          Alcotest.(check string) "bound id used" "deadbeefdeadbeef"
-            s.Trace.trace_id
-      | None -> Alcotest.fail "no span recorded");
+      let x =
+        Trace.with_trace_id "deadbeefdeadbeef" (fun () -> root "x" (fun () -> ()))
+      in
+      Alcotest.(check string) "bound id used" "deadbeefdeadbeef" x.Trace.trace_id;
       (* actors attach through dynamic extent *)
-      Trace.with_span "root" (fun () ->
-          Trace.with_actor "s0" (fun () -> Trace.with_span "kid" (fun () -> ())));
-      match Trace.last () with
-      | Some s ->
-          Alcotest.(check (list string)) "actors collected" [ ""; "s0" ]
-            (Trace.actors s)
-      | None -> Alcotest.fail "no span recorded")
+      let s =
+        root "root" (fun () ->
+            Trace.with_actor "s0" (fun () -> Trace.with_span "kid" (fun () -> ())))
+      in
+      Alcotest.(check (list string)) "actors collected" [ ""; "s0" ]
+        (Trace.actors s))
+
+(* Two servers, one coordinator at dc=root0. *)
+let two_server_coordinator () =
+  let instance =
+    Dif_gen.generate
+      ~params:
+        {
+          Dif_gen.default_params with
+          size = 200;
+          seed = 3;
+          roots = 2;
+          depth_bias = 0.4;
+        }
+      ()
+  in
+  let domains = [ Dn.of_string "dc=root0"; Dn.of_string "dc=root1" ] in
+  Dist.coordinator (Dist.deploy instance domains) (Dn.of_string "dc=root0")
 
 let test_dist_trace_stitching () =
   with_qlog (fun () ->
       with_tracing (fun () ->
-          let instance =
-            Dif_gen.generate
-              ~params:
-                {
-                  Dif_gen.default_params with
-                  size = 200;
-                  seed = 3;
-                  roots = 2;
-                  depth_bias = 0.4;
-                }
-              ()
-          in
-          let domains = [ Dn.of_string "dc=root0"; Dn.of_string "dc=root1" ] in
-          let net = Dist.deploy instance domains in
-          let coord = Dist.coordinator net (Dn.of_string "dc=root0") in
+          let coord = two_server_coordinator () in
           let path = temp_journal () in
           Qlog.enable ~append:false path;
-          Qlog.set_threshold_ns max_int;
+          Tail.set_slow_threshold_ns 0;
           (* a root-scoped query touches both servers *)
           ignore
             (Dist.eval_entries coord
                (Qparser.of_string "( ? sub ? objectClass=person)"));
           Qlog.disable ();
+          (* the coordinator offers its stitched root to Tail, where it
+             subsumes the servers' engine subtrees *)
           Alcotest.(check int) "one root span per query" 1
-            (List.length (Trace.recent ()));
-          let root = Option.get (Trace.last ()) in
+            (Tail.retained_count ());
+          let tid = (List.hd (Tail.retained ())).Tail.r_trace_id in
+          let r = Option.get (Tail.find tid) in
+          let root = r.Tail.r_span in
+          Alcotest.(check string) "the coordinate tree" "coordinate"
+            root.Trace.name;
+          Alcotest.(check string) "origin" "dist" r.Tail.r_origin;
           Alcotest.(check string) "root actor is the coordinator"
             "coordinator" root.Trace.actor;
           (* every span of the stitched tree shares the root's trace id *)
@@ -801,11 +792,15 @@ let test_dist_trace_stitching () =
           in
           check_ids root;
           let actors = Trace.actors root in
-          Alcotest.(check bool)
-            (Printf.sprintf "coordinator + both server lanes (got %s)"
-               (String.concat "," actors))
-            true
-            (List.length actors >= 3);
+          List.iter
+            (fun a ->
+              Alcotest.(check bool)
+                (Printf.sprintf "lane %s (got %s)" a (String.concat "," actors))
+                true (List.mem a actors))
+            ("coordinator"
+            :: List.map
+                 (fun (s : Dist.server) -> s.Dist.name)
+                 coord.Dist.network.Dist.servers);
           (* and so does every journal event (coordinator + per-server) *)
           let events = Qlog.load path in
           Alcotest.(check bool) "several journal events" true
@@ -814,18 +809,28 @@ let test_dist_trace_stitching () =
             (fun (ev : Qlog.event) ->
               Alcotest.(check (option string)) "event carries the trace id"
                 (Some root.Trace.trace_id) ev.Qlog.trace_id)
-            events))
+            events;
+          (* the slowlog shows the query once: the coordinator's event *)
+          match Tail.slowlog 64 with
+          | [ (_, ev) ] ->
+              Alcotest.(check (option string)) "one line, the coordinator's"
+                (Some coord.Dist.home.Dist.name) ev.Qlog.server;
+              Alcotest.(check bool) "with its shipping" true
+                (ev.Qlog.shipped <> [])
+          | l -> Alcotest.failf "expected 1 slowlog line, got %d" (List.length l)))
 
 (* --- Chrome trace-event export ----------------------------------------------- *)
 
 let test_chrome_trace_shape () =
   with_tracing (fun () ->
       let stats = Io_stats.create () in
-      Trace.with_span ~stats ~detail:"the query" "query" (fun () ->
-          Trace.with_actor "s0" (fun () ->
-              Trace.with_span ~stats "child" (fun () ->
-                  Io_stats.read_page stats)));
-      let span = Option.get (Trace.last ()) in
+      let (), span =
+        Trace.with_span_out ~stats ~detail:"the query" "query" (fun () ->
+            Trace.with_actor "s0" (fun () ->
+                Trace.with_span ~stats "child" (fun () ->
+                    Io_stats.read_page stats)))
+      in
+      let span = Option.get span in
       let doc = Json.of_string (Chrome_trace.to_string [ span ]) in
       let events = Json.arr (Json.member "traceEvents" doc) in
       let xs =
@@ -937,8 +942,15 @@ let test_monitor_routes () =
   Srv.stop m
 
 let test_monitor_trace_route () =
+  with_tail @@ fun () ->
   with_tracing (fun () ->
-      Trace.with_span "query" (fun () -> Trace.with_span "child" (fun () -> ()));
+      let (), span =
+        Trace.with_span_out "query" (fun () ->
+            Trace.with_span "child" (fun () -> ()))
+      in
+      ignore
+        (Tail.consider ~origin:"engine" ~outcome:`Error ~wall_ns:0
+           (Option.get span));
       let m = Testkit.start_monitor () in
       Fun.protect
         ~finally:(fun () -> Srv.stop m)
@@ -1051,20 +1063,22 @@ let test_qlog_concurrent_hammer () =
 
 let test_trace_concurrent_threads () =
   with_tracing (fun () ->
-      Trace.set_capacity 64;
-      Trace.clear ();
       let n_threads = 8 in
       let ids = Array.make n_threads "" in
+      let roots = Array.make n_threads None in
       spawn_join n_threads (fun i ->
           (* each thread builds its own little span tree; ambient state
              is per thread, so the trees never cross-link *)
           Trace.with_actor (Printf.sprintf "t%d" i) (fun () ->
-              Trace.with_span (Printf.sprintf "root%d" i) (fun () ->
-                  ids.(i) <-
-                    Option.value ~default:"" (Trace.current_trace_id ());
-                  Trace.with_span "child" (fun () -> Thread.yield ());
-                  Trace.with_span "child2" (fun () -> ()))));
-      let roots = Trace.recent () in
+              let (), root =
+                Trace.with_span_out (Printf.sprintf "root%d" i) (fun () ->
+                    ids.(i) <-
+                      Option.value ~default:"" (Trace.current_trace_id ());
+                    Trace.with_span "child" (fun () -> Thread.yield ());
+                    Trace.with_span "child2" (fun () -> ()))
+              in
+              roots.(i) <- root));
+      let roots = List.filter_map Fun.id (Array.to_list roots) in
       Alcotest.(check int) "one root per thread" n_threads (List.length roots);
       List.iter
         (fun (s : Trace.span) ->
@@ -1080,9 +1094,7 @@ let test_trace_concurrent_threads () =
         List.sort_uniq compare (Array.to_list ids |> List.filter (( <> ) ""))
       in
       Alcotest.(check int) "distinct trace ids per thread" n_threads
-        (List.length unique_ids);
-      Trace.clear ();
-      Trace.set_capacity 16)
+        (List.length unique_ids))
 
 let () =
   Alcotest.run "obs"
@@ -1112,9 +1124,6 @@ let () =
         [
           Alcotest.test_case "span nesting" `Quick test_span_nesting;
           Alcotest.test_case "closes on raise" `Quick test_span_closes_on_raise;
-          Alcotest.test_case "ring eviction" `Quick test_ring_eviction;
-          Alcotest.test_case "capacity truncation" `Quick
-            test_capacity_truncates_ring;
           Alcotest.test_case "failing child attached" `Quick
             test_failing_child_attached;
           Alcotest.test_case "set_rows annotation" `Quick test_set_rows;

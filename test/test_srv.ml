@@ -136,6 +136,50 @@ let test_http_routes () =
       let status, _, _ = get "/query" in
       Alcotest.(check int) "missing q" 400 status)
 
+(* A served query, journaled, lands on /slowlog joined to the trace
+   Tail retains for it, and that trace id resolves at /trace/<id> to
+   the server's root span. *)
+let test_served_slowlog () =
+  let instance = mk_instance () in
+  let path = Filename.temp_file "ndq_srv_journal" ".jsonl" in
+  let thr = Tail.slow_threshold_ns () in
+  Qlog.enable ~append:false path;
+  Tail.set_slow_threshold_ns 0;
+  Tail.clear ();
+  Fun.protect
+    ~finally:(fun () ->
+      Qlog.disable ();
+      Sys.remove path;
+      Tail.set_slow_threshold_ns thr;
+      Tail.clear ())
+    (fun () ->
+      with_srv ~workers:1 instance (fun srv ->
+          let port = Srv.port srv in
+          let q = "( ? sub ? id=* )" in
+          let status, _, _ = Monitor.request ~meth:"POST" ~body:q ~port "/query" in
+          Alcotest.(check int) "query served" 200 status;
+          let status, _, body = Monitor.request ~port "/slowlog" in
+          Alcotest.(check int) "slowlog status" 200 status;
+          match
+            List.find_opt
+              (fun l -> Json.member "query" l = Json.Str q)
+              (Json.lines body)
+          with
+          | None -> Alcotest.failf "served query missing from /slowlog: %s" body
+          | Some line ->
+              Alcotest.(check bool) "trace retained" true
+                (Json.member "trace_retained" line = Json.Bool true);
+              let tid = Json.str (Json.member "trace_id" line) in
+              let status, _, body = Monitor.request ~port ("/trace/" ^ tid) in
+              Alcotest.(check int) "trace resolves" 200 status;
+              let root =
+                List.find
+                  (fun e -> Json.member "ph" e = Json.Str "X")
+                  (Json.arr (Json.member "traceEvents" (Json.of_string body)))
+              in
+              Alcotest.(check string) "root span" "serve"
+                (Json.str (Json.member "name" root))))
+
 (* A 1-worker / 1-slot server under a burst of concurrent heavy
    queries must shed — Busy with a retry hint — and the shed counter
    must move.  Retries until the race lands (each round sends 12
@@ -351,7 +395,11 @@ let () =
             test_differential_concurrency;
         ] );
       ( "http",
-        [ Alcotest.test_case "routes and streaming" `Quick test_http_routes ] );
+        [
+          Alcotest.test_case "routes and streaming" `Quick test_http_routes;
+          Alcotest.test_case "served slow query on /slowlog" `Quick
+            test_served_slowlog;
+        ] );
       ( "backpressure",
         [
           Alcotest.test_case "full queue sheds" `Quick test_shed_backpressure;

@@ -296,6 +296,67 @@ let test_tail_dedup_keeps_bigger_tree () =
       check_order 1 3;
       check_order 3 1)
 
+let test_slow_threshold_boundary () =
+  (* one predicate: a wall time equal to the threshold is slow for the
+     tail verdict and for the engine's journal capture alike *)
+  with_tail_defaults (fun () ->
+      let t = 1_000_000 in
+      Tail.set_slow_threshold_ns t;
+      Tail.set_sample_every 0;
+      let verdict wall_ns =
+        Tail.consider ~origin:"srv" ~outcome:`Ok ~wall_ns (mk_span ())
+      in
+      Alcotest.(check bool) "wall = threshold is slow" true
+        (verdict t = Some Tail.Slow);
+      Alcotest.(check bool) "just under is not" true (verdict (t - 1) = None);
+      let eng = Engine.create ~block:16 (Dif_gen.karily ~fanout:4 ~size:50 ()) in
+      let q = Qparser.of_string "( ? sub ? tag=even)" in
+      let captured wall_ns =
+        (Engine.record_event eng q ~mode:Engine.Streaming
+           ~annotate:(fun _ ops -> ops)
+           ~server:None ~shipped:None ~cache:"bypass" ~result_count:0 ~reads:0
+           ~writes:0 ~wall_ns ~alloc_bytes:0 ~outcome:Qlog.Ok None)
+          .Qlog.capture
+        <> None
+      in
+      Alcotest.(check bool) "the same wall is captured" true (captured t);
+      Alcotest.(check bool) "just under is not captured" false
+        (captured (t - 1)))
+
+let test_tail_merge_keeps_event () =
+  with_tail_defaults (fun () ->
+      Tail.set_slow_threshold_ns 0;
+      Tail.set_sample_every 0;
+      let ev =
+        Qlog.record ~query:"q" ~fingerprint:"f" ~result_count:0 ~reads:0
+          ~writes:0 ~wall_ns:10 ~outcome:Qlog.Ok ()
+      in
+      let check_order ~event_first =
+        Tail.clear ();
+        let tid = Trace.next_trace_id () in
+        (* the event rides on the smaller tree, in either arrival order *)
+        let small () =
+          ignore
+            (Tail.consider ~event:ev ~origin:"engine" ~outcome:`Ok ~wall_ns:10
+               (mk_span ~trace_id:tid ()))
+        and big () =
+          ignore
+            (Tail.consider ~origin:"srv" ~outcome:`Ok ~wall_ns:20
+               (mk_span ~spans:3 ~trace_id:tid ()))
+        in
+        if event_first then (small (); big ()) else (big (); small ());
+        (match Tail.find tid with
+        | None -> Alcotest.fail "trace not retained"
+        | Some r ->
+            Alcotest.(check int) "the bigger tree wins" 3
+              (Trace.span_count r.Tail.r_span);
+            Alcotest.(check (option int)) "the event is kept" (Some ev.Qlog.seq)
+              (Option.map (fun e -> e.Qlog.seq) r.Tail.r_event));
+        Alcotest.(check int) "one slowlog line" 1 (List.length (Tail.slowlog 64))
+      in
+      check_order ~event_first:true;
+      check_order ~event_first:false)
+
 (* --- Exemplars -------------------------------------------------------------- *)
 
 let test_exemplar_roundtrip () =
@@ -480,6 +541,10 @@ let () =
           Alcotest.test_case "retention reasons" `Quick test_tail_reasons;
           Alcotest.test_case "budget eviction" `Quick
             test_tail_budget_eviction;
+          Alcotest.test_case "slow threshold boundary" `Quick
+            test_slow_threshold_boundary;
+          Alcotest.test_case "merge keeps the event" `Quick
+            test_tail_merge_keeps_event;
           Alcotest.test_case "dedup keeps bigger tree" `Quick
             test_tail_dedup_keeps_bigger_tree;
         ] );
