@@ -33,7 +33,12 @@
    The run reports sustained QPS (completions over the measured span),
    exact p50/p95/p99/max latencies over completed requests, counts per
    terminal status, and the peak admission-queue depth sampled from
-   the server's /healthz while the load ran. *)
+   the server's /healthz while the load ran.  Against a spawned server
+   it also prints where the time went: the server's srv_stage_ns
+   stages (queue, parse, execute, write, other) as p50/p99 and as a
+   share of srv_request_ns, then the wire+client residual — each
+   request's latency from its due time minus the server wall time its
+   trailer reports. *)
 
 open Ndq
 
@@ -110,6 +115,7 @@ type slot = {
   mutable latency_ns : int;  (* scheduled arrival -> completion; -1 unset *)
   mutable status : char;  (* 'o'k / 'b'usy / 'd'eadline / 'e'rror / 'x' no conn *)
   mutable rows : int;
+  mutable wall_us : int;  (* the trailer's server wall time *)
 }
 
 let percentile sorted q =
@@ -157,7 +163,8 @@ let () =
   in
 
   let slots =
-    Array.init total (fun _ -> { latency_ns = -1; status = 'x'; rows = 0 })
+    Array.init total (fun _ ->
+        { latency_ns = -1; status = 'x'; rows = 0; wall_us = 0 })
   in
   let period_ns = 1e9 /. !rate in
   let t0 = Mclock.now_ns () + 50_000_000 in
@@ -197,6 +204,7 @@ let () =
              | reply ->
                  s.latency_ns <- Mclock.now_ns () - scheduled;
                  s.rows <- List.length reply.Srv_client.rows;
+                 s.wall_us <- reply.Srv_client.wall_us;
                  s.status <-
                    (match reply.Srv_client.status with
                    | Srv_client.Ok -> 'o'
@@ -338,6 +346,66 @@ let () =
         ]
   in
 
+  (* The per-stage table (spawned server only: its srv_stage_ns
+     series live in this process's default registry).  Stage
+     quantiles are read from the power-of-two histogram buckets; the
+     wire+client residual is exact, per request, over the replies
+     whose trailer carries a wall time (ok and deadline). *)
+  let stage_rows =
+    if spawned = None then []
+    else
+      let request =
+        Metrics.histogram ~labels:[ ("route", "line") ] "srv_request_ns"
+      in
+      let total = Float.max 1. (Metrics.histogram_sum request) in
+      let row name h =
+        ( name,
+          Metrics.quantile h 0.50 /. 1e3,
+          Metrics.quantile h 0.99 /. 1e3,
+          Some (Metrics.histogram_sum h /. total) )
+      in
+      let residual =
+        Array.of_list
+          (List.filter_map
+             (fun s ->
+               if s.status = 'o' || s.status = 'd' then
+                 Some (s.latency_ns - (s.wall_us * 1000))
+               else None)
+             (Array.to_list slots))
+      in
+      Array.sort compare residual;
+      List.map
+        (fun stage ->
+          row stage
+            (Metrics.histogram ~labels:[ ("stage", stage) ] "srv_stage_ns"))
+        (Array.to_list Srv.stage_names)
+      @ [
+          row "server" request;
+          ( "wire+client",
+            float_of_int (percentile residual 0.50) /. 1e3,
+            float_of_int (percentile residual 0.99) /. 1e3,
+            None );
+        ]
+  in
+  let stages_field =
+    if stage_rows = [] then []
+    else
+      [
+        ( "stages",
+          Json.Obj
+            (List.map
+               (fun (name, p50, p99, share) ->
+                 ( name,
+                   Json.Obj
+                     ([ ("p50_us", Json.Num p50); ("p99_us", Json.Num p99) ]
+                     @
+                     match share with
+                     | Some f -> [ ("share", Json.Num f) ]
+                     | None -> []) ))
+               stage_rows) );
+      ]
+  in
+
   let run =
     Json.Obj
       ([
@@ -372,7 +440,7 @@ let () =
               ("max_queue_depth", Json.Num (float_of_int !max_depth));
             ] );
       ]
-      @ tsdb_fields)
+      @ stages_field @ tsdb_fields)
   in
   let runs =
     if !append && Sys.file_exists !out then
@@ -393,6 +461,16 @@ let () =
      p50=%dus p95=%dus p99=%dus max_queue_depth=%d -> %s\n"
     !label total ok busy deadline error lost qps (us p50) (us p95) (us p99)
     !max_depth !out;
+  if stage_rows <> [] then begin
+    Printf.printf "%-12s %10s %10s %7s\n" "stage" "p50_us" "p99_us" "share";
+    List.iter
+      (fun (name, p50, p99, share) ->
+        Printf.printf "%-12s %10.1f %10.1f %7s\n" name p50 p99
+          (match share with
+          | Some f -> Printf.sprintf "%.3f" f
+          | None -> "-"))
+      stage_rows
+  end;
   (match recorder with
   | Some ts ->
       Printf.printf

@@ -338,18 +338,23 @@ let http_head ?(content_type = "text/plain; charset=utf-8") ?(headers = [])
   Buffer.add_string b "Connection: close\r\n\r\n";
   Buffer.contents b
 
+(* The one socket writer: every byte the server and its clients send
+   goes through here.  [Unix.write_substring] writes from the string
+   itself, with no intermediate copy.  [false] once the peer is gone. *)
+let write_all fd s =
+  let len = String.length s in
+  let rec go off =
+    off >= len
+    || (let n = Unix.write_substring fd s off (len - off) in
+        n > 0 && go (off + n))
+  in
+  try go 0 with Unix.Unix_error _ -> false
+
 let write_response fd ~head_only { status; content_type; body } =
   let head =
     http_head ~content_type ~content_length:(String.length body) status
   in
-  let payload = if head_only then head else head ^ body in
-  let bytes = Bytes.of_string payload in
-  let rec write_all off =
-    if off < Bytes.length bytes then
-      let n = Unix.write fd bytes off (Bytes.length bytes - off) in
-      if n > 0 then write_all (off + n)
-  in
-  try write_all 0 with Unix.Unix_error _ -> ()
+  ignore (write_all fd (if head_only then head else head ^ body))
 
 (* --- A minimal loopback client ---------------------------------------------- *)
 
@@ -378,8 +383,7 @@ let request ?(host = "127.0.0.1") ?(meth = "GET") ?body ~port path =
               "%s %s HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\nConnection: close\r\n\r\n%s"
               meth path host (String.length payload) payload
       in
-      let bytes = Bytes.of_string req in
-      ignore (Unix.write s bytes 0 (Bytes.length bytes));
+      ignore (write_all s req);
       let b = Buffer.create 1024 in
       let chunk = Bytes.create 4096 in
       let rec drain () =

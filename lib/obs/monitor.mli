@@ -82,6 +82,11 @@ val http_head :
     a [Connection: close] response.  Omitting [content_length] yields a
     streamed, EOF-delimited response head. *)
 
+val write_all : Unix.file_descr -> string -> bool
+(** Write the whole string, straight from the string (no copy); [false]
+    when the write fails (the peer hung up or the send timed out).  The
+    one socket writer of {!Srv}, {!Srv_client} and {!write_response}. *)
+
 val write_response : Unix.file_descr -> head_only:bool -> response -> unit
 (** Write a complete (head + body) response; [head_only] withholds the
     body (HEAD) but keeps [Content-Length].  Write errors are swallowed

@@ -18,16 +18,21 @@
    its budget in the queue is never run, and one that exceeds it
    mid-stream stops after shipping partial results.
 
-   Results ship as they are produced: evaluation uses the streaming
-   [Source] pipeline and flushes row batches to the socket while the
-   query is still running, so time-to-first-row is independent of
-   result size.
+   Framing: each query response is built in one per-request buffer —
+   HTTP head, rows, trailer — and leaves in one write when it fits in
+   one 64-row batch.  A longer result flushes at each 64-row boundary
+   while the query is still running, so time-to-first-row is
+   independent of result size, and its last batch leaves with the
+   trailer.  Every accepted socket has Nagle off (TCP_NODELAY): a
+   response's final write goes out at once instead of waiting for the
+   client's delayed ACK of the previous one (40 ms on Linux).
 
    Instrumented end to end: query requests count in
    srv_requests_total{route,status} and srv_request_ns{route}
-   (admission to completion — queue wait included, which is what an
-   SLO on served latency must measure); routed requests count in
-   Monitor's monitor_* series; srv_queue_depth, srv_sessions,
+   (admission to the end of the final write — queue wait included,
+   which is what an SLO on served latency must measure), and the same
+   time split by stage in srv_stage_ns{stage}; routed requests count
+   in Monitor's monitor_* series; srv_queue_depth, srv_sessions,
    srv_shed_total; each executed query journals a Qlog event carrying
    a fresh trace id. *)
 
@@ -63,9 +68,22 @@ type t = {
   g_depth : Metrics.gauge;
   g_sessions : Metrics.gauge;
   c_shed : Metrics.counter;
+  h_stages : Metrics.histogram array;  (* srv_stage_ns, by [stage_names] *)
 }
 
-let observe ?trace_id t ~route ~status ~ns =
+(* [other] is the request's wall time minus the rest (journal, tail
+   sampling, trailer and bookkeeping), so per request the stages sum
+   exactly to srv_request_ns. *)
+let stage_names = [| "queue"; "parse"; "execute"; "write"; "other" |]
+
+(* [ns] runs from admission (or, for an HTTP error answer on /query,
+   from the request line) to the end of the final write; the stages
+   are intervals inside it, taken from the same clock. *)
+let observe ?trace_id ?(queue = 0) ?(parse = 0) ?(exec = 0) t ~route ~status
+    ~write ~ns =
+  Array.iteri
+    (fun i v -> Metrics.observe_ns t.h_stages.(i) v)
+    [| queue; parse; exec; write; ns - queue - parse - exec - write |];
   Atomic.incr t.served;
   Metrics.incr
     (Metrics.counter ~registry:t.registry
@@ -75,8 +93,8 @@ let observe ?trace_id t ~route ~status ~ns =
   Metrics.observe_ns ?trace_id
     (Metrics.histogram ~registry:t.registry
        ~help:
-         "wall nanoseconds per served request, admission to completion \
-          (queue wait included)"
+         "wall nanoseconds per served request, admission to the end of \
+          its final write (queue wait included)"
        ~labels:[ ("route", route) ]
        "srv_request_ns")
     ns
@@ -140,18 +158,6 @@ let worker_loop t make_engine () =
 
 (* --- Socket plumbing ------------------------------------------------------ *)
 
-let write_all fd s =
-  let bytes = Bytes.of_string s in
-  let rec go off =
-    if off < Bytes.length bytes then
-      let n = Unix.write fd bytes off (Bytes.length bytes - off) in
-      if n > 0 then go (off + n)
-  in
-  try
-    go 0;
-    true
-  with Unix.Unix_error _ -> false
-
 (* The limits of the one reader.  Line-protocol sessions may idle
    forever (reads poll every [poll_s] so a blocked session still
    notices [stopping]); an HTTP head — request line plus headers — is
@@ -167,21 +173,22 @@ let head_deadline_ns = 2_000_000_000
 type reader = {
   fd : Unix.file_descr;
   buf : Buffer.t;
+  chunk : Bytes.t;  (* one read buffer for the connection's lifetime *)
   mutable eof : bool;
 }
 
-let reader fd = { fd; buf = Buffer.create 256; eof = false }
+let reader fd =
+  { fd; buf = Buffer.create 256; chunk = Bytes.create 4096; eof = false }
 
 let refill t r =
   if r.eof then false
   else begin
-    let chunk = Bytes.create 4096 in
-    match Unix.read r.fd chunk 0 (Bytes.length chunk) with
+    match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
     | 0 ->
         r.eof <- true;
         false
     | n ->
-        Buffer.add_subbytes r.buf chunk 0 n;
+        Buffer.add_subbytes r.buf r.chunk 0 n;
         true
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         (* receive timeout: poll the stop flag, stay open *)
@@ -266,14 +273,16 @@ let tail_outcome = function
   | S_busy -> `Shed
   | S_error _ -> `Error
 
-(* Evaluate one query on a worker's engine, streaming rows to [emit]
-   in batches, checking the deadline between batches.  Returns the
-   final status, the rows shipped, the wall time and the trace id.
-   Every request runs force-traced and journals a Qlog event when the
-   journal is open; the completed span tree then goes, with that
-   event, to the tail sampler, which decides whether it is worth
-   keeping. *)
-let execute engine ~query_text ~deadline_ns ~emit =
+(* Evaluate one query on a worker's engine, appending rows to [out]
+   and calling [flush] at every 64-row boundary (the rows still in
+   [out] at the end are the caller's to send), checking the deadline
+   between rows.  Returns the final status, the rows produced, the
+   trace id and the parse and execute stage times (execute runs from
+   the parsed query to the last row, [flush]es included).  Every
+   request runs force-traced and journals a Qlog event when the journal
+   is open; the completed span tree then goes, with that event, to the
+   tail sampler, which decides whether it is worth keeping. *)
+let execute engine ~query_text ~deadline_ns ~out ~flush =
   let journal = Qlog.enabled () in
   let tid = Trace.next_trace_id () in
   let stats = Engine.stats engine in
@@ -281,6 +290,7 @@ let execute engine ~query_text ~deadline_ns ~emit =
   and writes0 = stats.Io_stats.page_writes in
   let alloc0 = Gc.allocated_bytes () in
   let t0 = Mclock.now_ns () in
+  let t_parsed = ref t0 and t_done = ref t0 in
   let rows = ref 0 in
   let outcome, span, event =
     Engine.with_forced_tracing true @@ fun () ->
@@ -288,22 +298,22 @@ let execute engine ~query_text ~deadline_ns ~emit =
     Trace.with_actor "srv" @@ fun () ->
     match
       Trace.with_span_out ~detail:query_text ~stats "serve" (fun () ->
-          match
-            Qparser.of_string
-              ~schema:(Instance.schema (Engine.instance engine))
-              query_text
-          with
-          | exception Qparser.Parse_error msg -> `Parse msg
-          | ast ->
+          let parsed =
+            match
+              Qparser.of_string
+                ~schema:(Instance.schema (Engine.instance engine))
+                query_text
+            with
+            | exception Qparser.Parse_error msg -> Error msg
+            | ast -> Ok ast
+          in
+          t_parsed := Mclock.now_ns ();
+          t_done := !t_parsed;
+          match parsed with
+          | Error msg -> `Parse msg
+          | Ok ast ->
               let src = Engine.eval_node_src engine ast in
-              let batch = Buffer.create 4096 in
               let status = ref S_ok in
-              let flush () =
-                if Buffer.length batch > 0 then begin
-                  if not (emit (Buffer.contents batch)) then raise Exit;
-                  Buffer.clear batch
-                end
-              in
               (try
                  let rec pump n =
                    if Mclock.now_ns () > deadline_ns then status := S_deadline
@@ -311,18 +321,18 @@ let execute engine ~query_text ~deadline_ns ~emit =
                      match Ext_list.Source.next src with
                      | None -> ()
                      | Some e ->
-                         Buffer.add_string batch (Dn.to_string (Entry.dn e));
-                         Buffer.add_char batch '\n';
+                         Buffer.add_string out (Dn.to_string (Entry.dn e));
+                         Buffer.add_char out '\n';
                          incr rows;
                          if n >= 63 then begin
-                           flush ();
+                           if not (flush ()) then raise Exit;
                            pump 0
                          end
                          else pump (n + 1)
                  in
-                 pump 0;
-                 flush ()
+                 pump 0
                with Exit -> ());
+              t_done := Mclock.now_ns ();
               Trace.set_rows !rows;
               `Ran (ast, !status))
     with
@@ -372,7 +382,7 @@ let execute engine ~query_text ~deadline_ns ~emit =
         (Tail.consider ?event ~origin:"srv" ~outcome:(tail_outcome outcome)
            ~wall_ns:wall s))
     span;
-  (outcome, !rows, wall, tid)
+  (outcome, !rows, tid, !t_parsed - t0, !t_done - !t_parsed)
 
 (* A request that never reached a worker engine (shed at admission, or
    its budget died in the queue) still deserves a trace the tail
@@ -395,41 +405,55 @@ let synthetic_span ~name ~detail ~wall_ns : Trace.span =
 
 (* Admit, execute on a worker, stream to the socket, account.  The
    calling session thread blocks until the worker finishes, preserving
-   request order within a connection. *)
+   request order within a connection.  Every response leaves through
+   [send], which times its writes for the [write] stage. *)
 let serve_query t fd ~route ~write_head ~deadline_ns query_text =
   let submitted = Mclock.now_ns () in
   let absolute_deadline = submitted + deadline_ns in
+  let write_ns = ref 0 in
+  let send s =
+    let w0 = Mclock.now_ns () in
+    let ok = Monitor.write_all fd s in
+    write_ns := !write_ns + (Mclock.now_ns () - w0);
+    ok
+  in
   let run engine =
-    if Mclock.now_ns () > absolute_deadline then begin
+    let started = Mclock.now_ns () in
+    let queue = started - submitted in
+    if started > absolute_deadline then begin
       (* the budget died in the queue: don't run at all *)
+      let sp = synthetic_span ~name:"queue-deadline" ~detail:query_text ~wall_ns:queue in
+      ignore (Tail.consider ~origin:"srv" ~outcome:`Deadline ~wall_ns:queue sp);
       let wall = Mclock.now_ns () - submitted in
-      let sp = synthetic_span ~name:"queue-deadline" ~detail:query_text ~wall_ns:wall in
-      ignore (Tail.consider ~origin:"srv" ~outcome:`Deadline ~wall_ns:wall sp);
-      ignore
-        (write_all fd
-           (write_head S_deadline ^ trailer S_deadline ~rows:0 ~wall_ns:wall));
-      observe ~trace_id:sp.Trace.trace_id t ~route
-        ~status:(http_code S_deadline) ~ns:wall
+      ignore (send (write_head S_deadline ^ trailer S_deadline ~rows:0 ~wall_ns:wall));
+      observe ~trace_id:sp.Trace.trace_id ~queue t ~route
+        ~status:(http_code S_deadline) ~write:!write_ns
+        ~ns:(Mclock.now_ns () - submitted)
     end
     else begin
-      let head_sent = ref false in
-      let emit s =
-        if not !head_sent then begin
-          head_sent := true;
-          if not (write_all fd (write_head S_ok)) then raise Exit
-        end;
-        write_all fd s
+      (* The head assumes rows; a response with none is re-headed with
+         its final status below, before anything has been sent. *)
+      let out = Buffer.create 256 in
+      Buffer.add_string out (write_head S_ok);
+      let flush () =
+        let ok = send (Buffer.contents out) in
+        Buffer.clear out;
+        ok
       in
-      let status, rows, _exec_ns, tid =
-        execute engine ~query_text ~deadline_ns:absolute_deadline ~emit
+      let status, rows, tid, parse, exec =
+        execute engine ~query_text ~deadline_ns:absolute_deadline ~out ~flush
       in
+      let exec = exec - !write_ns in
+      if rows = 0 then begin
+        Buffer.clear out;
+        Buffer.add_string out (write_head status)
+      end;
       let wall = Mclock.now_ns () - submitted in
-      let tail = trailer status ~rows ~wall_ns:wall in
-      ignore
-        (write_all fd
-           (if !head_sent then tail
-            else write_head (if rows = 0 then status else S_ok) ^ tail));
-      observe ~trace_id:tid t ~route ~status:(http_code status) ~ns:wall
+      Buffer.add_string out (trailer status ~rows ~wall_ns:wall);
+      ignore (flush ());
+      observe ~trace_id:tid ~queue ~parse ~exec t ~route
+        ~status:(http_code status) ~write:!write_ns
+        ~ns:(Mclock.now_ns () - submitted)
     end
   in
   match submit t run with
@@ -438,9 +462,9 @@ let serve_query t fd ~route ~write_head ~deadline_ns query_text =
       let wall = Mclock.now_ns () - submitted in
       let sp = synthetic_span ~name:"shed" ~detail:query_text ~wall_ns:wall in
       ignore (Tail.consider ~origin:"srv" ~outcome:`Shed ~wall_ns:wall sp);
-      ignore
-        (write_all fd (write_head S_busy ^ trailer S_busy ~rows:0 ~wall_ns:0));
-      observe ~trace_id:sp.Trace.trace_id t ~route ~status:503 ~ns:wall
+      ignore (send (write_head S_busy ^ trailer S_busy ~rows:0 ~wall_ns:0));
+      observe ~trace_id:sp.Trace.trace_id t ~route ~status:503 ~write:!write_ns
+        ~ns:(Mclock.now_ns () - submitted)
 
 (* --- The HTTP face --------------------------------------------------------- *)
 
@@ -514,9 +538,11 @@ let route t target =
    Content-Length.  Answers on /query (errors) count as query requests,
    every other route under monitor_*. *)
 let answer t fd ~t0 ~path ?(head_only = false) response =
+  let w0 = Mclock.now_ns () in
   Monitor.write_response fd ~head_only response;
-  let status = response.Monitor.status and ns = Mclock.now_ns () - t0 in
-  if path = "/query" then observe t ~route:path ~status ~ns
+  let w1 = Mclock.now_ns () in
+  let status = response.Monitor.status and ns = w1 - t0 in
+  if path = "/query" then observe t ~route:path ~status ~write:(w1 - w0) ~ns
   else begin
     Atomic.incr t.served;
     Monitor.observe ~registry:t.registry ~path ~status ~ns
@@ -578,14 +604,14 @@ let handle_line_session t fd r first_line =
   let handle line =
     match String.trim line with
     | "" -> true
-    | "PING" -> write_all fd "PONG\n"
+    | "PING" -> Monitor.write_all fd "PONG\n"
     | "QUIT" | "BYE" -> false
     | line when String.length line > 9 && String.sub line 0 9 = "DEADLINE " -> (
         match int_of_string_opt (String.trim (String.sub line 9 (String.length line - 9))) with
         | Some ms when ms > 0 ->
             deadline := ms * 1_000_000;
-            write_all fd "OK\n"
-        | _ -> write_all fd "# status=error msg=\"bad DEADLINE\"\n")
+            Monitor.write_all fd "OK\n"
+        | _ -> Monitor.write_all fd "# status=error msg=\"bad DEADLINE\"\n")
     | query ->
         serve_query t fd ~route:"line" ~write_head:line_head
           ~deadline_ns:!deadline query;
@@ -617,7 +643,8 @@ let session t fd =
     (fun () ->
       (try
          Unix.setsockopt_float fd Unix.SO_RCVTIMEO poll_s;
-         Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout_s
+         Unix.setsockopt_float fd Unix.SO_SNDTIMEO send_timeout_s;
+         Unix.setsockopt fd Unix.TCP_NODELAY true
        with Unix.Unix_error _ -> ());
       let r = reader fd in
       match read_line t r with
@@ -690,6 +717,16 @@ let start ?(registry = Metrics.default) ?(workers = 4) ?(queue = 64)
         Metrics.counter ~registry
           ~help:"requests shed because the admission queue was full"
           "srv_shed_total";
+      h_stages =
+        Array.map
+          (fun stage ->
+            Metrics.histogram ~registry
+              ~help:
+                "wall nanoseconds per served request spent in each stage; \
+                 per request the stages sum to srv_request_ns"
+              ~labels:[ ("stage", stage) ]
+              "srv_stage_ns")
+          stage_names;
     }
   in
   t.workers <-

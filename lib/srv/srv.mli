@@ -24,7 +24,14 @@
     [# status=ok rows=<n> wall_us=<n>],
     [# status=deadline rows=<n> wall_us=<n>] (partial rows shipped),
     [# status=busy retry_ms=<n>] (shed at admission; HTTP also sends
-    503 + [Retry-After]) or [# status=error msg="..."].
+    503 + [Retry-After]) or [# status=error msg="..."].  [wall_us] is
+    admission to just before the response's final write.
+
+    Framing: a response whose rows fit in one 64-row batch (head, rows
+    and trailer) leaves in a single write; a longer one is written at
+    each 64-row boundary as the rows are produced, and its last batch
+    leaves with the trailer.  Every accepted connection has
+    [TCP_NODELAY] set, so no write waits for the client's delayed ACK.
 
     Concurrency model: a session thread per connection parses requests
     and submits queries to a bounded admission queue; [workers] worker
@@ -38,9 +45,17 @@
 
     Observability: query requests on either face, admitted or shed,
     count in [srv_requests_total{route,status}] and
-    [srv_request_ns{route}] (admission → completion, queue wait
-    included); every other route counts in {!Monitor.observe}'s
-    [monitor_*] series.  [srv_queue_depth], [srv_sessions] (every live
+    [srv_request_ns{route}] (admission to the end of the final write,
+    queue wait included — so it exceeds the trailer's [wall_us] by that
+    one write call).  [srv_stage_ns{stage}] splits the same time by
+    {!stage_names}: [queue] (admission to a worker picking the request
+    up), [parse], [execute] (plan, operators and row encoding, minus
+    time inside writes), [write] (time inside socket writes, the final
+    one included) and [other] (the remainder: journal, tail sampling,
+    bookkeeping).  Every request observes all five, from the same clock
+    stamps as [srv_request_ns], so per request they sum to it exactly.
+    Every other route counts in {!Monitor.observe}'s [monitor_*]
+    series.  [srv_queue_depth], [srv_sessions] (every live
     connection) and [srv_shed_total] complete the set, all in the given
     registry; every executed query records a {!Qlog} event carrying a
     fresh trace id.  {!Alerts.install_defaults} includes SLO rules over
@@ -68,6 +83,10 @@ val start :
     @raise Unix.Unix_error when the port is taken.
     @raise Invalid_argument when [workers] is negative or [queue] is
     not positive. *)
+
+val stage_names : string array
+(** The [stage] label values of [srv_stage_ns], in request order:
+    [queue], [parse], [execute], [write], [other]. *)
 
 val port : t -> int
 val workers : t -> int

@@ -4,7 +4,12 @@
 
 exception Disconnected
 
-type t = { fd : Unix.file_descr; buf : Buffer.t; mutable eof : bool }
+type t = {
+  fd : Unix.file_descr;
+  buf : Buffer.t;
+  chunk : Bytes.t;  (* one read buffer for the connection's lifetime *)
+  mutable eof : bool;
+}
 
 type status = Ok | Deadline | Busy of int | Error of string
 
@@ -19,28 +24,16 @@ let connect ?(host = "127.0.0.1") ?(timeout_s = 10.) ~port () =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; buf = Buffer.create 256; eof = false }
+  { fd; buf = Buffer.create 256; chunk = Bytes.create 4096; eof = false }
 
 let close t =
-  (try
-     let line = Bytes.of_string "QUIT\n" in
-     ignore (Unix.write t.fd line 0 (Bytes.length line))
-   with Unix.Unix_error _ -> ());
+  ignore (Monitor.write_all t.fd "QUIT\n");
   try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let send t line =
-  let payload = Bytes.of_string (line ^ "\n") in
-  let rec go off =
-    if off < Bytes.length payload then
-      match Unix.write t.fd payload off (Bytes.length payload - off) with
-      | 0 -> raise Disconnected
-      | n -> go (off + n)
-      | exception Unix.Unix_error _ -> raise Disconnected
-  in
-  go 0
+  if not (Monitor.write_all t.fd (line ^ "\n")) then raise Disconnected
 
 let read_line t =
-  let chunk = Bytes.create 4096 in
   let rec go () =
     let text = Buffer.contents t.buf in
     match String.index_opt text '\n' with
@@ -52,12 +45,12 @@ let read_line t =
         line
     | None -> (
         if t.eof then raise Disconnected;
-        match Unix.read t.fd chunk 0 (Bytes.length chunk) with
+        match Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) with
         | 0 ->
             t.eof <- true;
             raise Disconnected
         | n ->
-            Buffer.add_subbytes t.buf chunk 0 n;
+            Buffer.add_subbytes t.buf t.chunk 0 n;
             go ()
         | exception Unix.Unix_error _ -> raise Disconnected)
   in

@@ -326,6 +326,178 @@ let test_head_stall () =
         (starts_with ~prefix:"HTTP/1.1 400" reply);
       wait_sessions_gone srv)
 
+(* --- Framing and stage accounting ----------------------------------------- *)
+
+let median l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* A response split over two writes on a socket with Nagle on waits
+   for the client's delayed ACK (40 ms on Linux) before its second
+   write leaves.  Sequential round trips of a query with a few rows on
+   one plain client connection: once the warm-up has used up the
+   connection's quick-ACK segments, the median shows any such stall.
+   An empty answer is one write even when split, so the query must
+   return rows. *)
+let test_no_ack_stall () =
+  let instance = mk_instance () in
+  let q = "( ? sub ? id<4 )" in
+  let expected =
+    Testkit.dns_of (Testkit.oracle instance (Qparser.of_string q))
+  in
+  Alcotest.(check bool) "query returns 1-5 rows" true
+    (List.length expected >= 1 && List.length expected <= 5);
+  with_srv ~workers:2 instance (fun srv ->
+      let conn = Srv_client.connect ~port:(Srv.port srv) () in
+      Fun.protect
+        ~finally:(fun () -> Srv_client.close conn)
+        (fun () ->
+          let round_trip () =
+            let t0 = Unix.gettimeofday () in
+            let reply = Srv_client.query conn q in
+            let dt = Unix.gettimeofday () -. t0 in
+            Alcotest.(check (list string)) "rows" expected reply.Srv_client.rows;
+            dt
+          in
+          for _ = 1 to 10 do
+            ignore (round_trip ())
+          done;
+          let ms = median (List.init 40 (fun _ -> round_trip ())) *. 1e3 in
+          Alcotest.(check bool)
+            (Printf.sprintf "median round trip %.2f ms < 10 ms" ms)
+            true (ms < 10.)))
+
+(* Eight queries in one write on one connection: the session answers
+   them in order, each with its rows and a trailer, whatever the
+   framing of the responses. *)
+let test_pipelined () =
+  let instance = mk_instance () in
+  let asts =
+    Array.append
+      [| Qparser.of_string "( ? sub ? id=* )" |]
+      (Query_mix.generate_ast ~seed:9 ~count:7 instance)
+  in
+  let payload =
+    String.concat "" (Array.to_list (Array.map (fun a -> Qprinter.to_string a ^ "\n") asts))
+  in
+  with_srv ~workers:2 instance (fun srv ->
+      let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close s with Unix.Unix_error _ -> ())
+        (fun () ->
+          Unix.setsockopt_float s Unix.SO_RCVTIMEO 10.;
+          Unix.connect s (Unix.ADDR_INET (Unix.inet_addr_loopback, Srv.port srv));
+          Alcotest.(check bool) "one write" true (Monitor.write_all s payload);
+          let b = Buffer.create 4096 and chunk = Bytes.create 4096 in
+          let trailers () =
+            List.length
+              (List.filter
+                 (fun l -> starts_with ~prefix:"# " l)
+                 (String.split_on_char '\n' (Buffer.contents b)))
+          in
+          while trailers () < Array.length asts do
+            match Unix.read s chunk 0 (Bytes.length chunk) with
+            | 0 -> Alcotest.fail "server closed before the eighth trailer"
+            | n -> Buffer.add_subbytes b chunk 0 n
+          done;
+          let rec responses acc rows = function
+            | [] -> List.rev acc
+            | l :: rest when starts_with ~prefix:"# " l ->
+                responses ((List.rev rows, l) :: acc) [] rest
+            | l :: rest -> responses acc (l :: rows) rest
+          in
+          let got = responses [] [] (String.split_on_char '\n' (Buffer.contents b)) in
+          Alcotest.(check int) "eight responses" (Array.length asts) (List.length got);
+          List.iteri
+            (fun i (rows, trailer) ->
+              let what = Printf.sprintf "#%d %s" i (Qprinter.to_string asts.(i)) in
+              Alcotest.(check bool) (what ^ ": status ok") true
+                (starts_with ~prefix:"# status=ok" trailer);
+              Alcotest.(check (list string)) (what ^ ": rows")
+                (Testkit.dns_of (Testkit.oracle instance asts.(i)))
+                rows)
+            got))
+
+(* srv_stage_ns splits every query request's srv_request_ns into
+   stages that sum to it exactly, across every path: a multi-batch
+   result, a shed request and one whose budget died in the queue.  The
+   1-worker / 1-slot server's worker is held in [make_engine] until the
+   queue holds a 1 ms-deadline query and a second query has been shed,
+   so the queue fills without a worker computing: a request waiting for
+   the runtime lock behind a busy worker would book that wait in
+   whatever stage it is in. *)
+let test_stage_reconciliation () =
+  let instance = mk_instance () in
+  let registry = Metrics.create () in
+  let gate = Mutex.create () and opened = Condition.create () in
+  let is_open = ref false in
+  let srv =
+    Srv.start ~registry ~workers:1 ~queue:1
+      ~make_engine:(fun () ->
+        Mutex.lock gate;
+        while not !is_open do
+          Condition.wait opened gate
+        done;
+        Mutex.unlock gate;
+        Engine.create ~block:32 instance)
+      ()
+  in
+  let open_gate () =
+    Mutex.lock gate;
+    is_open := true;
+    Condition.broadcast opened;
+    Mutex.unlock gate
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      open_gate ();
+      Srv.stop srv)
+    (fun () ->
+      let port = Srv.port srv in
+      let main = Srv_client.connect ~port () and hasty = Srv_client.connect ~port () in
+      Fun.protect
+        ~finally:(fun () -> List.iter Srv_client.close [ main; hasty ])
+        (fun () ->
+          Alcotest.(check bool) "DEADLINE 1" true (Srv_client.set_deadline_ms hasty 1);
+          let q = "( ? sub ? id=* )" in
+          let queued = ref None in
+          let waiter = Thread.create (fun () -> queued := Some (Srv_client.query hasty q)) () in
+          let until = Unix.gettimeofday () +. 5. in
+          while Srv.queue_depth srv < 1 && Unix.gettimeofday () < until do
+            Thread.delay 0.001
+          done;
+          Alcotest.(check bool) "shed while the queue is full" true
+            (match (Srv_client.query main q).Srv_client.status with
+            | Srv_client.Busy _ -> true
+            | _ -> false);
+          Thread.delay 0.005;
+          open_gate ();
+          Thread.join waiter;
+          Alcotest.(check bool) "budget died in the queue" true
+            (match !queued with
+            | Some { Srv_client.status = Srv_client.Deadline; rows = []; _ } -> true
+            | _ -> false);
+          let reply = Srv_client.query main q in
+          Alcotest.(check bool) "multi-batch result" true
+            (reply.Srv_client.status = Srv_client.Ok
+            && List.length reply.Srv_client.rows > 64));
+      let request = Metrics.histogram ~registry ~labels:[ ("route", "line") ] "srv_request_ns" in
+      let stage name = Metrics.histogram ~registry ~labels:[ ("stage", name) ] "srv_stage_ns" in
+      let stages = [ "queue"; "parse"; "execute"; "write"; "other" ] in
+      let total = Metrics.histogram_sum request in
+      List.iter
+        (fun name ->
+          Alcotest.(check int) (name ^ ": one observation per request")
+            (Metrics.histogram_count request)
+            (Metrics.histogram_count (stage name)))
+        stages;
+      let sum = List.fold_left (fun acc n -> acc +. Metrics.histogram_sum (stage n)) 0. stages in
+      Alcotest.(check (float 0.5)) "stages sum to srv_request_ns" total sum;
+      let other = Metrics.histogram_sum (stage "other") /. total in
+      Alcotest.(check bool) (Printf.sprintf "other share %.3f <= 0.10" other) true
+        (other <= 0.10))
+
 (* --- Introspection on the serving port ------------------------------------ *)
 
 (* Each connection's session thread answers the introspection routes,
@@ -419,5 +591,12 @@ let () =
         [
           Alcotest.test_case "control verbs" `Quick
             test_line_protocol_controls;
+          Alcotest.test_case "no delayed-ACK stall" `Quick test_no_ack_stall;
+          Alcotest.test_case "pipelined queries" `Quick test_pipelined;
+        ] );
+      ( "stages",
+        [
+          Alcotest.test_case "stages sum to srv_request_ns" `Quick
+            test_stage_reconciliation;
         ] );
     ]
