@@ -220,6 +220,18 @@ let calibrate pager calib alt =
       let reads = corrected alt.alt_reads (lookup Planstats.bias_reads) in
       { alt with alt_rows = rows; alt_reads = reads; alt_writes = pages pager rows }
 
+(* Entries in an atomic's scope, as the scan path prices it.  [One]
+   prices the whole subtree, like [Sub]: the dn-index scans that range
+   and filters it by depth.  Counted without building the scope. *)
+let scope_size instance (a : Ast.atomic) =
+  match a.Ast.scope with
+  | Ast.Base -> 1
+  | Ast.One | Ast.Sub -> Instance.subtree_size instance a.Ast.base
+
+(* The selectivity model's output cardinality over [n] scoped entries. *)
+let scope_rows n (a : Ast.atomic) =
+  max 0 (int_of_float (float_of_int n *. filter_selectivity a.Ast.filter))
+
 (* Price the access paths of one sub-scope atomic and pick the cheapest
    (or the forced one).  The index probes consult maintained counters —
    they are this system's optimizer statistics, so their descents are
@@ -228,16 +240,8 @@ let calibrate pager calib alt =
    exactly what the auto-chosen run costs on the same path. *)
 let choose_path ~pager ~instance ?attr_index ?cache ?calib
     ?(streaming = false) ?force (a : Ast.atomic) =
-  let scope_size =
-    match a.Ast.scope with
-    | Ast.Base -> 1
-    | Ast.One | Ast.Sub -> List.length (Instance.subtree instance a.Ast.base)
-  in
-  let sel_rows =
-    max 0
-      (int_of_float
-         (float_of_int scope_size *. filter_selectivity a.Ast.filter))
-  in
+  let scope_size = scope_size instance a in
+  let sel_rows = scope_rows scope_size a in
   let scan =
     calibrate pager calib
       {
@@ -373,17 +377,8 @@ let rec estimate_node ctx (q : Ast.t) =
             ~est_reads:c.alt_reads ~est_writes:c.alt_writes
             ~est_writes_saved:c.alt_writes []
       | Ast.Base | Ast.One ->
-          let scope_size =
-            match a.Ast.scope with
-            | Ast.Base -> 1
-            | Ast.One | Ast.Sub ->
-                List.length (Instance.subtree ctx.c_instance a.Ast.base)
-          in
-          let est_rows =
-            max 0
-              (int_of_float
-                 (float_of_int scope_size *. filter_selectivity a.Ast.filter))
-          in
+          let scope_size = scope_size ctx.c_instance a in
+          let est_rows = scope_rows scope_size a in
           (* descent + range scan; streaming skips the output write *)
           mk ~label:"atomic" ~detail ~est_rows
             ~est_reads:(1 + pages pager scope_size)
@@ -531,17 +526,7 @@ let reorder ~pager ~instance ?attr_index ?cache ?calib ?(streaming = false) q =
     | Ast.Atomic a -> (
         match a.Ast.scope with
         | Ast.Sub -> (q, (ctx_choose ctx a).chosen.alt_rows)
-        | Ast.Base | Ast.One ->
-            let scope_size =
-              match a.Ast.scope with
-              | Ast.Base -> 1
-              | _ -> List.length (Instance.subtree instance a.Ast.base)
-            in
-            ( q,
-              max 0
-                (int_of_float
-                   (float_of_int scope_size
-                   *. filter_selectivity a.Ast.filter)) ))
+        | Ast.Base | Ast.One -> (q, scope_rows (scope_size instance a) a))
     | Ast.And _ -> chain `And q
     | Ast.Or _ -> chain `Or q
     | Ast.Diff (q1, q2) ->

@@ -57,7 +57,11 @@ val choose_path :
     (["atomic:index"], ["atomic:scan"], falling back to ["atomic"]).
     [force] pins the decision to a path when it is available.  Base and
     one-level scopes, which only the dn-index serves, always choose
-    [Scan]. *)
+    [Scan].  The CPU cost does not grow with the directory: the
+    instance size is O(1), the scope size is counted without building
+    it ({!Instance.subtree_size}: O(1) at {!Dn.root}, otherwise
+    O(log n) allocation plus an in-place walk of the scope), and the
+    index counters are O(log n) / O(|pattern|). *)
 
 val int_bounds : Afilter.cmp -> int -> int * int
 (** The closed key range an integer comparison probes — shared with the

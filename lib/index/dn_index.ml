@@ -33,15 +33,19 @@ let read_page t page =
   | Some pool -> Buffer_pool.read pool ~file:"dn_index" ~page
   | None -> Io_stats.read_page (Pager.stats t.pager)
 
-(* First index whose key is >= [key]. *)
-let lower_bound t key =
-  let lo = ref 0 and hi = ref (Array.length t.entries) in
+(* First index in [[from], length) whose entry fails [below], the
+   entries passing it forming a prefix of that range. *)
+let partition_point ?(from = 0) t below =
+  let lo = ref from and hi = ref (Array.length t.entries) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if String.compare (Entry.key t.entries.(mid)) key < 0 then lo := mid + 1
-    else hi := mid
+    if below t.entries.(mid) then lo := mid + 1 else hi := mid
   done;
   !lo
+
+(* First index whose key is >= [key]. *)
+let lower_bound t key =
+  partition_point t (fun e -> String.compare (Entry.key e) key < 0)
 
 (* Charge a B-tree-like descent: ceil(log2 (pages)) + 1 page reads; the
    touched internal nodes are cacheable (keyed per level over the page
@@ -65,18 +69,13 @@ let find t dn =
   then Some t.entries.(i)
   else None
 
-(* Index range [lo, hi) of the subtree rooted at [base]. *)
+(* Index range [lo, hi) of the subtree rooted at [base]: the keys with
+   prefix [rev_key base] are one run starting at [lo], so [hi] is a
+   second binary search. *)
 let subtree_range t base =
   let prefix = Dn.rev_key base in
   let lo = lower_bound t prefix in
-  let hi = ref lo in
-  while
-    !hi < Array.length t.entries
-    && Entry.key_is_prefix ~prefix (Entry.key t.entries.(!hi))
-  do
-    incr hi
-  done;
-  (lo, !hi)
+  (lo, partition_point ~from:lo t (fun e -> Entry.key_is_prefix ~prefix (Entry.key e)))
 
 (* Index range [lo, hi) of [dn]'s own entry: its slot, or the empty
    range at the slot it would take. *)
@@ -156,10 +155,10 @@ let scan_subtree_src ?(keep = fun _ -> true) t base =
   Ext_list.Source.of_array (Array.of_list (List.rev !out))
 
 let scan_children_src ?(keep = fun _ -> true) t base =
-  let d = Dn.depth base + 1 in
+  let d = Dn.depth base in
   scan_subtree_src t base ~keep:(fun e ->
       let depth = Dn.depth (Entry.dn e) in
-      (depth = d || depth = Dn.depth base) && keep e)
+      (depth = d + 1 || depth = d) && keep e)
 
 let scan_base_src ?(keep = fun _ -> true) t base =
   charge_descent t;

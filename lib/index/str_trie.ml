@@ -97,9 +97,13 @@ let find_exact t s =
 
 (* Cardinality probes: the descent is charged like a lookup's, but the
    answer comes off the maintained subtree counters instead of a
-   subtree collection — O(|s|) page reads however many strings match. *)
+   subtree collection — O(|s|) page reads however many strings match.
+   A node's own payloads are its count less its children's, so the exact
+   count never walks the terminal list. *)
 let count_exact t s =
-  match descend t s with Some n -> List.length n.terminal | None -> 0
+  match descend t s with
+  | Some n -> Hashtbl.fold (fun _ c k -> k - c.subtree_count) n.children n.subtree_count
+  | None -> 0
 
 let count_prefix t s =
   match descend t s with Some n -> n.subtree_count | None -> 0

@@ -27,7 +27,8 @@ val find_prefix : 'a t -> string -> 'a list
 
 val count_exact : 'a t -> string -> int
 (** [List.length (find_exact t s)] without materializing: the descent
-    is charged, the count is O(1) off the terminal list. *)
+    is charged, and the count is the end node's subtree counter less its
+    children's, so it never walks the payload list. *)
 
 val count_prefix : 'a t -> string -> int
 (** [List.length (find_prefix t s)] without collecting the subtree:

@@ -74,10 +74,8 @@ let add ?(as_root = false) t entry =
 
 (* --- Delete -------------------------------------------------------------- *)
 
-let has_children t dn =
-  List.exists
-    (fun e -> not (Dn.equal (Entry.dn e) dn))
-    (Instance.children t.instance dn)
+(* [dn] is present, so anything else in its key range lies below it. *)
+let has_children t dn = Instance.subtree_size t.instance dn > 1
 
 let delete ?(subtree = false) t dn =
   if not (Instance.mem t.instance dn) then Error (No_such_entry dn)

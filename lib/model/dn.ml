@@ -54,38 +54,55 @@ let is_self_or_descendant_of ~descendant:d ~ancestor:p =
    [rev_key ancestor] is a proper prefix of [rev_key descendant] and each
    subtree occupies a contiguous key range.  Values are serialized with a
    one-character type tag so that distinct dn's always get distinct keys
-   (e.g. the int 2 vs the string "2"). *)
-let escape_key s =
-  if String.exists (fun c -> c = '\x01' || c = '\x02') s then begin
-    let b = Buffer.create (String.length s + 4) in
-    String.iter
-      (fun c ->
-        if c = '\x01' || c = '\x02' then begin
-          Buffer.add_char b '\x02';
-          Buffer.add_char b (Char.chr (Char.code c + 0x10))
-        end
-        else Buffer.add_char b c)
-      s;
-    Buffer.contents b
+   (e.g. the int 2 vs the string "2").  An rdn is written as
+   [a=v+a'=v'...] with each value backslash-escaped like a printed dn
+   ({!Value.escape}); a '\x01' or '\x02' byte anywhere in it becomes
+   '\x02' followed by the byte plus 0x10.  The bytes go straight into one
+   buffer: keys are built on every lookup, so no per-rdn strings. *)
+let add_key_char b c =
+  if c = '\x01' || c = '\x02' then begin
+    Buffer.add_char b '\x02';
+    Buffer.add_char b (Char.chr (Char.code c + 0x10))
   end
-  else s
+  else Buffer.add_char b c
 
-let rec value_key = function
-  | Value.Str s -> "s" ^ s
-  | Value.Int i -> "i" ^ string_of_int i
-  | Value.Dn d -> "d" ^ raw_key d
+let add_key_string b s =
+  for i = 0 to String.length s - 1 do
+    add_key_char b s.[i]
+  done
 
-and rdn_key rdn =
-  String.concat "+"
-    (List.map (fun (a, v) -> a ^ "=" ^ Value.escape (value_key v)) rdn)
+(* [Value.escape] returns its argument when nothing needs escaping. *)
+let add_value_string b s = add_key_string b (Value.escape s)
+
+let rec add_rdns b (t : t) =
+  match t with
+  | [] -> ()
+  | rdn :: up ->
+      add_rdns b up;
+      add_pairs b true rdn;
+      Buffer.add_char b '\x01'
+
+and add_pairs b first = function
+  | [] -> ()
+  | (a, v) :: rest ->
+      if not first then Buffer.add_char b '+';
+      add_key_string b a;
+      Buffer.add_char b '=';
+      (match v with
+      | Value.Str s ->
+          Buffer.add_char b 's';
+          add_value_string b s
+      | Value.Int i ->
+          Buffer.add_char b 'i';
+          add_value_string b (string_of_int i)
+      | Value.Dn d ->
+          Buffer.add_char b 'd';
+          add_value_string b (raw_key d));
+      add_pairs b false rest
 
 and raw_key (t : t) =
   let b = Buffer.create 64 in
-  List.iter
-    (fun rdn ->
-      Buffer.add_string b (escape_key (rdn_key rdn));
-      Buffer.add_char b '\x01')
-    (List.rev t);
+  add_rdns b t;
   Buffer.contents b
 
 let rev_key = raw_key

@@ -43,7 +43,7 @@ val is_parent_of : parent:t -> child:t -> bool
 val is_ancestor_of : ancestor:t -> descendant:t -> bool
 
 val key_is_prefix : prefix:string -> string -> bool
-(** Byte-prefix test on cached keys. *)
+(** Byte-prefix test on cached keys, compared in place (no allocation). *)
 
 val key_ancestor_of : ancestor:t -> descendant:t -> bool
 (** Proper-ancestor test in O(key length), used in the algorithm hot

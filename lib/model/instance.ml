@@ -11,7 +11,9 @@
 
 module Smap = Map.Make (String)
 
-type t = { schema : Schema.t; entries : Entry.t Smap.t }
+(* [size] is [Smap.cardinal entries], maintained by every update so that
+   the planner reads it in O(1). *)
+type t = { schema : Schema.t; entries : Entry.t Smap.t; size : int }
 
 type violation =
   | Duplicate_dn of Dn.t
@@ -36,9 +38,9 @@ let pp_violation ppf = function
 
 exception Invalid of violation
 
-let empty schema = { schema; entries = Smap.empty }
+let empty schema = { schema; entries = Smap.empty; size = 0 }
 let schema t = t.schema
-let size t = Smap.cardinal t.entries
+let size t = t.size
 
 (* Check one entry against Definition 3.2 (given the rest of R is checked
    separately for key uniqueness by the map). *)
@@ -71,13 +73,24 @@ let add ?(validate = true) t e =
   if validate then check_entry t.schema e;
   let key = Entry.key e in
   if Smap.mem key t.entries then raise (Invalid (Duplicate_dn (Entry.dn e)));
-  { t with entries = Smap.add key e t.entries }
+  { t with entries = Smap.add key e t.entries; size = t.size + 1 }
+
+(* Insert or overwrite [e]; only a new key grows the count. *)
+let put t e =
+  let key = Entry.key e in
+  let size = if Smap.mem key t.entries then t.size else t.size + 1 in
+  { t with entries = Smap.add key e t.entries; size }
 
 let replace ?(validate = true) t e =
   if validate then check_entry t.schema e;
-  { t with entries = Smap.add (Entry.key e) e t.entries }
+  put t e
 
-let remove t dn = { t with entries = Smap.remove (Dn.rev_key dn) t.entries }
+let remove t dn =
+  let key = Dn.rev_key dn in
+  if Smap.mem key t.entries then
+    { t with entries = Smap.remove key t.entries; size = t.size - 1 }
+  else t
+
 let find t dn = Smap.find_opt (Dn.rev_key dn) t.entries
 let mem t dn = Smap.mem (Dn.rev_key dn) t.entries
 
@@ -85,10 +98,7 @@ let of_entries ?(validate = true) schema es =
   List.fold_left (add ~validate) (empty schema) es
 
 (* Wrap a result entry set back into an instance (closure property). *)
-let of_result t es =
-  List.fold_left
-    (fun acc e -> { acc with entries = Smap.add (Entry.key e) e acc.entries })
-    (empty t.schema) es
+let of_result t es = List.fold_left put (empty t.schema) es
 
 let iter f t = Smap.iter (fun _ e -> f e) t.entries
 let fold f init t = Smap.fold (fun _ e acc -> f acc e) t.entries init
@@ -96,19 +106,35 @@ let to_list t = List.rev (fold (fun acc e -> e :: acc) [] t)
 
 (* --- Subtree ranges --------------------------------------------------- *)
 
-(* All entries in the subtree rooted at [base] (including [base] itself if
-   present), in canonical order: the contiguous key range with prefix
-   [rev_key base]. *)
-let subtree t base =
+(* The subtree rooted at [base]: [base]'s own entry, if present, and
+   the map of the entries strictly below it.  Their keys are exactly the
+   range ([rev_key base], [hi]), where [hi] is [rev_key base] with its
+   closing '\x01' raised to '\x02': no key inside the subtree reaches
+   it, and every key outside that sorts above [rev_key base] does.  The
+   two splits allocate O(log n) and nothing per entry. *)
+let range t base =
   let prefix = Dn.rev_key base in
-  let _, at, above = Smap.split prefix t.entries in
-  let from_base = match at with Some e -> [ e ] | None -> [] in
-  let rest =
-    Smap.to_seq above
-    |> Seq.take_while (fun (k, _) -> Entry.key_is_prefix ~prefix k)
-    |> Seq.map snd |> List.of_seq
-  in
-  from_base @ rest
+  let n = String.length prefix in
+  if n = 0 then (None, t.entries)
+  else
+    let hi = Bytes.of_string prefix in
+    Bytes.set hi (n - 1) '\x02';
+    let _, at, above = Smap.split prefix t.entries in
+    let below, _, _ = Smap.split (Bytes.unsafe_to_string hi) above in
+    (at, below)
+
+(* All entries at or below [base], in canonical order. *)
+let subtree t base =
+  let at, below = range t base in
+  let rest = List.rev (Smap.fold (fun _ e acc -> e :: acc) below []) in
+  match at with Some e -> e :: rest | None -> rest
+
+let subtree_size t base =
+  match base with
+  | [] -> t.size
+  | _ ->
+      let at, below = range t base in
+      Smap.cardinal below + if Option.is_some at then 1 else 0
 
 let children t base =
   let d = Dn.depth base + 1 in

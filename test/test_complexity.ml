@@ -332,6 +332,67 @@ let test_engine_scaling_linear () =
     true
     (io2 <= (5 * io1 / 2) + 16)
 
+(* --- Planning cost does not grow with the directory -------------------------- *)
+
+(* Pricing an atomic reads O(1) and O(log n) counters, so it must cost
+   about the same on 1k and 64k entries: at most 4 KB allocated per
+   [Plan.choose_path] at either size, and a min-of-200 wall time at 64k
+   within 8x of 1k's (each sample the mean of a batch of 20 calls).
+   The atomics are a leaf's one-entry subtree and the whole forest
+   ([Dn.root]), both probing [objectClass=node], which every non-root
+   karily entry matches, so the exact-trie count is priced at its
+   largest.  An O(n) tree walk allocates nothing, so only the timing
+   bound catches one. *)
+let test_planning_cost_flat () =
+  (* [Mclock] ticks in microseconds: time batches of calls *)
+  let samples = 200 and batch = 20 in
+  let runs = samples * batch in
+  let measure size =
+    let instance = Dif_gen.karily ~fanout:4 ~size () in
+    let _, pager = with_pager () in
+    let attr_index = Attr_index.build pager instance in
+    (* the last entry in key order, so a leaf *)
+    let leaf = Instance.fold (fun _ e -> Entry.dn e) Dn.root instance in
+    let filter = Afilter.Str_eq (Schema.object_class, "node") in
+    List.map
+      (fun base ->
+        let a = { Ast.base; scope = Ast.Sub; filter } in
+        let price () = ignore (Plan.choose_path ~pager ~instance ~attr_index a) in
+        price ();
+        let w0 = Gc.minor_words () in
+        let best = ref max_int in
+        for _ = 1 to samples do
+          let t0 = Mclock.now_ns () in
+          for _ = 1 to batch do
+            price ()
+          done;
+          best := min !best ((Mclock.now_ns () - t0) / batch)
+        done;
+        (* [Gc.minor_words] is exact, where [Gc.allocated_bytes] only
+           sees the minor heap as of its last collection; pricing makes
+           no allocation large enough to skip the minor heap.  The
+           clock reads are counted too. *)
+        let alloc = (Gc.minor_words () -. w0) *. 8. /. float_of_int runs in
+        (alloc, !best))
+      [ leaf; Dn.root ]
+  in
+  let rows = List.combine [ "1-entry"; "root" ] (List.combine (measure 1_000) (measure 64_000)) in
+  List.iter
+    (fun (scope, ((a1, t1), (a64, t64))) ->
+      Printf.printf "%s: %.0f B, %d ns at 1k; %.0f B, %d ns at 64k (%.1fx)\n" scope a1 t1 a64 t64
+        (float_of_int t64 /. float_of_int (max 1 t1)))
+    rows;
+  List.iter
+    (fun (scope, ((a1, t1), (a64, t64))) ->
+      List.iter
+        (fun (n, a) ->
+          if a > 4096. then
+            Alcotest.failf "%s atomic: %.0f B allocated per choose_path at %s > 4 KB" scope a n)
+        [ ("1k", a1); ("64k", a64) ];
+      if t64 > 8 * max 1 t1 then
+        Alcotest.failf "%s atomic: min choose_path %d ns at 64k > 8x %d ns at 1k" scope t64 t1)
+    rows
+
 (* Outputs of every operator stay sorted end to end (Section 8.2's
    no-resorting invariant, experiment E15). *)
 let prop_pipeline_sorted (instance, q) =
@@ -368,6 +429,7 @@ let () =
         [
           Alcotest.test_case "L2 tree bound + memory" `Slow test_engine_l2_bound;
           Alcotest.test_case "engine scaling" `Slow test_engine_scaling_linear;
+          Alcotest.test_case "planning cost flat in N" `Quick test_planning_cost_flat;
           Testkit.qtest ~count:100 "pipeline keeps sortedness"
             Testkit.gen_instance_and_query prop_pipeline_sorted;
         ] );

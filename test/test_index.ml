@@ -152,6 +152,65 @@ let prop_dn_index_subtree_matches_instance seed =
       && List.for_all2 Entry.equal_dn got expect)
     (Instance.to_list i)
 
+(* The subtree's index range, found by two binary searches, equals a
+   linear lower bound followed by a linear scan while the key carries
+   the prefix (tested by [String.sub]).  Sibling rdn values "a", "a\x01",
+   "a\x02" and "a\x01b" put escaped bytes right at the range's end. *)
+let prop_subtree_range_linear seed =
+  let i =
+    Dif_gen.generate ~params:{ Dif_gen.default_params with seed; size = 120 } ()
+  in
+  let parent = Entry.dn (List.nth (Instance.to_list i) (seed mod 120)) in
+  let named v = Dn.child parent (Rdn.single "name" (Value.Str v)) in
+  let i =
+    List.fold_left
+      (fun acc v ->
+        Instance.add acc
+          (Entry.make (named v) [ ("name", Value.Str v); (Schema.object_class, Value.Str "node") ]))
+      i [ "a"; "a\x01"; "a\x02"; "a\x01b" ]
+  in
+  let _, pager = fresh () in
+  let idx = Dn_index.build pager i in
+  let keys = Array.of_list (List.map Entry.key (Instance.to_list i)) in
+  let n = Array.length keys in
+  let linear base =
+    let prefix = Dn.rev_key base in
+    let lp = String.length prefix in
+    let carries k = lp <= String.length k && String.sub k 0 lp = prefix in
+    let lo = ref 0 in
+    while !lo < n && String.compare keys.(!lo) prefix < 0 do incr lo done;
+    let hi = ref !lo in
+    while !hi < n && carries keys.(!hi) do incr hi done;
+    (!lo, !hi)
+  in
+  List.for_all
+    (fun base -> Dn_index.subtree_range idx base = linear base)
+    (Dn.root :: named "absent" :: named "a\x02b" :: List.map Entry.dn (Instance.to_list i))
+
+(* The in-place prefix test agrees with the [String.sub] definition,
+   including the '\x01' / '\x02' bytes keys escape, on strings long
+   enough to compare several 8-byte words and a tail. *)
+let gen_prefix_pair =
+  let open QCheck2.Gen in
+  let str = string_size ~gen:(oneofl [ 'a'; 'b'; '\x01'; '\x02' ]) (int_range 0 30) in
+  oneof
+    [
+      pair str str;
+      map2 (fun s k -> (String.sub s 0 (min k (String.length s)), s)) str (int_range 0 30);
+      (* a true prefix with one byte changed *)
+      map3
+        (fun s k j ->
+          let k = min k (String.length s) in
+          let p = Bytes.of_string (String.sub s 0 k) in
+          if k > 0 then Bytes.set p (j mod k) 'c';
+          (Bytes.to_string p, s))
+        str (int_range 0 30) (int_range 0 29);
+    ]
+
+let prop_key_is_prefix (prefix, s) =
+  let lp = String.length prefix in
+  Entry.key_is_prefix ~prefix s = (lp <= String.length s && String.sub s 0 lp = prefix)
+
 (* --- Attr_index ------------------------------------------------------------------ *)
 
 let test_attr_index_lookups () =
@@ -351,7 +410,8 @@ let survivors ops =
 let trie_probes = [ ""; "a"; "b"; "ab"; "ba"; "abc"; "cc"; "aaaa"; "cab" ]
 
 (* After every step the patched trie answers — and charges — exactly as
-   a trie built fresh from the surviving strings. *)
+   a trie built fresh from the surviving strings, and its exact count,
+   derived from subtree counters, is its payload list's length. *)
 let prop_trie_remove ops =
   let stats, pager = fresh () in
   let t = Str_trie.create pager in
@@ -374,7 +434,8 @@ let prop_trie_remove ops =
                same (fun x -> sorted (Str_trie.find_exact x s)) f t
                && same (fun x -> sorted (Str_trie.find_prefix x s)) f t
                && same (fun x -> Str_trie.count_exact x s) f t
-               && same (fun x -> Str_trie.count_prefix x s) f t)
+               && same (fun x -> Str_trie.count_prefix x s) f t
+               && Str_trie.count_exact t s = List.length (Str_trie.find_exact t s))
              trie_probes
       in
       if not ok then QCheck2.Test.fail_reportf "trie differs from a fresh build after op %d" i)
@@ -455,6 +516,11 @@ let () =
           Testkit.qtest ~count:30 "subtree = instance oracle"
             (QCheck2.Gen.int_range 0 10_000)
             prop_dn_index_subtree_matches_instance;
+          Testkit.qtest ~count:30 "subtree range = linear scan"
+            (QCheck2.Gen.int_range 0 10_000)
+            prop_subtree_range_linear;
+          Testkit.qtest ~count:500 "key_is_prefix = String.sub oracle" gen_prefix_pair
+            prop_key_is_prefix;
         ] );
       ( "attr-index",
         [

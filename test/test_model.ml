@@ -103,6 +103,54 @@ let test_key_injective_across_types () =
   let b = Dn.child Dn.root (Rdn.single "x" (Value.Str "2")) in
   Alcotest.(check bool) "different keys" true (Dn.rev_key a <> Dn.rev_key b)
 
+(* [Dn.rev_key] writes its bytes into one buffer; it must produce the
+   same key as the string-by-string definition below, for values that
+   need dn escaping, '\x01' / '\x02' bytes and dn-valued rdns. *)
+let oracle_rev_key =
+  let escape_key s =
+    String.concat ""
+      (List.map
+         (fun c ->
+           if c = '\x01' || c = '\x02' then
+             String.make 1 '\x02' ^ String.make 1 (Char.chr (Char.code c + 0x10))
+           else String.make 1 c)
+         (List.of_seq (String.to_seq s)))
+  in
+  let rec value_key = function
+    | Value.Str s -> "s" ^ s
+    | Value.Int i -> "i" ^ string_of_int i
+    | Value.Dn d -> "d" ^ key d
+  and key d =
+    String.concat ""
+      (List.rev_map
+         (fun rdn ->
+           escape_key
+             (String.concat "+"
+                (List.map (fun (a, v) -> a ^ "=" ^ Value.escape (value_key v)) rdn))
+           ^ "\x01")
+         d)
+  in
+  key
+
+let gen_keyed_dn =
+  let open QCheck2.Gen in
+  let ( let* ) = ( >>= ) in
+  let str = oneofl [ "a"; "x,y"; "p+q=r"; "b\\c"; "\x01"; "a\x02b"; "\x02\x01" ] in
+  let flat =
+    list_size (int_range 0 3)
+      (list_size (int_range 1 2)
+         (pair (oneofl [ "id"; "ou"; "n\x01" ])
+            (oneof [ map (fun i -> Value.Int i) (int_range (-5) 20); map (fun s -> Value.Str s) str ])))
+  in
+  let* inner = flat in
+  let* outer = flat in
+  let* at = int_range 0 2 in
+  (* one rdn may carry a dn value whose own key has escaped bytes *)
+  return
+    (List.mapi (fun i rdn -> if i = at then ("ref", Value.Dn inner) :: rdn else rdn) outer)
+
+let prop_rev_key_oracle d = String.equal (Dn.rev_key d) (oracle_rev_key d)
+
 (* Siblings' subtrees never interleave: if x < y are siblings then every
    descendant of x sorts before y. *)
 let prop_subtree_contiguous (parent, r1, r2) =
@@ -249,6 +297,108 @@ let test_generator_deterministic () =
        (fun x y -> Entry.equal_dn x y && Entry.attrs x = Entry.attrs y)
        a b)
 
+(* --- Instance counts under updates ------------------------------------------- *)
+
+(* [size] is maintained, and [subtree] and [subtree_size] cut a key
+   range out of the map; all three must agree with the entries the dn
+   predicates select, after any mix of updates.  [Dn.rev_key] escapes
+   names with '\x01' / '\x02', so sibling keys differ right where the
+   range is cut. *)
+type inst_op =
+  | Add_under of int * int  (* parent entry, name *)
+  | Replace_at of int  (* overwrite an entry with itself *)
+  | Replace_new of int * int  (* insert-or-overwrite under a parent *)
+  | Remove_at of int  (* removing an inner entry leaves a gap in the forest *)
+  | Remove_absent of int * int
+  | Of_result of int  (* rewrap every k-th entry, one of them twice *)
+
+let odd_names = [| "a"; "a\x01"; "a\x02"; "a\x01b"; "b" |]
+
+let gen_inst_ops =
+  let open QCheck2.Gen in
+  let ix = int_range 0 1_000 and nm = int_range 0 (Array.length odd_names - 1) in
+  triple (int_range 0 1_000) (int_range 1 60)
+    (list_size (int_range 0 25)
+       (oneof
+          [
+            map2 (fun p v -> Add_under (p, v)) ix nm;
+            map (fun k -> Replace_at k) ix;
+            map2 (fun p v -> Replace_new (p, v)) ix nm;
+            map (fun k -> Remove_at k) ix;
+            map2 (fun p v -> Remove_absent (p, v)) ix nm;
+            map (fun k -> Of_result k) (int_range 1 4);
+          ]))
+
+let prop_instance_counts (seed, size, ops) =
+  let i =
+    Dif_gen.generate
+      ~params:{ Dif_gen.default_params with seed; size; roots = 1 + (seed mod 3) }
+      ()
+  in
+  let pick i k =
+    match Instance.to_list i with [] -> None | es -> Some (List.nth es (k mod List.length es))
+  in
+  let under i p name =
+    let parent = match pick i p with Some e -> Entry.dn e | None -> Dn.root in
+    Dn.child parent (Rdn.single "name" (Value.Str name))
+  in
+  let node d name = Entry.make d [ ("name", Value.Str name); (Schema.object_class, Value.Str "node") ] in
+  let check i gone =
+    let probes =
+      (Dn.root :: gone) @ List.map Entry.dn (Instance.to_list i)
+      @ List.map (under i 0) (Array.to_list odd_names)
+    in
+    if Instance.size i <> List.length (Instance.to_list i) then
+      QCheck2.Test.fail_reportf "size %d, %d entries" (Instance.size i)
+        (List.length (Instance.to_list i));
+    List.iter
+      (fun d ->
+        let want =
+          List.filter
+            (fun e -> Dn.is_self_or_descendant_of ~descendant:(Entry.dn e) ~ancestor:d)
+            (Instance.to_list i)
+        in
+        let got = Instance.subtree i d in
+        if not (List.length got = List.length want && List.for_all2 Entry.equal_dn got want) then
+          QCheck2.Test.fail_reportf "subtree %S has %d entries, %d expected" (Dn.to_string d)
+            (List.length got) (List.length want);
+        if Instance.subtree_size i d <> List.length want then
+          QCheck2.Test.fail_reportf "subtree_size %S = %d, %d expected" (Dn.to_string d)
+            (Instance.subtree_size i d) (List.length want))
+      probes
+  in
+  check i [];
+  ignore
+    (List.fold_left
+       (fun (i, gone) op ->
+         let i, gone =
+           match op with
+           | Add_under (p, v) ->
+               let d = under i p odd_names.(v) in
+               if Instance.mem i d then (i, gone) else (Instance.add i (node d odd_names.(v)), gone)
+           | Replace_at k -> (
+               match pick i k with Some e -> (Instance.replace i e, gone) | None -> (i, gone))
+           | Replace_new (p, v) ->
+               (Instance.replace i (node (under i p odd_names.(v)) odd_names.(v)), gone)
+           | Remove_at k -> (
+               match pick i k with
+               | Some e -> (Instance.remove i (Entry.dn e), Entry.dn e :: gone)
+               | None -> (i, gone))
+           | Remove_absent (p, v) ->
+               let d = under i p ("absent" ^ odd_names.(v)) in
+               if Instance.remove i d != i then
+                 QCheck2.Test.fail_reportf "removing absent %S changed the instance"
+                   (Dn.to_string d);
+               (i, gone)
+           | Of_result k ->
+               let kept = List.filteri (fun j _ -> j mod k = 0) (Instance.to_list i) in
+               (Instance.of_result i (kept @ List.filteri (fun j _ -> j = 0) kept), gone)
+         in
+         check i gone;
+         (i, gone))
+       (i, []) ops);
+  true
+
 (* --- Std_schema --------------------------------------------------------------- *)
 
 let test_std_schema () =
@@ -330,6 +480,7 @@ let () =
             prop_ancestor_sorts_first;
           Testkit.qtest ~count:300 "ancestor key is a prefix" gen_dn
             prop_ancestor_key_prefix;
+          Testkit.qtest ~count:500 "rev_key = string-built key" gen_keyed_dn prop_rev_key_oracle;
           Testkit.qtest ~count:300 "total order"
             (QCheck2.Gen.pair gen_dn gen_dn) prop_order_total;
           Testkit.qtest ~count:300 "subtrees contiguous"
@@ -356,5 +507,7 @@ let () =
             test_generator_deterministic;
           Alcotest.test_case "entry accessors" `Quick test_entry_accessors;
           Alcotest.test_case "standard schema presets" `Quick test_std_schema;
+          Testkit.qtest ~count:200 "subtree and sizes under updates" gen_inst_ops
+            prop_instance_counts;
         ] );
     ]
