@@ -13,6 +13,10 @@
      multiplier (default 50x) plus an absolute slack of 250ms — the
      gate catches order-of-magnitude blowups, not jitter.
 
+   Allocated bytes (the rows' [allocated_bytes]) are summed per id too
+   and reported next to the page counts, base -> run and per page read;
+   they are not gated.
+
    Exit status 0 when every id is within its band, 1 on any regression,
    2 on unusable input. *)
 
@@ -23,6 +27,7 @@ type agg = {
   mutable reads : int;
   mutable writes : int;
   mutable wall_ns : int;
+  mutable alloc : int;  (* allocated bytes; 0 for rows without the field *)
   mutable rows : int;
 }
 
@@ -50,7 +55,7 @@ let aggregate path =
         match Hashtbl.find_opt tbl id with
         | Some a -> a
         | None ->
-            let a = { reads = 0; writes = 0; wall_ns = 0; rows = 0 } in
+            let a = { reads = 0; writes = 0; wall_ns = 0; alloc = 0; rows = 0 } in
             Hashtbl.add tbl id a;
             order := id :: !order;
             a
@@ -58,9 +63,20 @@ let aggregate path =
       a.reads <- a.reads + Json.to_int (Json.member "reads" r);
       a.writes <- a.writes + Json.to_int (Json.member "writes" r);
       a.wall_ns <- a.wall_ns + Json.to_int (Json.member "wall_ns" r);
+      a.alloc <- a.alloc + Json.to_int (Json.member "allocated_bytes" r);
       a.rows <- a.rows + 1)
     rows;
   (List.rev !order, tbl)
+
+let bytes_to_string n =
+  let f = float_of_int n in
+  if f >= 1e6 then Printf.sprintf "%.1fMB" (f /. 1e6)
+  else if f >= 1e3 then Printf.sprintf "%.1fkB" (f /. 1e3)
+  else Printf.sprintf "%dB" n
+
+(* Allocation per page read: how much heap a unit of the paper's cost
+   measure takes. *)
+let per_read a = if a.reads = 0 then "-" else bytes_to_string (a.alloc / a.reads)
 
 type verdict = Pass | Stale of string | Regression of string
 
@@ -131,10 +147,11 @@ let () =
               match check ~multiplier ~base:b ~fresh:f with
               | Pass ->
                   Fmt.pr "%-10s ok         reads=%d writes=%d wall=%s (base \
-                          %s)@."
+                          %s) alloc=%s -> %s (%s/read)@."
                     id f.reads f.writes
                     (Mclock.ns_to_string f.wall_ns)
                     (Mclock.ns_to_string b.wall_ns)
+                    (bytes_to_string b.alloc) (bytes_to_string f.alloc) (per_read f)
               | Stale why ->
                   incr mismatches;
                   Fmt.pr "%-10s STALE      %s@." id why
@@ -152,30 +169,29 @@ let () =
          is a copy-paste decision, not an archaeology session. *)
       if !mismatches > 0 then begin
         Fmt.pr "@.before/after (%s -> %s):@." baseline_path results_path;
-        Fmt.pr "%-28s %12s %12s %12s %12s %12s %12s@." "id" "reads(base)"
-          "reads(run)" "writes(base)" "writes(run)" "wall(base)" "wall(run)";
-        let opt_int tbl id field =
-          match Hashtbl.find_opt tbl id with
-          | Some a -> string_of_int (field a)
-          | None -> "-"
+        Fmt.pr "%-28s %12s %12s %12s %12s %12s %12s %12s %12s %12s@." "id"
+          "reads(base)" "reads(run)" "writes(base)" "writes(run)" "wall(base)"
+          "wall(run)" "alloc(base)" "alloc(run)" "alloc/read";
+        let opt tbl id show =
+          match Hashtbl.find_opt tbl id with Some a -> show a | None -> "-"
         in
-        let opt_wall tbl id =
-          match Hashtbl.find_opt tbl id with
-          | Some a -> Mclock.ns_to_string a.wall_ns
-          | None -> "-"
-        in
+        let opt_int tbl id field = opt tbl id (fun a -> string_of_int (field a)) in
+        let opt_wall tbl id = opt tbl id (fun a -> Mclock.ns_to_string a.wall_ns) in
+        let opt_alloc tbl id = opt tbl id (fun a -> bytes_to_string a.alloc) in
         let all_ids =
           fresh_order
           @ List.filter (fun id -> not (Hashtbl.mem fresh id)) base_order
         in
         List.iter
           (fun id ->
-            Fmt.pr "%-28s %12s %12s %12s %12s %12s %12s@." id
+            Fmt.pr "%-28s %12s %12s %12s %12s %12s %12s %12s %12s %12s@." id
               (opt_int base id (fun a -> a.reads))
               (opt_int fresh id (fun a -> a.reads))
               (opt_int base id (fun a -> a.writes))
               (opt_int fresh id (fun a -> a.writes))
-              (opt_wall base id) (opt_wall fresh id))
+              (opt_wall base id) (opt_wall fresh id)
+              (opt_alloc base id) (opt_alloc fresh id)
+              (opt fresh id per_read))
           all_ids
       end;
       if !regressions > 0 then begin

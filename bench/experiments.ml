@@ -366,7 +366,7 @@ let e11 () =
       in
       let l1 = select (fun e -> Entry.string_values e "surName" = [ "milo" ]) in
       let l2 = select (fun e -> Entry.int_values e "priority" = [ 7 ]) in
-      let l3 = Instance.to_ext_list pager instance in
+      let l3 = select (fun _ -> true) in
       let direct, io_p, _ = measure ~size:n stats (fun () -> Hs_pc.parents l1 l2) in
       let rewritten, io_ac, _ =
         measure ~size:n stats (fun () -> Hs_adc.ancestors_c l1 l2 l3)

@@ -40,8 +40,7 @@ type t = {
   mutable mode : mode;  (* default operator-boundary handling *)
   mutable planner : planner;
   mutable calib : Planstats.t option;  (* estimate corrections, if any *)
-  mutable directory : Directory.t option;  (* watched for staleness *)
-  mutable pending : Directory.update list;  (* ranges changed since the last refresh *)
+  directory : Directory.t option;  (* watched: its instance is the current one *)
   (* access paths taken by sub-scope atomics, for :planner / :top *)
   mutable n_path_index : int;
   mutable n_path_scan : int;
@@ -61,29 +60,6 @@ let m_refreshes =
   Metrics.counter ~help:"index refreshes after watched-directory updates"
     "engine_index_refreshes_total"
 
-(* Past this many pending ranges they collapse into the whole namespace:
-   one diff over every slot is cheaper than a dn-index splice per range
-   (a bulk load between two queries), and the queue stays bounded. *)
-let max_pending = 64
-
-let everything = { Directory.dn = Dn.root; subtree = true }
-
-let enqueue t u =
-  t.pending <-
-    (match t.pending with
-    | [ { Directory.dn; subtree = true } ] when Dn.equal dn Dn.root -> t.pending
-    | p when List.length p >= max_pending -> [ everything ]
-    | p -> u :: p)
-
-(* The hook holds the engine weakly: a directory outlives the engines
-   made over it (ndqsh makes a new one on :cache), and a dropped engine
-   must neither be kept alive nor keep queueing through its hook. *)
-let watch t dir =
-  t.directory <- Some dir;
-  let self = Weak.create 1 in
-  Weak.set self 0 (Some t);
-  Directory.on_update dir (fun u -> Option.iter (fun t -> enqueue t u) (Weak.get self 0))
-
 let create ?(block = 64) ?(window = 2) ?(with_attr_index = true)
     ?(cache_pages = 0) ?result_cache ?stats
     ?(mode = Streaming) ?(planner = Auto) ?directory instance =
@@ -99,19 +75,45 @@ let create ?(block = 64) ?(window = 2) ?(with_attr_index = true)
   in
   (* Index construction is setup cost, not query cost. *)
   Io_stats.reset stats;
-  let t =
-    { instance; pager; dn_index; attr_index; pool; window; result_cache;
-      mode; planner; calib = None; directory = None;
-      pending = []; n_path_index = 0; n_path_scan = 0; n_path_cache = 0 }
-  in
-  Option.iter (watch t) directory;
-  t
+  { instance; pager; dn_index; attr_index; pool; window; result_cache;
+    mode; planner; calib = None; directory;
+    n_path_index = 0; n_path_scan = 0; n_path_cache = 0 }
 
 let stats t = Pager.stats t.pager
+
+(* Bring both indexes up to date with a watched directory before they
+   are read, so a post-update query through either path sees the new
+   values.  When the directory's instance is no longer the engine's,
+   [Instance.diff] skips the subtrees the two share and only the
+   changed entries move their postings in the attribute index, in
+   place; the dn-index, a view, takes the new instance.  Maintenance
+   I/O is not query cost, so it is not left on the query counters. *)
+let refresh_if_dirty t =
+  match t.directory with
+  | Some dir when Directory.instance dir != t.instance ->
+      let s = stats t in
+      let r0 = s.Io_stats.page_reads and w0 = s.Io_stats.page_writes in
+      let instance = Directory.instance dir in
+      Option.iter
+        (fun idx ->
+          Instance.diff t.instance instance ~removed:(Attr_index.remove_entry idx)
+            ~added:(Attr_index.add_entry idx))
+        t.attr_index;
+      t.instance <- instance;
+      t.dn_index <- Dn_index.build ?pool:t.pool t.pager instance;
+      s.Io_stats.page_reads <- r0;
+      s.Io_stats.page_writes <- w0;
+      Metrics.incr m_refreshes
+  | _ -> ()
+
 let pager t = t.pager
 let window t = t.window
 let instance t = t.instance
-let dn_index t = t.dn_index
+
+let dn_index t =
+  refresh_if_dirty t;
+  t.dn_index
+
 let attr_index t = t.attr_index
 let cache t = t.pool
 let result_cache t = t.result_cache
@@ -123,40 +125,6 @@ let set_planner t p = t.planner <- p
 let calibration t = t.calib
 let set_calibration t c = t.calib <- c
 let path_counts t = (t.n_path_index, t.n_path_scan, t.n_path_cache)
-
-(* Bring both indexes up to date with a watched directory before the
-   next evaluation, so a post-update query through the index path sees
-   the new values.  Each pending range of the dn-index is merge-diffed
-   against the directory's current instance: entries the update left
-   physically untouched are skipped, and only the removed, added and
-   replaced ones move their postings in the attribute index, in place.
-   Maintenance I/O is not query cost, so like [create]'s build it is
-   not left on the query counters. *)
-let refresh_if_dirty t =
-  match (t.pending, t.directory) with
-  | [], _ | _, None -> ()
-  | pending, Some dir ->
-      t.pending <- [];
-      let s = stats t in
-      let r0 = s.Io_stats.page_reads and w0 = s.Io_stats.page_writes in
-      let instance = Directory.instance dir in
-      let removed, added =
-        match t.attr_index with
-        | Some idx -> (Attr_index.remove_entry idx, Attr_index.add_entry idx)
-        | None -> (ignore, ignore)
-      in
-      List.iter
-        (fun { Directory.dn; subtree } ->
-          let fresh =
-            if subtree then Instance.subtree instance dn
-            else Option.to_list (Instance.find instance dn)
-          in
-          t.dn_index <- Dn_index.sync t.dn_index dn ~subtree fresh ~removed ~added)
-        pending;
-      t.instance <- instance;
-      s.Io_stats.page_reads <- r0;
-      s.Io_stats.page_writes <- w0;
-      Metrics.incr m_refreshes
 
 (* --- Atomic queries ----------------------------------------------------- *)
 

@@ -47,8 +47,15 @@ val create :
     query-result cache (default none — caching is opt-in), [mode] the
     default operator-boundary handling (default [Streaming]), [planner]
     the access-path policy (default [Auto]), [directory] a live
-    directory to {!watch} for index staleness.  Index construction cost
-    is not charged to the query counters. *)
+    directory to answer from.  Index construction cost is not charged
+    to the query counters.
+
+    Before each evaluation and {!dn_index} read, an engine with a
+    [directory] whose instance an update replaced takes the new one:
+    the dn-index is a view of it, and {!Instance.diff} hands only the
+    changed entries to the attribute index, patched in place.  This
+    maintenance is not query cost, and the engine registers no hook
+    with the directory. *)
 
 val mode : t -> mode
 (** The engine's default boundary mode. *)
@@ -71,19 +78,6 @@ val path_counts : t -> int * int * int
 (** [(index, scan, cache)]: how many sub-scope atomics each access path
     served since the engine was built (the [:planner paths] view). *)
 
-val watch : t -> Directory.t -> unit
-(** Subscribe to the directory's update hooks, which must describe the
-    engine's instance from then on (pass the directory's current one).
-    Every update queues its range (an entry, or a subtree); the next
-    evaluation re-fetches the instance and patches both indexes for the
-    queued ranges only: a merge diff of each range against the instance
-    skips untouched entries and moves the postings of the removed, added
-    and replaced ones, in place for the attribute index and by a pointer
-    splice for the dn-index.  Maintenance I/O is not query cost.
-    Queries through the index path therefore always see post-update
-    values.  The hook holds the engine weakly, so an engine dropped by
-    its owner is not kept alive by the directory. *)
-
 val plan_rewrite : ?mode:mode -> t -> Ast.t -> Ast.t
 (** The planner's tree rewrite as {!eval} applies it: under [Auto],
     boolean chains reordered by estimated cardinality; otherwise the
@@ -98,12 +92,14 @@ val window : t -> int
 (** The per-operator stack window in pages. *)
 
 val dn_index : t -> Dn_index.t
-(** The engine's clustering index (shared with the fusion optimizer). *)
+(** The engine's clustering index (shared with the fusion optimizer),
+    over the watched directory's current instance. *)
 
 val attr_index : t -> Attr_index.t option
 (** The per-attribute secondary indexes, when built — the planner's
     statistics source (shared with the distributed journal).  The same
-    value for the engine's whole life: refreshes patch it in place. *)
+    value for the engine's whole life: after a watched directory's
+    update, the next evaluation patches it in place. *)
 
 val cache : t -> Buffer_pool.t option
 (** The buffer pool, when [cache_pages > 0]. *)

@@ -39,7 +39,7 @@ type update = { dn : Dn.t; subtree : bool }
 val on_update : t -> (update -> unit) -> unit
 (** Register a hook called after every successful mutation, in
     registration order (result caches use this for footprint-precise
-    invalidation, watched engines to patch their indexes).  [modify_dn] notifies both the old and the new
+    invalidation).  [modify_dn] notifies both the old and the new
     subtree roots; a rolled-back {!batch} notifies for its successful
     prefix and then conservatively for the whole namespace. *)
 

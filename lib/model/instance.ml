@@ -1,19 +1,21 @@
 (* Directory instances — the directory information forest (Sections 3.2-3.3).
 
-   An instance holds the entry set R keyed by distinguished name.  The map
-   is keyed by the reverse-dn string key, so in-order traversal yields the
-   canonical sorted order and each subtree is a contiguous key range (the
-   same layout a disk-resident directory would use).
+   An instance holds the entry set R in one persistent weight-balanced
+   tree keyed by the reverse-dn string key, so in-order traversal yields
+   the canonical sorted order and each subtree is a contiguous key range
+   (the same layout a disk-resident directory would use).  Every node
+   carries the size of its subtree, so an entry's rank in that order,
+   and with it the size of any scope, costs O(log n): the dn-index is a
+   page view over these ranks, not a second sorted copy.
 
    Queries map instances to sub-instances over the same schema (Section 4.1),
    so query results can themselves be wrapped back into instances —
    the closure property the paper emphasizes. *)
 
-module Smap = Map.Make (String)
+(* A node is 5 words: header, children, entry and subtree size. *)
+type tree = Leaf | Node of { l : tree; e : Entry.t; r : tree; size : int }
 
-(* [size] is [Smap.cardinal entries], maintained by every update so that
-   the planner reads it in O(1). *)
-type t = { schema : Schema.t; entries : Entry.t Smap.t; size : int }
+type t = { schema : Schema.t; tree : tree }
 
 type violation =
   | Duplicate_dn of Dn.t
@@ -38,12 +40,140 @@ let pp_violation ppf = function
 
 exception Invalid of violation
 
-let empty schema = { schema; entries = Smap.empty; size = 0 }
+(* --- The weight-balanced tree ------------------------------------------ *)
+
+(* Adams's weight-balanced trees with Data.Map's parameters: at every
+   node [size l <= delta * size r] and [size r <= delta * size l],
+   unless the two hold at most one entry together; a rotation is double
+   when the inner grandchild holds at least [ratio] times the outer
+   one.  Straka proved (3, 2) keeps insertion and deletion balanced. *)
+let delta = 3
+let ratio = 2
+
+let size_of = function Leaf -> 0 | Node n -> n.size
+let node l e r = Node { l; e; r; size = size_of l + size_of r + 1 }
+
+(* Restore the balance after one side grew or shrank by one entry, or
+   after one step of [join]. *)
+let balance l e r =
+  let sl = size_of l and sr = size_of r in
+  if sl + sr <= 1 then node l e r
+  else if sr > delta * sl then
+    match r with
+    | Node { l = rl; e = re; r = rr; _ } when size_of rl < ratio * size_of rr ->
+        node (node l e rl) re rr
+    | Node { l = Node { l = rll; e = rle; r = rlr; _ }; e = re; r = rr; _ } ->
+        node (node l e rll) rle (node rlr re rr)
+    | _ -> assert false
+  else if sl > delta * sr then
+    match l with
+    | Node { l = ll; e = le; r = lr; _ } when size_of lr < ratio * size_of ll ->
+        node ll le (node lr e r)
+    | Node { l = ll; e = le; r = Node { l = lrl; e = lre; r = lrr; _ }; _ } ->
+        node (node ll le lrl) lre (node lrr e r)
+    | _ -> assert false
+  else node l e r
+
+let rec find_key key = function
+  | Leaf -> None
+  | Node { l; e; r; _ } ->
+      let c = String.compare key (Entry.key e) in
+      if c = 0 then Some e else find_key key (if c < 0 then l else r)
+
+(* Insert [x] or overwrite the entry with its key; the tree itself when
+   [x] is already there. *)
+let rec put_tree x = function
+  | Leaf -> node Leaf x Leaf
+  | Node { l; e; r; size } as t ->
+      let c = String.compare (Entry.key x) (Entry.key e) in
+      if c = 0 then if x == e then t else Node { l; e = x; r; size }
+      else if c < 0 then balance (put_tree x l) e r
+      else balance l e (put_tree x r)
+
+(* [l], [e] and [r] in key order, of any sizes: descend the heavier side
+   until the two balance. *)
+let rec join l e r =
+  match (l, r) with
+  | Leaf, s | s, Leaf -> put_tree e s
+  | Node { l = ll; e = le; r = lr; size = sl }, Node { l = rl; e = re; r = rr; size = sr } ->
+      if delta * sl < sr then balance (join l e rl) re rr
+      else if delta * sr < sl then balance ll le (join lr e r)
+      else node l e r
+
+(* [l] and [r] in key order, of any sizes. *)
+let rec concat l = function Leaf -> l | Node { l = rl; e; r; _ } -> join (concat l rl) e r
+
+(* The entries below [key], the one at it, and those above. *)
+let rec split key = function
+  | Leaf -> (Leaf, None, Leaf)
+  | Node { l; e; r; _ } ->
+      let c = String.compare key (Entry.key e) in
+      if c = 0 then (l, Some e, r)
+      else if c < 0 then
+        let ll, at, lr = split key l in
+        (ll, at, join lr e r)
+      else
+        let rl, at, rr = split key r in
+        (join l e rl, at, rr)
+
+(* How many entries sort before [key] or, when [past], also start with
+   it: the two ends of [key]'s prefix range, which is contiguous. *)
+let rec count_before ~past key acc = function
+  | Leaf -> acc
+  | Node { l; e; r; _ } ->
+      let k = Entry.key e in
+      if String.compare k key < 0 || (past && Entry.key_is_prefix ~prefix:key k) then
+        count_before ~past key (acc + size_of l + 1) r
+      else count_before ~past key acc l
+
+let rec fold_tree f acc = function
+  | Leaf -> acc
+  | Node { l; e; r; _ } -> fold_tree f (f (fold_tree f acc l) e) r
+
+let rec fold_tree_right f t acc =
+  match t with Leaf -> acc | Node { l; e; r; _ } -> fold_tree_right f l (f e (fold_tree_right f r acc))
+
+(* [f] over the entries of ranks [lo, hi) from the last to the first,
+   so that consing builds them in order; [first] is the rank of the
+   tree's first entry.  Only the range and the two paths bounding it
+   are visited, and no key is compared.  A subtree wholly inside the
+   range is folded without rank arithmetic, which would read each
+   left child's size long before the child itself is visited. *)
+let rec fold_ranks f lo hi first t acc =
+  match t with
+  | Leaf -> acc
+  | Node { size; _ } when lo <= first && first + size <= hi -> fold_tree_right f t acc
+  | Node { l; e; r; _ } ->
+      let rank = first + size_of l in
+      let acc = if rank + 1 < hi then fold_ranks f lo hi (rank + 1) r acc else acc in
+      let acc = if lo <= rank && rank < hi then f e acc else acc in
+      if lo < rank then fold_ranks f lo hi first l acc else acc
+
+(* Split the new tree at each old key, so subtrees the two still share
+   compare physically equal and are skipped. *)
+let rec diff_tree old t ~removed ~added =
+  if old != t then
+    match old with
+    | Leaf -> fold_tree (fun () e -> added e) () t
+    | Node { l; e; r; _ } ->
+        let tl, at, tr = split (Entry.key e) t in
+        (match at with
+        | Some x when x == e -> ()
+        | Some x ->
+            removed e;
+            added x
+        | None -> removed e);
+        diff_tree l tl ~removed ~added;
+        diff_tree r tr ~removed ~added
+
+(* --- Instances ----------------------------------------------------------- *)
+
+let empty schema = { schema; tree = Leaf }
 let schema t = t.schema
-let size t = t.size
+let size t = size_of t.tree
 
 (* Check one entry against Definition 3.2 (given the rest of R is checked
-   separately for key uniqueness by the map). *)
+   separately for key uniqueness by the tree). *)
 let check_entry schema e =
   let dn = Entry.dn e in
   (match Entry.rdn e with
@@ -71,28 +201,23 @@ let check_entry schema e =
 
 let add ?(validate = true) t e =
   if validate then check_entry t.schema e;
-  let key = Entry.key e in
-  if Smap.mem key t.entries then raise (Invalid (Duplicate_dn (Entry.dn e)));
-  { t with entries = Smap.add key e t.entries; size = t.size + 1 }
+  let tree = put_tree e t.tree in
+  if size_of tree = size t then raise (Invalid (Duplicate_dn (Entry.dn e)));
+  { t with tree }
 
-(* Insert or overwrite [e]; only a new key grows the count. *)
-let put t e =
-  let key = Entry.key e in
-  let size = if Smap.mem key t.entries then t.size else t.size + 1 in
-  { t with entries = Smap.add key e t.entries; size }
+let put t e = { t with tree = put_tree e t.tree }
 
 let replace ?(validate = true) t e =
   if validate then check_entry t.schema e;
   put t e
 
 let remove t dn =
-  let key = Dn.rev_key dn in
-  if Smap.mem key t.entries then
-    { t with entries = Smap.remove key t.entries; size = t.size - 1 }
-  else t
+  match split (Dn.rev_key dn) t.tree with
+  | _, None, _ -> t
+  | l, Some _, r -> { t with tree = concat l r }
 
-let find t dn = Smap.find_opt (Dn.rev_key dn) t.entries
-let mem t dn = Smap.mem (Dn.rev_key dn) t.entries
+let find t dn = find_key (Dn.rev_key dn) t.tree
+let mem t dn = Option.is_some (find t dn)
 
 let of_entries ?(validate = true) schema es =
   List.fold_left (add ~validate) (empty schema) es
@@ -100,45 +225,38 @@ let of_entries ?(validate = true) schema es =
 (* Wrap a result entry set back into an instance (closure property). *)
 let of_result t es = List.fold_left put (empty t.schema) es
 
-let iter f t = Smap.iter (fun _ e -> f e) t.entries
-let fold f init t = Smap.fold (fun _ e acc -> f acc e) t.entries init
-let to_list t = List.rev (fold (fun acc e -> e :: acc) [] t)
+let fold f init t = fold_tree f init t.tree
+let iter f t = fold (fun () e -> f e) () t
+let fold_range f t (lo, hi) init = fold_ranks f lo hi 0 t.tree init
+let to_list t = fold_range List.cons t (0, size t) []
 
-(* --- Subtree ranges --------------------------------------------------- *)
+(* --- Ranks and key ranges ------------------------------------------------ *)
 
-(* The subtree rooted at [base]: [base]'s own entry, if present, and
-   the map of the entries strictly below it.  Their keys are exactly the
-   range ([rev_key base], [hi]), where [hi] is [rev_key base] with its
-   closing '\x01' raised to '\x02': no key inside the subtree reaches
-   it, and every key outside that sorts above [rev_key base] does.  The
-   two splits allocate O(log n) and nothing per entry. *)
-let range t base =
-  let prefix = Dn.rev_key base in
-  let n = String.length prefix in
-  if n = 0 then (None, t.entries)
-  else
-    let hi = Bytes.of_string prefix in
-    Bytes.set hi (n - 1) '\x02';
-    let _, at, above = Smap.split prefix t.entries in
-    let below, _, _ = Smap.split (Bytes.unsafe_to_string hi) above in
-    (at, below)
+let rank t key = count_before ~past:false key 0 t.tree
 
-(* All entries at or below [base], in canonical order. *)
-let subtree t base =
-  let at, below = range t base in
-  let rest = List.rev (Smap.fold (fun _ e acc -> e :: acc) below []) in
-  match at with Some e -> e :: rest | None -> rest
+let prefix_range t prefix =
+  (rank t prefix, count_before ~past:true prefix 0 t.tree)
+
+(* A subtree is the key range [rev_key base] starts: an ancestor's key
+   is a prefix of each descendant's, and of no other key. *)
+let subtree t base = fold_range List.cons t (prefix_range t (Dn.rev_key base)) []
 
 let subtree_size t base =
-  match base with
-  | [] -> t.size
-  | _ ->
-      let at, below = range t base in
-      Smap.cardinal below + if Option.is_some at then 1 else 0
+  let lo, hi = prefix_range t (Dn.rev_key base) in
+  hi - lo
 
-let children t base =
-  let d = Dn.depth base + 1 in
-  List.filter (fun e -> Dn.depth (Entry.dn e) = d) (subtree t base)
+let diff old t ~removed ~added = diff_tree old.tree t.tree ~removed ~added
+
+let valid t =
+  let rec ok = function
+    | Leaf -> true
+    | Node { l; r; size; _ } ->
+        let sl = size_of l and sr = size_of r in
+        size = sl + sr + 1
+        && (sl + sr <= 1 || (sl <= delta * sr && sr <= delta * sl))
+        && ok l && ok r
+  in
+  ok t.tree
 
 let roots t =
   fold
@@ -158,13 +276,3 @@ let validate t =
       | exception Invalid v -> v :: acc)
     [] t
   |> List.rev
-
-(* --- External-memory view --------------------------------------------- *)
-
-(* The instance as a disk-resident sorted list; no I/O is charged for the
-   conversion itself (the directory is already on disk), scans of the
-   result charge normally. *)
-let to_ext_list pager t = Ext_list.of_array_resident pager (Array.of_list (to_list t))
-
-let subtree_ext_list pager t base =
-  Ext_list.of_array_resident pager (Array.of_list (subtree t base))

@@ -4,7 +4,14 @@
     Entries are keyed by distinguished name; traversal follows the
     canonical reverse-dn order, so subtrees are contiguous.  Queries map
     instances to sub-instances over the same schema, and results can be
-    wrapped back into instances ({!of_result}) — the closure property. *)
+    wrapped back into instances ({!of_result}) — the closure property.
+
+    An instance is a persistent weight-balanced tree keyed by
+    {!Entry.key}, each node annotated with its subtree's size.  Lookups,
+    updates, an entry's {!rank} and the size of any scope cost
+    O(log n), so [Dn_index] is a rank view of the instance, not a
+    second sorted copy.  Updates share untouched subtrees, which
+    {!diff} skips. *)
 
 type t
 
@@ -25,7 +32,7 @@ exception Invalid of violation
 val empty : Schema.t -> t
 val schema : t -> Schema.t
 val size : t -> int
-(** Number of entries, in O(1): kept by every update. *)
+(** Number of entries, in O(1): the root's size. *)
 
 val add : ?validate:bool -> t -> Entry.t -> t
 (** Insert a new entry.  @raise Invalid on a Definition 3.2 violation
@@ -50,27 +57,42 @@ val iter : (Entry.t -> unit) -> t -> unit
 val fold : ('acc -> Entry.t -> 'acc) -> 'acc -> t -> 'acc
 val to_list : t -> Entry.t list
 
+val rank : t -> string -> int
+(** [rank t key]: how many entries sort before [key] in canonical order
+    — for an entry's own key, its position in {!to_list}.  O(log n), no
+    allocation. *)
+
+val prefix_range : t -> string -> int * int
+(** The ranks [(lo, hi)], [hi] exclusive, of the entries whose key
+    starts with [prefix]: for [Dn.rev_key base], those at or below [base].
+    Two rank descents, no allocation. *)
+
+val fold_range : (Entry.t -> 'acc -> 'acc) -> t -> int * int -> 'acc -> 'acc
+(** [fold_range f t (lo, hi) init] folds [f] over the entries of ranks
+    [lo] to [hi - 1], such as a {!prefix_range}, from the last to the first
+    (so consing lists them in canonical order): O(log n + k) for k
+    entries, no key compared. *)
+
 val subtree : t -> Dn.t -> Entry.t list
-(** All entries at or below [base], in canonical order: the key range
-    {!subtree_size} counts, listed at two list cells (48 B) per entry. *)
+(** All entries at or below [base], in canonical order. *)
 
 val subtree_size : t -> Dn.t -> int
-(** [List.length (subtree t base)] without building the list: O(1) at
-    {!Dn.root}; otherwise two map splits cut the key range out, with
-    O(log n) allocation (about 3 KB at 64k entries), and the k entries
-    inside are counted in place at about 5 ns each (karily instances of
-    1k-64k entries, 2-vCPU x86-64 VM). *)
+(** [List.length (subtree t base)] in O(log n), without building the
+    list: the width of the base's {!prefix_range}. *)
 
-val children : t -> Dn.t -> Entry.t list
-(** [base] (if present) plus its children — the [one] scope. *)
+val diff : t -> t -> removed:(Entry.t -> unit) -> added:(Entry.t -> unit) -> unit
+(** [diff old t ~removed ~added] reports each entry of [old] not
+    physically in [t] to [removed] and each entry of [t] not physically
+    in [old] to [added], both for a replaced entry ([removed] first).
+    Shared subtrees are skipped: about O(d log n) after d updates. *)
+
+val valid : t -> bool
+(** The tree's invariants: every node's size is its children's plus
+    one, and in nodes of three or more entries neither child outweighs
+    the other by more than 3x. *)
 
 val roots : t -> Entry.t list
 (** Entries whose parent is absent (the forest roots). *)
 
 val validate : t -> violation list
 (** All Definition 3.2 violations (empty = well-formed). *)
-
-val to_ext_list : Pager.t -> t -> Entry.t Ext_list.t
-(** The instance as a disk-resident sorted list (no creation charge). *)
-
-val subtree_ext_list : Pager.t -> t -> Dn.t -> Entry.t Ext_list.t

@@ -338,11 +338,13 @@ let test_engine_scaling_linear () =
    about the same on 1k and 64k entries: at most 4 KB allocated per
    [Plan.choose_path] at either size, and a min-of-200 wall time at 64k
    within 8x of 1k's (each sample the mean of a batch of 20 calls).
-   The atomics are a leaf's one-entry subtree and the whole forest
-   ([Dn.root]), both probing [objectClass=node], which every non-root
-   karily entry matches, so the exact-trie count is priced at its
-   largest.  An O(n) tree walk allocates nothing, so only the timing
-   bound catches one. *)
+   The atomics are a leaf's one-entry subtree, a grandchild of the
+   karily root whose subtree holds between 1/16 and 1/4 of the
+   directory at either size, and the whole forest ([Dn.root]), all
+   probing [objectClass=node], which every non-root karily entry
+   matches, so the exact-trie count is priced at its largest.  An O(n)
+   or O(k) walk allocates nothing, so only the timing bound catches
+   one. *)
 let test_planning_cost_flat () =
   (* [Mclock] ticks in microseconds: time batches of calls *)
   let samples = 200 and batch = 20 in
@@ -353,6 +355,17 @@ let test_planning_cost_flat () =
     let attr_index = Attr_index.build pager instance in
     (* the last entry in key order, so a leaf *)
     let leaf = Instance.fold (fun _ e -> Entry.dn e) Dn.root instance in
+    (* the first grandchild of the root, in karily's heap numbering *)
+    let inner = Dn.of_string "id=5, id=1, dc=kroot" in
+    let share =
+      Instance.fold
+        (fun n e ->
+          if Dn.is_self_or_descendant_of ~descendant:(Entry.dn e) ~ancestor:inner then n + 1
+          else n)
+        0 instance
+    in
+    if share * 16 < size || share * 4 > size then
+      Alcotest.failf "the non-root scope holds %d of %d entries" share size;
     let filter = Afilter.Str_eq (Schema.object_class, "node") in
     List.map
       (fun base ->
@@ -374,9 +387,11 @@ let test_planning_cost_flat () =
            clock reads are counted too. *)
         let alloc = (Gc.minor_words () -. w0) *. 8. /. float_of_int runs in
         (alloc, !best))
-      [ leaf; Dn.root ]
+      [ leaf; inner; Dn.root ]
   in
-  let rows = List.combine [ "1-entry"; "root" ] (List.combine (measure 1_000) (measure 64_000)) in
+  let rows =
+    List.combine [ "1-entry"; "non-root"; "root" ] (List.combine (measure 1_000) (measure 64_000))
+  in
   List.iter
     (fun (scope, ((a1, t1), (a64, t64))) ->
       Printf.printf "%s: %.0f B, %d ns at 1k; %.0f B, %d ns at 64k (%.1fx)\n" scope a1 t1 a64 t64

@@ -475,9 +475,9 @@ let test_planner_cache_path () =
   let _, _, cached = Engine.path_counts eng in
   Alcotest.(check bool) "the cache path served an atomic" true (cached > 0)
 
-(* The staleness satellite: a directory-watched engine rebuilds its
-   indexes after an update, so a query through the index path sees the
-   new value. *)
+(* A directory-watched engine follows an update: a query through the
+   index path sees the new value, from an attribute index patched in
+   place rather than rebuilt. *)
 let test_watched_engine_sees_updates () =
   let d = Directory.create (Dif_gen.karily ~fanout:2 ~size:32 ()) in
   let eng = Engine.create ~block:8 ~directory:d (Directory.instance d) in
@@ -508,6 +508,28 @@ let test_watched_engine_sees_updates () =
        (Engine.eval_entries eng
           (Qparser.of_string "(& ( ? sub ? id=5) ( ? sub ? tag=odd))")))
 
+(* A fused boolean subtree is answered by one scan of the engine's
+   dn-index ([Fuse.eval] through [Engine.dn_index]), outside the atomic
+   leaf: the index it is handed must already show the update. *)
+let test_watched_fused_scan_sees_updates () =
+  let d = Directory.create (Dif_gen.karily ~fanout:2 ~size:32 ()) in
+  let eng = Engine.create ~block:8 ~directory:d (Directory.instance d) in
+  let victim =
+    match Testkit.oracle (Directory.instance d) (Qparser.of_string "( ? sub ? id=5)") with
+    | [ e ] -> Entry.dn e
+    | _ -> Alcotest.fail "expected exactly one id=5"
+  in
+  (match
+     Directory.modify d victim [ Directory.Replace ("tag", [ Value.Str "fresh" ]) ]
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "modify: %a" Directory.pp_error e);
+  let q = Qparser.of_string "(| ( ? sub ? tag=fresh) ( ? sub ? tag=fresh))" in
+  Alcotest.(check int) "the query fuses whole" 1 (Fuse.scan_count (Fuse.plan_of q));
+  let expected = Testkit.oracle (Directory.instance d) q in
+  Alcotest.(check int) "the oracle sees the update" 1 (List.length expected);
+  Testkit.check_entries "fused scan = oracle" expected (Fuse.eval_entries eng q)
+
 (* Incremental maintenance under every update kind a directory reports:
    watched engines (each planner policy, and one with the result cache)
    must answer as the oracle over the current instance, and their
@@ -520,7 +542,7 @@ type update_op =
   | Delete of int * bool
   | Move of int * int option  (** modify_dn, optionally under a new superior *)
   | Failed_batch of int * int  (** a successful modify, then a rollback *)
-  | Burst of int  (** more updates between two reads than the engine queues *)
+  | Burst of int  (** 70 updates between two reads: one diff covers them all *)
 
 let names = [| "milo"; "mil"; "camilo"; "lomi"; "x" |]
 
@@ -783,6 +805,8 @@ let () =
           Alcotest.test_case "cache access path" `Quick test_planner_cache_path;
           Alcotest.test_case "watched engine sees updates" `Quick
             test_watched_engine_sees_updates;
+          Alcotest.test_case "watched fused scan sees updates" `Quick
+            test_watched_fused_scan_sees_updates;
           Testkit.qtest ~count:40 "incremental maintenance = oracle + fresh build"
             gen_update_ops prop_incremental_maintenance;
           Alcotest.test_case "explain renders chosen vs rejected" `Quick

@@ -253,10 +253,16 @@ let test_navigation () =
     (List.map (fun e -> Dn.to_string (Entry.dn e)) (Instance.roots i));
   let root = dn "dc=kroot" in
   Alcotest.(check int) "whole subtree" 40 (List.length (Instance.subtree i root));
-  let kids = Instance.children i root in
-  (* children of the root: ids 1..3 plus the root itself is excluded *)
-  Alcotest.(check int) "fanout children" 3
-    (List.length (List.filter (fun e -> not (Dn.equal (Entry.dn e) root)) kids));
+  (* the [one] scope is the base plus its children: the root and ids 1..3 *)
+  let one =
+    { Ldap.base = root; scope = Ast.One; filter = Ldap.F_atom (Afilter.Present Schema.object_class) }
+  in
+  let idx = Dn_index.build (Pager.create ~block:8 (Io_stats.create ())) i in
+  let scanned = Ext_list.to_list (Dn_index.scan_children idx root) in
+  Alcotest.(check (list string)) "one scope = Ldap.eval"
+    (List.map Entry.key (Ldap.eval i one))
+    (List.map Entry.key scanned);
+  Alcotest.(check int) "base plus fanout children" 4 (List.length scanned);
   (* subtree matches the predicate-based oracle *)
   let base = Entry.dn (List.nth (Instance.to_list i) 5) in
   let expected =
@@ -299,11 +305,13 @@ let test_generator_deterministic () =
 
 (* --- Instance counts under updates ------------------------------------------- *)
 
-(* [size] is maintained, and [subtree] and [subtree_size] cut a key
-   range out of the map; all three must agree with the entries the dn
-   predicates select, after any mix of updates.  [Dn.rev_key] escapes
-   names with '\x01' / '\x02', so sibling keys differ right where the
-   range is cut. *)
+(* [size], [subtree] and [subtree_size] read the size-annotated tree;
+   all three must agree with the entries the dn predicates select, after
+   any mix of updates.  [Dn.rev_key] escapes names with '\x01' /
+   '\x02', so sibling keys differ right where the range is cut.  The
+   tree must also stay balanced with exact sizes, rank every key as its
+   position in canonical order, and diff any two states as a naive
+   key-set comparison with physical equality does. *)
 type inst_op =
   | Add_under of int * int  (* parent entry, name *)
   | Replace_at of int  (* overwrite an entry with itself *)
@@ -343,7 +351,47 @@ let prop_instance_counts (seed, size, ops) =
     Dn.child parent (Rdn.single "name" (Value.Str name))
   in
   let node d name = Entry.make d [ ("name", Value.Str name); (Schema.object_class, Value.Str "node") ] in
+  (* [diff old i]'s callbacks, in call order: [true] for removed *)
+  let diff_log old i =
+    let log = ref [] in
+    Instance.diff old i
+      ~removed:(fun e -> log := (true, e) :: !log)
+      ~added:(fun e -> log := (false, e) :: !log);
+    List.rev !log
+  in
+  let check_diff old i =
+    let only_in a b =
+      List.filter
+        (fun e -> match Instance.find b (Entry.dn e) with Some x -> x != e | None -> true)
+        (Instance.to_list a)
+    in
+    let log = diff_log old i in
+    let side removed =
+      List.sort Entry.compare_rev (List.filter_map (fun (r, e) -> if r = removed then Some e else None) log)
+    in
+    let same got want = List.compare_lengths got want = 0 && List.for_all2 ( == ) got want in
+    if not (same (side true) (only_in old i) && same (side false) (only_in i old)) then
+      QCheck2.Test.fail_reportf "diff: %d removed and %d added, %d and %d expected"
+        (List.length (side true)) (List.length (side false))
+        (List.length (only_in old i)) (List.length (only_in i old))
+  in
   let check i gone =
+    let es = Instance.to_list i in
+    if not (Instance.valid i) then QCheck2.Test.fail_report "tree unbalanced or a size is off";
+    List.iteri
+      (fun j e ->
+        if Instance.rank i (Entry.key e) <> j then
+          QCheck2.Test.fail_reportf "rank %S = %d, at %d in to_list" (Entry.key e)
+            (Instance.rank i (Entry.key e)) j)
+      es;
+    if diff_log i i <> [] then QCheck2.Test.fail_report "an instance differs from itself";
+    (match es with
+    | [] -> ()
+    | e :: _ ->
+        let copy = Entry.make (Entry.dn e) (Entry.attrs e) in
+        (match diff_log i (Instance.replace i copy) with
+        | [ (true, r); (false, a) ] when r == e && a == copy -> ()
+        | log -> QCheck2.Test.fail_reportf "a replaced entry gave %d diff callbacks" (List.length log)));
     let probes =
       (Dn.root :: gone) @ List.map Entry.dn (Instance.to_list i)
       @ List.map (under i 0) (Array.to_list odd_names)
@@ -371,6 +419,7 @@ let prop_instance_counts (seed, size, ops) =
   ignore
     (List.fold_left
        (fun (i, gone) op ->
+         let old = i in
          let i, gone =
            match op with
            | Add_under (p, v) ->
@@ -395,6 +444,7 @@ let prop_instance_counts (seed, size, ops) =
                (Instance.of_result i (kept @ List.filteri (fun j _ -> j = 0) kept), gone)
          in
          check i gone;
+         check_diff old i;
          (i, gone))
        (i, []) ops);
   true
