@@ -33,17 +33,16 @@ let finish ?agg tracked annots pager =
 
 (* Explode embedded references into a pair list sorted by referenced
    key: [proj] says what rides along with each key (the referencing
-   entry for dv, the candidate ordinal for vd).  Always materialized —
-   a sort boundary. *)
+   entry for dv, the candidate ordinal for vd).  The keys are the ones
+   cached on the entry, shared, not rebuilt.  Always materialized — a
+   sort boundary. *)
 let sorted_pairs pager s attr proj =
   let w = Ext_list.Writer.make pager in
   let ord = ref (-1) in
   Ext_list.Source.iter
     (fun r ->
       incr ord;
-      List.iter
-        (fun d -> Ext_list.Writer.push w (Dn.rev_key d, proj r !ord))
-        (Entry.dn_values r attr))
+      Entry.ref_keys r attr (fun k -> Ext_list.Writer.push w (k, proj r !ord)))
     s;
   Ext_sort.sort
     (fun (k1, _) (k2, _) -> String.compare k1 k2)

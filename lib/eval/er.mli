@@ -6,6 +6,17 @@
     pair list; I/O [O(|L1|/B + (|L2| m / B) log (|L2| m / B))]
     (Theorem 7.1), where m bounds the values per reference attribute. *)
 
+val sorted_pairs :
+  Pager.t ->
+  Entry.t Ext_list.Source.src ->
+  string ->
+  (Entry.t -> int -> 'a) ->
+  (string * 'a) Ext_list.t
+(** Phase 1 of both operators: one (referenced key, [proj entry
+    ordinal]) pair per [a]-value of the source's entries, sorted by key.
+    The keys are the entries' cached {!Entry.ref_keys}, shared, so no
+    pair allocates a key. *)
+
 val compute_dv :
   ?agg:Ast.agg_filter ->
   Entry.t Ext_list.t ->

@@ -26,11 +26,8 @@ let dv_core pager tracked partitions s1 s2 attr =
   let pair_parts = Array.init partitions (fun _ -> Ext_list.Writer.make pager) in
   Ext_list.Source.iter
     (fun r2 ->
-      List.iter
-        (fun d ->
-          let key = Dn.rev_key d in
-          Ext_list.Writer.push pair_parts.(hash_key key partitions) (key, r2))
-        (Entry.dn_values r2 attr))
+      Entry.ref_keys r2 attr (fun key ->
+          Ext_list.Writer.push pair_parts.(hash_key key partitions) (key, r2)))
     s2;
   let pair_parts = Array.map Ext_list.Writer.close pair_parts in
   (* Partition the candidates, remembering their original position. *)
@@ -116,11 +113,8 @@ let vd_core pager tracked partitions l1 s2 attr =
   Ext_list.iter
     (fun r1 ->
       incr ord;
-      List.iter
-        (fun d ->
-          let key = Dn.rev_key d in
-          Ext_list.Writer.push ref_parts.(hash_key key partitions) (key, !ord))
-        (Entry.dn_values r1 attr))
+      Entry.ref_keys r1 attr (fun key ->
+          Ext_list.Writer.push ref_parts.(hash_key key partitions) (key, !ord)))
     l1;
   let ref_parts = Array.map Ext_list.Writer.close ref_parts in
   let n1 = Ext_list.length l1 in

@@ -24,7 +24,11 @@ let find_or_add tbl key create =
       Hashtbl.replace tbl key v;
       v
 
+(* The pairs of one attribute are contiguous in [Entry.attrs], so its
+   cached reference keys are (un)indexed all at once, at its first dn
+   value; [done_attr] is the last attribute so handled. *)
 let add_entry t e =
+  let done_attr = ref "" in
   List.iter
     (fun (a, v) ->
       match v with
@@ -35,10 +39,12 @@ let add_entry t e =
           Str_trie.Substr.add
             (find_or_add t.str_sub a (fun () -> Str_trie.Substr.create t.pager))
             s e
-      | Value.Dn d ->
-          Str_trie.add
-            (find_or_add t.dn_exact a (fun () -> Str_trie.create t.pager))
-            (Dn.rev_key d) e)
+      | Value.Dn _ ->
+          if not (String.equal a !done_attr) then begin
+            done_attr := a;
+            let trie = find_or_add t.dn_exact a (fun () -> Str_trie.create t.pager) in
+            Entry.ref_keys e a (fun k -> Str_trie.add trie k e)
+          end)
     (Entry.attrs e)
 
 (* Undo [add_entry]: each of [e]'s postings (physically [e]) leaves its
@@ -53,6 +59,7 @@ let remove_entry t e =
         if is_empty idx then Hashtbl.remove tbl a
   in
   let trie_empty trie = Str_trie.size trie = 0 in
+  let done_attr = ref "" in
   List.iter
     (fun (a, v) ->
       match v with
@@ -63,8 +70,13 @@ let remove_entry t e =
           drain t.str_sub a
             (fun idx -> Str_trie.Substr.remove idx s e)
             (fun idx -> Str_trie.Substr.count idx = 0)
-      | Value.Dn d ->
-          drain t.dn_exact a (fun trie -> Str_trie.remove trie (Dn.rev_key d) e) trie_empty)
+      | Value.Dn _ ->
+          if not (String.equal a !done_attr) then begin
+            done_attr := a;
+            drain t.dn_exact a
+              (fun trie -> Entry.ref_keys e a (fun k -> Str_trie.remove trie k e))
+              trie_empty
+          end)
     (Entry.attrs e)
 
 let build pager instance =

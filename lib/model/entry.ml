@@ -6,12 +6,20 @@
    The classes of an entry are exactly the values of its [objectClass]
    attribute (Definition 3.2(c)2), so we derive them rather than store
    them.  Each entry caches its reverse-dn sort key; every algorithm in
-   the system orders entries by that key. *)
+   the system orders entries by that key.  It caches the keys of the
+   dn's it references too, so neither the joins of Section 7 nor the
+   attribute index re-serialize an embedded dn. *)
+
+(* The reverse keys of the dn-valued pairs, in [attrs] order, each
+   beside its attribute (the very string [attrs] holds): a flat list of
+   4-word cells. *)
+type refs = No_ref | Ref of string * string * refs
 
 type t = {
   dn : Dn.t;
   attrs : (string * Value.t) list;
   key : string;  (* cached Dn.rev_key dn *)
+  refs : refs;
 }
 
 let make dn attrs =
@@ -22,7 +30,12 @@ let make dn attrs =
         if c <> 0 then c else Value.compare v1 v2)
       attrs
   in
-  { dn; attrs; key = Dn.rev_key dn }
+  let refs =
+    List.fold_right
+      (fun (a, v) refs -> match v with Value.Dn d -> Ref (a, Dn.rev_key d, refs) | _ -> refs)
+      attrs No_ref
+  in
+  { dn; attrs; key = Dn.rev_key dn; refs }
 
 let dn t = t.dn
 let attrs t = t.attrs
@@ -42,6 +55,14 @@ let has_pair t a v = List.exists (fun (a', v') -> String.equal a a' && Value.equ
 let int_values t a = List.filter_map Value.as_int (values t a)
 let string_values t a = List.filter_map Value.as_string (values t a)
 let dn_values t a = List.filter_map Value.as_dn (values t a)
+
+let rec iter_refs a f = function
+  | No_ref -> ()
+  | Ref (a', k, rest) ->
+      if String.equal a a' then f k;
+      iter_refs a f rest
+
+let ref_keys t a f = iter_refs a f t.refs
 
 let classes t = string_values t Schema.object_class
 let has_class t c = List.mem c (classes t)

@@ -3,8 +3,9 @@
     An entry is its distinguished name plus a set of (attribute, value)
     pairs; several pairs may share an attribute (multi-valued
     attributes, footnote 2).  Its classes are derived from the values of
-    [objectClass] (Definition 3.2(c)2).  The reverse-dn sort key is
-    computed once and cached. *)
+    [objectClass] (Definition 3.2(c)2).  The reverse-dn sort key, and
+    the reverse key of every dn the entry references, are computed once
+    in {!make} and cached. *)
 
 type t
 
@@ -28,6 +29,12 @@ val has_pair : t -> string -> Value.t -> bool
 val int_values : t -> string -> int list
 val string_values : t -> string -> string list
 val dn_values : t -> string -> Value.dn list
+
+val ref_keys : t -> string -> (string -> unit) -> unit
+(** [ref_keys e a f] calls [f] on the cached [Dn.rev_key] of each of
+    [e]'s dn values of [a], in {!dn_values} order; it allocates
+    nothing.  A key is fixed when the entry is made: renaming the
+    referenced entry changes neither it nor the {!dn_values}. *)
 
 val classes : t -> string list
 (** The values of [objectClass]. *)

@@ -32,7 +32,7 @@ let attr = function
   | Present a | Str_eq (a, _) | Substr (a, _) | Int_cmp (a, _, _) | Dn_eq (a, _)
     -> a
 
-let cmp_int op x y =
+let cmp_int op (x : int) (y : int) =
   match op with
   | Lt -> x < y
   | Le -> x <= y
@@ -40,45 +40,47 @@ let cmp_int op x y =
   | Ge -> x >= y
   | Gt -> x > y
 
+(* The substring test runs on every string value a scan tests, so it
+   compares in place: no [String.sub], no closures, no allocation. *)
+
+(* [p] occurs in [s] at [i]; the caller checks [s] is long enough. *)
+let rec same_at s i p j m =
+  j = m || (String.unsafe_get s (i + j) = String.unsafe_get p j && same_at s i p (j + 1) m)
+
+(* The end of the first occurrence of [p] in [s] at or after [pos], or
+   -1. *)
+let rec find_from s p pos =
+  let m = String.length p in
+  if pos + m > String.length s then -1
+  else if same_at s pos p 0 m then pos + m
+  else find_from s p (pos + 1)
+
+let rec find_middles s pos = function
+  | [] -> pos
+  | mid :: rest ->
+      let pos = find_from s mid pos in
+      if pos < 0 then -1 else find_middles s pos rest
+
 (* Match an LDAP substring pattern against [s]: the components must occur
    in order without overlap, with initial anchored at the start and final
    at the end. *)
 let substring_matches pat s =
   let n = String.length s in
-  let find_from sub pos =
-    let m = String.length sub in
-    let rec loop i =
-      if i + m > n then None
-      else if String.sub s i m = sub then Some (i + m)
-      else loop (i + 1)
-    in
-    loop pos
-  in
-  let start =
+  let pos =
     match pat.initial with
-    | None -> Some 0
+    | None -> 0
     | Some ini ->
         let m = String.length ini in
-        if m <= n && String.sub s 0 m = ini then Some m else None
+        if m <= n && same_at s 0 ini 0 m then m else -1
   in
-  match start with
-  | None -> false
-  | Some pos ->
-      let rec middles pos = function
-        | [] -> Some pos
-        | mid :: rest -> (
-            match find_from mid pos with
-            | Some pos' -> middles pos' rest
-            | None -> None)
-      in
-      (match middles pos pat.middles with
-      | None -> false
-      | Some pos -> (
-          match pat.final with
-          | None -> true
-          | Some fin ->
-              let m = String.length fin in
-              pos + m <= n && String.sub s (n - m) m = fin))
+  let pos = if pos < 0 then pos else find_middles s pos pat.middles in
+  pos >= 0
+  &&
+  match pat.final with
+  | None -> true
+  | Some fin ->
+      let m = String.length fin in
+      pos + m <= n && same_at s (n - m) fin 0 m
 
 let value_matches t v =
   match (t, v) with
@@ -89,10 +91,15 @@ let value_matches t v =
   | Dn_eq (_, dn), Value.Dn dn' -> Value.compare_dn dn dn' = 0
   | (Str_eq _ | Substr _ | Int_cmp _ | Dn_eq _), _ -> false
 
-(* r |= F — Section 4.1's satisfaction relation. *)
-let matches t entry =
-  let a = attr t in
-  List.exists (value_matches t) (Entry.values entry a)
+(* Some pair of attribute [a] satisfies [t]: the entry's own pair list,
+   walked in place. *)
+let rec exists_pair t a = function
+  | [] -> false
+  | (a', v) :: rest -> (String.equal a a' && value_matches t v) || exists_pair t a rest
+
+(* r |= F — Section 4.1's satisfaction relation.  Every entry a scan
+   visits is tested, so this allocates nothing. *)
+let matches t entry = exists_pair t (attr t) (Entry.attrs entry)
 
 (* --- Printing --------------------------------------------------------- *)
 

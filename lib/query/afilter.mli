@@ -27,13 +27,15 @@ val cmp_int : cmp -> int -> int -> bool
 
 val substring_matches : substring -> string -> bool
 (** LDAP substring semantics: components in order, no overlap, initial /
-    final anchored. *)
+    final anchored.  Compares in place; allocates nothing. *)
 
 val value_matches : t -> Value.t -> bool
 (** Does one value satisfy the filter (type-correctly)? *)
 
 val matches : t -> Entry.t -> bool
-(** r |= F — Section 4.1's satisfaction relation. *)
+(** r |= F — Section 4.1's satisfaction relation.  Walks the entry's
+    pairs in place and allocates nothing, for every filter form: it runs
+    on every entry a scan visits. *)
 
 val cmp_to_string : cmp -> string
 val substring_to_string : substring -> string

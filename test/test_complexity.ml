@@ -408,6 +408,80 @@ let test_planning_cost_flat () =
         Alcotest.failf "%s atomic: min choose_path %d ns at 64k > 8x %d ns at 1k" scope t64 t1)
     rows
 
+(* --- The scan and join inner loops allocate nothing per entry ------------------- *)
+
+(* A karily instance's entries, each also referencing itself through
+   [ref], so every filter form and the reference explosion have data. *)
+let self_referencing instance =
+  Instance.fold
+    (fun acc e -> Entry.make (Entry.dn e) (("ref", Value.Dn (Entry.dn e)) :: Entry.attrs e) :: acc)
+    [] instance
+  |> List.rev |> Array.of_list
+
+(* [Afilter.matches] runs on every entry a scan visits: it allocates 0
+   words per tested entry, for every filter form, matching or not,
+   including type mismatches and absent attributes.  The only words
+   counted are the boxed floats of the two [Gc.minor_words] reads. *)
+let test_filter_allocates_nothing () =
+  let entries = self_referencing (Dif_gen.karily ~fanout:4 ~size:2_000 ()) in
+  let pat = { Afilter.initial = Some "e"; middles = [ "v"; "e" ]; final = Some "n" } in
+  List.iter
+    (fun f ->
+      let hits = ref 0 in
+      let w0 = Gc.minor_words () in
+      for i = 0 to Array.length entries - 1 do
+        if Afilter.matches f (Array.unsafe_get entries i) then incr hits
+      done;
+      let words = Gc.minor_words () -. w0 in
+      if words > 8. then
+        Alcotest.failf "%s: %.0f words over %d entries (%d matched)" (Afilter.to_string f) words
+          (Array.length entries) !hits)
+    Afilter.
+      [
+        Present "tag";
+        Present "absent";
+        Str_eq ("tag", "even");
+        Str_eq ("priority", "3");
+        Substr ("tag", pat);
+        Substr ("tag", { initial = None; middles = [ "d" ]; final = None });
+        Int_cmp ("priority", Ge, 3);
+        Int_cmp ("weight", Lt, 500);
+        Int_cmp ("tag", Eq, 1);
+        Dn_eq ("ref", Dn.of_string "id=5, id=1, dc=kroot");
+        Dn_eq ("id", Dn.of_string "dc=kroot");
+      ]
+
+(* [Er.sorted_pairs] takes each reference's key from its entry's cache:
+   its words per pair are the same on a chain, whose keys grow with
+   depth, as on a shallow 16-ary tree of the same size.  A key built
+   per pair shows as words growing with key length.  The deepest chain
+   key stays under the 256 words past which a string skips the minor
+   heap, so [Gc.minor_words] sees every key a regression would build. *)
+let test_ref_keys_not_rebuilt () =
+  let size = 150 in
+  let per_pair instance =
+    let entries = self_referencing instance in
+    let _, pager = with_pager () in
+    let run () =
+      Er.sorted_pairs pager (Ext_list.Source.of_array entries) "ref"
+        (fun _ ord -> ord)
+    in
+    ignore (run ());
+    let w0 = Gc.minor_words () in
+    let pairs = run () in
+    let words = Gc.minor_words () -. w0 in
+    let longest = Array.fold_left (fun m e -> max m (String.length (Entry.key e))) 0 entries in
+    (words /. float_of_int (Ext_list.length pairs), longest)
+  in
+  let chain, chain_key = per_pair (Dif_gen.chain ~size ()) in
+  let shallow, shallow_key = per_pair (Dif_gen.karily ~fanout:16 ~size ()) in
+  Printf.printf "sorted_pairs: %.2f words/pair on a chain (keys up to %d B), %.2f shallow (%d B)\n"
+    chain chain_key shallow shallow_key;
+  if chain_key <= 8 * shallow_key || chain_key >= 256 * 8 then
+    Alcotest.failf "chain keys up to %d B, shallow up to %d B" chain_key shallow_key;
+  if Float.abs (chain -. shallow) > 0.5 then
+    Alcotest.failf "sorted_pairs: %.2f words/pair on a chain, %.2f on a shallow tree" chain shallow
+
 (* Outputs of every operator stay sorted end to end (Section 8.2's
    no-resorting invariant, experiment E15). *)
 let prop_pipeline_sorted (instance, q) =
@@ -445,6 +519,8 @@ let () =
           Alcotest.test_case "L2 tree bound + memory" `Slow test_engine_l2_bound;
           Alcotest.test_case "engine scaling" `Slow test_engine_scaling_linear;
           Alcotest.test_case "planning cost flat in N" `Quick test_planning_cost_flat;
+          Alcotest.test_case "filter allocates nothing" `Quick test_filter_allocates_nothing;
+          Alcotest.test_case "reference keys not rebuilt" `Quick test_ref_keys_not_rebuilt;
           Testkit.qtest ~count:100 "pipeline keeps sortedness"
             Testkit.gen_instance_and_query prop_pipeline_sorted;
         ] );

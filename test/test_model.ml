@@ -449,6 +449,128 @@ let prop_instance_counts (seed, size, ops) =
        (i, []) ops);
   true
 
+(* --- Cached reference keys ------------------------------------------------------ *)
+
+(* Every entry's cached reference keys are its dn values' reverse keys,
+   in order, for every attribute it has (and none for one it lacks):
+   after [Entry.make], after [Directory.modify] adds, replaces and
+   deletes [ref] values, and after a subtree rename, whose referrers
+   keep the old target's key exactly as they keep its old dn. *)
+type ref_op =
+  | Add_ref of int * int  (* entry, target *)
+  | Replace_refs of int * int * int  (* entry, two targets *)
+  | Delete_ref of int  (* an entry's first ref value *)
+  | Delete_refs of int
+  | Rename of int
+
+let gen_ref_ops =
+  let open QCheck2.Gen in
+  let ix = int_range 0 1_000 in
+  triple (int_range 0 1_000) (int_range 2 60)
+    (list_size (int_range 0 20)
+       (oneof
+          [
+            map2 (fun e t -> Add_ref (e, t)) ix ix;
+            map3 (fun e t1 t2 -> Replace_refs (e, t1, t2)) ix ix ix;
+            map (fun e -> Delete_ref e) ix;
+            map (fun e -> Delete_refs e) ix;
+            map (fun e -> Rename e) ix;
+          ]))
+
+let ref_keys_of e a =
+  let ks = ref [] in
+  Entry.ref_keys e a (fun k -> ks := k :: !ks);
+  List.rev !ks
+
+let check_ref_keys i =
+  Instance.iter
+    (fun e ->
+      List.iter
+        (fun a ->
+          let got = ref_keys_of e a and want = List.map Dn.rev_key (Entry.dn_values e a) in
+          if got <> want then
+            QCheck2.Test.fail_reportf "%s: %d cached %s keys, %d dn values (or out of order)"
+              (Dn.to_string (Entry.dn e)) (List.length got) a (List.length want))
+        ("absent" :: List.map fst (Entry.attrs e)))
+    i
+
+let prop_ref_keys_cached (seed, size, ops) =
+  let i =
+    Dif_gen.generate
+      ~params:{ Dif_gen.default_params with seed; size; roots = 1 + (seed mod 2) }
+      ()
+  in
+  check_ref_keys i;
+  let d = Directory.create i in
+  let nth k =
+    let es = Instance.to_list (Directory.instance d) in
+    List.nth es (k mod List.length es)
+  in
+  let apply = function
+    | Add_ref (e, t) ->
+        ignore
+          (Directory.modify d (Entry.dn (nth e)) [ Add_value ("ref", Value.Dn (Entry.dn (nth t))) ])
+    | Replace_refs (e, t1, t2) ->
+        ignore
+          (Directory.modify d
+             (Entry.dn (nth e))
+             [ Replace ("ref", [ Value.Dn (Entry.dn (nth t1)); Value.Dn (Entry.dn (nth t2)) ]) ])
+    | Delete_ref e -> (
+        let e = nth e in
+        match Entry.dn_values e "ref" with
+        | r :: _ -> ignore (Directory.modify d (Entry.dn e) [ Delete_value ("ref", Value.Dn r) ])
+        | [] -> ())
+    | Delete_refs e -> ignore (Directory.modify d (Entry.dn (nth e)) [ Delete_attr "ref" ])
+    | Rename k -> (
+        let target = nth k in
+        let old_dn = Entry.dn target in
+        match Rdn.pairs (Option.get (Entry.rdn target)) with
+        | [ (a, v) ] -> (
+            let v' =
+              match v with
+              | Value.Int n -> Value.Int (n + 1_000_000)
+              | Value.Str s -> Value.Str (s ^ "r")
+              | Value.Dn _ -> v
+            in
+            let new_rdn = Rdn.single a v' in
+            let new_dn = Dn.child (Option.value ~default:Dn.root (Dn.parent old_dn)) new_rdn in
+            (* referrers outside the renamed subtree keep their dn *)
+            let referrers =
+              List.filter_map
+                (fun e ->
+                  let r = Entry.dn e in
+                  if
+                    (not (Dn.is_self_or_descendant_of ~descendant:r ~ancestor:old_dn))
+                    && List.exists (Dn.equal old_dn) (Entry.dn_values e "ref")
+                  then Some r
+                  else None)
+                (Instance.to_list (Directory.instance d))
+            in
+            match Directory.modify_dn d old_dn ~new_rdn with
+            | Error _ -> ()
+            | Ok () ->
+                List.iter
+                  (fun r ->
+                    match Directory.find d r with
+                    | None -> QCheck2.Test.fail_reportf "referrer %s lost" (Dn.to_string r)
+                    | Some e ->
+                        let ks = ref_keys_of e "ref" in
+                        if not (List.mem (Dn.rev_key old_dn) ks) then
+                          QCheck2.Test.fail_reportf "%s lost its key of renamed %s"
+                            (Dn.to_string r) (Dn.to_string old_dn);
+                        if List.mem (Dn.rev_key new_dn) ks then
+                          QCheck2.Test.fail_reportf "%s follows the rename of %s"
+                            (Dn.to_string r) (Dn.to_string old_dn))
+                  referrers)
+        | _ -> ())
+  in
+  List.iter
+    (fun op ->
+      apply op;
+      check_ref_keys (Directory.instance d))
+    ops;
+  true
+
 (* --- Std_schema --------------------------------------------------------------- *)
 
 let test_std_schema () =
@@ -559,5 +681,6 @@ let () =
           Alcotest.test_case "standard schema presets" `Quick test_std_schema;
           Testkit.qtest ~count:200 "subtree and sizes under updates" gen_inst_ops
             prop_instance_counts;
+          Testkit.qtest ~count:100 "cached reference keys" gen_ref_ops prop_ref_keys_cached;
         ] );
     ]

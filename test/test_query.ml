@@ -82,6 +82,120 @@ let test_filter_schema_typing () =
   | Afilter.Int_cmp ("code", Afilter.Eq, 123) -> ()
   | f -> Alcotest.failf "wrong untyped parse: %s" (Afilter.to_string f))
 
+(* [Afilter.matches] walks the entry's pairs and [substring_matches]
+   compares in place; both must agree with the plain definitions kept
+   here: [String.sub] at every candidate position, and the filter tried
+   on the list of the attribute's values.  [Semantics] shares
+   [Afilter.matches], so the query oracle cannot catch a wrong filter;
+   this can. *)
+let ref_substring (pat : Afilter.substring) s =
+  let n = String.length s in
+  let find_from sub pos =
+    let m = String.length sub in
+    let rec loop i =
+      if i + m > n then None else if String.sub s i m = sub then Some (i + m) else loop (i + 1)
+    in
+    loop pos
+  in
+  let start =
+    match pat.initial with
+    | None -> Some 0
+    | Some ini ->
+        let m = String.length ini in
+        if m <= n && String.sub s 0 m = ini then Some m else None
+  in
+  let rec middles pos = function
+    | [] -> Some pos
+    | mid :: rest -> Option.bind (find_from mid pos) (fun pos -> middles pos rest)
+  in
+  match Option.bind start (fun pos -> middles pos pat.middles) with
+  | None -> false
+  | Some pos -> (
+      match pat.final with
+      | None -> true
+      | Some fin ->
+          let m = String.length fin in
+          pos + m <= n && String.sub s (n - m) m = fin)
+
+let ref_matches f e =
+  let value_ok v =
+    match (f, v) with
+    | Afilter.Present _, _ -> true
+    | Afilter.Str_eq (_, s), Value.Str s' -> s = s'
+    | Afilter.Substr (_, pat), Value.Str s -> ref_substring pat s
+    | Afilter.Int_cmp (_, op, k), Value.Int i -> (
+        match op with
+        | Afilter.Lt -> i < k
+        | Le -> i <= k
+        | Eq -> i = k
+        | Ge -> i >= k
+        | Gt -> i > k)
+    | Afilter.Dn_eq (_, d), Value.Dn d' -> Dn.equal d d'
+    | _ -> false
+  in
+  List.exists value_ok (Entry.values e (Afilter.attr f))
+
+(* Strings over a two-letter alphabet collide, overlap and repeat. *)
+let gen_ab = QCheck2.Gen.(string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_range 0 5))
+
+let gen_pattern =
+  let open QCheck2.Gen in
+  let tricky =
+    (* overlap and end-anchoring cases: aa*aa on aaa, ab*ba on aba *)
+    List.map
+      (fun (i, ms, f) -> { Afilter.initial = i; middles = ms; final = f })
+      [
+        (Some "aa", [], Some "aa");
+        (Some "ab", [], Some "ba");
+        (None, [ "a"; "a" ], Some "a");
+        (Some "", [ "" ], Some "");
+        (None, [], None);
+      ]
+  in
+  oneof
+    [
+      oneofl tricky;
+      map3
+        (fun initial middles final -> { Afilter.initial; middles; final })
+        (opt gen_ab) (list_size (int_range 0 3) gen_ab) (opt gen_ab);
+    ]
+
+let gen_filter_case =
+  let open QCheck2.Gen in
+  let attr = oneofl [ "a"; "b"; "c" ] in
+  let dns = [ Dn.of_string "dc=x"; Dn.of_string "id=1, dc=x"; Dn.of_string "id=2, dc=x" ] in
+  let value =
+    oneof
+      [
+        map (fun s -> Value.Str s) gen_ab;
+        map (fun i -> Value.Int i) (int_range (-3) 3);
+        map (fun d -> Value.Dn d) (oneofl dns);
+      ]
+  in
+  let filter =
+    oneof
+      [
+        map (fun a -> Afilter.Present a) attr;
+        map2 (fun a s -> Afilter.Str_eq (a, s)) attr gen_ab;
+        map2 (fun a p -> Afilter.Substr (a, p)) attr gen_pattern;
+        map3
+          (fun a op k -> Afilter.Int_cmp (a, op, k))
+          attr
+          (oneofl Afilter.[ Lt; Le; Eq; Ge; Gt ])
+          (int_range (-3) 3);
+        map2 (fun a d -> Afilter.Dn_eq (a, d)) attr (oneofl dns);
+      ]
+  in
+  pair filter (list_size (int_range 0 6) (pair attr value))
+
+let prop_filter_matches_reference (f, pairs) =
+  let e = Entry.make (Dn.of_string "id=0") pairs in
+  Afilter.matches f e = ref_matches f e
+
+let gen_substring_case = QCheck2.Gen.pair gen_pattern gen_ab
+
+let prop_substring_reference (pat, s) = Afilter.substring_matches pat s = ref_substring pat s
+
 (* --- Parser / printer roundtrip ---------------------------------------------- *)
 
 let test_paper_queries_parse () =
@@ -261,6 +375,10 @@ let () =
           Alcotest.test_case "substring semantics" `Quick test_substring_semantics;
           Alcotest.test_case "roundtrip" `Quick test_filter_roundtrip;
           Alcotest.test_case "schema-aware typing" `Quick test_filter_schema_typing;
+          Testkit.qtest ~count:2000 "matches = reference" gen_filter_case
+            prop_filter_matches_reference;
+          Testkit.qtest ~count:2000 "substring = String.sub reference" gen_substring_case
+            prop_substring_reference;
         ] );
       ( "parser",
         [
