@@ -46,11 +46,11 @@ let tests () =
     Test.make ~name:"bool/or" (Staged.stage (fun () -> Bool_ops.or_ l1 l2));
     Test.make ~name:"bool/diff" (Staged.stage (fun () -> Bool_ops.diff l1 l2));
     Test.make ~name:"hspc/children"
-      (Staged.stage (fun () -> Hs_pc.children l1 l2));
+      (Staged.stage (fun () -> Hs_agg.compute_hier Ast.C l1 l2));
     Test.make ~name:"hsad/descendants"
-      (Staged.stage (fun () -> Hs_ad.descendants l1 l2));
+      (Staged.stage (fun () -> Hs_agg.compute_hier Ast.D l1 l2));
     Test.make ~name:"hsadc/descendants_c"
-      (Staged.stage (fun () -> Hs_adc.descendants_c l1 l2 l2));
+      (Staged.stage (fun () -> Hs_agg.compute_hier3 Ast.Dc l1 l2 l2));
     Test.make ~name:"hsagg/max-count"
       (Staged.stage (fun () -> Hs_agg.compute_hier Ast.D l1 l2 ~agg:max_count));
     Test.make ~name:"simple-agg/min=min(min)"

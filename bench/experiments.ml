@@ -21,8 +21,8 @@ let e1 () =
       let stats, pager = fresh_pager () in
       let l1, l2 = even_odd pager (karily ~fanout:4 ~size:n ()) in
       let n1 = Ext_list.length l1 and n2 = Ext_list.length l2 in
-      let _, io_p, _ = measure ~size:n stats (fun () -> Hs_pc.parents l1 l2) in
-      let _, io_c, _ = measure ~size:n stats (fun () -> Hs_pc.children l1 l2) in
+      let _, io_p, _ = measure ~size:n stats (fun () -> Hs_agg.compute_hier Ast.P l1 l2) in
+      let _, io_c, _ = measure ~size:n stats (fun () -> Hs_agg.compute_hier Ast.C l1 l2) in
       let inp = pages n1 + pages n2 in
       row "%8d %8d %8d %10d %10d %12.2f %12.2f@." n n1 n2 io_p io_c
         (ratio io_p inp) (ratio io_c inp))
@@ -43,8 +43,8 @@ let e2 () =
         let stats, pager = fresh_pager () in
         let l1, l2 = even_odd pager instance in
         let inp = pages (Ext_list.length l1) + pages (Ext_list.length l2) in
-        let _, io_a, _ = measure ~size:n stats (fun () -> Hs_ad.ancestors ~window l1 l2) in
-        let _, io_d, _ = measure ~size:n stats (fun () -> Hs_ad.descendants ~window l1 l2) in
+        let _, io_a, _ = measure ~size:n stats (fun () -> Hs_agg.compute_hier ~window Ast.A l1 l2) in
+        let _, io_d, _ = measure ~size:n stats (fun () -> Hs_agg.compute_hier ~window Ast.D l1 l2) in
         (shape, io_a, io_d, inp)
       in
       let shape, io_a, io_d, inp = run "bushy" (karily ~fanout:8 ~size:n ()) 2 in
@@ -76,8 +76,8 @@ let e3 () =
         pages (Ext_list.length l1) + pages (Ext_list.length l2)
         + pages (Ext_list.length l3)
       in
-      let _, io_ac, _ = measure ~size:n stats (fun () -> Hs_adc.ancestors_c l1 l2 l3) in
-      let _, io_dc, _ = measure ~size:n stats (fun () -> Hs_adc.descendants_c l1 l2 l3) in
+      let _, io_ac, _ = measure ~size:n stats (fun () -> Hs_agg.compute_hier3 Ast.Ac l1 l2 l3) in
+      let _, io_dc, _ = measure ~size:n stats (fun () -> Hs_agg.compute_hier3 Ast.Dc l1 l2 l3) in
       row "%8d %8d %8d %8d %10d %10d %12.2f@." n (Ext_list.length l1)
         (Ext_list.length l2) (Ext_list.length l3) io_ac io_dc
         (ratio (io_ac + io_dc) (2 * inp)))
@@ -259,7 +259,7 @@ let e9 () =
       let instance = karily ~fanout:4 ~size:n () in
       let stats, pager = fresh_pager () in
       let l1, l2 = even_odd pager instance in
-      let _, io_s, t_s = measure ~size:n stats (fun () -> Hs_ad.descendants l1 l2) in
+      let _, io_s, t_s = measure ~size:n stats (fun () -> Hs_agg.compute_hier Ast.D l1 l2) in
       let _, io_n, t_n =
         measure ~size:n stats (fun () -> Naive.compute_hier Ast.D l1 l2)
       in
@@ -367,9 +367,9 @@ let e11 () =
       let l1 = select (fun e -> Entry.string_values e "surName" = [ "milo" ]) in
       let l2 = select (fun e -> Entry.int_values e "priority" = [ 7 ]) in
       let l3 = select (fun _ -> true) in
-      let direct, io_p, _ = measure ~size:n stats (fun () -> Hs_pc.parents l1 l2) in
+      let direct, io_p, _ = measure ~size:n stats (fun () -> Hs_agg.compute_hier Ast.P l1 l2) in
       let rewritten, io_ac, _ =
-        measure ~size:n stats (fun () -> Hs_adc.ancestors_c l1 l2 l3)
+        measure ~size:n stats (fun () -> Hs_agg.compute_hier3 Ast.Ac l1 l2 l3)
       in
       let a = Ext_list.to_list direct and b = Ext_list.to_list rewritten in
       row "%8d %8d %8d %10d %10d %11.1fx %10b@." n (Ext_list.length l1)
@@ -585,7 +585,7 @@ let e16 () =
   let run window =
     let stats, pager = fresh_pager () in
     let l1, l2 = even_odd pager instance in
-    let _, io, _ = measure ~size:n stats (fun () -> Hs_ad.descendants ~window l1 l2) in
+    let _, io, _ = measure ~size:n stats (fun () -> Hs_agg.compute_hier ~window Ast.D l1 l2) in
     io
   in
   let unbounded = run 4_096 (* window larger than any chain: no spills *) in
@@ -641,7 +641,7 @@ let e18 () =
       let stats = Io_stats.create () in
       let pager = Pager.create ~block:b stats in
       let l1, l2 = even_odd pager instance in
-      let _, io, _ = measure ~size:n stats (fun () -> Hs_ad.descendants l1 l2) in
+      let _, io, _ = measure ~size:n stats (fun () -> Hs_agg.compute_hier Ast.D l1 l2) in
       row "%8d %8d %12d %12d@." n b io (io * b))
     [ 8; 16; 32; 64; 128; 256 ]
 

@@ -48,19 +48,14 @@ let record ?size ?(minor_collections = 0) ?(major_collections = 0)
     }
     :: !rows
 
-(* Words allocated so far, to the word.  [Gc.minor_words] counts the
-   minor heap exactly; what goes straight to the major heap (a block
-   too large for the minor one) is [major_words - promoted_words] of
-   [Gc.quick_stat], which the runtime brings up to date only in a major
-   slice, so a minor collection and a slice are forced first.
-   [Gc.allocated_bytes] is no substitute: under OCaml 5.1 it counts the
-   minor heap's allocation since its last collection at an eighth of
-   its size, so a row read up to a minor heap (2 MB) off. *)
+(* Words allocated so far, to the word, read by the one allocation
+   meter ([Mclock.allocated_words]).  A minor collection and a major
+   slice are forced first, outside the measured region, so every row
+   starts and ends on a settled heap. *)
 let allocated_words () =
   Gc.minor ();
   ignore (Gc.major_slice 0);
-  let q = Gc.quick_stat () in
-  Gc.minor_words () +. q.Gc.major_words -. q.Gc.promoted_words
+  Mclock.allocated_words ()
 
 (* Snapshot [stats] around [f], timing it with the monotonic clock.
    The GC is snapshotted too ([Gc.quick_stat] — no heap walk), so every

@@ -134,7 +134,7 @@ let help () =
     \                   sparklines when the flight recorder has data)@,\
     \  :mode streaming|materialized   operator-boundary handling@,\
     \                   (streaming pipelines the whole tree; default)@,\
-    \  :planner auto|off|force index|force scan   access-path policy@,\
+    \  :planner auto|force index|force scan   access-path policy@,\
     \                   (auto = cost-based + calibrated; default)@,\
     \  :planner paths   how many atomics each path served@,\
     \  :explain <query> estimated vs measured plan (est io split into@,\
@@ -353,7 +353,6 @@ let show_top st frames =
      Fmt.pr "  planner   %s  paths: index=%d scan=%d cache=%d@."
        (match st.planner with
        | Engine.Auto -> "auto"
-       | Engine.Off -> "off"
        | Engine.Force_index -> "force index"
        | Engine.Force_scan -> "force scan")
        pi ps pc);
@@ -798,8 +797,6 @@ let run_command st line =
           set Engine.Auto "auto"
             "cost-based: cheapest of index/scan/cache per atomic, calibrated, \
              boolean chains reordered"
-      | "off" :: _ ->
-          set Engine.Off "off" "legacy: index whenever one applies, no reorder"
       | "force" :: "index" :: _ | "index" :: _ ->
           set Engine.Force_index "force index" "every sub atomic probes the index"
       | "force" :: "scan" :: _ | "scan" :: _ ->
@@ -811,10 +808,9 @@ let run_command st line =
           let i, s, c = Engine.path_counts (engine st) in
           Fmt.pr
             "planner is %s (paths: index=%d scan=%d cache=%d)@,\
-             usage: :planner auto|off|force index|force scan|paths@."
+             usage: :planner auto|force index|force scan|paths@."
             (match st.planner with
             | Engine.Auto -> "auto"
-            | Engine.Off -> "off"
             | Engine.Force_index -> "force index"
             | Engine.Force_scan -> "force scan")
             i s c)

@@ -61,17 +61,9 @@ module Agg = Agg
 module Bool_ops = Bool_ops
 (** Sorted-merge boolean operators. *)
 
-module Hs_pc = Hs_pc
-(** Algorithm ComputeHSPC (Fig 2). *)
-
-module Hs_ad = Hs_ad
-(** Algorithm ComputeHSAD (Fig 4). *)
-
-module Hs_adc = Hs_adc
-(** Algorithm ComputeHSADc (Fig 5). *)
-
 module Hs_agg = Hs_agg
-(** Algorithms ComputeHSAgg* (Fig 6). *)
+(** Algorithms ComputeHSPC, ComputeHSAD, ComputeHSADc (Figs 2, 4, 5)
+    and ComputeHSAgg* (Fig 6). *)
 
 module Hs_stack = Hs_stack
 (** The shared stack-sweep machinery behind the ComputeHS* family. *)

@@ -267,10 +267,6 @@ let shipping_delta before after =
       | None -> Some (name, msgs1, bytes1))
     after
 
-let query_detail q =
-  let s = Qprinter.to_string q in
-  if String.length s > 60 then String.sub s 0 59 ^ "…" else s
-
 (* Summarize the per-shard cache outcomes of one query tree from the
    cache's counter deltas: all lookups hit -> "hit", any invalidated ->
    "stale", otherwise "miss" (including trees with no remote shard). *)
@@ -303,7 +299,7 @@ let cache_note t before =
    price.  The estimates come from the home partition (the coordinator
    never sees the global instance), so their q-error also measures
    partition-blindness. *)
-let annotate_combines plan (ops : Qlog.op list) =
+let annotate_combines ~mode:_ plan (ops : Qlog.op list) =
   let leaves =
     List.filter_map
       (fun ((n : Plan.node), _) ->
@@ -327,90 +323,47 @@ let annotate_combines plan (ops : Qlog.op list) =
       ops
   end
 
-(* Estimated over the home partition with the home engine's handles —
-   the coordinator never materializes the global instance; the two
-   pagers share the network's blocking factor, so the page math is the
-   same. *)
-let journal_event t q ~mode ~shipped =
-  Engine.record_event t.home.engine q ~mode ~annotate:annotate_combines
-    ~server:(Some t.home.name) ~shipped:(Some shipped)
-
+(* One ledger run on the home engine, which estimates over the home
+   partition with its own handles — the coordinator never materializes
+   the global instance; the two pagers share the network's blocking
+   factor, so the page math is the same.  Trace-context propagation:
+   one fresh trace id per coordinated query, bound for its whole
+   extent, so the coordinator's merge spans and every involved server's
+   engine spans (and their journal events) stitch into one causal tree.
+   The coordinator itself is the root actor; [eval_shards] rebinds per
+   server.  The ledger traces whenever the journal is open. *)
 let eval ?(mode = Engine.Streaming) t q =
-  let reads0 = t.stats.Io_stats.page_reads
-  and writes0 = t.stats.Io_stats.page_writes in
-  let alloc0 = Gc.allocated_bytes () in
-  let t0 = Mclock.now_ns () in
   let journal = Qlog.enabled () in
-  Engine.with_forced_tracing journal (fun () ->
-      (* Trace-context propagation: one fresh trace id per coordinated
-         query, bound for its whole extent, so the coordinator's merge
-         spans and every involved server's engine spans (and their
-         journal events) stitch into one causal tree.  The coordinator
-         itself is the root actor; eval_atomic rebinds per server. *)
-      let stitch f =
-        if Trace.enabled () then
-          Trace.with_trace_id (Trace.next_trace_id ()) (fun () ->
-              Trace.with_actor "coordinator" f)
-        else f ()
-      in
-      stitch @@ fun () ->
-      let ship0 = if journal then shipping_snapshot t else [] in
-      let probe0 = cache_probe_snapshot t in
-      let detail = if Trace.enabled () then query_detail q else "" in
-      (* the thunk catches, so a failed query's tree is ours too *)
-      let result, span =
-        Trace.with_span_out ~detail ~stats:t.stats "coordinate" (fun () ->
-            let leaf = function
-              | Ast.Atomic a -> Some (combine t ~mode a)
-              | _ -> None
-            in
-            match
-              Engine.walk ~pager:t.pager
-                ~window:(Engine.window t.home.engine) ~mode ~leaf q
-            with
-            | out ->
-                Trace.set_rows (Ext_list.length out);
-                Ok out
-            | exception e -> Error e)
-      in
-      let wall_ns = Mclock.now_ns () - t0 in
-      let reads = t.stats.Io_stats.page_reads - reads0
-      and writes = t.stats.Io_stats.page_writes - writes0
-      and alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
-      (* journal first, then offer the stitched tree with its event to
-         the tail store; it subsumes the servers' engine subtrees,
-         which share its trace id *)
-      let offer ~outcome event =
-        Option.iter
-          (fun sp ->
-            ignore (Tail.consider ?event ~origin:"dist" ~outcome ~wall_ns sp))
-          span
-      in
-      match result with
-      | Error e ->
-          offer ~outcome:`Error
-            (if journal then
-               Some
-                 (journal_event t q ~mode ~shipped:[]
-                    ~cache:(cache_note t probe0) ~result_count:0 ~reads
-                    ~writes ~wall_ns ~alloc_bytes
-                    ~outcome:(Qlog.Failed (Printexc.to_string e))
-                    None)
-             else None);
-          raise e
-      | Ok out ->
-          Metrics.incr m_dist_queries;
-          Metrics.observe_ns m_dist_latency wall_ns;
-          offer ~outcome:`Ok
-            (if journal then
-               Some
-                 (journal_event t q ~mode
-                    ~shipped:(shipping_delta ship0 (shipping_snapshot t))
-                    ~cache:(cache_note t probe0)
-                    ~result_count:(Ext_list.length out)
-                    ~reads ~writes ~wall_ns ~alloc_bytes ~outcome:Qlog.Ok span)
-             else None);
-          out)
+  let ship0 = if journal then shipping_snapshot t else [] in
+  let probe0 = cache_probe_snapshot t in
+  let note () =
+    {
+      Engine.cache = Some (cache_note t probe0);
+      server = Some t.home.name;
+      shipped = Some (shipping_delta ship0 (shipping_snapshot t));
+      annotate = annotate_combines;
+    }
+  in
+  let stitch f =
+    if journal || Trace.enabled () then
+      Trace.with_trace_id (Trace.next_trace_id ()) (fun () ->
+          Trace.with_actor "coordinator" f)
+    else f ()
+  in
+  let leaf = function Ast.Atomic a -> Some (combine t ~mode a) | _ -> None in
+  let out, cost =
+    stitch @@ fun () ->
+    Engine.ledger t.home.engine ~mode ~label:"coordinate" ~origin:"dist"
+      t.stats (Engine.Tree q) ~note (fun () ->
+        let out =
+          Engine.walk ~pager:t.pager ~window:(Engine.window t.home.engine)
+            ~mode ~leaf q
+        in
+        (out, { Engine.planned = Some q; rows = Ext_list.length out; failure = None }))
+  in
+  Metrics.incr m_dist_queries;
+  Metrics.observe_ns m_dist_latency cost.Engine.wall_ns;
+  out
 
 let eval_entries ?mode t q = Ext_list.to_list (eval ?mode t q)
 

@@ -24,10 +24,8 @@ type mode = Materialized | Streaming
    (calibrated when a Planstats store is attached) and reorder boolean
    merges by estimated cardinality.  The forced modes pin every atomic
    to one path and skip reordering — the clean always-index /
-   always-scan baselines the planner is benchmarked against.  [Off] is
-   the legacy behavior: unconditional index use when an index exists,
-   no reordering, selectivity-only estimates. *)
-type planner = Auto | Force_index | Force_scan | Off
+   always-scan baselines the planner is benchmarked against. *)
+type planner = Auto | Force_index | Force_scan
 
 type t = {
   mutable instance : Instance.t;
@@ -153,13 +151,12 @@ let index_candidates t (f : Afilter.t) =
           | None -> None))
 
 (* One access-path decision for a sub-scope atomic, via the planner's
-   shared cost model.  Forced modes pin the path; [Off] never gets here
-   (the legacy branch below keeps its unconditional index use). *)
+   shared cost model.  Forced modes pin the path. *)
 let planner_force t =
   match t.planner with
   | Force_index -> Some Plan.Index
   | Force_scan -> Some Plan.Scan
-  | Auto | Off -> None
+  | Auto -> None
 
 let choose_atomic ~streaming t (a : Ast.atomic) =
   Plan.choose_path ~pager:t.pager ~instance:t.instance
@@ -167,14 +164,11 @@ let choose_atomic ~streaming t (a : Ast.atomic) =
     ?force:(planner_force t) a
 
 (* The engine-bound estimate of [q] as given: the same handles and
-   policy execution uses; under [Off], the legacy selectivity model. *)
+   policy execution uses. *)
 let estimate ~mode t q =
-  match t.planner with
-  | Off -> Plan.estimate ~pager:t.pager ~instance:t.instance q
-  | Auto | Force_index | Force_scan ->
-      Plan.estimate ~pager:t.pager ~instance:t.instance
-        ?attr_index:t.attr_index ?cache:t.result_cache ?calib:t.calib
-        ~streaming:(mode = Streaming) ?force:(planner_force t) q
+  Plan.estimate ~pager:t.pager ~instance:t.instance ?attr_index:t.attr_index
+    ?cache:t.result_cache ?calib:t.calib ~streaming:(mode = Streaming)
+    ?force:(planner_force t) q
 
 (* Serve a sub-scope atomic's cache hit, if one is (still) fresh: the
    mutating [find] does the LRU bump and hit accounting the planner's
@@ -244,11 +238,6 @@ let atomic_src t ~mode (a : Ast.atomic) =
   match a.scope with
   | Ast.Base -> Dn_index.scan_base_src t.dn_index a.base ~keep
   | Ast.One -> Dn_index.scan_children_src t.dn_index a.base ~keep
-  | Ast.Sub when t.planner = Off -> (
-      (* legacy: the index whenever one applies *)
-      match index_candidates t a.filter with
-      | None -> scan ()
-      | Some candidates -> indexed candidates)
   | Ast.Sub -> (
       let choice = choose_atomic ~streaming:(mode = Streaming) t a in
       let run = function
@@ -391,10 +380,14 @@ let eval_node_src t q =
 let run_root t ~mode q =
   walk ~pager:t.pager ~window:t.window ~mode ~leaf:(leaf t mode) q
 
-(* Top-level entry point: one "execute" span per query tree (with one
-   child span per operator, when tracing is on) plus process-wide
-   metrics, so cross-query aggregates survive after individual traces
-   are evicted. *)
+(* --- The query ledger ------------------------------------------------------ *)
+
+(* Every measured query run — the engine's own (hit or miss), the
+   distributed coordinator's and a served request's — goes through
+   [ledger]: one reading of the counters, one root span, one journal
+   event, one offer to [Tail].  Process-wide metrics are bumped by the
+   callers from the cost it returns, so cross-query aggregates survive
+   after individual traces are evicted. *)
 
 let m_queries =
   Metrics.counter ~help:"query trees evaluated" "engine_queries_total"
@@ -467,8 +460,6 @@ let est_writes ~mode ~writes ~saved =
   | Streaming -> max 0 (writes - saved)
   | Materialized -> writes
 
-let with_paths t = t.planner <> Off
-
 let node_path (n : Plan.node) =
   Option.map
     (fun (c : Plan.choice) -> Plan.path_name c.Plan.chosen.Plan.alt_path)
@@ -476,10 +467,10 @@ let node_path (n : Plan.node) =
 
 (* Join the estimated plan onto the span tree's per-operator rows.  The
    walker opens one span per operator, children left to right, so the
-   span tree under "execute" mirrors the AST and the two preorder
+   span tree under the root mirrors the AST and the two preorder
    flattenings pair positionally — the label check guards the join
    against any shape mismatch (then the rows simply stay unannotated). *)
-let annotate_ops t ~mode plan (ops : Qlog.op list) =
+let annotate_ops ~mode plan (ops : Qlog.op list) =
   match ops with
   | root :: rest ->
       let flat = Plan.flatten plan in
@@ -501,40 +492,66 @@ let annotate_ops t ~mode plan (ops : Qlog.op list) =
                    Some
                      (est_writes ~mode ~writes:n.Plan.est_writes
                         ~saved:n.Plan.est_writes_saved);
-                 op_path = (if with_paths t then node_path n else None);
+                 op_path = node_path n;
                })
              rest flat
       else ops
   | [] -> []
 
 (* The comma-joined distinct access paths a plan chose, sorted — the
-   event-level "path=" summary (["index"], ["index,scan"], ...); none
-   under the legacy planner. *)
-let plan_paths t plan =
-  if not (with_paths t) then None
-  else
-    Plan.flatten plan
-    |> List.filter_map (fun (n, _) -> node_path n)
-    |> List.sort_uniq String.compare
-    |> function [] -> None | ps -> Some (String.concat "," ps)
+   event-level "path=" summary (["index"], ["index,scan"], ...). *)
+let plan_paths plan =
+  Plan.flatten plan
+  |> List.filter_map (fun (n, _) -> node_path n)
+  |> List.sort_uniq String.compare
+  |> function [] -> None | ps -> Some (String.concat "," ps)
 
-let record_event t q ~mode ~annotate ~server ~shipped ~cache ~result_count
-    ~reads ~writes ~wall_ns ~alloc_bytes ~outcome span =
-  let plan = estimate ~mode t q in
+type subject = Tree of Ast.t | Text of string
+
+type report = {
+  planned : Ast.t option;
+  rows : int;
+  failure : (Tail.outcome * string) option;
+}
+
+type note = {
+  cache : string option;
+  server : string option;
+  shipped : (string * int * int) list option;
+  annotate : mode:mode -> Plan.node -> Qlog.op list -> Qlog.op list;
+}
+
+type cost = {
+  wall_ns : int;
+  reads : int;
+  writes : int;
+  alloc_bytes : int;
+  trace_id : string option;
+}
+
+let plain_note cache () =
+  { cache; server = None; shipped = None; annotate = annotate_ops }
+
+(* The journal event of one run: the estimate of the tree that ran
+   joined onto the span tree's rows, its access paths and totals and,
+   when [Tail.is_slow], a capture.  A run that planned nothing (a cache
+   hit, text that never parsed) carries no estimate. *)
+let journal_run t ~mode subject (n : note) ~planned ~rows ~outcome ~wall_ns
+    ~reads ~writes ~alloc_bytes span =
+  let plan = Option.map (estimate ~mode t) planned in
   let ops =
-    match span with
-    | Some sp -> annotate plan (Qlog.ops_of_span sp)
-    | None -> []
+    match (span, plan) with
+    | Some sp, Some p -> n.annotate ~mode p (Qlog.ops_of_span sp)
+    | Some sp, None -> Qlog.ops_of_span sp
+    | None, _ -> []
   in
   let capture =
     if Tail.is_slow wall_ns then
       Some
         {
           Qlog.span_text =
-            (match span with
-            | Some sp -> Fmt.str "%a" Trace.pp_span sp
-            | None -> "");
-          plan_text = Plan.to_string plan;
+            (match span with Some sp -> Fmt.str "%a" Trace.pp_span sp | None -> "");
+          plan_text = (match plan with Some p -> Plan.to_string p | None -> "");
         }
     else None
   in
@@ -543,123 +560,152 @@ let record_event t q ~mode ~annotate ~server ~shipped ~cache ~result_count
     | Some sp -> Some sp.Trace.trace_id
     | None -> Trace.current_trace_id ()
   in
-  Qlog.record ~cache ?path:(plan_paths t plan) ?server ?trace_id ?shipped ~ops
-    ?capture
-    ~query:(Qprinter.to_string q)
-    ~fingerprint:(Plan.fingerprint q) ~result_count ~reads ~writes ~wall_ns
-    ~alloc_bytes ~outcome ~est_card:plan.Plan.est_rows
-    ~est_reads:(Plan.total_est_reads plan)
-    ~est_writes:
-      (est_writes ~mode ~writes:(Plan.total_est_writes plan)
-         ~saved:(Plan.total_est_writes_saved plan))
+  let query, fingerprint =
+    match (subject, planned) with
+    | Tree q, _ -> (Qprinter.to_string q, Plan.fingerprint q)
+    | Text s, Some q -> (s, Plan.fingerprint q)
+    | Text s, None -> (s, "(parse)")
+  in
+  Qlog.record ?cache:n.cache ?path:(Option.bind plan plan_paths)
+    ?server:n.server ?trace_id ?shipped:n.shipped ~ops ?capture ~query
+    ~fingerprint ~result_count:rows ~reads ~writes ~wall_ns ~alloc_bytes
+    ~outcome
+    ?est_card:(Option.map (fun p -> p.Plan.est_rows) plan)
+    ?est_reads:(Option.map Plan.total_est_reads plan)
+    ?est_writes:
+      (Option.map
+         (fun p ->
+           est_writes ~mode ~writes:(Plan.total_est_writes p)
+             ~saved:(Plan.total_est_writes_saved p))
+         plan)
     ()
 
-let journal_event t q ~mode =
-  record_event t q ~mode ~annotate:(annotate_ops t ~mode) ~server:None
-    ~shipped:None
+let measured t ~mode ~label ~origin stats subject ~note ~journal run =
+  let reads0 = stats.Io_stats.page_reads
+  and writes0 = stats.Io_stats.page_writes in
+  let alloc0 = Mclock.allocated_words () in
+  let t0 = Mclock.now_ns () in
+  let detail =
+    if not (Trace.enabled ()) then ""
+    else match subject with Tree q -> query_detail q | Text s -> s
+  in
+  (* the thunk catches, so a failed run's tree is ours too *)
+  let result, span =
+    Trace.with_span_out ~detail ~stats label (fun () ->
+        match run () with
+        | (_, r) as ran ->
+            Trace.set_rows r.rows;
+            Ok ran
+        | exception e -> Error e)
+  in
+  let wall_ns = Mclock.now_ns () - t0 in
+  let reads = stats.Io_stats.page_reads - reads0
+  and writes = stats.Io_stats.page_writes - writes0
+  and alloc_bytes = Mclock.bytes_of_words (Mclock.allocated_words () -. alloc0) in
+  let failure =
+    match result with
+    | Ok (_, r) -> r.failure
+    | Error e -> Some (`Error, Printexc.to_string e)
+  in
+  (* journal first, then offer the tree with its event to the tail
+     store, which decides whether to keep it.  A run nested in a served
+     or coordinated query shares the root's trace id, and the root tree
+     supersedes it. *)
+  let event =
+    if not journal then None
+    else
+      let planned, rows =
+        match (result, subject) with
+        | Ok (_, r), _ -> (r.planned, r.rows)
+        | Error _, Tree q -> (Some q, 0)
+        | Error _, Text _ -> (None, 0)
+      in
+      let outcome =
+        match failure with None -> Qlog.Ok | Some (_, msg) -> Qlog.Failed msg
+      in
+      Some
+        (journal_run t ~mode subject (note ()) ~planned ~rows ~outcome ~wall_ns
+           ~reads ~writes ~alloc_bytes span)
+  in
+  (match span with
+  | Some sp ->
+      let outcome = match failure with None -> `Ok | Some (o, _) -> o in
+      ignore (Tail.consider ?event ~origin ~outcome ~wall_ns sp)
+  | None -> ());
+  match result with
+  | Error e -> raise e
+  | Ok (v, _) ->
+      let trace_id =
+        match span with Some sp -> Some sp.Trace.trace_id | None -> None
+      in
+      (v, { wall_ns; reads; writes; alloc_bytes; trace_id })
+
+let ledger t ~mode ~label ~origin stats subject ~note run =
+  if Qlog.enabled () then
+    with_forced_tracing true (fun () ->
+        measured t ~mode ~label ~origin stats subject ~note ~journal:true run)
+  else measured t ~mode ~label ~origin stats subject ~note ~journal:false run
+
+(* A cache hit charges no page io, so it takes no counter lock for it. *)
+let count_query (c : cost) =
+  Metrics.incr m_queries;
+  Metrics.observe_ns ?trace_id:c.trace_id m_latency c.wall_ns;
+  if c.reads > 0 then Metrics.add m_reads c.reads;
+  if c.writes > 0 then Metrics.add m_writes c.writes;
+  Metrics.add m_alloc c.alloc_bytes
+
+(* Static notes, so a run allocates none. *)
+let note_bypass = plain_note (Some "bypass")
+let note_miss = plain_note (Some "miss")
+let note_stale = plain_note (Some "stale")
+let note_hit = plain_note (Some "hit")
 
 (* Full evaluation.  [probe] says how the result cache answered the
    lookup ([`Bypass] when there is none): a [`Miss] or [`Stale] result
    is offered back to the cache — admission decides — with the measured
-   io as its cost and its dn-subtree footprint for invalidation. *)
+   io as its cost and its dn-subtree footprint for invalidation.  The
+   ledger journals before the result is offered: the journal's post-hoc
+   estimate peeks the cache, and must see it as execution did — a root
+   atomic that missed and is about to be stored would otherwise claim
+   path=cache. *)
 let eval_uncached t ~mode q ~probe =
-  let s = stats t in
-  let reads0 = s.Io_stats.page_reads and writes0 = s.Io_stats.page_writes in
-  let alloc0 = Gc.allocated_bytes () in
-  let t0 = Mclock.now_ns () in
-  let journal = Qlog.enabled () in
-  let cache_note =
-    match probe with `Bypass -> "bypass" | `Miss -> "miss" | `Stale -> "stale"
+  let note =
+    match probe with `Bypass -> note_bypass | `Miss -> note_miss | `Stale -> note_stale
   in
-  with_forced_tracing journal (fun () ->
-      let detail = if Trace.enabled () then query_detail q else "" in
-      (* the thunk catches, so a failed query's tree is ours too *)
-      let result, span =
-        Trace.with_span_out ~detail ~stats:s "execute" (fun () ->
-            match run_root t ~mode q with
-            | out ->
-                Trace.set_rows (Ext_list.length out);
-                Ok out
-            | exception e -> Error e)
-      in
-      let wall_ns = Mclock.now_ns () - t0 in
-      let reads = s.Io_stats.page_reads - reads0
-      and writes = s.Io_stats.page_writes - writes0
-      and alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
-      (* journal first, then offer the tree with its event to the tail
-         store, which decides whether to keep it.  Inside a served or
-         coordinated query this tree shares the root's trace id, and
-         the root tree supersedes it. *)
-      let offer ~outcome event =
-        Option.iter
-          (fun sp ->
-            ignore (Tail.consider ?event ~origin:"engine" ~outcome ~wall_ns sp))
-          span
-      in
-      match result with
-      | Error e ->
-          offer ~outcome:`Error
-            (if journal then
-               Some
-                 (journal_event t q ~mode ~cache:cache_note ~result_count:0
-                    ~reads ~writes ~wall_ns ~alloc_bytes
-                    ~outcome:(Qlog.Failed (Printexc.to_string e))
-                    None)
-             else None);
-          raise e
-      | Ok out ->
-          Metrics.incr m_queries;
-          Metrics.observe_ns
-            ?trace_id:(Option.map (fun sp -> sp.Trace.trace_id) span)
-            m_latency wall_ns;
-          Metrics.add m_reads reads;
-          Metrics.add m_writes writes;
-          Metrics.add m_alloc alloc_bytes;
-          (* journal before the result is offered to the cache: the
-             journal's post-hoc estimate peeks the cache, and must see
-             it as execution did — a root atomic that missed and is
-             about to be stored would otherwise claim path=cache *)
-          offer ~outcome:`Ok
-            (if journal then
-               Some
-                 (journal_event t q ~mode ~cache:cache_note
-                    ~result_count:(Ext_list.length out)
-                    ~reads ~writes ~wall_ns ~alloc_bytes ~outcome:Qlog.Ok span)
-             else None);
-          (match t.result_cache with
-          | Some c when probe <> `Bypass ->
-              Metrics.observe_ns m_miss_ns wall_ns;
-              let arr = Ext_list.to_array out in
-              ignore
-                (Cache.store c ~fingerprint:(Plan.fingerprint q)
-                   ~query:(Qprinter.to_string q)
-                   ~footprint:(Footprint.of_query q)
-                   ~cost_io:(reads + writes)
-                   ~pages:(Pager.pages_of t.pager (Array.length arr))
-                   arr)
-          | _ -> ());
-          out)
+  let out, cost =
+    ledger t ~mode ~label:"execute" ~origin:"engine" (stats t) (Tree q) ~note
+      (fun () ->
+        let out = run_root t ~mode q in
+        (out, { planned = Some q; rows = Ext_list.length out; failure = None }))
+  in
+  count_query cost;
+  (match t.result_cache with
+  | Some c when probe <> `Bypass ->
+      Metrics.observe_ns m_miss_ns cost.wall_ns;
+      let arr = Ext_list.to_array out in
+      ignore
+        (Cache.store c ~fingerprint:(Plan.fingerprint q)
+           ~query:(Qprinter.to_string q)
+           ~footprint:(Footprint.of_query q)
+           ~cost_io:(cost.reads + cost.writes)
+           ~pages:(Pager.pages_of t.pager (Array.length arr))
+           arr)
+  | _ -> ());
+  out
 
 (* A hit re-serves the materialized result as a disk-resident list:
    creation is free (the pages are already paid for in the cache's
-   budget), downstream scans charge normally. *)
-let serve_hit t q ~fingerprint arr =
-  let alloc0 = Gc.allocated_bytes () in
-  let t0 = Mclock.now_ns () in
-  let out = Ext_list.of_array_resident t.pager arr in
-  let wall_ns = Mclock.now_ns () - t0 in
-  let alloc_bytes = int_of_float (Gc.allocated_bytes () -. alloc0) in
-  Metrics.incr m_queries;
-  Metrics.observe_ns m_latency wall_ns;
-  Metrics.observe_ns m_hit_ns wall_ns;
-  Metrics.add m_alloc alloc_bytes;
-  if Qlog.enabled () then
-    ignore
-      (Qlog.record ~cache:"hit"
-         ?trace_id:(Trace.current_trace_id ())
-         ~query:(Qprinter.to_string q)
-         ~fingerprint ~result_count:(Array.length arr) ~reads:0 ~writes:0
-         ~wall_ns ~alloc_bytes ~outcome:Qlog.Ok ());
+   budget), downstream scans charge normally.  Nothing was planned, so
+   its event carries no estimate. *)
+let serve_hit t ~mode q arr =
+  let out, cost =
+    ledger t ~mode ~label:"execute" ~origin:"engine" (stats t) (Tree q)
+      ~note:note_hit (fun () ->
+        ( Ext_list.of_array_resident t.pager arr,
+          { planned = None; rows = Array.length arr; failure = None } ))
+  in
+  count_query cost;
+  Metrics.observe_ns m_hit_ns cost.wall_ns;
   out
 
 (* Cardinality-ordered boolean merges: under the cost-based planner,
@@ -692,7 +738,7 @@ let eval ?mode t q =
   | Some c -> (
       let fingerprint = Plan.fingerprint q in
       match Cache.find c ~fingerprint ~query:(Qprinter.to_string q) with
-      | Cache.Hit arr -> serve_hit t q ~fingerprint arr
+      | Cache.Hit arr -> serve_hit t ~mode q arr
       | Cache.Miss -> eval_uncached t ~mode q ~probe:`Miss
       | Cache.Stale -> eval_uncached t ~mode q ~probe:`Stale)
 

@@ -21,10 +21,8 @@ type mode = Materialized | Streaming
     and take the cheapest, and reorder maximal [And]/[Or] chains
     ascending by estimated cardinality.  [Force_index] / [Force_scan]
     pin every atomic to one path and skip reordering — the clean
-    baselines the planner is benchmarked against.  [Off] is the legacy
-    behavior: unconditional index use whenever an index applies, no
-    reordering, selectivity-only estimates, no path journaling. *)
-type planner = Auto | Force_index | Force_scan | Off
+    baselines the planner is benchmarked against. *)
+type planner = Auto | Force_index | Force_scan
 
 type t
 
@@ -150,51 +148,97 @@ val estimate : mode:mode -> t -> Ast.t -> Plan.node
     engine's index / cache / calibration handles under its current
     planner policy, costs assuming [mode]. *)
 
-val record_event :
-  t ->
-  Ast.t ->
-  mode:mode ->
-  annotate:(Plan.node -> Qlog.op list -> Qlog.op list) ->
-  server:string option ->
-  shipped:(string * int * int) list option ->
-  cache:string ->
-  result_count:int ->
-  reads:int ->
-  writes:int ->
-  wall_ns:int ->
-  alloc_bytes:int ->
-  outcome:Qlog.outcome ->
-  Trace.span option ->
-  Qlog.event
-(** Record and return one query-journal event for a tree run under
-    [mode]: the {!estimate} joined onto the span tree's rows by
-    [annotate], the chosen access paths, estimate totals and, when
-    [Tail.is_slow wall_ns], a capture.  Shared with the distributed
-    coordinator. *)
-
 val eval : ?mode:mode -> t -> Ast.t -> Entry.t Ext_list.t
 (** Evaluate a query tree; the result list is canonically sorted.
     [mode] overrides the engine's default boundary handling for this
     call; under [Streaming] the whole tree runs as one pipeline and only
     the root result is written.
-    When the query journal ({!Qlog}) is enabled, every call records one
-    journal event — query text, plan fingerprint, result count, I/O and
-    wall time, per-operator rows from the span tree — and slow queries
-    ([Tail.is_slow]) carry a full capture (span tree + rendered
-    estimated plan).  Tracing is forced on for the extent of a
-    journaled query, and the span tree, with the event when journaled,
-    is offered to [Tail] (origin ["engine"]).
+    Every call is one {!ledger} run (root span ["execute"], origin
+    ["engine"]).
 
     With a [result_cache], the evaluation is preceded by a cache lookup
     (a fresh entry is served as a resident list, charging no page io)
     and followed by a store offer on miss or staleness; every journal
     event then carries the cache outcome ([hit|miss|stale], or
-    [bypass] without a cache). *)
+    [bypass] without a cache).  A hit plans nothing, so its event
+    carries no estimate. *)
+
+(** {1 The query ledger}
+
+    The one path that measures and records a query run, shared by
+    {!eval} (hit or miss), the distributed coordinator and the server. *)
+
+(** What a run answers: a tree (journaled as its printed text), or
+    text the run parses itself (journaled verbatim). *)
+type subject = Tree of Ast.t | Text of string
+
+(** What a run reports back. *)
+type report = {
+  planned : Ast.t option;
+      (** the tree whose plan ran: estimated and fingerprinted for the
+          journal.  [None] for a cache hit (fingerprinted from a [Tree]
+          subject, no estimate) or text that never parsed (fingerprint
+          ["(parse)"]). *)
+  rows : int;  (** result rows delivered *)
+  failure : (Tail.outcome * string) option;
+      (** a failure the run returned instead of raising (a deadline, a
+          parse error): its [Tail] outcome and journal message *)
+}
+
+(** The journal fields that differ by caller, read after the run and
+    only when the journal is open. *)
+type note = {
+  cache : string option;  (** result-cache outcome *)
+  server : string option;  (** the answering server *)
+  shipped : (string * int * int) list option;  (** per-server shipping *)
+  annotate : mode:mode -> Plan.node -> Qlog.op list -> Qlog.op list;
+      (** joins the estimated plan onto the span tree's rows *)
+}
+
+(** What the ledger measured, for the caller's metrics. *)
+type cost = {
+  wall_ns : int;
+  reads : int;
+  writes : int;
+  alloc_bytes : int;  (** {!Mclock.allocated_words} delta, in bytes *)
+  trace_id : string option;  (** the root span's, when traced *)
+}
+
+val plain_note : string option -> unit -> note
+(** A single engine's note: the given cache outcome, no server or
+    shipping, and the positional join of plan nodes onto the walker's
+    operator rows. *)
+
+val ledger :
+  t ->
+  mode:mode ->
+  label:string ->
+  origin:string ->
+  Io_stats.t ->
+  subject ->
+  note:(unit -> note) ->
+  (unit -> 'a * report) ->
+  'a * cost
+(** [ledger t ~mode ~label ~origin stats subject ~note run] runs [run]
+    inside one root span named [label], reading the clock, [stats]'
+    page counters and the allocation meter around it.  When the query
+    journal ({!Qlog}) is open, tracing is forced on for the run and
+    one event is recorded: the text and fingerprint of [subject], the
+    run's rows and outcome, the measured cost, the span tree's
+    operator rows joined by [note]'s [annotate] to [t]'s estimate of
+    the planned tree under [mode] ({!estimate}), the access paths and
+    estimate totals and, when [Tail.is_slow wall_ns], a capture (span
+    tree + rendered plan).  The span tree, with the event when
+    journaled, is then offered to [Tail] as [origin] with the same
+    wall time.  A run that raises is journaled as [Failed] and offered
+    as [`Error], and the exception is re-raised.  An untraced,
+    unjournaled run takes no lock and computes no estimate. *)
 
 val with_forced_tracing : bool -> (unit -> 'a) -> 'a
-(** [with_forced_tracing journal f] runs [f] with span tracing enabled
-    when [journal] asks for it and tracing is off, restoring the
-    previous state after.  Shared with the distributed coordinator. *)
+(** [with_forced_tracing force f] runs [f] with span tracing enabled
+    when [force] asks for it and tracing is off, restoring the previous
+    state after.  The ledger forces it for journaled runs; the server
+    and [Explain] force it for every run. *)
 
 val eval_entries : ?mode:mode -> t -> Ast.t -> Entry.t list
 

@@ -4,11 +4,12 @@
     One event per query: text, normalized plan fingerprint, result
     cardinality, page reads/writes, wall nanoseconds, outcome, and
     per-operator cost rows lifted from the {!Trace} span tree.  A slow
-    query ([Tail.is_slow]) recorded by the engine additionally carries
-    a capture (rendered span tree + rendered estimated plan).  This
-    module keeps no events in memory: the recording layer hands each
-    event to [Tail] with its span tree, and the slowlog is [Tail]'s
-    view.  Instrumented layers call {!record}; this module never
+    query ([Tail.is_slow]) additionally carries a capture (rendered
+    span tree + rendered estimated plan).  This module keeps no events
+    in memory: the recording layer hands each event to [Tail] with its
+    span tree, and the slowlog is [Tail]'s view.  The engine's query
+    ledger ([Engine.ledger]) is the one caller of {!record} for every
+    evaluated query — engine, coordinator and server; this module never
     inspects queries itself, so [lib/obs] stays below the query and
     evaluation layers.  One journal per process.
 
@@ -63,9 +64,9 @@ type event = {
   writes : int;
   wall_ns : int;
   alloc_bytes : int option;
-      (** whole-query GC allocation delta ([Gc.allocated_bytes] across
-          the evaluation), when the recording layer measured one; old
-          journals without it still load *)
+      (** bytes allocated by the whole query ({!Mclock.allocated_words}
+          across the evaluation, exact to the word), when the recording
+          layer measured one; old journals without it still load *)
   outcome : outcome;
   est_card : int option;
       (** whole-query planner estimates (result cardinality, page reads,

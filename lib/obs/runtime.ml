@@ -19,7 +19,7 @@ let g name help = Metrics.gauge ~help name
 let g_uptime = g "process_uptime_seconds" "seconds since the process started"
 
 let g_allocated =
-  g "process_allocated_bytes" "total bytes allocated by the process (Gc.allocated_bytes)"
+  g "process_allocated_bytes" "total bytes allocated by the process"
 
 let g_minor = g "gc_minor_collections" "completed minor collections"
 let g_major = g "gc_major_collections" "completed major collection cycles"
@@ -41,7 +41,8 @@ let g_sink =
 let sample () =
   let s = Gc.quick_stat () in
   Metrics.set g_uptime (float_of_int (Mclock.now_ns () - started_ns) /. 1e9);
-  Metrics.set g_allocated (Gc.allocated_bytes ());
+  Metrics.set g_allocated
+    (float_of_int (Mclock.bytes_of_words (Mclock.allocated_words ())));
   Metrics.set g_minor (float_of_int s.Gc.minor_collections);
   Metrics.set g_major (float_of_int s.Gc.major_collections);
   Metrics.set g_compactions (float_of_int s.Gc.compactions);

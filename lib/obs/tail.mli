@@ -1,8 +1,10 @@
 (** Tail-based trace sampling, and the one store of completed span
     trees.
 
-    The serving layer, the engine and the distributed coordinator hand
-    every completed span tree to {!consider}, with the journal event
+    The engine's query ledger — for the engine's, the distributed
+    coordinator's and the server's runs — and the server's shed and
+    queue-deadline paths hand every completed span tree to
+    {!consider}, with the journal event
     recorded for its query when the journal is on; it is retained when
     the outcome earns it — slow ({!is_slow}), errored, shed,
     deadline-expired — or when a seeded 1-in-N sample picks it as a
@@ -73,7 +75,7 @@ val slow_threshold_ns : unit -> int
 
 val is_slow : int -> bool
 (** The one slow predicate, [wall_ns >= slow_threshold_ns ()]: the
-    {!Slow} verdict and the engine's journal capture both ask it. *)
+    {!Slow} verdict and the query ledger's journal capture both ask it. *)
 
 val set_sample_every : int -> unit
 val sample_every : unit -> int

@@ -37,7 +37,7 @@ type span = {
   start_ns : int;  (* Mclock reading when the span opened *)
   mutable elapsed_ns : int;
   mutable io : Io_stats.t;  (* delta while the span was open *)
-  mutable alloc_bytes : int;  (* GC allocation delta while open, inclusive *)
+  mutable alloc_bytes : int;  (* allocation-meter delta while open, inclusive *)
   mutable rows : int option;  (* result cardinality, when annotated *)
   mutable children : span list;  (* execution order once closed *)
 }
@@ -179,10 +179,10 @@ let with_span_out ?(detail = "") ?stats name f =
       }
     in
     let snap = Option.map Io_stats.copy stats in
-    (* Memory attribution mirrors the io delta: [Gc.allocated_bytes] is
-       monotonic over the thread's life, so open-minus-close is the
-       inclusive allocation of the span's dynamic extent. *)
-    let alloc0 = Gc.allocated_bytes () in
+    (* Memory attribution mirrors the io delta: the allocation meter is
+       monotonic, so open-minus-close is the inclusive allocation of the
+       span's dynamic extent. *)
+    let alloc0 = Mclock.allocated_words () in
     let parent = t.stack in
     t.stack <- span :: parent;
     let finish () =
@@ -190,7 +190,7 @@ let with_span_out ?(detail = "") ?stats name f =
       (match (stats, snap) with
       | Some s, Some s0 -> span.io <- Io_stats.diff s s0
       | _ -> ());
-      span.alloc_bytes <- int_of_float (Gc.allocated_bytes () -. alloc0);
+      span.alloc_bytes <- Mclock.bytes_of_words (Mclock.allocated_words () -. alloc0);
       (* children were pushed newest-first while open *)
       span.children <- List.rev span.children;
       t.stack <- parent;

@@ -27,8 +27,8 @@ type span = {
   mutable elapsed_ns : int;
   mutable io : Io_stats.t;  (** I/O delta while the span was open *)
   mutable alloc_bytes : int;
-      (** GC allocation delta ([Gc.allocated_bytes]) while the span was
-          open — inclusive of children, like the io delta *)
+      (** bytes allocated while the span was open ({!Mclock.allocated_words}
+          delta) — inclusive of children, like the io delta *)
   mutable rows : int option;  (** result cardinality, when annotated *)
   mutable children : span list;  (** in execution order *)
 }

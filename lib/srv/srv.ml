@@ -267,11 +267,16 @@ let g_resident =
     ~help:"max resident pages observed by a serving worker engine"
     "srv_engine_max_resident_pages"
 
-let tail_outcome = function
-  | S_ok -> `Ok
-  | S_deadline -> `Deadline
-  | S_busy -> `Shed
-  | S_error _ -> `Error
+(* A served run's journal note: no result cache at the root, no
+   shipping. *)
+let served_note = Engine.plain_note None
+
+(* A status's failure, as the ledger reports it. *)
+let failure = function
+  | S_ok -> None
+  | S_deadline -> Some (`Deadline, "deadline")
+  | S_busy -> Some (`Shed, "busy")
+  | S_error msg -> Some (`Error, msg)
 
 (* Evaluate one query on a worker's engine, appending rows to [out]
    and calling [flush] at every 64-row boundary (the rows still in
@@ -279,110 +284,70 @@ let tail_outcome = function
    between rows.  Returns the final status, the rows produced, the
    trace id and the parse and execute stage times (execute runs from
    the parsed query to the last row, [flush]es included).  Every
-   request runs force-traced and journals a Qlog event when the journal
-   is open; the completed span tree then goes, with that event, to the
-   tail sampler, which decides whether it is worth keeping. *)
+   request runs force-traced under a fresh trace id, as one
+   [Engine.ledger] run: the journal event and the tail sampler's offer
+   happen there. *)
 let execute engine ~query_text ~deadline_ns ~out ~flush =
-  let journal = Qlog.enabled () in
   let tid = Trace.next_trace_id () in
   let stats = Engine.stats engine in
-  let reads0 = stats.Io_stats.page_reads
-  and writes0 = stats.Io_stats.page_writes in
-  let alloc0 = Gc.allocated_bytes () in
   let t0 = Mclock.now_ns () in
   let t_parsed = ref t0 and t_done = ref t0 in
   let rows = ref 0 in
-  let outcome, span, event =
+  let run () =
+    let parsed =
+      match
+        Qparser.of_string ~schema:(Instance.schema (Engine.instance engine))
+          query_text
+      with
+      | exception Qparser.Parse_error msg -> Error msg
+      | ast -> Ok ast
+    in
+    t_parsed := Mclock.now_ns ();
+    t_done := !t_parsed;
+    let planned, status =
+      match parsed with
+      | Error msg -> (None, S_error msg)
+      | Ok ast ->
+          let status = ref S_ok in
+          (try
+             let src = Engine.eval_node_src engine ast in
+             let rec pump n =
+               if Mclock.now_ns () > deadline_ns then status := S_deadline
+               else
+                 match Ext_list.Source.next src with
+                 | None -> ()
+                 | Some e ->
+                     Buffer.add_string out (Dn.to_string (Entry.dn e));
+                     Buffer.add_char out '\n';
+                     incr rows;
+                     if n >= 63 then begin
+                       if not (flush ()) then raise Exit;
+                       pump 0
+                     end
+                     else pump (n + 1)
+             in
+             pump 0
+           with
+          | Exit -> ()
+          | e -> status := S_error (Printexc.to_string e));
+          t_done := Mclock.now_ns ();
+          (Some ast, !status)
+    in
+    (status, { Engine.planned; rows = !rows; failure = failure status })
+  in
+  let status =
     Engine.with_forced_tracing true @@ fun () ->
     Trace.with_trace_id tid @@ fun () ->
     Trace.with_actor "srv" @@ fun () ->
     match
-      Trace.with_span_out ~detail:query_text ~stats "serve" (fun () ->
-          let parsed =
-            match
-              Qparser.of_string
-                ~schema:(Instance.schema (Engine.instance engine))
-                query_text
-            with
-            | exception Qparser.Parse_error msg -> Error msg
-            | ast -> Ok ast
-          in
-          t_parsed := Mclock.now_ns ();
-          t_done := !t_parsed;
-          match parsed with
-          | Error msg -> `Parse msg
-          | Ok ast ->
-              let src = Engine.eval_node_src engine ast in
-              let status = ref S_ok in
-              (try
-                 let rec pump n =
-                   if Mclock.now_ns () > deadline_ns then status := S_deadline
-                   else
-                     match Ext_list.Source.next src with
-                     | None -> ()
-                     | Some e ->
-                         Buffer.add_string out (Dn.to_string (Entry.dn e));
-                         Buffer.add_char out '\n';
-                         incr rows;
-                         if n >= 63 then begin
-                           if not (flush ()) then raise Exit;
-                           pump 0
-                         end
-                         else pump (n + 1)
-                 in
-                 pump 0
-               with Exit -> ());
-              t_done := Mclock.now_ns ();
-              Trace.set_rows !rows;
-              `Ran (ast, !status))
+      Engine.ledger engine ~mode:Engine.Streaming ~label:"serve" ~origin:"srv"
+        stats (Engine.Text query_text) ~note:served_note run
     with
-    | `Ran (ast, status), span ->
-        let ev =
-          if not journal then None
-          else
-            let ops =
-              match span with Some s -> Qlog.ops_of_span s | None -> []
-            in
-            let out : Qlog.outcome =
-              match status with
-              | S_ok -> Qlog.Ok
-              | S_deadline -> Qlog.Failed "deadline"
-              | S_busy -> Qlog.Failed "busy"
-              | S_error m -> Qlog.Failed m
-            in
-            Some
-              (Qlog.record ~trace_id:tid ~ops ~query:query_text
-                 ~fingerprint:(Plan.fingerprint ast)
-                 ~result_count:!rows
-                 ~reads:(stats.Io_stats.page_reads - reads0)
-                 ~writes:(stats.Io_stats.page_writes - writes0)
-                 ~wall_ns:(Mclock.now_ns () - t0)
-                 ~alloc_bytes:(int_of_float (Gc.allocated_bytes () -. alloc0))
-                 ~outcome:out ())
-        in
-        (status, span, ev)
-    | `Parse msg, span ->
-        let ev =
-          if journal then
-            Some
-              (Qlog.record ~trace_id:tid ~query:query_text
-                 ~fingerprint:"(parse)" ~result_count:0 ~reads:0 ~writes:0
-                 ~wall_ns:(Mclock.now_ns () - t0)
-                 ~outcome:(Qlog.Failed msg) ())
-          else None
-        in
-        (S_error msg, span, ev)
-    | exception e -> (S_error (Printexc.to_string e), None, None)
+    | status, _ -> status
+    | exception e -> S_error (Printexc.to_string e)
   in
-  let wall = Mclock.now_ns () - t0 in
   Metrics.set g_resident (float_of_int stats.Io_stats.max_resident_pages);
-  Option.iter
-    (fun s ->
-      ignore
-        (Tail.consider ?event ~origin:"srv" ~outcome:(tail_outcome outcome)
-           ~wall_ns:wall s))
-    span;
-  (outcome, !rows, tid, !t_parsed - t0, !t_done - !t_parsed)
+  (status, !rows, tid, !t_parsed - t0, !t_done - !t_parsed)
 
 (* A request that never reached a worker engine (shed at admission, or
    its budget died in the queue) still deserves a trace the tail

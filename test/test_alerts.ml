@@ -388,6 +388,27 @@ let test_span_alloc_nesting () =
           Alcotest.(check bool) "parent is inclusive of child" true
             (parent.Trace.alloc_bytes >= child.Trace.alloc_bytes))
 
+(* The meter counts the minor heap to the word, collection or not:
+   1000 list cells are 24,000 bytes of allocation.  A delta of the
+   stdlib's allocated-bytes count read about an eighth of it. *)
+let test_span_alloc_exact () =
+  let was = Trace.enabled () in
+  Trace.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Trace.set_enabled was)
+    (fun () ->
+      match
+        snd
+          (Trace.with_span_out "list" (fun () ->
+               ignore (Sys.opaque_identity (List.init 1000 Fun.id))))
+      with
+      | None -> Alcotest.fail "no span captured"
+      | Some span ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d B >= 24000 B" span.Trace.alloc_bytes)
+            true
+            (span.Trace.alloc_bytes >= 24_000))
+
 (* --- Qlog file-count rotation ---------------------------------------------------- *)
 
 let temp_journal () =
@@ -535,6 +556,7 @@ let () =
       ( "attribution",
         [
           Alcotest.test_case "nested span alloc" `Quick test_span_alloc_nesting;
+          Alcotest.test_case "span alloc is exact" `Quick test_span_alloc_exact;
         ] );
       ( "qlog",
         [ Alcotest.test_case "max_files rotation" `Quick test_qlog_max_files ] );

@@ -50,10 +50,10 @@ let measure_hier ?(window = 2) op instance =
   Io_stats.reset stats;
   let out =
     match op with
-    | `P -> Hs_pc.parents ~window l1 l2
-    | `C -> Hs_pc.children ~window l1 l2
-    | `A -> Hs_ad.ancestors ~window l1 l2
-    | `D -> Hs_ad.descendants ~window l1 l2
+    | `P -> Hs_agg.compute_hier ~window Ast.P l1 l2
+    | `C -> Hs_agg.compute_hier ~window Ast.C l1 l2
+    | `A -> Hs_agg.compute_hier ~window Ast.A l1 l2
+    | `D -> Hs_agg.compute_hier ~window Ast.D l1 l2
   in
   (Io_stats.total_io stats, Ext_list.length l1, Ext_list.length l2, out)
 
@@ -97,8 +97,8 @@ let test_hier3_linear_bound () =
       let stats = Pager.stats pager in
       let a = part 0 l1 and b = part 1 l2 and c = part 2 l3 in
       Io_stats.reset stats;
-      ignore (Hs_adc.ancestors_c a b c);
-      ignore (Hs_adc.descendants_c a b c);
+      ignore (Hs_agg.compute_hier3 Ast.Ac a b c);
+      ignore (Hs_agg.compute_hier3 Ast.Dc a b c);
       let bound =
         2 * hier_bound (Ext_list.length a) (Ext_list.length b) (Ext_list.length c)
       in
@@ -128,7 +128,7 @@ let test_hspc_exact_decomposition () =
   let stats = Pager.stats (Ext_list.pager l1) in
   let n1 = Ext_list.length l1 and n2 = Ext_list.length l2 in
   Io_stats.reset stats;
-  let out = Hs_pc.parents l1 l2 in
+  let out = Hs_agg.compute_hier Ast.P l1 l2 in
   let expected_reads = pages n1 + pages n2 + pages n1 in
   let expected_writes = pages n1 + pages (Ext_list.length out) in
   Alcotest.(check int) "reads decompose exactly" expected_reads

@@ -420,7 +420,7 @@ let prop_planner_modes_match_oracle (instance, q) =
       let actual = Engine.eval_entries eng q in
       List.length expected = List.length actual
       && List.for_all2 Entry.equal_dn expected actual)
-    Engine.[ Auto; Force_index; Force_scan; Off ]
+    Engine.[ Auto; Force_index; Force_scan ]
 
 (* A calibrated planner is still exact: feed a store from the engine's
    own journal stream (the self-tuning loop), then re-evaluate with the
@@ -694,7 +694,7 @@ let prop_incremental_maintenance (instance, pool, ops) =
   in
   let engines =
     watched ~result_cache:cache Engine.Auto
-    :: List.map (fun p -> watched p) Engine.[ Auto; Force_index; Force_scan; Off ]
+    :: List.map (fun p -> watched p) Engine.[ Auto; Force_index; Force_scan ]
   in
   let pool = Array.of_list pool and fresh = ref 1_000_000 in
   let initial = values instance in

@@ -472,6 +472,46 @@ let test_engine_journals_queries () =
             (e3.Qlog.capture = None)
       | l -> Alcotest.failf "expected 3 journal events, got %d" (List.length l))
 
+(* The one ledger: a run that raises is journaled as Failed with its
+   tree's fingerprint, its span tree goes to the tail store as an
+   error with that event, and the exception comes back out. *)
+let test_ledger_failed_run () =
+  with_qlog (fun () ->
+      let eng = Engine.create ~block:16 (Dif_gen.karily ~fanout:4 ~size:50 ()) in
+      let q = Qparser.of_string "( ? sub ? tag=even)" in
+      let path = temp_journal () in
+      Qlog.enable ~append:false path;
+      Tail.set_slow_threshold_ns max_int;
+      Tail.set_sample_every 0;
+      let raised =
+        match
+          Engine.ledger eng ~mode:Engine.Streaming ~label:"execute"
+            ~origin:"engine" (Engine.stats eng) (Engine.Tree q)
+            ~note:(Engine.plain_note None) (fun () -> failwith "boom")
+        with
+        | _ -> false
+        | exception Failure m -> m = "boom"
+      in
+      Alcotest.(check bool) "the exception is re-raised" true raised;
+      Alcotest.(check bool) "tracing is off again" false (Trace.enabled ());
+      Qlog.disable ();
+      match Qlog.load path with
+      | [ ev ] -> (
+          Alcotest.(check bool) "journaled as Failed" true
+            (ev.Qlog.outcome = Qlog.Failed (Printexc.to_string (Failure "boom")));
+          Alcotest.(check string) "the tree's fingerprint" (Plan.fingerprint q)
+            ev.Qlog.fingerprint;
+          match Option.bind ev.Qlog.trace_id Tail.find with
+          | None -> Alcotest.fail "the failed run's tree was not offered"
+          | Some r ->
+              Alcotest.(check string) "retained as errored" "errored"
+                (Tail.reason_to_string r.Tail.r_reason);
+              Alcotest.(check string) "origin" "engine" r.Tail.r_origin;
+              Alcotest.(check string) "root span" "execute" r.Tail.r_span.Trace.name;
+              Alcotest.(check (option int)) "with its event" (Some ev.Qlog.seq)
+                (Option.map (fun e -> e.Qlog.seq) r.Tail.r_event))
+      | l -> Alcotest.failf "expected 1 journal event, got %d" (List.length l))
+
 let test_dist_journals_attribution () =
   with_qlog (fun () ->
       let instance =
@@ -1153,6 +1193,8 @@ let () =
             test_engine_journals_queries;
           Alcotest.test_case "dist journals attribution" `Quick
             test_dist_journals_attribution;
+          Alcotest.test_case "ledger journals a raising run" `Quick
+            test_ledger_failed_run;
           Alcotest.test_case "size-based rotation" `Quick test_qlog_rotation;
           Alcotest.test_case "trace-id roundtrip" `Quick
             test_qlog_trace_id_roundtrip;

@@ -180,6 +180,77 @@ let test_served_slowlog () =
               Alcotest.(check string) "root span" "serve"
                 (Json.str (Json.member "name" root))))
 
+(* The ledger's tier-1 twin: over N served requests, parse errors
+   among them, the journal holds one event per request counted in
+   srv_requests_total, every answered query's event carries the
+   planner's estimate, its access paths and (at a zero threshold) a
+   capture with the plan, and a Planstats store sees every event. *)
+let test_served_ledger () =
+  let instance = mk_instance () in
+  let registry = Metrics.create () in
+  let path = Filename.temp_file "ndq_srv_ledger" ".jsonl" in
+  let thr = Tail.slow_threshold_ns () in
+  let store = Planstats.create ~metrics:false () in
+  let queries =
+    [ "( ? sub ? id=* )"; "( ? sub ? id<40 )"; "(( ? sub ? id=*";
+      "( ? sub ? id>=100 )"; "not a query"; "(& ( ? sub ? id=* ) ( ? sub ? id<40 ))" ]
+  in
+  Qlog.enable ~append:false path;
+  Tail.set_slow_threshold_ns 0;
+  Planstats.attach store;
+  Fun.protect
+    ~finally:(fun () ->
+      Planstats.detach store;
+      Qlog.disable ();
+      Sys.remove path;
+      Tail.set_slow_threshold_ns thr;
+      Tail.clear ())
+    (fun () ->
+      let events0 = Planstats.events store in
+      let codes =
+        with_srv ~registry ~workers:1 instance (fun srv ->
+            List.map
+              (fun q ->
+                let status, _, _ =
+                  Monitor.request ~meth:"POST" ~body:q ~port:(Srv.port srv) "/query"
+                in
+                status)
+              queries)
+      in
+      let n = List.length queries in
+      Alcotest.(check (list int)) "statuses" [ 200; 200; 400; 200; 400; 200 ] codes;
+      let requests =
+        List.fold_left
+          (fun acc status ->
+            acc
+            + Metrics.counter_value
+                (Metrics.counter ~registry
+                   ~labels:[ ("route", "/query"); ("status", string_of_int status) ]
+                   "srv_requests_total"))
+          0 [ 200; 400; 503; 504 ]
+      in
+      let events = Qlog.load path in
+      Alcotest.(check int) "srv_requests_total" n requests;
+      Alcotest.(check int) "one journal event per request" requests
+        (List.length events);
+      Alcotest.(check int) "the store saw every event" n
+        (Planstats.events store - events0);
+      List.iter
+        (fun (ev : Qlog.event) ->
+          match ev.Qlog.outcome with
+          | Qlog.Failed _ ->
+              Alcotest.(check string) "parse error fingerprint" "(parse)"
+                ev.Qlog.fingerprint
+          | Qlog.Ok ->
+              let what = ev.Qlog.query in
+              Alcotest.(check bool) (what ^ ": est_card") true (ev.Qlog.est_card <> None);
+              Alcotest.(check bool) (what ^ ": path") true (ev.Qlog.path <> None);
+              Alcotest.(check bool) (what ^ ": capture with a plan") true
+                (match ev.Qlog.capture with
+                | Some c -> c.Qlog.plan_text <> ""
+                | None -> false))
+        events)
+
 (* A 1-worker / 1-slot server under a burst of concurrent heavy
    queries must shed — Busy with a retry hint — and the shed counter
    must move.  Retries until the race lands (each round sends 12
@@ -571,6 +642,8 @@ let () =
           Alcotest.test_case "routes and streaming" `Quick test_http_routes;
           Alcotest.test_case "served slow query on /slowlog" `Quick
             test_served_slowlog;
+          Alcotest.test_case "served ledger reconciles" `Quick
+            test_served_ledger;
         ] );
       ( "backpressure",
         [

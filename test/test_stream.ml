@@ -141,22 +141,22 @@ let test_operator_edges () =
     ~list_op:(fun () -> Bool_ops.diff l1 l2)
     ~src_op:(fun () -> Bool_ops.diff_src pager (s l1) (s l2));
   edge "parents"
-    ~list_op:(fun () -> Hs_pc.parents l1 l2)
+    ~list_op:(fun () -> Hs_agg.compute_hier Ast.P l1 l2)
     ~src_op:(fun () -> Hs_agg.compute_hier_src pager Ast.P (s l1) (s l2));
   edge "children"
-    ~list_op:(fun () -> Hs_pc.children l1 l2)
+    ~list_op:(fun () -> Hs_agg.compute_hier Ast.C l1 l2)
     ~src_op:(fun () -> Hs_agg.compute_hier_src pager Ast.C (s l1) (s l2));
   edge "ancestors"
-    ~list_op:(fun () -> Hs_ad.ancestors l1 l2)
+    ~list_op:(fun () -> Hs_agg.compute_hier Ast.A l1 l2)
     ~src_op:(fun () -> Hs_agg.compute_hier_src pager Ast.A (s l1) (s l2));
   edge "descendants"
-    ~list_op:(fun () -> Hs_ad.descendants l1 l2)
+    ~list_op:(fun () -> Hs_agg.compute_hier Ast.D l1 l2)
     ~src_op:(fun () -> Hs_agg.compute_hier_src pager Ast.D (s l1) (s l2));
   edge "ancestors-c"
-    ~list_op:(fun () -> Hs_adc.ancestors_c l1 l2 l3)
+    ~list_op:(fun () -> Hs_agg.compute_hier3 Ast.Ac l1 l2 l3)
     ~src_op:(fun () -> Hs_agg.compute_hier3_src pager Ast.Ac (s l1) (s l2) (s l3));
   edge "descendants-c"
-    ~list_op:(fun () -> Hs_adc.descendants_c l1 l2 l3)
+    ~list_op:(fun () -> Hs_agg.compute_hier3 Ast.Dc l1 l2 l3)
     ~src_op:(fun () -> Hs_agg.compute_hier3_src pager Ast.Dc (s l1) (s l2) (s l3));
   edge "hier with entry-set aggs"
     ~list_op:(fun () -> Hs_agg.compute_hier ~agg:esas_filter Ast.D l1 l2)

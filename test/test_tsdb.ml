@@ -309,19 +309,28 @@ let test_slow_threshold_boundary () =
       Alcotest.(check bool) "wall = threshold is slow" true
         (verdict t = Some Tail.Slow);
       Alcotest.(check bool) "just under is not" true (verdict (t - 1) = None);
+      (* the journal captures through the same predicate, on the wall
+         time it journals *)
       let eng = Engine.create ~block:16 (Dif_gen.karily ~fanout:4 ~size:50 ()) in
       let q = Qparser.of_string "( ? sub ? tag=even)" in
-      let captured wall_ns =
-        (Engine.record_event eng q ~mode:Engine.Streaming
-           ~annotate:(fun _ ops -> ops)
-           ~server:None ~shipped:None ~cache:"bypass" ~result_count:0 ~reads:0
-           ~writes:0 ~wall_ns ~alloc_bytes:0 ~outcome:Qlog.Ok None)
-          .Qlog.capture
-        <> None
-      in
-      Alcotest.(check bool) "the same wall is captured" true (captured t);
-      Alcotest.(check bool) "just under is not captured" false
-        (captured (t - 1)))
+      let path = Filename.temp_file "ndq_capture" ".jsonl" in
+      Qlog.enable ~append:false path;
+      Fun.protect
+        ~finally:(fun () ->
+          Qlog.disable ();
+          Sys.remove path)
+        (fun () ->
+          let captured threshold =
+            Tail.set_slow_threshold_ns threshold;
+            ignore (Engine.eval eng q);
+            let ev = List.hd (List.rev (Qlog.load path)) in
+            Alcotest.(check bool) "captured iff is_slow of the journaled wall"
+              (Tail.is_slow ev.Qlog.wall_ns) (ev.Qlog.capture <> None);
+            ev.Qlog.capture <> None
+          in
+          Alcotest.(check bool) "a zero threshold captures" true (captured 0);
+          Alcotest.(check bool) "an hour's threshold does not" false
+            (captured 3_600_000_000_000)))
 
 let test_tail_merge_keeps_event () =
   with_tail_defaults (fun () ->
