@@ -71,12 +71,12 @@ let with_stats ?size stats f =
   let r = f () in
   let wall_ns = Mclock.now_ns () - t0 in
   let gc1 = Gc.quick_stat () in
-  let words = allocated_words () -. words0 in
+  let words = allocated_words () - words0 in
   record ?size
     ~minor_collections:(gc1.Gc.minor_collections - gc0.Gc.minor_collections)
     ~major_collections:(gc1.Gc.major_collections - gc0.Gc.major_collections)
     ~top_heap_words:gc1.Gc.top_heap_words
-    ~allocated_bytes:(int_of_float words * (Sys.word_size / 8))
+    ~allocated_bytes:(Mclock.bytes_of_words words)
     ~reads:(stats.Io_stats.page_reads - reads0)
     ~writes:(stats.Io_stats.page_writes - writes0)
     ~wall_ns ~max_resident_pages:stats.Io_stats.max_resident_pages ();

@@ -601,7 +601,7 @@ let measured t ~mode ~label ~origin stats subject ~note ~journal run =
   let wall_ns = Mclock.now_ns () - t0 in
   let reads = stats.Io_stats.page_reads - reads0
   and writes = stats.Io_stats.page_writes - writes0
-  and alloc_bytes = Mclock.bytes_of_words (Mclock.allocated_words () -. alloc0) in
+  and alloc_bytes = Mclock.bytes_of_words (Mclock.allocated_words () - alloc0) in
   let failure =
     match result with
     | Ok (_, r) -> r.failure

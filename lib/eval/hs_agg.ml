@@ -6,7 +6,10 @@
    aggregate selection filter against each annotated L1 entry.  When the
    filter mentions entry-set aggregates (e.g. max(count($2))), an extra
    sequential pass computes the global values first — the maxabove /
-   maxbelow accumulators of Fig 6 folded over the annotated list. *)
+   maxbelow accumulators of Fig 6 folded over the annotated list.
+   Without them, each L1 entry is decided as it leaves the stack, and
+   one byte per L1 entry holds the verdict until the survivors are
+   emitted in L1 order. *)
 
 type direction = Witness_above | Witness_below
 
@@ -18,10 +21,8 @@ let direction_of_hier3 = function Ast.Ac -> Witness_below | Ast.Dc -> Witness_ab
 
 let mode_of_hier = function Ast.P | Ast.C -> Hs_stack.Pc | Ast.A | Ast.D -> Hs_stack.Ad
 
-let states_of direction (a : Hs_stack.annot) =
-  match direction with
-  | Witness_above -> a.a_above
-  | Witness_below -> a.a_below
+let states_of direction ~above ~below =
+  match direction with Witness_above -> above | Witness_below -> below
 
 (* Find the slot of a tracked aggregate. *)
 let slot tracked ea =
@@ -33,14 +34,16 @@ let slot tracked ea =
   in
   find 0
 
-(* Value of an entry aggregate for one candidate: witness-dependent ones
-   come from the maintained states, self-referencing ones are computed
-   from the entry directly. *)
-let entry_agg_value tracked states self = function
+(* An entry aggregate as a function of a candidate and its states:
+   witness-dependent ones read their slot of the maintained states,
+   self-referencing ones are computed from the entry directly.  The
+   slot is found once, not per candidate. *)
+let entry_agg_value tracked = function
   | (Ast.Ea_count_witnesses | Ast.Ea_agg (_, Ast.W2 _)) as ea ->
-      Agg.result states.(slot tracked ea)
+      let i = slot tracked ea in
+      fun _ states -> Agg.result states.(i)
   | Ast.Ea_agg (_, (Ast.Self _ | Ast.W1 _)) as ea ->
-      Agg.eval_entry_agg_over ~self ~witnesses:[] ea
+      fun self _ -> Agg.eval_entry_agg_over ~self ~witnesses:[] ea
 
 (* Global (entry-set) aggregate values, one fold over the annotations. *)
 let collect_globals tracked direction (f : Ast.agg_filter) annots pager =
@@ -61,11 +64,13 @@ let collect_globals tracked direction (f : Ast.agg_filter) annots pager =
           | Ast.Esa_count_entries | Ast.Esa_count_all ->
               Some (Agg.num_of_int (Array.length annots))
           | Ast.Esa_agg (fn, ea) ->
+              let value = entry_agg_value tracked ea in
               let st =
                 Array.fold_left
                   (fun st (a : Hs_stack.annot) ->
                     match
-                      entry_agg_value tracked (states_of direction a) a.a_entry ea
+                      value a.a_entry
+                        (states_of direction ~above:a.a_above ~below:a.a_below)
                     with
                     | Some v -> Agg.add st v
                     | None -> st)
@@ -77,11 +82,20 @@ let collect_globals tracked direction (f : Ast.agg_filter) annots pager =
       esas
   end
 
-let agg_attr_value tracked direction globals (a : Hs_stack.annot) = function
-  | Ast.A_const c -> Some (Agg.num_of_int c)
-  | Ast.A_entry ea ->
-      entry_agg_value tracked (states_of direction a) a.a_entry ea
-  | Ast.A_entry_set esa -> List.assoc esa globals
+(* The filter as a predicate on a candidate and its witness-side
+   states; constants and entry-set values are resolved once. *)
+let predicate tracked globals (f : Ast.agg_filter) =
+  let value = function
+    | Ast.A_const c ->
+        let v = Some (Agg.num_of_int c) in
+        fun _ _ -> v
+    | Ast.A_entry ea -> entry_agg_value tracked ea
+    | Ast.A_entry_set esa ->
+        let v = List.assoc esa globals in
+        fun _ _ -> v
+  in
+  let lhs = value f.Ast.lhs and rhs = value f.Ast.rhs in
+  fun e states -> Agg.cmp_holds_opt f.Ast.op (lhs e states) (rhs e states)
 
 (* Does the filter mention entry-set aggregates?  If so phase 2 needs
    two passes over the annotations, which therefore must exist as a
@@ -96,17 +110,19 @@ let has_entry_set_aggs (f : Ast.agg_filter) =
 (* The filter-and-emit pass, pure of I/O charges: the callers decide
    how the annotation scan and the survivor output are accounted. *)
 let survivors tracked direction f globals annots emit =
+  let holds = predicate tracked globals f in
   Array.iter
     (fun (a : Hs_stack.annot) ->
-      let v attr = agg_attr_value tracked direction globals a attr in
-      if Agg.cmp_holds_opt f.Ast.op (v f.Ast.lhs) (v f.Ast.rhs) then
+      if holds a.a_entry (states_of direction ~above:a.a_above ~below:a.a_below) then
         emit a.a_entry)
     annots
 
-(* --- Entry points ------------------------------------------------------ *)
+let filter_of agg = Option.value ~default:Ast.has_witness agg
+
+(* --- Phase 2 over annotations ------------------------------------------ *)
 
 let finish tracked direction agg annots pager =
-  let f = Option.value ~default:Ast.has_witness agg in
+  let f = filter_of agg in
   let globals = collect_globals tracked direction f annots pager in
   (* Final pass: read the annotated list once, write survivors. *)
   Pager.charge_scan_read pager (Array.length annots);
@@ -121,7 +137,7 @@ let finish tracked direction agg annots pager =
    annotated copy is materialized (one write) and both passes charge
    their scan reads, exactly like the materialized operator. *)
 let finish_src tracked direction agg annots pager =
-  let f = Option.value ~default:Ast.has_witness agg in
+  let f = filter_of agg in
   let globals =
     if has_entry_set_aggs f then begin
       Pager.charge_scan_write pager (Array.length annots);
@@ -135,34 +151,75 @@ let finish_src tracked direction agg annots pager =
   survivors tracked direction f globals annots (fun e -> out := e :: !out);
   Ext_list.Source.of_array (Array.of_list (List.rev !out))
 
-let tracked_for agg =
-  let f = Option.value ~default:Ast.has_witness agg in
-  Hs_stack.tracked_of_filter f
+(* --- The hierarchical operators ----------------------------------------- *)
+
+(* Phase 1 keeping every annotation, in L1 order, for a filter with
+   entry-set aggregates. *)
+let annotations mode ?window ~tracked ~pager s1 s2 s3 =
+  let annots = Array.make (Ext_list.Source.length s1) None in
+  Hs_stack.sweep mode ?window ~tracked ~pager s1 s2 s3 (fun ord a_entry ~above ~below ->
+      annots.(ord) <- Some { Hs_stack.a_entry; a_above = above; a_below = below });
+  (* every L1 entry leaves the stack once *)
+  Array.map Option.get annots
+
+(* Phase 1 deciding each L1 entry as it leaves the stack, for a filter
+   without entry-set aggregates: the survivors, in L1 order. *)
+let decided mode ?window ~tracked direction f ~pager s1 s2 s3 =
+  let holds = predicate tracked [] f in
+  let keep = Bytes.make (Ext_list.Source.length s1) '\000' in
+  Hs_stack.sweep mode ?window ~tracked ~pager s1 s2 s3 (fun ord e ~above ~below ->
+      if holds e (states_of direction ~above ~below) then Bytes.set keep ord '\001');
+  let out = ref [] in
+  for i = Bytes.length keep - 1 downto 0 do
+    if Bytes.get keep i <> '\000' then out := Ext_list.Source.unsafe_get s1 i :: !out
+  done;
+  Array.of_list !out
+
+(* The materialized operator: the annotated L1 copy is written once,
+   phase 2 scans it (twice with entry-set aggregates) and writes the
+   survivors. *)
+let hier mode direction ?window agg l1 l2 l3 =
+  let pager = Ext_list.pager l1 and f = filter_of agg in
+  let tracked = Hs_stack.tracked_of_filter f in
+  let src = Ext_list.Source.of_list in
+  let n1 = Ext_list.length l1 in
+  if has_entry_set_aggs f then begin
+    let annots =
+      annotations mode ?window ~tracked ~pager (src l1) (src l2) (Option.map src l3)
+    in
+    Pager.charge_scan_write pager n1;
+    finish tracked direction agg annots pager
+  end
+  else begin
+    let out =
+      decided mode ?window ~tracked direction f ~pager (src l1) (src l2)
+        (Option.map src l3)
+    in
+    Pager.charge_scan_write pager n1;
+    Pager.charge_scan_read pager n1;
+    Ext_list.materialize pager out
+  end
+
+(* The streaming operator: the annotations pipeline into phase 2. *)
+let hier_src mode direction ?window agg pager s1 s2 s3 =
+  let f = filter_of agg in
+  let tracked = Hs_stack.tracked_of_filter f in
+  if has_entry_set_aggs f then
+    finish_src tracked direction agg
+      (annotations mode ?window ~tracked ~pager s1 s2 s3)
+      pager
+  else Ext_list.Source.of_array (decided mode ?window ~tracked direction f ~pager s1 s2 s3)
 
 (* (op L1 L2 [AggSelFilter]) for op in {p, c, a, d}. *)
 let compute_hier ?window ?agg op l1 l2 =
-  let tracked = tracked_for agg in
-  let annots = Hs_stack.sweep (mode_of_hier op) ?window ~tracked l1 l2 None in
-  finish tracked (direction_of_hier op) agg annots (Ext_list.pager l1)
+  hier (mode_of_hier op) (direction_of_hier op) ?window agg l1 l2 None
 
 (* (op L1 L2 L3 [AggSelFilter]) for op in {ac, dc}. *)
 let compute_hier3 ?window ?agg op l1 l2 l3 =
-  let tracked = tracked_for agg in
-  let annots = Hs_stack.sweep Hs_stack.Adc ?window ~tracked l1 l2 (Some l3) in
-  finish tracked (direction_of_hier3 op) agg annots (Ext_list.pager l1)
+  hier Hs_stack.Adc (direction_of_hier3 op) ?window agg l1 l2 (Some l3)
 
-(* Streaming variants: sweep the input sources, pipeline the
-   annotations into phase 2. *)
 let compute_hier_src ?window ?agg pager op s1 s2 =
-  let tracked = tracked_for agg in
-  let annots =
-    Hs_stack.sweep_src (mode_of_hier op) ?window ~tracked ~pager s1 s2 None
-  in
-  finish_src tracked (direction_of_hier op) agg annots pager
+  hier_src (mode_of_hier op) (direction_of_hier op) ?window agg pager s1 s2 None
 
 let compute_hier3_src ?window ?agg pager op s1 s2 s3 =
-  let tracked = tracked_for agg in
-  let annots =
-    Hs_stack.sweep_src Hs_stack.Adc ?window ~tracked ~pager s1 s2 (Some s3)
-  in
-  finish_src tracked (direction_of_hier3 op) agg annots pager
+  hier_src Hs_stack.Adc (direction_of_hier3 op) ?window agg pager s1 s2 (Some s3)

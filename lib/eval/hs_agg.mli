@@ -2,9 +2,13 @@
     filters (Section 6.4, Fig 6), subsuming the plain L1 operators as
     count($2) > 0.
 
-    Phase 2 over {!Hs_stack.sweep}'s annotations: an optional pass
-    computing entry-set aggregates (Fig 6's maxabove/maxbelow), then a
-    filter-and-emit pass.  Total I/O stays linear (Theorem 6.2). *)
+    Phase 2 over the L1 entries {!Hs_stack.sweep} finalizes: with
+    entry-set aggregates, the annotations are kept for a pass computing
+    them (Fig 6's maxabove/maxbelow) and a filter-and-emit pass;
+    without, each entry is decided as it leaves the stack and one byte
+    per L1 entry keeps the verdict until the survivors are emitted in
+    L1 order.  Page charges are the same either way, and total I/O
+    stays linear (Theorem 6.2). *)
 
 type direction = Witness_above | Witness_below
 

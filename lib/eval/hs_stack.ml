@@ -17,12 +17,12 @@
    - the stack is a [Spill_stack] with a bounded window, charging spill
      writes and re-fetch reads exactly when the ancestor chain outgrows
      memory (the paper's "stack entries may be swapped out" remark);
-   - finalized annotations are written out as an annotated copy of L1,
-     |L1|/B page writes.  Annotations are finalized in postorder, not in
-     L1 order, but each finalized record is written exactly once and the
-     runs between consecutive open ancestors are already sorted, so a
-     page-linked output file achieves sequential cost; the in-memory
-     array below models that file. *)
+   - the materialized operators write finalized annotations out as an
+     annotated copy of L1, |L1|/B page writes (charged by [Hs_agg]).
+     Annotations are finalized in postorder, not in L1 order, but each
+     finalized record is written exactly once and the runs between
+     consecutive open ancestors are already sorted, so a page-linked
+     output file achieves sequential cost. *)
 
 type mode = Pc | Ad | Adc
 
@@ -90,92 +90,94 @@ let unit_of tracked w =
     tracked
 
 let combine_into dst src = Array.mapi (fun i s -> Agg.combine s src.(i)) dst
-let copy_states = Array.copy
 
 (* --- Merged input stream ----------------------------------------------- *)
 
+let live c = not (Ext_list.Source.at_end c)
+let head_key c = Entry.key (Ext_list.Source.head c)
+
+(* The lesser of [k] and the head key of [c], when [c] is live
+   ([alive]). *)
+let least alive c k =
+  if alive then
+    let h = head_key c in
+    if String.compare h k < 0 then h else k
+  else k
+
+let at alive c k = alive && String.equal (head_key c) k
+
 (* Stream the union of up to three sorted sources in key order,
    coalescing entries present in several inputs into one labelled
-   frame.  Each input charges whatever its pulls charge: scan reads for
-   a resident list, nothing for live operator output. *)
-let make_merge tracked c1 c2 c3 =
+   frame: [more ()] says whether a frame is left, [next ()] makes it.
+   The heads are compared in place.  Each input charges whatever its
+   pulls charge: scan reads for a resident list, nothing for live
+   operator output.  A frame starts with the sweep's shared [zero]
+   states. *)
+let make_merge zero c1 c2 c3 =
   let ordinal = ref (-1) in
-  fun () ->
-    let k cur = Option.map Entry.key (Ext_list.Source.peek cur) in
-    let min_key =
-      List.filter_map Fun.id
-        [ k c1; k c2; Option.bind c3 (fun c -> k c) ]
-      |> function
-      | [] -> None
-      | keys -> Some (List.fold_left min (List.hd keys) keys)
-    in
-    match min_key with
-    | None -> None
-    | Some key ->
-        let take cur =
-          match Ext_list.Source.peek cur with
-          | Some e when String.equal (Entry.key e) key ->
-              Ext_list.Source.advance cur;
-              Some e
-          | Some _ | None -> None
-        in
-        let e1 = take c1 in
-        let e2 = take c2 in
-        let e3 = Option.bind c3 take in
-        if e1 <> None then incr ordinal;
-        let entry =
-          match (e1, e2, e3) with
-          | Some e, _, _ | None, Some e, _ | None, None, Some e -> e
-          | None, None, None -> assert false
-        in
-        Some
-          {
-            entry;
-            in_l1 = e1 <> None;
-            in_l2 = e2 <> None;
-            in_l3 = e3 <> None;
-            ordinal = (if e1 <> None then !ordinal else -1);
-            above = zeros tracked;
-            below = zeros tracked;
-          }
+  (* without a third input, [c3] is never live and never read *)
+  let has3, c3 = match c3 with Some c -> (true, c) | None -> (false, c1) in
+  let more () = live c1 || live c2 || (has3 && live c3) in
+  let next () =
+    let a1 = live c1 and a2 = live c2 and a3 = has3 && live c3 in
+    let k = if a1 then head_key c1 else if a2 then head_key c2 else head_key c3 in
+    let k = least a3 c3 (least a2 c2 k) in
+    let in_l1 = at a1 c1 k and in_l2 = at a2 c2 k and in_l3 = at a3 c3 k in
+    let entry = Ext_list.Source.head (if in_l1 then c1 else if in_l2 then c2 else c3) in
+    if in_l1 then begin
+      Ext_list.Source.advance c1;
+      incr ordinal
+    end;
+    if in_l2 then Ext_list.Source.advance c2;
+    if in_l3 then Ext_list.Source.advance c3;
+    {
+      entry;
+      in_l1;
+      in_l2;
+      in_l3;
+      ordinal = (if in_l1 then !ordinal else -1);
+      above = zero;
+      below = zero;
+    }
+  in
+  (more, next)
 
 (* --- Phase 1: the stack sweep ------------------------------------------ *)
 
-(* Run the sweep over sources and return the annotated L1 entries, in
-   L1 order.  Charges: input pulls and stack spill I/O only — whether
-   the annotation stream is ever written to disk is the caller's
-   decision (the streaming phase 2 pipelines it; the materialized one
-   writes the annotated L1 copy). *)
-let sweep_src mode ?(window = 2) ~tracked ~pager s1 s2 s3 =
-  let n1 = Ext_list.Source.length s1 in
-  let annots = Array.make n1 None in
-  let stack = Spill_stack.create ~window_pages:window pager in
-  let next = make_merge tracked s1 s2 s3 in
-  let finalize rt =
-    if rt.in_l1 then
-      annots.(rt.ordinal) <-
-        Some { a_entry = rt.entry; a_above = rt.above; a_below = rt.below }
+(* Run the sweep over sources, handing each L1 entry to [finalize] as
+   it leaves the stack.  Charges: input pulls and stack spill I/O only
+   — whether the annotation stream is ever written to disk is the
+   caller's decision (the streaming phase 2 pipelines it; the
+   materialized one writes the annotated L1 copy).
+
+   State arrays are never mutated in place, only replaced, so frames
+   share them: every frame starts with one zero array, a descendant
+   inherits its ancestor's [below] as is, and absorbing the zero states
+   (the empty multiset) allocates nothing. *)
+let sweep mode ?(window = 2) ~tracked ~pager s1 s2 s3 finalize =
+  let zero = zeros tracked in
+  let absorb dst src =
+    if src == zero then dst else if dst == zero then src else combine_into dst src
   in
+  let stack = Spill_stack.create ~window_pages:window pager in
+  let more, next = make_merge zero s1 s2 s3 in
   (* Fig 2/4/5 push-time updates. *)
   let on_push rt rl =
     match mode with
     | Pc ->
         if Entry.key_parent_of ~parent:rt.entry ~child:rl.entry then begin
-          if rl.in_l2 then rt.above <- combine_into rt.above (unit_of tracked rl.entry);
-          if rt.in_l2 then rl.below <- combine_into rl.below (unit_of tracked rt.entry)
+          if rl.in_l2 then rt.above <- absorb rt.above (unit_of tracked rl.entry);
+          if rt.in_l2 then rl.below <- absorb rl.below (unit_of tracked rt.entry)
         end
     | Ad ->
-        if rl.in_l2 then rt.above <- combine_into rt.above (unit_of tracked rl.entry);
-        rl.below <- copy_states rt.below;
-        if rt.in_l2 then rl.below <- combine_into rl.below (unit_of tracked rt.entry)
+        if rl.in_l2 then rt.above <- absorb rt.above (unit_of tracked rl.entry);
+        rl.below <-
+          (if rt.in_l2 then absorb rt.below (unit_of tracked rt.entry) else rt.below)
     | Adc ->
-        if rl.in_l2 then rt.above <- combine_into rt.above (unit_of tracked rl.entry);
-        if rt.in_l2 then begin
-          if rt.in_l3 then rl.below <- combine_into (zeros tracked) (unit_of tracked rt.entry)
-          else rl.below <- combine_into (copy_states rt.below) (unit_of tracked rt.entry)
-        end
-        else if not rt.in_l3 then rl.below <- copy_states rt.below
-        else rl.below <- zeros tracked
+        if rl.in_l2 then rt.above <- absorb rt.above (unit_of tracked rl.entry);
+        let inherited = if rt.in_l3 then zero else rt.below in
+        rl.below <-
+          (if rt.in_l2 then absorb inherited (unit_of tracked rt.entry) else inherited)
   in
   (* Fig 4/5 pop-time propagation of descendant-witness aggregates. *)
   let on_pop popped =
@@ -183,60 +185,41 @@ let sweep_src mode ?(window = 2) ~tracked ~pager s1 s2 s3 =
     | Pc -> ()
     | Ad -> (
         match Spill_stack.top stack with
-        | Some rb -> rb.above <- combine_into rb.above popped.above
+        | Some rb -> rb.above <- absorb rb.above popped.above
         | None -> ())
     | Adc -> (
         match Spill_stack.top stack with
-        | Some rb when not popped.in_l3 ->
-            rb.above <- combine_into rb.above popped.above
+        | Some rb when not popped.in_l3 -> rb.above <- absorb rb.above popped.above
         | Some _ | None -> ())
   in
-  let rec feed rl_opt =
-    match rl_opt with
-    | None -> drain ()
-    | Some rl -> (
-        match Spill_stack.top stack with
-        | None ->
-            Spill_stack.push stack rl;
-            feed (next ())
-        | Some rt ->
-            if Entry.key_ancestor_of ~ancestor:rt.entry ~descendant:rl.entry
-            then begin
-              on_push rt rl;
-              Spill_stack.push stack rl;
-              feed (next ())
-            end
-            else begin
-              let popped = Option.get (Spill_stack.pop stack) in
-              finalize popped;
-              on_pop popped;
-              feed rl_opt
-            end)
-  and drain () =
+  let leave popped =
+    if popped.in_l1 then
+      finalize popped.ordinal popped.entry ~above:popped.above ~below:popped.below;
+    on_pop popped
+  in
+  (* Pop until the top is an ancestor of [rl], then push it. *)
+  let rec place rl =
+    match Spill_stack.top stack with
+    | None -> Spill_stack.push stack rl
+    | Some rt ->
+        if Entry.key_ancestor_of ~ancestor:rt.entry ~descendant:rl.entry then begin
+          on_push rt rl;
+          Spill_stack.push stack rl
+        end
+        else begin
+          leave (Option.get (Spill_stack.pop stack));
+          place rl
+        end
+  in
+  while more () do
+    place (next ())
+  done;
+  let rec drain () =
     match Spill_stack.pop stack with
     | None -> ()
     | Some popped ->
-        finalize popped;
-        on_pop popped;
+        leave popped;
         drain ()
   in
-  feed (next ());
-  Spill_stack.release stack;
-  Array.map
-    (function
-      | Some a -> a
-      | None -> assert false  (* every L1 entry is pushed and popped *))
-    annots
-
-(* The classic materialized phase 1: sweep resident lists and write the
-   annotated L1 copy once, sequentially (|L1|/B page writes on top of
-   the input scans and spill I/O). *)
-let sweep mode ?window ~tracked l1 l2 l3 =
-  let pager = Ext_list.pager l1 in
-  let annots =
-    sweep_src mode ?window ~tracked ~pager (Ext_list.Source.of_list l1)
-      (Ext_list.Source.of_list l2)
-      (Option.map Ext_list.Source.of_list l3)
-  in
-  Pager.charge_scan_write pager (Array.length annots);
-  annots
+  drain ();
+  Spill_stack.release stack

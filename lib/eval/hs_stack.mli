@@ -14,22 +14,13 @@ type mode =
   | Ad  (** ancestor/descendant witnesses, Fig 4 *)
   | Adc  (** path-constrained, third list blocks propagation, Fig 5 *)
 
-type frame = {
-  entry : Entry.t;
-  in_l1 : bool;
-  in_l2 : bool;
-  in_l3 : bool;
-  ordinal : int;  (** position in L1; -1 when not in L1 *)
-  mutable above : Agg.state array;  (** over descendant witnesses *)
-  mutable below : Agg.state array;  (** over ancestor witnesses *)
-}
-
 type annot = {
   a_entry : Entry.t;
   a_above : Agg.state array;
   a_below : Agg.state array;
 }
-(** An annotated L1 entry, produced in L1 order. *)
+(** An annotated L1 entry: its witness-side states in both directions,
+    the input of phase 2 when it needs more than one pass. *)
 
 val witness_dependent : Ast.entry_agg -> bool
 (** Must the aggregate be maintained on the stack (it reads $2)? *)
@@ -49,23 +40,16 @@ val sweep :
   mode ->
   ?window:int ->
   tracked:Ast.entry_agg array ->
-  Entry.t Ext_list.t ->
-  Entry.t Ext_list.t ->
-  Entry.t Ext_list.t option ->
-  annot array
-(** Phase 1 of the ComputeHS* algorithms: one merged scan, a
-    [Spill_stack] of [window] pages, and one sequential write of the
-    annotated L1 copy; returns the annotations in L1 order. *)
-
-val sweep_src :
-  mode ->
-  ?window:int ->
-  tracked:Ast.entry_agg array ->
   pager:Pager.t ->
   Entry.t Ext_list.Source.src ->
   Entry.t Ext_list.Source.src ->
   Entry.t Ext_list.Source.src option ->
-  annot array
-(** The same sweep over sources, charging only the input pulls and the
-    stack's spill I/O: whether the annotation stream is written to disk
-    is left to the caller (the streaming phase 2 pipelines it). *)
+  (int -> Entry.t -> above:Agg.state array -> below:Agg.state array -> unit) ->
+  unit
+(** Phase 1 of the ComputeHS* algorithms: one merged scan of the
+    sources and a [Spill_stack] of [window] pages.  Each L1 entry goes
+    to [finalize ordinal entry ~above ~below] once, as it leaves the
+    stack (in postorder, not L1 order); its state arrays are final and
+    may be shared, never to be mutated.  Charges only the input pulls
+    and the stack's spill I/O: whether the annotations are written to
+    disk is the caller's decision. *)

@@ -37,6 +37,23 @@ let make dn attrs =
   in
   { dn; attrs; key = Dn.rev_key dn; refs }
 
+(* The same entry in fresh blocks, allocated in one run: the pairs with
+   their value blocks and list cells, the reference cells and the
+   record.  The dn (its tail is the parent's dn), the attribute names
+   and the strings inside values stay shared. *)
+let relocate t ~key ~ref_key =
+  let value = function
+    | Value.Str s -> Value.Str s
+    | Value.Int i -> Value.Int i
+    | Value.Dn d -> Value.Dn d
+  in
+  let attrs = List.map (fun (a, v) -> (a, value v)) t.attrs in
+  let rec refs = function
+    | No_ref -> No_ref
+    | Ref (a, k, rest) -> Ref (a, ref_key k, refs rest)
+  in
+  { dn = t.dn; attrs; key; refs = refs t.refs }
+
 let dn t = t.dn
 let attrs t = t.attrs
 let key t = t.key

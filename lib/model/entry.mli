@@ -12,6 +12,15 @@ type t
 val make : Dn.t -> (string * Value.t) list -> t
 (** Build an entry; duplicate pairs collapse (val(r) is a set). *)
 
+val relocate : t -> key:string -> ref_key:(string -> string) -> t
+(** [relocate e ~key ~ref_key] is [e] copied into fresh blocks, so that
+    entries relocated one after another lie together in memory: the
+    record, the pair list, its pairs and value blocks, and the
+    reference cells.  It stores [key], which must equal {!key}[ e], and
+    [ref_key k] for each cached reference key [k], which must equal
+    [k].  The dn, the attribute names and the strings inside values
+    stay shared. *)
+
 val dn : t -> Dn.t
 val attrs : t -> (string * Value.t) list
 

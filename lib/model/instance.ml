@@ -172,6 +172,16 @@ let empty schema = { schema; tree = Leaf }
 let schema t = t.schema
 let size t = size_of t.tree
 
+let rec type_in a = function
+  | [] -> None
+  | (a', ty) :: l -> if String.equal a a' then Some ty else type_in a l
+
+(* The type of [a] in the first of the classes' typed attribute lists
+   that allows it. *)
+let rec allowed_type a = function
+  | [] -> None
+  | l :: rest -> ( match type_in a l with Some _ as ty -> ty | None -> allowed_type a rest)
+
 (* Check one entry against Definition 3.2 (given the rest of R is checked
    separately for key uniqueness by the tree). *)
 let check_entry schema e =
@@ -181,22 +191,32 @@ let check_entry schema e =
   | Some rdn ->
       if not (Rdn.subset_of_values rdn (Entry.attrs e)) then
         raise (Invalid (Rdn_not_in_values dn)));
-  let class_names = Entry.classes e in
-  if class_names = [] then raise (Invalid (No_class dn));
-  List.iter
-    (fun c ->
-      if not (Schema.has_class schema c) then
-        raise (Invalid (Unknown_class (dn, c))))
-    class_names;
+  (* each class's typed attribute list, in the order of the entry's
+     classes (its [objectClass] string values) *)
+  let allowed =
+    List.filter_map
+      (fun (a, v) ->
+        match v with
+        | Value.Str c when String.equal a Schema.object_class -> (
+            match Schema.allowed_typed schema c with
+            | Some _ as l -> l
+            | None -> raise (Invalid (Unknown_class (dn, c))))
+        | Value.Str _ | Value.Int _ | Value.Dn _ -> None)
+      (Entry.attrs e)
+  in
+  if allowed = [] then raise (Invalid (No_class dn));
   List.iter
     (fun (a, v) ->
-      match Schema.attr_type schema a with
-      | None -> raise (Invalid (Unknown_attr (dn, a)))
+      match allowed_type a allowed with
       | Some ty ->
-          if Value.type_of v <> ty then
-            raise (Invalid (Attr_wrong_type (dn, a, ty)));
-          if not (Schema.attr_allowed_by schema ~class_names a) then
-            raise (Invalid (Attr_not_allowed (dn, a))))
+          if Value.type_of v <> ty then raise (Invalid (Attr_wrong_type (dn, a, ty)))
+      | None -> (
+          (* allowed by none of the classes: the first complaint that applies *)
+          match Schema.attr_type schema a with
+          | None -> raise (Invalid (Unknown_attr (dn, a)))
+          | Some ty ->
+              if Value.type_of v <> ty then raise (Invalid (Attr_wrong_type (dn, a, ty)));
+              raise (Invalid (Attr_not_allowed (dn, a)))))
     (Entry.attrs e)
 
 let add ?(validate = true) t e =
@@ -219,8 +239,60 @@ let remove t dn =
 let find t dn = find_key (Dn.rev_key dn) t.tree
 let mem t dn = Option.is_some (find t dn)
 
+(* The balanced tree over [a.(lo)] .. [a.(hi - 1)], sorted and
+   distinct: the middle entry at the root, so sibling sizes differ by
+   at most one. *)
+let rec of_sorted a lo hi =
+  if lo >= hi then Leaf
+  else
+    let mid = (lo + hi) / 2 in
+    let l = of_sorted a lo mid in
+    Node { l; e = a.(mid); r = of_sorted a (mid + 1) hi; size = hi - lo }
+
+(* Keys by content.  Distinct keys of one batch mostly differ in their
+   last rdn, so hashing their last eight bytes and length is enough,
+   and far cheaper than hashing keys hundreds of bytes long. *)
+module Keys = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+
+  let hash s =
+    let n = String.length s in
+    if n < 8 then Hashtbl.hash s
+    else Hashtbl.hash (Int64.to_int (String.get_int64_le s (n - 8)) lxor n)
+end)
+
+(* The bulk build: the fold of [add], clustered.  The batch is sorted
+   once, and each entry is copied in key order, key strings first, then
+   the rest, so that a range fold, a scan or a stack sweep reads memory
+   in the order it visits entries (a promoted block never moves).  A
+   reference to an entry of the batch stores that entry's key string.
+   Each entry is validated as it is copied; on any violation, or a
+   repeated dn, the fold itself runs instead, and raises its error: the
+   first entry in list order that is invalid or repeats an earlier
+   dn. *)
 let of_entries ?(validate = true) schema es =
-  List.fold_left (add ~validate) (empty schema) es
+  let fold () = List.fold_left (add ~validate) (empty schema) es in
+  let a = Array.of_list es in
+  let n = Array.length a in
+  let keys = Array.map Entry.key a in
+  (* list positions in key order *)
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> String.compare keys.(i) keys.(j)) order;
+  let fresh = Array.map (fun i -> String.sub keys.(i) 0 (String.length keys.(i))) order in
+  let targets = Keys.create n in
+  Array.iter (fun k -> Keys.replace targets k k) fresh;
+  let ref_key k = match Keys.find targets k with k' -> k' | exception Not_found -> k in
+  let copy r i =
+    if validate then check_entry schema a.(i);
+    Entry.relocate a.(i) ~key:fresh.(r) ~ref_key
+  in
+  if Keys.length targets < n then fold ()
+  else
+    match Array.mapi copy order with
+    | sorted -> { schema; tree = of_sorted sorted 0 n }
+    | exception Invalid _ -> fold ()
 
 (* Wrap a result entry set back into an instance (closure property). *)
 let of_result t es = List.fold_left put (empty t.schema) es

@@ -8,7 +8,8 @@
 
 type t = {
   attr_types : (string, Value.ty) Hashtbl.t;  (* tau *)
-  class_attrs : (string, string list) Hashtbl.t;  (* alpha *)
+  class_attrs : (string, (string * Value.ty) list) Hashtbl.t;
+      (* alpha, each allowed attribute with its type *)
 }
 
 let object_class = "objectClass"
@@ -53,11 +54,16 @@ let declare_class t name attrs =
   let attrs =
     if List.mem object_class attrs then attrs else object_class :: attrs
   in
-  Hashtbl.replace t.class_attrs name (List.sort_uniq String.compare attrs)
+  (* An attribute's type never changes once declared, so it is stored
+     beside the name: a validated entry's attributes are looked up in
+     its classes' lists alone. *)
+  Hashtbl.replace t.class_attrs name
+    (List.map (fun a -> (a, Hashtbl.find t.attr_types a)) (List.sort_uniq String.compare attrs))
 
 let attr_type t name = Hashtbl.find_opt t.attr_types name
 let has_class t name = Hashtbl.mem t.class_attrs name
-let allowed_attrs t cls = Hashtbl.find_opt t.class_attrs cls
+let allowed_typed t cls = Hashtbl.find_opt t.class_attrs cls
+let allowed_attrs t cls = Option.map (List.map fst) (allowed_typed t cls)
 
 let classes t =
   Hashtbl.fold (fun c _ acc -> c :: acc) t.class_attrs []
@@ -72,8 +78,8 @@ let attrs t =
 let attr_allowed_by t ~class_names a =
   List.exists
     (fun c ->
-      match allowed_attrs t c with
-      | Some allowed -> List.mem a allowed
+      match allowed_typed t c with
+      | Some allowed -> List.mem_assoc a allowed
       | None -> false)
     class_names
 

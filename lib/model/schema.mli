@@ -29,6 +29,9 @@ val attr_type : t -> string -> Value.ty option
 val has_class : t -> string -> bool
 val allowed_attrs : t -> string -> string list option
 
+val allowed_typed : t -> string -> (string * Value.ty) list option
+(** A class's allowed attributes, each with its type. *)
+
 val classes : t -> string list
 (** All class names, sorted. *)
 

@@ -179,18 +179,14 @@ let with_span_out ?(detail = "") ?stats name f =
       }
     in
     let snap = Option.map Io_stats.copy stats in
-    (* Memory attribution mirrors the io delta: the allocation meter is
-       monotonic, so open-minus-close is the inclusive allocation of the
-       span's dynamic extent. *)
-    let alloc0 = Mclock.allocated_words () in
     let parent = t.stack in
     t.stack <- span :: parent;
-    let finish () =
+    let finish words =
       span.elapsed_ns <- Mclock.now_ns () - span.start_ns;
       (match (stats, snap) with
       | Some s, Some s0 -> span.io <- Io_stats.diff s s0
       | _ -> ());
-      span.alloc_bytes <- Mclock.bytes_of_words (Mclock.allocated_words () -. alloc0);
+      span.alloc_bytes <- Mclock.bytes_of_words words;
       (* children were pushed newest-first while open *)
       span.children <- List.rev span.children;
       t.stack <- parent;
@@ -199,7 +195,18 @@ let with_span_out ?(detail = "") ?stats name f =
       | [] -> ());
       drop_if_default t
     in
-    (Fun.protect ~finally:finish f, Some span)
+    (* Memory attribution mirrors the io delta: the allocation meter is
+       monotonic and read right around [f], so open-minus-close is the
+       inclusive allocation of [f]'s dynamic extent and nothing else. *)
+    let alloc0 = Mclock.allocated_words () in
+    match f () with
+    | v ->
+        finish (Mclock.allocated_words () - alloc0);
+        (v, Some span)
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        finish (Mclock.allocated_words () - alloc0);
+        Printexc.raise_with_backtrace e bt
   end
 
 let with_span ?detail ?stats name f = fst (with_span_out ?detail ?stats name f)

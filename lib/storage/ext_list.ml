@@ -49,12 +49,11 @@ module Cursor = struct
       cur.page_loaded <- page
     end
 
-  let peek cur =
-    if cur.pos >= Array.length cur.src.data then None
-    else begin
-      fault cur;
-      Some cur.src.data.(cur.pos)
-    end
+  let current cur =
+    fault cur;
+    cur.src.data.(cur.pos)
+
+  let peek cur = if cur.pos >= Array.length cur.src.data then None else Some (current cur)
 
   let advance cur = cur.pos <- cur.pos + 1
 
@@ -68,41 +67,44 @@ module Cursor = struct
   let at_end cur = cur.pos >= Array.length cur.src.data
 end
 
-(* An output writer that buffers one page and charges a write per page. *)
+(* An output writer that charges a write per page.  The records pushed
+   so far are one reversed list; [close] fills the output array from
+   its end. *)
 module Writer = struct
   type 'a w = {
     pager : Pager.t;
-    buf : 'a list ref;  (* current partial page, reversed *)
-    in_page : int ref;
-    acc : 'a list ref;  (* completed output, reversed *)
-    total : int ref;
+    mutable rev : 'a list;  (* everything pushed, most recent first *)
+    mutable in_page : int;  (* records on the current partial page *)
+    mutable total : int;
   }
 
-  let make pager =
-    { pager; buf = ref []; in_page = ref 0; acc = ref []; total = ref 0 }
+  let make pager = { pager; rev = []; in_page = 0; total = 0 }
 
   let push w v =
-    w.buf := v :: !(w.buf);
-    incr w.in_page;
-    incr w.total;
-    if !(w.in_page) = Pager.block w.pager then begin
+    w.rev <- v :: w.rev;
+    w.in_page <- w.in_page + 1;
+    w.total <- w.total + 1;
+    if w.in_page = Pager.block w.pager then begin
       Io_stats.write_page (Pager.stats w.pager);
-      w.acc := !(w.buf) @ !(w.acc);
-      w.buf := [];
-      w.in_page := 0
+      w.in_page <- 0
     end
 
   let close w =
-    if !(w.in_page) > 0 then begin
+    if w.in_page > 0 then begin
       Io_stats.write_page (Pager.stats w.pager);
-      w.acc := !(w.buf) @ !(w.acc);
-      w.buf := [];
-      w.in_page := 0
+      w.in_page <- 0
     end;
-    let data = Array.of_list (List.rev !(w.acc)) in
+    let data =
+      match w.rev with
+      | [] -> [||]
+      | last :: _ ->
+          let data = Array.make w.total last in
+          List.iteri (fun i v -> data.(w.total - 1 - i) <- v) w.rev;
+          data
+    in
     { data; pager = w.pager }
 
-  let count w = !(w.total)
+  let count w = w.total
 end
 
 (* A pull-based sorted record stream: the streaming executor's edge
@@ -136,12 +138,22 @@ module Source = struct
     | List l -> Array.length l.backing.data
     | Buf b -> Array.length b.data
 
-  let peek = function
+  let at_end = function
+    | List l -> Cursor.at_end l.cur
+    | Buf b -> b.pos >= Array.length b.data
+
+  let head = function
     | List l ->
         l.touched <- true;
-        Cursor.peek l.cur
-    | Buf b ->
-        if b.pos >= Array.length b.data then None else Some b.data.(b.pos)
+        Cursor.current l.cur
+    | Buf b -> b.data.(b.pos)
+
+  let peek s =
+    (match s with List l -> l.touched <- true | Buf _ -> ());
+    if at_end s then None else Some (head s)
+
+  let unsafe_get s i =
+    match s with List l -> l.backing.data.(i) | Buf b -> b.data.(i)
 
   let advance = function
     | List l ->

@@ -83,9 +83,21 @@ module Source : sig
   (** Total records of the stream (consumed included). *)
 
   val peek : 'a src -> 'a option
+
+  val at_end : 'a src -> bool
+  (** No record left to pull. *)
+
+  val head : 'a src -> 'a
+  (** {!peek} without the option, for a source not {!at_end}: the
+      stack sweeps' merge reads its heads allocation-free. *)
+
   val advance : 'a src -> unit
   val next : 'a src -> 'a option
   val iter : ('a -> unit) -> 'a src -> unit
+
+  val unsafe_get : 'a src -> int -> 'a
+  (** The [i]th record of the whole stream, pulled or not: raw
+      unaccounted access, like the list's {!unsafe_get}. *)
 
   val drain : 'a src -> 'a array
   (** Remaining records as an array; charges only the pulls. *)

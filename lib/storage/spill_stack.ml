@@ -14,75 +14,66 @@
    extra I/O is bounded by the number of records pushed — preserving the
    paper's linear bound, which experiment E1-E3 verify. *)
 
+(* The stack is one growable array; its top [hot] elements are the
+   in-memory window, everything below them is spilled.  Spilled pages
+   are always full (a push spills exactly one page, a fetch brings back
+   the most recent one), so counts alone say where a page boundary
+   lies. *)
 type 'a t = {
   pager : Pager.t;
   window_pages : int;
-  mutable hot : 'a list;  (* in-memory top segment, most recent first *)
-  mutable hot_len : int;
-  mutable cold : 'a list list;  (* spilled pages, most recent page first *)
-  mutable cold_len : int;
+  mutable items : 'a array;  (* bottom first; [items.(len - 1)] is the top *)
+  mutable len : int;
+  mutable hot : int;  (* the top [hot] elements are in memory *)
 }
 
 let create ?(window_pages = 2) pager =
   if window_pages < 1 then invalid_arg "Spill_stack.create: window_pages < 1";
   Io_stats.grow_resident ~n:window_pages (Pager.stats pager);
-  { pager; window_pages; hot = []; hot_len = 0; cold = []; cold_len = 0 }
+  { pager; window_pages; items = [||]; len = 0; hot = 0 }
 
-let length t = t.hot_len + t.cold_len
-let is_empty t = length t = 0
-
-(* Split off the last [n] elements of [l] (the bottom of the stack). *)
-let split_bottom l n =
-  let keep = List.length l - n in
-  let rec loop i acc = function
-    | rest when i = keep -> (List.rev acc, rest)
-    | x :: rest -> loop (i + 1) (x :: acc) rest
-    | [] -> assert false
-  in
-  loop 0 [] l
+let length t = t.len
+let is_empty t = t.len = 0
 
 let push t v =
   let block = Pager.block t.pager in
-  let capacity = t.window_pages * block in
-  if t.hot_len = capacity then begin
+  if t.hot = t.window_pages * block then begin
     (* Spill the bottom page of the hot window. *)
-    let kept, spilled = split_bottom t.hot block in
     Io_stats.write_page (Pager.stats t.pager);
-    t.hot <- kept;
-    t.hot_len <- t.hot_len - block;
-    t.cold <- spilled :: t.cold;
-    t.cold_len <- t.cold_len + block
+    t.hot <- t.hot - block
   end;
-  t.hot <- v :: t.hot;
-  t.hot_len <- t.hot_len + 1
+  if t.len = Array.length t.items then begin
+    let items = Array.make (max 16 (2 * t.len)) v in
+    Array.blit t.items 0 items 0 t.len;
+    t.items <- items
+  end;
+  t.items.(t.len) <- v;
+  t.len <- t.len + 1;
+  t.hot <- t.hot + 1
 
 (* When the hot window drains, re-fetch the most recently spilled page
    (one page read).  The fetched page becomes the new hot segment, so
    repeated peeks of the same record are charged only once. *)
 let ensure_hot t =
-  if t.hot_len = 0 then
-    match t.cold with
-    | page :: colder ->
-        Io_stats.read_page (Pager.stats t.pager);
-        let len = List.length page in
-        t.cold <- colder;
-        t.cold_len <- t.cold_len - len;
-        t.hot <- page;
-        t.hot_len <- len
-    | [] -> ()
+  if t.hot = 0 && t.len > 0 then begin
+    Io_stats.read_page (Pager.stats t.pager);
+    t.hot <- Pager.block t.pager
+  end
 
 let top t =
   ensure_hot t;
-  match t.hot with v :: _ -> Some v | [] -> None
+  if t.len = 0 then None else Some t.items.(t.len - 1)
 
+(* A popped slot keeps its element until a push overwrites it: the
+   array holds at most the deepest chain's worth. *)
 let pop t =
   ensure_hot t;
-  match t.hot with
-  | v :: rest ->
-      t.hot <- rest;
-      t.hot_len <- t.hot_len - 1;
-      Some v
-  | [] -> None
+  if t.len = 0 then None
+  else begin
+    t.len <- t.len - 1;
+    t.hot <- t.hot - 1;
+    Some t.items.(t.len)
+  end
 
 let release t =
   Io_stats.shrink_resident ~n:t.window_pages (Pager.stats t.pager)

@@ -388,26 +388,24 @@ let test_span_alloc_nesting () =
           Alcotest.(check bool) "parent is inclusive of child" true
             (parent.Trace.alloc_bytes >= child.Trace.alloc_bytes))
 
-(* The meter counts the minor heap to the word, collection or not:
-   1000 list cells are 24,000 bytes of allocation.  A delta of the
-   stdlib's allocated-bytes count read about an eighth of it. *)
+(* The meter counts the minor heap to the word, collection or not,
+   and leaves its own readings out: 1000 list cells are exactly 24,000
+   bytes of allocation, and a span around nothing reads 0.  A delta of
+   the stdlib's allocated-bytes count read about an eighth of it. *)
 let test_span_alloc_exact () =
   let was = Trace.enabled () in
   Trace.set_enabled true;
   Fun.protect
     ~finally:(fun () -> Trace.set_enabled was)
     (fun () ->
-      match
-        snd
-          (Trace.with_span_out "list" (fun () ->
-               ignore (Sys.opaque_identity (List.init 1000 Fun.id))))
-      with
-      | None -> Alcotest.fail "no span captured"
-      | Some span ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%d B >= 24000 B" span.Trace.alloc_bytes)
-            true
-            (span.Trace.alloc_bytes >= 24_000))
+      let alloc f =
+        match snd (Trace.with_span_out "list" f) with
+        | None -> Alcotest.fail "no span captured"
+        | Some span -> span.Trace.alloc_bytes
+      in
+      Alcotest.(check int) "List.init 1000" 24_000
+        (alloc (fun () -> ignore (Sys.opaque_identity (List.init 1000 Fun.id))));
+      Alcotest.(check int) "nothing" 0 (alloc (fun () -> ())))
 
 (* --- Qlog file-count rotation ---------------------------------------------------- *)
 

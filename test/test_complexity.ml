@@ -482,6 +482,62 @@ let test_ref_keys_not_rebuilt () =
   if Float.abs (chain -. shallow) > 0.5 then
     Alcotest.failf "sorted_pairs: %.2f words/pair on a chain, %.2f on a shallow tree" chain shallow
 
+(* The stack sweep allocates a constant number of words per L1 entry:
+   its frame, its verdict and the states its witnesses change, and no
+   more as the directory grows.  L1 is a whole generated directory and
+   L2 its [person] entries.  Before the sweep shared its zero states,
+   compared heads in place and decided each L1 entry as it left the
+   stack, the same sweeps took 117.6-117.9 (d) and 104.7-105.3 (p)
+   words per L1 entry as lists, and 120.1-120.4 and 107.3-108.0 as
+   streams, from 2k to 16k entries; now they take about 35 and 28 as
+   lists, 39 and 32 as streams.  They must stay flat (within 10%) and
+   at most half of the lowest of those. *)
+let test_sweep_words_flat () =
+  let per_entry size =
+    let instance = Dif_gen.generate ~params:{ Dif_gen.default_params with seed = 1; size } () in
+    let _, pager = with_pager () in
+    let l1 = Ext_list.of_list_resident pager (Instance.to_list instance) in
+    let l2 =
+      Ext_list.of_list_resident pager
+        (List.filter (fun e -> Entry.has_class e "person") (Instance.to_list instance))
+    in
+    let words f =
+      ignore (f ());
+      let w0 = Mclock.allocated_words () in
+      ignore (Sys.opaque_identity (f ()));
+      float_of_int (Mclock.allocated_words () - w0) /. float_of_int (Ext_list.length l1)
+    in
+    let src l = Ext_list.Source.of_list l in
+    List.map
+      (fun (op, name) ->
+        ( size,
+          name,
+          words (fun () -> Ext_list.length (Hs_agg.compute_hier op l1 l2)),
+          words (fun () ->
+              Array.length
+                (Ext_list.Source.drain (Hs_agg.compute_hier_src pager op (src l1) (src l2)))) ))
+      [ (Ast.D, "d"); (Ast.P, "p") ]
+  in
+  let rows = List.concat_map per_entry [ 2_000; 4_000; 8_000; 16_000 ] in
+  List.iter
+    (fun (n, name, l, s) ->
+      Printf.printf "%s sweep at %d entries: %.1f words/L1 entry (list), %.1f (stream)\n" name n l s)
+    rows;
+  List.iter
+    (fun (name, form, before, words) ->
+      let ws = List.filter_map (fun (_, o, l, s) -> if o = name then Some (words l s) else None) rows in
+      let lo = List.fold_left min infinity ws and hi = List.fold_left max 0. ws in
+      if hi > 1.1 *. lo then
+        Alcotest.failf "%s sweep (%s): %.1f to %.1f words per L1 entry from 2k to 16k" name form lo hi;
+      if hi > before /. 2. then
+        Alcotest.failf "%s sweep (%s): %.1f words per L1 entry, over half of %.1f" name form hi before)
+    [
+      ("d", "list", 117.6, fun l _ -> l);
+      ("d", "stream", 120.1, fun _ s -> s);
+      ("p", "list", 104.7, fun l _ -> l);
+      ("p", "stream", 107.3, fun _ s -> s);
+    ]
+
 (* Outputs of every operator stay sorted end to end (Section 8.2's
    no-resorting invariant, experiment E15). *)
 let prop_pipeline_sorted (instance, q) =
@@ -521,6 +577,7 @@ let () =
           Alcotest.test_case "planning cost flat in N" `Quick test_planning_cost_flat;
           Alcotest.test_case "filter allocates nothing" `Quick test_filter_allocates_nothing;
           Alcotest.test_case "reference keys not rebuilt" `Quick test_ref_keys_not_rebuilt;
+          Alcotest.test_case "sweep words per entry flat" `Slow test_sweep_words_flat;
           Testkit.qtest ~count:100 "pipeline keeps sortedness"
             Testkit.gen_instance_and_query prop_pipeline_sorted;
         ] );

@@ -609,6 +609,81 @@ let test_std_schema () =
   Alcotest.(check (list string)) "both classes" [ "inetOrgPerson"; "ntUser" ]
     (List.sort String.compare (Entry.classes e))
 
+(* --- Bulk build ---------------------------------------------------------------------- *)
+
+(* [Instance.of_entries] is the fold of [Instance.add], clustered: over
+   a shuffled batch with repeated dns, invalid entries and references
+   to entries left out, it returns the same entries in the same order,
+   or raises the same violation, and in-batch reference keys are the
+   target's own key string. *)
+let gen_batch =
+  let open QCheck2.Gen in
+  quad (int_range 0 1_000) (int_range 0 60) (int_range 0 1_000)
+    (list_size (int_range 0 3)
+       (oneof
+          [
+            map (fun k -> `Repeat k) (int_range 0 1_000);
+            map2 (fun k kind -> `Invalid (k, kind)) (int_range 0 1_000) (int_range 0 3);
+          ]))
+
+let invalid_entry parent k kind =
+  let under = Dn.child parent (Rdn.single "id" (Value.Int (100_000 + k))) in
+  let node = (Schema.object_class, Value.Str "node") in
+  match kind with
+  | 0 -> Entry.make under [ ("id", Value.Int (100_000 + k)); ("bogus", Value.Str "x"); node ]
+  | 1 -> Entry.make under [ ("id", Value.Int (100_000 + k)) ]
+  | 2 -> Entry.make under [ ("id", Value.Int k); node ]
+  | _ -> Entry.make under [ ("id", Value.Int (100_000 + k)); ("priority", Value.Str "high"); node ]
+
+let prop_bulk_build (seed, size, shuffle, ops) =
+  let base = Dif_gen.generate ~params:{ Dif_gen.default_params with seed; size } () in
+  let sc = Instance.schema base in
+  let kept = List.filteri (fun i _ -> (i + seed) mod 5 <> 0) (Instance.to_list base) in
+  let pick k = List.nth kept (k mod List.length kept) in
+  let batch =
+    List.fold_left
+      (fun es op ->
+        match (op, kept) with
+        | _, [] -> es
+        | `Repeat k, _ -> Entry.make (Entry.dn (pick k)) (Entry.attrs (pick (k + 1))) :: es
+        | `Invalid (k, kind), _ -> invalid_entry (Entry.dn (pick k)) k kind :: es)
+      kept ops
+  in
+  let rng = Random.State.make [| shuffle |] in
+  let batch =
+    List.map (fun e -> (Random.State.bits rng, e)) batch
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+  in
+  let run f = match f () with i -> Ok i | exception Instance.Invalid v -> Error v in
+  List.iter
+    (fun validate ->
+      let bulk = run (fun () -> Instance.of_entries ~validate sc batch)
+      and fold = run (fun () -> List.fold_left (Instance.add ~validate) (Instance.empty sc) batch) in
+      match (bulk, fold) with
+      | Ok b, Ok f ->
+          if Instance.to_list b <> Instance.to_list f then
+            QCheck2.Test.fail_report "of_entries and the fold of add hold different entries";
+          if not (Instance.valid b) then QCheck2.Test.fail_report "bulk-built tree unbalanced";
+          Instance.iter
+            (fun e ->
+              Entry.ref_keys e "ref" (fun k ->
+                  let r = Instance.rank b k in
+                  match Instance.fold_range (fun t _ -> Some t) b (r, r + 1) None with
+                  | Some t when String.equal (Entry.key t) k && Entry.key t != k ->
+                      QCheck2.Test.fail_reportf "%s keeps its own copy of %s's key"
+                        (Dn.to_string (Entry.dn e)) (Dn.to_string (Entry.dn t))
+                  | Some _ | None -> ()))
+            b
+      | Error v, Error w when v = w -> ()
+      | Error v, Error w ->
+          QCheck2.Test.fail_reportf "of_entries raised %a, the fold %a" Instance.pp_violation v
+            Instance.pp_violation w
+      | Ok _, Error w -> QCheck2.Test.fail_reportf "of_entries accepted, the fold raised %a" Instance.pp_violation w
+      | Error v, Ok _ -> QCheck2.Test.fail_reportf "of_entries raised %a, the fold accepted" Instance.pp_violation v)
+    [ true; false ];
+  true
+
 (* --- Entry misc -------------------------------------------------------------------- *)
 
 let test_entry_accessors () =
@@ -682,5 +757,6 @@ let () =
           Testkit.qtest ~count:200 "subtree and sizes under updates" gen_inst_ops
             prop_instance_counts;
           Testkit.qtest ~count:100 "cached reference keys" gen_ref_ops prop_ref_keys_cached;
+          Testkit.qtest ~count:200 "bulk build is the fold of add" gen_batch prop_bulk_build;
         ] );
     ]

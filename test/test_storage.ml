@@ -201,6 +201,29 @@ let prop_spill_top_consistent ops =
       Spill_stack.top stack = (match !model with [] -> None | x :: _ -> Some x))
     ops
 
+(* The spill traffic of one grow-and-shrink excursion, counted by hand:
+   with pages of 4 and a one-page window, pushing 9 records spills the
+   window at the 5th and the 9th push; popping them all fetches each
+   spilled page back once, when the window has drained and the stack
+   is next touched, however often it is peeked. *)
+let test_spill_counts_exact () =
+  let stats, pager = fresh ~block:4 () in
+  let stack = Spill_stack.create ~window_pages:1 pager in
+  let io () = (stats.Io_stats.page_writes, stats.Io_stats.page_reads) in
+  for i = 1 to 9 do
+    Spill_stack.push stack i
+  done;
+  Alcotest.(check (pair int int)) "two pages spilled" (2, 0) (io ());
+  Alcotest.(check (option int)) "top of the window" (Some 9) (Spill_stack.pop stack);
+  Alcotest.(check (pair int int)) "no fetch until touched" (2, 0) (io ());
+  ignore (Spill_stack.top stack);
+  ignore (Spill_stack.top stack);
+  Alcotest.(check (pair int int)) "one fetch for two peeks" (2, 1) (io ());
+  Alcotest.(check (list int)) "popped in order" [ 8; 7; 6; 5; 4; 3; 2; 1 ]
+    (List.init 8 (fun _ -> Option.get (Spill_stack.pop stack)));
+  Alcotest.(check (pair int int)) "each spilled page fetched once" (2, 2) (io ());
+  Alcotest.(check (option int)) "empty" None (Spill_stack.pop stack)
+
 (* --- Buffer_pool --------------------------------------------------------------- *)
 
 let test_pool_basics () =
@@ -371,5 +394,6 @@ let () =
             prop_spill_top_consistent;
           Alcotest.test_case "resident accounting" `Quick
             test_spill_resident_accounting;
+          Alcotest.test_case "spill counts exact" `Quick test_spill_counts_exact;
         ] );
     ]
