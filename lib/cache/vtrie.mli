@@ -23,7 +23,8 @@ val bump_all : t -> unit
 (** Record an update of unknown locus: every stamp advances. *)
 
 val stamp : t -> Dn.t -> int
-(** The current version of the subtree rooted at [dn]. *)
+(** The current version of the subtree rooted at [dn].  It prints no
+    rdn and allocates nothing: the trie is keyed by rdn values. *)
 
 val node_count : t -> int
 (** Allocated trie nodes (stats only). *)

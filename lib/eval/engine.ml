@@ -408,9 +408,8 @@ let m_alloc =
   Metrics.counter ~help:"bytes allocated while evaluating queries"
     "engine_alloc_bytes_total"
 
-let query_detail q =
-  let s = Qprinter.to_string q in
-  if String.length s > 60 then String.sub s 0 59 ^ "…" else s
+let short_detail s = if String.length s > 60 then String.sub s 0 59 ^ "…" else s
+let query_detail q = short_detail (Qprinter.to_string q)
 
 (* A journaled query needs the span tree for per-operator attribution,
    so the journal forces tracing for the query's extent even when
@@ -506,7 +505,10 @@ let plan_paths plan =
   |> List.sort_uniq String.compare
   |> function [] -> None | ps -> Some (String.concat "," ps)
 
-type subject = Tree of Ast.t | Text of string
+type subject =
+  | Tree of Ast.t
+  | Keyed of Ast.t * string * string  (* with its fingerprint and text *)
+  | Text of string
 
 type report = {
   planned : Ast.t option;
@@ -563,6 +565,7 @@ let journal_run t ~mode subject (n : note) ~planned ~rows ~outcome ~wall_ns
   let query, fingerprint =
     match (subject, planned) with
     | Tree q, _ -> (Qprinter.to_string q, Plan.fingerprint q)
+    | Keyed (_, fingerprint, text), _ -> (text, fingerprint)
     | Text s, Some q -> (s, Plan.fingerprint q)
     | Text s, None -> (s, "(parse)")
   in
@@ -587,7 +590,11 @@ let measured t ~mode ~label ~origin stats subject ~note ~journal run =
   let t0 = Mclock.now_ns () in
   let detail =
     if not (Trace.enabled ()) then ""
-    else match subject with Tree q -> query_detail q | Text s -> s
+    else
+      match subject with
+      | Tree q -> query_detail q
+      | Keyed (_, _, s) -> short_detail s
+      | Text s -> s
   in
   (* the thunk catches, so a failed run's tree is ours too *)
   let result, span =
@@ -617,7 +624,7 @@ let measured t ~mode ~label ~origin stats subject ~note ~journal run =
       let planned, rows =
         match (result, subject) with
         | Ok (_, r), _ -> (r.planned, r.rows)
-        | Error _, Tree q -> (Some q, 0)
+        | Error _, (Tree q | Keyed (q, _, _)) -> (Some q, 0)
         | Error _, Text _ -> (None, 0)
       in
       let outcome =
@@ -662,31 +669,33 @@ let note_hit = plain_note (Some "hit")
 
 (* Full evaluation.  [probe] says how the result cache answered the
    lookup ([`Bypass] when there is none): a [`Miss] or [`Stale] result
-   is offered back to the cache — admission decides — with the measured
-   io as its cost and its dn-subtree footprint for invalidation.  The
+   is offered back to the cache — admission decides — under the
+   fingerprint and text the lookup took, with the measured io as its
+   cost and its dn-subtree footprint for invalidation.  The
    ledger journals before the result is offered: the journal's post-hoc
    estimate peeks the cache, and must see it as execution did — a root
    atomic that missed and is about to be stored would otherwise claim
    path=cache. *)
 let eval_uncached t ~mode q ~probe =
-  let note =
-    match probe with `Bypass -> note_bypass | `Miss -> note_miss | `Stale -> note_stale
+  let subject, note =
+    match probe with
+    | `Bypass -> (Tree q, note_bypass)
+    | `Miss (fingerprint, text) -> (Keyed (q, fingerprint, text), note_miss)
+    | `Stale (fingerprint, text) -> (Keyed (q, fingerprint, text), note_stale)
   in
   let out, cost =
-    ledger t ~mode ~label:"execute" ~origin:"engine" (stats t) (Tree q) ~note
+    ledger t ~mode ~label:"execute" ~origin:"engine" (stats t) subject ~note
       (fun () ->
         let out = run_root t ~mode q in
         (out, { planned = Some q; rows = Ext_list.length out; failure = None }))
   in
   count_query cost;
-  (match t.result_cache with
-  | Some c when probe <> `Bypass ->
+  (match (t.result_cache, probe) with
+  | Some c, (`Miss (fingerprint, query) | `Stale (fingerprint, query)) ->
       Metrics.observe_ns m_miss_ns cost.wall_ns;
       let arr = Ext_list.to_array out in
       ignore
-        (Cache.store c ~fingerprint:(Plan.fingerprint q)
-           ~query:(Qprinter.to_string q)
-           ~footprint:(Footprint.of_query q)
+        (Cache.store c ~fingerprint ~query ~footprint:(Footprint.of_query q)
            ~cost_io:(cost.reads + cost.writes)
            ~pages:(Pager.pages_of t.pager (Array.length arr))
            arr)
@@ -697,9 +706,9 @@ let eval_uncached t ~mode q ~probe =
    creation is free (the pages are already paid for in the cache's
    budget), downstream scans charge normally.  Nothing was planned, so
    its event carries no estimate. *)
-let serve_hit t ~mode q arr =
+let serve_hit t ~mode subject arr =
   let out, cost =
-    ledger t ~mode ~label:"execute" ~origin:"engine" (stats t) (Tree q)
+    ledger t ~mode ~label:"execute" ~origin:"engine" (stats t) subject
       ~note:note_hit (fun () ->
         ( Ext_list.of_array_resident t.pager arr,
           { planned = None; rows = Array.length arr; failure = None } ))
@@ -736,11 +745,13 @@ let eval ?mode t q =
   match t.result_cache with
   | None -> eval_uncached t ~mode q ~probe:`Bypass
   | Some c -> (
-      let fingerprint = Plan.fingerprint q in
-      match Cache.find c ~fingerprint ~query:(Qprinter.to_string q) with
-      | Cache.Hit arr -> serve_hit t ~mode q arr
-      | Cache.Miss -> eval_uncached t ~mode q ~probe:`Miss
-      | Cache.Stale -> eval_uncached t ~mode q ~probe:`Stale)
+      (* the cache key, taken once for the lookup, the store and the
+         journal *)
+      let fingerprint = Plan.fingerprint q and text = Qprinter.to_string q in
+      match Cache.find c ~fingerprint ~query:text with
+      | Cache.Hit arr -> serve_hit t ~mode (Keyed (q, fingerprint, text)) arr
+      | Cache.Miss -> eval_uncached t ~mode q ~probe:(`Miss (fingerprint, text))
+      | Cache.Stale -> eval_uncached t ~mode q ~probe:(`Stale (fingerprint, text)))
 
 let eval_entries ?mode t q = Ext_list.to_list (eval ?mode t q)
 

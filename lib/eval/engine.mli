@@ -168,15 +168,20 @@ val eval : ?mode:mode -> t -> Ast.t -> Entry.t Ext_list.t
     The one path that measures and records a query run, shared by
     {!eval} (hit or miss), the distributed coordinator and the server. *)
 
-(** What a run answers: a tree (journaled as its printed text), or
-    text the run parses itself (journaled verbatim). *)
-type subject = Tree of Ast.t | Text of string
+(** What a run answers: a tree (journaled as its printed text), a tree
+    with the fingerprint and text its caller already took (journaled as
+    those, so a cached {!eval} prints and fingerprints each query
+    once), or text the run parses itself (journaled verbatim). *)
+type subject =
+  | Tree of Ast.t
+  | Keyed of Ast.t * string * string  (** tree, fingerprint, text *)
+  | Text of string
 
 (** What a run reports back. *)
 type report = {
   planned : Ast.t option;
       (** the tree whose plan ran: estimated and fingerprinted for the
-          journal.  [None] for a cache hit (fingerprinted from a [Tree]
+          journal.  [None] for a cache hit (fingerprinted from a [Keyed]
           subject, no estimate) or text that never parsed (fingerprint
           ["(parse)"]). *)
   rows : int;  (** result rows delivered *)

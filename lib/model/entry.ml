@@ -8,7 +8,8 @@
    them.  Each entry caches its reverse-dn sort key; every algorithm in
    the system orders entries by that key.  It caches the keys of the
    dn's it references too, so neither the joins of Section 7 nor the
-   attribute index re-serialize an embedded dn. *)
+   attribute index re-serialize an embedded dn, and its byte size, so
+   the result cache and distributed shipping add integers. *)
 
 (* The reverse keys of the dn-valued pairs, in [attrs] order, each
    beside its attribute (the very string [attrs] holds): a flat list of
@@ -20,7 +21,17 @@ type t = {
   attrs : (string * Value.t) list;
   key : string;  (* cached Dn.rev_key dn *)
   refs : refs;
+  size : int;  (* cached byte_size *)
 }
+
+(* Approximate record size in bytes, for cache and shipping accounting:
+   the key, 16 bytes of framing, and per pair the attribute name, the
+   printed value and 2 bytes of separators. *)
+let size_of key attrs =
+  List.fold_left
+    (fun acc (a, v) -> acc + String.length a + Value.length v + 2)
+    (String.length key + 16)
+    attrs
 
 let make dn attrs =
   let attrs =
@@ -35,7 +46,8 @@ let make dn attrs =
       (fun (a, v) refs -> match v with Value.Dn d -> Ref (a, Dn.rev_key d, refs) | _ -> refs)
       attrs No_ref
   in
-  { dn; attrs; key = Dn.rev_key dn; refs }
+  let key = Dn.rev_key dn in
+  { dn; attrs; key; refs; size = size_of key attrs }
 
 (* The same entry in fresh blocks, allocated in one run: the pairs with
    their value blocks and list cells, the reference cells and the
@@ -52,7 +64,7 @@ let relocate t ~key ~ref_key =
     | No_ref -> No_ref
     | Ref (a, k, rest) -> Ref (a, ref_key k, refs rest)
   in
-  { dn = t.dn; attrs; key; refs = refs t.refs }
+  { dn = t.dn; attrs; key; refs = refs t.refs; size = t.size }
 
 let dn t = t.dn
 let attrs t = t.attrs
@@ -120,13 +132,7 @@ let key_parent_of ~parent ~child =
   key_ancestor_of ~ancestor:parent ~descendant:child
   && Dn.depth child.dn = Dn.depth parent.dn + 1
 
-(* Approximate record size in bytes, for distributed-shipping accounting. *)
-let byte_size t =
-  let value_size v = String.length (Value.to_string v) in
-  List.fold_left
-    (fun acc (a, v) -> acc + String.length a + value_size v + 2)
-    (String.length t.key + 16)
-    t.attrs
+let byte_size t = t.size
 
 let pp ppf t =
   Fmt.pf ppf "@[<v2>dn: %a@,%a@]" Dn.pp t.dn

@@ -3,9 +3,9 @@
     An entry is its distinguished name plus a set of (attribute, value)
     pairs; several pairs may share an attribute (multi-valued
     attributes, footnote 2).  Its classes are derived from the values of
-    [objectClass] (Definition 3.2(c)2).  The reverse-dn sort key, and
-    the reverse key of every dn the entry references, are computed once
-    in {!make} and cached. *)
+    [objectClass] (Definition 3.2(c)2).  The reverse-dn sort key, the
+    reverse key of every dn the entry references and the entry's byte
+    size are computed once in {!make} and cached. *)
 
 type t
 
@@ -18,8 +18,8 @@ val relocate : t -> key:string -> ref_key:(string -> string) -> t
     record, the pair list, its pairs and value blocks, and the
     reference cells.  It stores [key], which must equal {!key}[ e], and
     [ref_key k] for each cached reference key [k], which must equal
-    [k].  The dn, the attribute names and the strings inside values
-    stay shared. *)
+    [k], and keeps {!byte_size}[ e].  The dn, the attribute names and
+    the strings inside values stay shared. *)
 
 val dn : t -> Dn.t
 val attrs : t -> (string * Value.t) list
@@ -68,7 +68,10 @@ val key_ancestor_of : ancestor:t -> descendant:t -> bool
 val key_parent_of : parent:t -> child:t -> bool
 
 val byte_size : t -> int
-(** Approximate serialized size, for shipping accounting. *)
+(** Approximate serialized size, for result-cache and shipping
+    accounting: [String.length (key e) + 16] plus, per pair [(a, v)],
+    [String.length a + String.length (Value.to_string v) + 2].  Cached
+    by {!make}: reading it is a field load. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

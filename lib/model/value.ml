@@ -91,6 +91,48 @@ and dn_to_string dn = String.concat ", " (List.map rdn_to_string dn)
 
 let pp ppf v = Fmt.string ppf (to_string v)
 
+(* [String.length (to_string v)], counted without building the string.
+   Every [escape] of a printed piece doubles each of its separator
+   characters and leaves the others alone, so a separator under [k]
+   escapes prints as [w = 2^k] bytes: a dn nested inside an rdn value
+   is printed at twice the weight of the rdn around it.  Ints print
+   digits and a sign, which never need escaping. *)
+let int_length i =
+  (* counted on the non-positive side, where [min_int] has a negation *)
+  let rec digits n d = if n > -10 then d else digits (n / 10) (d + 1) in
+  digits (if i > 0 then -i else i) (if i < 0 then 2 else 1)
+
+let escaped_length w s =
+  if w = 1 then String.length s
+  else begin
+    let n = ref 0 in
+    for i = 0 to String.length s - 1 do
+      n := !n + if needs_escape (String.unsafe_get s i) then w else 1
+    done;
+    !n
+  end
+
+let rec length_at w = function
+  | Str s -> escaped_length w s
+  | Int i -> int_length i
+  | Dn dn -> dn_length w dn
+
+(* rdn's joined by ", ": a separator and a space *)
+and dn_length w = function
+  | [] -> 0
+  | [ rdn ] -> rdn_length w rdn
+  | rdn :: up -> rdn_length w rdn + w + 1 + dn_length w up
+
+(* pairs [a=v] joined by "+", each value escaped once more *)
+and rdn_length w = function
+  | [] -> 0
+  | [ (a, v) ] -> pair_length w a v
+  | (a, v) :: rest -> pair_length w a v + w + rdn_length w rest
+
+and pair_length w a v = escaped_length w a + w + length_at (2 * w) v
+
+let length v = length_at 1 v
+
 (* Untyped reading used by parsers when no schema is in scope: an all-digit
    token (with optional sign) reads as an int, anything else as a string.
    Schema-aware callers use [of_string_typed] for exactness. *)

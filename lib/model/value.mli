@@ -37,6 +37,10 @@ val rdn_to_string : rdn -> string
 val dn_to_string : dn -> string
 val pp : Format.formatter -> t -> unit
 
+val length : t -> int
+(** [String.length (to_string v)], computed without building the
+    string: it allocates nothing. *)
+
 val of_string_untyped : string -> t
 (** Schema-less reading: all-digit tokens read as ints, anything else
     as strings. *)

@@ -538,6 +538,65 @@ let test_sweep_words_flat () =
       ("p", "stream", 107.3, fun _ s -> s);
     ]
 
+(* A dn [depth] rdn's deep, each rdn a value that needs escaping. *)
+let deep_dn ?(leaf = 0) depth =
+  List.init depth (fun k ->
+      Rdn.single "ou" (Value.Str (Printf.sprintf "unit, %d+%d" k (if k = 0 then leaf else 0))))
+
+(* Words allocated by one call of [f], after a warm-up call. *)
+let words_of f =
+  ignore (f ());
+  let w0 = Mclock.allocated_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Mclock.allocated_words () - w0
+
+(* [Cache.store] sums the entries' cached byte sizes: storing 5,000
+   entries allocates no more than storing 500.  Every entry is 20 rdn's
+   deep and references its own dn, about 320 bytes printed with an
+   escape in every rdn, so sizing a result by printing its values
+   allocates megabytes. *)
+let test_cache_store_words_flat () =
+  let base = deep_dn 19 in
+  let result n =
+    Array.init n (fun i ->
+        let d = Dn.child base (Rdn.single "id" (Value.Int i)) in
+        Entry.make d [ ("id", Value.Int i); ("ref", Value.Dn d); (Schema.object_class, Value.Str "node") ])
+  in
+  let store_words n =
+    let arr = result n in
+    let c = Cache.create ~budget_pages:max_int ~admit_min_io:0 () in
+    words_of (fun () ->
+        Cache.store c ~fingerprint:"fp" ~query:"q" ~footprint:(Footprint.Bases [ base ]) ~cost_io:10
+          ~pages:1 arr)
+  in
+  let small = store_words 500 and large = store_words 5_000 in
+  Printf.printf "Cache.store: %d words for 500 entries, %d for 5,000\n" small large;
+  if abs (large - small) > 8 then
+    Alcotest.failf "Cache.store: %d words for 500 entries, %d for 5,000" small large
+
+(* A [Cache.find] hit reads its footprint's stamps by walking the
+   version trie rdn by rdn, printing none: a hit allocates as many
+   words for a base 20 rdn's deep as for one 3 deep.  Updates below
+   each base give the trie a node on every level of its path. *)
+let test_cache_hit_words_flat () =
+  let hit_words depth =
+    let base = deep_dn depth in
+    let c = Cache.create ~admit_min_io:0 () in
+    Cache.note_update c (Dn.child base (Rdn.single "id" (Value.Int 1)));
+    Cache.note_update c (deep_dn ~leaf:1 depth);
+    let e = Entry.make (Dn.child base (Rdn.single "id" (Value.Int 2))) [ ("id", Value.Int 2) ] in
+    if not (Cache.store c ~fingerprint:"fp" ~query:"q" ~footprint:(Footprint.Bases [ base ]) ~cost_io:10 ~pages:1 [| e |])
+    then Alcotest.fail "result not admitted";
+    words_of (fun () ->
+        match Cache.find c ~fingerprint:"fp" ~query:"q" with
+        | Cache.Hit _ -> ()
+        | Cache.Miss | Cache.Stale -> Alcotest.fail "expected a hit")
+  in
+  let shallow = hit_words 3 and deep = hit_words 20 in
+  Printf.printf "Cache.find hit: %d words at base depth 3, %d at depth 20\n" shallow deep;
+  if deep <> shallow then
+    Alcotest.failf "Cache.find hit: %d words at base depth 3, %d at depth 20" shallow deep
+
 (* Outputs of every operator stay sorted end to end (Section 8.2's
    no-resorting invariant, experiment E15). *)
 let prop_pipeline_sorted (instance, q) =
@@ -578,6 +637,9 @@ let () =
           Alcotest.test_case "filter allocates nothing" `Quick test_filter_allocates_nothing;
           Alcotest.test_case "reference keys not rebuilt" `Quick test_ref_keys_not_rebuilt;
           Alcotest.test_case "sweep words per entry flat" `Slow test_sweep_words_flat;
+          Alcotest.test_case "cache store words flat in result size" `Quick
+            test_cache_store_words_flat;
+          Alcotest.test_case "cache hit words flat in base depth" `Quick test_cache_hit_words_flat;
           Testkit.qtest ~count:100 "pipeline keeps sortedness"
             Testkit.gen_instance_and_query prop_pipeline_sorted;
         ] );

@@ -684,6 +684,91 @@ let prop_bulk_build (seed, size, shuffle, ops) =
     [ true; false ];
   true
 
+(* --- Byte sizes ---------------------------------------------------------------------- *)
+
+(* [Entry.byte_size] is cached when an entry is made and read by the
+   result cache and distributed shipping; it must stay exactly the size
+   it had when it printed every value, through [Instance.of_entries]'s
+   relocation and through directory modify and rename, for values that
+   need dn escaping, at every nesting depth of a dn value. *)
+let reference_size e =
+  List.fold_left
+    (fun acc (a, v) -> acc + String.length a + String.length (Value.to_string v) + 2)
+    (String.length (Entry.key e) + 16)
+    (Entry.attrs e)
+
+let gen_sized_value =
+  let open QCheck2.Gen in
+  let str = oneofl [ ""; "a"; "x,y"; "p+q"; "a=b"; "b\\c"; ",+=\\"; "\\\\,"; "plain words" ] in
+  let int =
+    oneof [ int_range (-1_000) 1_000; oneofl [ min_int; max_int; min_int + 1; -10; -9; 10; 9; 0 ]; int ]
+  in
+  let flat = oneof [ map (fun s -> Value.Str s) str; map (fun i -> Value.Int i) int ] in
+  let rdn v = list_size (int_range 1 2) (pair (oneofl [ "id"; "ou"; "a+b" ]) v) in
+  let dn v = list_size (int_range 0 3) (rdn v) in
+  (* dn values nested up to three deep: each level is escaped once more *)
+  let rec nested k =
+    if k = 0 then flat
+    else oneof [ flat; map (fun d -> Value.Dn d) (dn (nested (k - 1))) ]
+  in
+  nested 3
+
+let check_sizes what i =
+  Instance.iter
+    (fun e ->
+      if Entry.byte_size e <> reference_size e then
+        QCheck2.Test.fail_reportf "%s: %s sized %d, %d by printing" what
+          (Dn.to_string (Entry.dn e)) (Entry.byte_size e) (reference_size e))
+    i
+
+type size_op = Modify of int * string * Value.t | Rename_to of int * Value.t
+
+let gen_sizes =
+  let open QCheck2.Gen in
+  let ix = int_range 0 1_000 in
+  quad (int_range 0 1_000) (int_range 2 40)
+    (list_size (int_range 0 8) (pair (oneofl [ "x"; "ref"; "name" ]) gen_sized_value))
+    (list_size (int_range 0 12)
+       (oneof
+          [
+            map3 (fun e a v -> Modify (e, a, v)) ix (oneofl [ "ref"; "tag"; "weight" ]) gen_sized_value;
+            map2 (fun e v -> Rename_to (e, v)) ix gen_sized_value;
+          ]))
+
+let prop_byte_size (seed, size, attrs, ops) =
+  List.iter
+    (fun (_, v) ->
+      if Value.length v <> String.length (Value.to_string v) then
+        QCheck2.Test.fail_reportf "Value.length %S = %d" (Value.to_string v) (Value.length v))
+    attrs;
+  let base = Dif_gen.generate ~params:{ Dif_gen.default_params with seed; size } () in
+  (* schema-free entries carrying the generated values, made and then
+     relocated by a bulk build *)
+  let loose =
+    List.mapi
+      (fun k e -> Entry.make (Entry.dn e) (List.filteri (fun j _ -> j <= k) attrs @ Entry.attrs e))
+      (Instance.to_list base)
+  in
+  check_sizes "made" (Instance.of_result base loose);
+  check_sizes "relocated" (Instance.of_entries ~validate:false (Instance.schema base) loose);
+  let d = Directory.create base in
+  let nth k =
+    let es = Instance.to_list (Directory.instance d) in
+    Entry.dn (List.nth es (k mod List.length es))
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Modify (e, a, v) -> ignore (Directory.modify d (nth e) [ Directory.Add_value (a, v) ])
+      | Rename_to (e, v) -> (
+          let target = nth e in
+          match Entry.rdn (Option.get (Directory.find d target)) with
+          | Some [ (a, _) ] -> ignore (Directory.modify_dn d target ~new_rdn:(Rdn.single a v))
+          | _ -> ()));
+      check_sizes "after an update" (Directory.instance d))
+    ops;
+  true
+
 (* --- Entry misc -------------------------------------------------------------------- *)
 
 let test_entry_accessors () =
@@ -758,5 +843,6 @@ let () =
             prop_instance_counts;
           Testkit.qtest ~count:100 "cached reference keys" gen_ref_ops prop_ref_keys_cached;
           Testkit.qtest ~count:200 "bulk build is the fold of add" gen_batch prop_bulk_build;
+          Testkit.qtest ~count:200 "byte size = printed size" gen_sizes prop_byte_size;
         ] );
     ]
