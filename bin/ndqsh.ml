@@ -819,9 +819,9 @@ let run_command st line =
       match Qparser.of_string ~schema:(Instance.schema instance) text with
       | q ->
           let _, plan = Explain.profile ~mode:st.mode (engine st) q in
-          Fmt.pr "%a@." Explain.pp_node plan;
+          Fmt.pr "%a@." Plan.pp_node plan;
           Fmt.pr "est writes saved by streaming: %d pages (mode: %s)@."
-            (Explain.total_est_writes_saved plan)
+            (Plan.total_est_writes_saved plan)
             (match st.mode with
             | Engine.Streaming -> "streaming"
             | Engine.Materialized -> "materialized")

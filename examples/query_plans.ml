@@ -23,15 +23,15 @@ let () =
   Fmt.pr "@.query:@.%a@." Qprinter.pp_pretty q;
 
   (* Estimate before running... *)
-  Fmt.pr "@.estimated plan (no execution):@.%a@." Explain.pp_node
+  Fmt.pr "@.estimated plan (no execution):@.%a@." Plan.pp_node
     (Explain.estimate eng q);
 
   (* ...then profile: per-operator actual rows and I/O. *)
   Engine.reset_stats eng;
   let result, plan = Explain.profile eng q in
-  Fmt.pr "@.profiled plan:@.%a@." Explain.pp_node plan;
+  Fmt.pr "@.profiled plan:@.%a@." Plan.pp_node plan;
   Fmt.pr "result: %d entries, attributed io: %d@." (Ext_list.length result)
-    (Explain.total_actual_io plan);
+    (Plan.total_actual_io plan);
 
   (* The fusion rewrite: the (& ...) subtree shares base and scope, so it
      becomes one LDAP-style fused scan. *)

@@ -323,10 +323,11 @@ let annotate_combines ~mode:_ plan (ops : Qlog.op list) =
       ops
   end
 
-(* One ledger run on the home engine, which estimates over the home
-   partition with its own handles — the coordinator never materializes
-   the global instance; the two pagers share the network's blocking
-   factor, so the page math is the same.  Trace-context propagation:
+(* One ledger run, planned by the home engine over the home partition
+   with its own handles — the coordinator never materializes the global
+   instance; the two pagers share the network's blocking factor, so the
+   page math is the same.  The coordinator walks the planned tree, and
+   the journal reads the same plan.  Trace-context propagation:
    one fresh trace id per coordinated query, bound for its whole
    extent, so the coordinator's merge spans and every involved server's
    engine spans (and their journal events) stitch into one causal tree.
@@ -351,15 +352,17 @@ let eval ?(mode = Engine.Streaming) t q =
     else f ()
   in
   let leaf = function Ast.Atomic a -> Some (combine t ~mode a) | _ -> None in
+  let plan = Engine.plan ~mode t.home.engine q in
+  let q = plan.Plan.query in
   let out, cost =
     stitch @@ fun () ->
-    Engine.ledger t.home.engine ~mode ~label:"coordinate" ~origin:"dist"
-      t.stats (Engine.Tree q) ~note (fun () ->
+    Engine.ledger ~mode ~label:"coordinate" ~origin:"dist" t.stats
+      (Engine.Tree q) ~note (fun () ->
         let out =
           Engine.walk ~pager:t.pager ~window:(Engine.window t.home.engine)
             ~mode ~leaf q
         in
-        (out, { Engine.planned = Some q; rows = Ext_list.length out; failure = None }))
+        (out, { Engine.planned = Some plan; rows = Ext_list.length out; failure = None }))
   in
   Metrics.incr m_dist_queries;
   Metrics.observe_ns m_dist_latency cost.Engine.wall_ns;

@@ -150,25 +150,23 @@ let index_candidates t (f : Afilter.t) =
           | Some (comp, false) -> Attr_index.lookup_substring idx a comp
           | None -> None))
 
-(* One access-path decision for a sub-scope atomic, via the planner's
-   shared cost model.  Forced modes pin the path. *)
-let planner_force t =
-  match t.planner with
-  | Force_index -> Some Plan.Index
-  | Force_scan -> Some Plan.Scan
-  | Auto -> None
+(* The one pricing pass with the engine's handles, over its indexes as
+   they stand: under [Auto] it also reorders boolean chains; forced
+   modes pin every path and keep the tree as given. *)
+let plan_as_is ~mode t q =
+  let force =
+    match t.planner with
+    | Force_index -> Some Plan.Index
+    | Force_scan -> Some Plan.Scan
+    | Auto -> None
+  in
+  Plan.plan ~pager:t.pager ~instance:t.instance ?attr_index:t.attr_index
+    ?cache:t.result_cache ?calib:t.calib ~streaming:(mode = Streaming) ?force
+    ~reorder:(t.planner = Auto) q
 
-let choose_atomic ~streaming t (a : Ast.atomic) =
-  Plan.choose_path ~pager:t.pager ~instance:t.instance
-    ?attr_index:t.attr_index ?cache:t.result_cache ?calib:t.calib ~streaming
-    ?force:(planner_force t) a
-
-(* The engine-bound estimate of [q] as given: the same handles and
-   policy execution uses. *)
-let estimate ~mode t q =
-  Plan.estimate ~pager:t.pager ~instance:t.instance ?attr_index:t.attr_index
-    ?cache:t.result_cache ?calib:t.calib ~streaming:(mode = Streaming)
-    ?force:(planner_force t) q
+let plan ?mode t q =
+  refresh_if_dirty t;
+  plan_as_is ~mode:(Option.value mode ~default:t.mode) t q
 
 (* Serve a sub-scope atomic's cache hit, if one is (still) fresh: the
    mutating [find] does the LRU bump and hit accounting the planner's
@@ -214,11 +212,11 @@ let count_path t = function
       t.n_path_cache <- t.n_path_cache + 1;
       Metrics.incr m_path_cache
 
-(* One atomic query, its sorted hits leaving as a live source.  [mode]
-   reaches the planner (a pipeline saves the output write it prices)
-   and a result-cache hit, which under [Materialized] stays the resident
-   list its consumer scans and under [Streaming] flows on free. *)
-let atomic_src t ~mode (a : Ast.atomic) =
+(* One atomic query, its sorted hits leaving as a live source.  A
+   sub-scope atomic takes the path its plan chose; a result-cache hit
+   under [Materialized] stays the resident list its consumer scans and
+   under [Streaming] flows on free. *)
+let atomic_src t ~mode plan q (a : Ast.atomic) =
   refresh_if_dirty t;
   let keep e = Afilter.matches a.filter e in
   let scan () = Dn_index.scan_subtree_src t.dn_index a.base ~keep in
@@ -239,7 +237,11 @@ let atomic_src t ~mode (a : Ast.atomic) =
   | Ast.Base -> Dn_index.scan_base_src t.dn_index a.base ~keep
   | Ast.One -> Dn_index.scan_children_src t.dn_index a.base ~keep
   | Ast.Sub -> (
-      let choice = choose_atomic ~streaming:(mode = Streaming) t a in
+      let choice =
+        match Plan.access plan q with
+        | Some c -> c
+        | None -> invalid_arg "Engine.leaf: an atomic its plan did not price"
+      in
       let run = function
         | Plan.Scan ->
             count_path t Plan.Scan;
@@ -266,22 +268,11 @@ let atomic_src t ~mode (a : Ast.atomic) =
           | None -> run (best_uncached choice))
       | (Plan.Index | Plan.Scan) as p -> run p)
 
-let leaf t mode = function
-  | Ast.Atomic a -> Some (atomic_src t ~mode a)
+let leaf t mode plan = function
+  | Ast.Atomic a as q -> Some (atomic_src t ~mode plan q a)
   | _ -> None
 
 (* --- Query trees --------------------------------------------------------- *)
-
-(* Span labels for the tracer: one span per operator in the query tree. *)
-let span_label : Ast.t -> string = function
-  | Ast.Atomic _ -> "atomic"
-  | Ast.And _ -> "&"
-  | Ast.Or _ -> "|"
-  | Ast.Diff _ -> "-"
-  | Ast.Hier (op, _, _, _) -> Qprinter.hier_op_to_string op
-  | Ast.Hier3 (op, _, _, _, _) -> Qprinter.hier_op3_to_string op
-  | Ast.Gsel _ -> "g"
-  | Ast.Eref (op, _, _, _, _) -> Qprinter.ref_op_to_string op
 
 let span_detail : Ast.t -> string = function
   | Ast.Atomic a -> Afilter.to_string a.Ast.filter
@@ -311,7 +302,7 @@ let rec walk_src ~pager ~window ~mode ~leaf (q : Ast.t) =
   let binary = binary ~mode pager in
   let force = Ext_list.Source.force pager in
   Trace.with_span ~detail:(span_detail q) ~stats:(Pager.stats pager)
-    (span_label q) (fun () ->
+    (Plan.op_label q) (fun () ->
       let out =
         match leaf q with
         | Some s -> (
@@ -373,12 +364,15 @@ let walk ~pager ~window ~mode ~leaf q =
   | Streaming -> Ext_list.Source.materialize pager src
   | Materialized -> Ext_list.Source.force pager src
 
-let eval_node_src t q =
+let run_src t plan =
   walk_src ~pager:t.pager ~window:t.window ~mode:Streaming
-    ~leaf:(leaf t Streaming) q
+    ~leaf:(leaf t Streaming plan) plan.Plan.query
 
-let run_root t ~mode q =
-  walk ~pager:t.pager ~window:t.window ~mode ~leaf:(leaf t mode) q
+let eval_node_src t q = run_src t (plan ~mode:Streaming t q)
+
+let run_root t ~mode plan =
+  walk ~pager:t.pager ~window:t.window ~mode ~leaf:(leaf t mode plan)
+    plan.Plan.query
 
 (* --- The query ledger ------------------------------------------------------ *)
 
@@ -511,7 +505,7 @@ type subject =
   | Text of string
 
 type report = {
-  planned : Ast.t option;
+  planned : Plan.node option;
   rows : int;
   failure : (Tail.outcome * string) option;
 }
@@ -534,13 +528,12 @@ type cost = {
 let plain_note cache () =
   { cache; server = None; shipped = None; annotate = annotate_ops }
 
-(* The journal event of one run: the estimate of the tree that ran
-   joined onto the span tree's rows, its access paths and totals and,
-   when [Tail.is_slow], a capture.  A run that planned nothing (a cache
-   hit, text that never parsed) carries no estimate. *)
-let journal_run t ~mode subject (n : note) ~planned ~rows ~outcome ~wall_ns
-    ~reads ~writes ~alloc_bytes span =
-  let plan = Option.map (estimate ~mode t) planned in
+(* The journal event of one run: the plan that ran joined onto the span
+   tree's rows, its access paths and totals and, when [Tail.is_slow], a
+   capture.  A run that planned nothing (a cache hit, text that never
+   parsed, a run that raised) carries no estimate. *)
+let journal_run ~mode subject (n : note) ~plan ~rows ~outcome ~wall_ns ~reads
+    ~writes ~alloc_bytes span =
   let ops =
     match (span, plan) with
     | Some sp, Some p -> n.annotate ~mode p (Qlog.ops_of_span sp)
@@ -563,10 +556,10 @@ let journal_run t ~mode subject (n : note) ~planned ~rows ~outcome ~wall_ns
     | None -> Trace.current_trace_id ()
   in
   let query, fingerprint =
-    match (subject, planned) with
+    match (subject, plan) with
     | Tree q, _ -> (Qprinter.to_string q, Plan.fingerprint q)
     | Keyed (_, fingerprint, text), _ -> (text, fingerprint)
-    | Text s, Some q -> (s, Plan.fingerprint q)
+    | Text s, Some p -> (s, Plan.fingerprint p.Plan.query)
     | Text s, None -> (s, "(parse)")
   in
   Qlog.record ?cache:n.cache ?path:(Option.bind plan plan_paths)
@@ -583,7 +576,7 @@ let journal_run t ~mode subject (n : note) ~planned ~rows ~outcome ~wall_ns
          plan)
     ()
 
-let measured t ~mode ~label ~origin stats subject ~note ~journal run =
+let measured ~mode ~label ~origin stats subject ~note ~journal run =
   let reads0 = stats.Io_stats.page_reads
   and writes0 = stats.Io_stats.page_writes in
   let alloc0 = Mclock.allocated_words () in
@@ -621,17 +614,14 @@ let measured t ~mode ~label ~origin stats subject ~note ~journal run =
   let event =
     if not journal then None
     else
-      let planned, rows =
-        match (result, subject) with
-        | Ok (_, r), _ -> (r.planned, r.rows)
-        | Error _, (Tree q | Keyed (q, _, _)) -> (Some q, 0)
-        | Error _, Text _ -> (None, 0)
+      let plan, rows =
+        match result with Ok (_, r) -> (r.planned, r.rows) | Error _ -> (None, 0)
       in
       let outcome =
         match failure with None -> Qlog.Ok | Some (_, msg) -> Qlog.Failed msg
       in
       Some
-        (journal_run t ~mode subject (note ()) ~planned ~rows ~outcome ~wall_ns
+        (journal_run ~mode subject (note ()) ~plan ~rows ~outcome ~wall_ns
            ~reads ~writes ~alloc_bytes span)
   in
   (match span with
@@ -647,11 +637,11 @@ let measured t ~mode ~label ~origin stats subject ~note ~journal run =
       in
       (v, { wall_ns; reads; writes; alloc_bytes; trace_id })
 
-let ledger t ~mode ~label ~origin stats subject ~note run =
+let ledger ~mode ~label ~origin stats subject ~note run =
   if Qlog.enabled () then
     with_forced_tracing true (fun () ->
-        measured t ~mode ~label ~origin stats subject ~note ~journal:true run)
-  else measured t ~mode ~label ~origin stats subject ~note ~journal:false run
+        measured ~mode ~label ~origin stats subject ~note ~journal:true run)
+  else measured ~mode ~label ~origin stats subject ~note ~journal:false run
 
 (* A cache hit charges no page io, so it takes no counter lock for it. *)
 let count_query (c : cost) =
@@ -667,16 +657,13 @@ let note_miss = plain_note (Some "miss")
 let note_stale = plain_note (Some "stale")
 let note_hit = plain_note (Some "hit")
 
-(* Full evaluation.  [probe] says how the result cache answered the
-   lookup ([`Bypass] when there is none): a [`Miss] or [`Stale] result
-   is offered back to the cache — admission decides — under the
+(* Full evaluation of [q], planned inside the run unless [planned]
+   already holds its plan.  [probe] says how the result cache answered
+   the lookup ([`Bypass] when there is none): a [`Miss] or [`Stale]
+   result is offered back to the cache — admission decides — under the
    fingerprint and text the lookup took, with the measured io as its
-   cost and its dn-subtree footprint for invalidation.  The
-   ledger journals before the result is offered: the journal's post-hoc
-   estimate peeks the cache, and must see it as execution did — a root
-   atomic that missed and is about to be stored would otherwise claim
-   path=cache. *)
-let eval_uncached t ~mode q ~probe =
+   cost and its dn-subtree footprint for invalidation. *)
+let eval_uncached t ~mode q ~planned ~probe =
   let subject, note =
     match probe with
     | `Bypass -> (Tree q, note_bypass)
@@ -684,10 +671,11 @@ let eval_uncached t ~mode q ~probe =
     | `Stale (fingerprint, text) -> (Keyed (q, fingerprint, text), note_stale)
   in
   let out, cost =
-    ledger t ~mode ~label:"execute" ~origin:"engine" (stats t) subject ~note
+    ledger ~mode ~label:"execute" ~origin:"engine" (stats t) subject ~note
       (fun () ->
-        let out = run_root t ~mode q in
-        (out, { planned = Some q; rows = Ext_list.length out; failure = None }))
+        let p = match planned with Some p -> p | None -> plan ~mode t q in
+        let out = run_root t ~mode p in
+        (out, { planned = Some p; rows = Ext_list.length out; failure = None }))
   in
   count_query cost;
   (match (t.result_cache, probe) with
@@ -708,7 +696,7 @@ let eval_uncached t ~mode q ~probe =
    its event carries no estimate. *)
 let serve_hit t ~mode subject arr =
   let out, cost =
-    ledger t ~mode ~label:"execute" ~origin:"engine" (stats t) subject
+    ledger ~mode ~label:"execute" ~origin:"engine" (stats t) subject
       ~note:note_hit (fun () ->
         ( Ext_list.of_array_resident t.pager arr,
           { planned = None; rows = Array.length arr; failure = None } ))
@@ -717,11 +705,11 @@ let serve_hit t ~mode subject arr =
   Metrics.observe_ns m_hit_ns cost.wall_ns;
   out
 
-(* Cardinality-ordered boolean merges: under the cost-based planner,
-   rewrite maximal And/Or chains ascending by estimated operand
-   cardinality before evaluation.  The rewrite happens before the
-   fingerprint is taken, so the cache, journal and spans all see the
-   tree that actually ran. *)
+(* Under the cost-based planner a tree with a boolean merge is planned
+   before its cache lookup: the plan may reorder its chains, and the
+   fingerprint is taken of the tree that runs, so the cache, journal and
+   spans all see that tree.  Any other tree is looked up as given and
+   planned only on a miss. *)
 let rec has_bool : Ast.t -> bool = function
   | Ast.Atomic _ -> false
   | Ast.And _ | Ast.Or _ -> true
@@ -731,27 +719,33 @@ let rec has_bool : Ast.t -> bool = function
   | Ast.Gsel (q1, _) -> has_bool q1
   | Ast.Eref (_, q1, q2, _, _) -> has_bool q1 || has_bool q2
 
+(* [eval] refreshes a watched engine's indexes before this plan;
+   [plan_rewrite], a view of it, prices them as they stand. *)
+let pre_plan ~mode t q =
+  if t.planner = Auto && has_bool q then Some (plan_as_is ~mode t q) else None
+
 let plan_rewrite ?mode t q =
-  let mode = Option.value mode ~default:t.mode in
-  if t.planner = Auto && has_bool q then
-    Plan.reorder ~pager:t.pager ~instance:t.instance ?attr_index:t.attr_index
-      ?cache:t.result_cache ?calib:t.calib ~streaming:(mode = Streaming) q
-  else q
+  match pre_plan ~mode:(Option.value mode ~default:t.mode) t q with
+  | Some p -> p.Plan.query
+  | None -> q
 
 let eval ?mode t q =
   let mode = Option.value mode ~default:t.mode in
   refresh_if_dirty t;
-  let q = plan_rewrite ~mode t q in
+  let planned = pre_plan ~mode t q in
+  let q = match planned with Some p -> p.Plan.query | None -> q in
   match t.result_cache with
-  | None -> eval_uncached t ~mode q ~probe:`Bypass
+  | None -> eval_uncached t ~mode q ~planned ~probe:`Bypass
   | Some c -> (
       (* the cache key, taken once for the lookup, the store and the
          journal *)
       let fingerprint = Plan.fingerprint q and text = Qprinter.to_string q in
       match Cache.find c ~fingerprint ~query:text with
       | Cache.Hit arr -> serve_hit t ~mode (Keyed (q, fingerprint, text)) arr
-      | Cache.Miss -> eval_uncached t ~mode q ~probe:(`Miss (fingerprint, text))
-      | Cache.Stale -> eval_uncached t ~mode q ~probe:(`Stale (fingerprint, text)))
+      | Cache.Miss ->
+          eval_uncached t ~mode q ~planned ~probe:(`Miss (fingerprint, text))
+      | Cache.Stale ->
+          eval_uncached t ~mode q ~planned ~probe:(`Stale (fingerprint, text)))
 
 let eval_entries ?mode t q = Ext_list.to_list (eval ?mode t q)
 

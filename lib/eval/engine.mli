@@ -76,11 +76,21 @@ val path_counts : t -> int * int * int
 (** [(index, scan, cache)]: how many sub-scope atomics each access path
     served since the engine was built (the [:planner paths] view). *)
 
+val plan : ?mode:mode -> t -> Ast.t -> Plan.node
+(** The one pricing pass ({!Plan.plan}) with the engine's index / cache
+    / calibration handles under its planner policy, costs assuming
+    [mode] (default: the engine's): under [Auto], boolean chains are
+    reordered by estimated cardinality; the forced modes pin every path
+    and keep the tree as given.  The root's [query] is the tree to run,
+    and execution follows the plan's access decisions.  {!eval}, the
+    server, the distributed coordinator and {!Explain} all run or show
+    this plan. *)
+
 val plan_rewrite : ?mode:mode -> t -> Ast.t -> Ast.t
-(** The planner's tree rewrite as {!eval} applies it: under [Auto],
-    boolean chains reordered by estimated cardinality; otherwise the
-    tree unchanged.  Exposed so {!Explain} can show the tree that would
-    actually run. *)
+(** The tree {!eval} runs: under [Auto], a tree with a boolean merge is
+    the root [query] of its {!plan}; any other tree is unchanged.
+    Unlike {!plan} and {!eval}, it does not first bring a watched
+    engine's indexes up to date. *)
 
 val stats : t -> Io_stats.t
 val pager : t -> Pager.t
@@ -124,10 +134,13 @@ val walk :
     in both modes.  No planner rewrite, result cache, metrics or
     journal: those are {!eval}'s. *)
 
-val leaf : t -> mode -> Ast.t -> Entry.t Ext_list.Source.src option
-(** The engine's leaf for {!walk}: atomics answered from its indexes
-    (or its result cache) through the access-path planner; no other
-    subtree is intercepted. *)
+val leaf :
+  t -> mode -> Plan.node -> Ast.t -> Entry.t Ext_list.Source.src option
+(** The engine's leaf for {!walk} over a plan's tree: atomics answered
+    from its indexes (or its result cache) on the path the plan chose;
+    no other subtree is intercepted.
+    @raise Invalid_argument on a sub-scope atomic the plan did not
+    price. *)
 
 val union :
   mode:mode ->
@@ -138,15 +151,14 @@ val union :
 (** The walker's [|] node over two sources under the given edge
     policy (the distributed coordinator's shard merge). *)
 
-val eval_node_src : t -> Ast.t -> Entry.t Ext_list.Source.src
-(** {!walk} with the engine's leaf as one fused pipeline, returning
-    the root's live source unmaterialized.  Used by the server, which
-    ships rows as they are pulled; {!eval} materializes the root. *)
+val run_src : t -> Plan.node -> Entry.t Ext_list.Source.src
+(** {!walk} of a [Streaming] plan with the engine's leaf as one fused
+    pipeline, returning the root's live source unmaterialized.  Used by
+    the server, which ships rows as they are pulled; {!eval}
+    materializes the root. *)
 
-val estimate : mode:mode -> t -> Ast.t -> Plan.node
-(** The engine-bound estimate of a tree as given (no rewrite): the
-    engine's index / cache / calibration handles under its current
-    planner policy, costs assuming [mode]. *)
+val eval_node_src : t -> Ast.t -> Entry.t Ext_list.Source.src
+(** {!run_src} of the tree's [Streaming] {!plan}. *)
 
 val eval : ?mode:mode -> t -> Ast.t -> Entry.t Ext_list.t
 (** Evaluate a query tree; the result list is canonically sorted.
@@ -160,7 +172,10 @@ val eval : ?mode:mode -> t -> Ast.t -> Entry.t Ext_list.t
     (a fresh entry is served as a resident list, charging no page io)
     and followed by a store offer on miss or staleness; every journal
     event then carries the cache outcome ([hit|miss|stale], or
-    [bypass] without a cache).  A hit plans nothing, so its event
+    [bypass] without a cache).  A tree without a boolean merge is
+    looked up as given and planned only on a miss; under [Auto] a tree
+    with one is planned before the lookup (the key is the tree that
+    runs), and a miss runs that plan.  A hit runs nothing, so its event
     carries no estimate. *)
 
 (** {1 The query ledger}
@@ -179,11 +194,11 @@ type subject =
 
 (** What a run reports back. *)
 type report = {
-  planned : Ast.t option;
-      (** the tree whose plan ran: estimated and fingerprinted for the
-          journal.  [None] for a cache hit (fingerprinted from a [Keyed]
-          subject, no estimate) or text that never parsed (fingerprint
-          ["(parse)"]). *)
+  planned : Plan.node option;
+      (** the plan that ran: the journal's estimate, and for a [Text]
+          subject its fingerprint.  [None] for a cache hit
+          (fingerprinted from a [Keyed] subject, no estimate) or text
+          that never parsed (fingerprint ["(parse)"]). *)
   rows : int;  (** result rows delivered *)
   failure : (Tail.outcome * string) option;
       (** a failure the run returned instead of raising (a deadline, a
@@ -215,7 +230,6 @@ val plain_note : string option -> unit -> note
     operator rows. *)
 
 val ledger :
-  t ->
   mode:mode ->
   label:string ->
   origin:string ->
@@ -224,20 +238,20 @@ val ledger :
   note:(unit -> note) ->
   (unit -> 'a * report) ->
   'a * cost
-(** [ledger t ~mode ~label ~origin stats subject ~note run] runs [run]
+(** [ledger ~mode ~label ~origin stats subject ~note run] runs [run]
     inside one root span named [label], reading the clock, [stats]'
     page counters and the allocation meter around it.  When the query
     journal ({!Qlog}) is open, tracing is forced on for the run and
     one event is recorded: the text and fingerprint of [subject], the
     run's rows and outcome, the measured cost, the span tree's
-    operator rows joined by [note]'s [annotate] to [t]'s estimate of
-    the planned tree under [mode] ({!estimate}), the access paths and
+    operator rows joined by [note]'s [annotate] to the plan the run
+    reports (its writes read under [mode]), the plan's access paths and
     estimate totals and, when [Tail.is_slow wall_ns], a capture (span
     tree + rendered plan).  The span tree, with the event when
     journaled, is then offered to [Tail] as [origin] with the same
     wall time.  A run that raises is journaled as [Failed] and offered
-    as [`Error], and the exception is re-raised.  An untraced,
-    unjournaled run takes no lock and computes no estimate. *)
+    as [`Error], and the exception is re-raised.  The ledger prices
+    nothing itself, and an untraced, unjournaled run takes no lock. *)
 
 val with_forced_tracing : bool -> (unit -> 'a) -> 'a
 (** [with_forced_tracing force f] runs [f] with span tracing enabled

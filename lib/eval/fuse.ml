@@ -54,12 +54,14 @@ let rec scan_count = function
 
 (* Evaluate through the engine's walker in the engine's boundary mode:
    the leaf intercepts exactly the subtrees [plan_of] fuses and answers
-   each with one scan; atomics and operators run as in [Engine.eval]. *)
+   each with one scan; an unfused atomic is planned on its own and runs
+   as in [Engine.eval], and so do the operators. *)
 let eval engine q =
   let mode = Engine.mode engine in
   let leaf (q : Ast.t) =
     match (q, Ldap.of_l0 q) with
-    | Ast.Atomic _, _ | _, None -> Engine.leaf engine mode q
+    | Ast.Atomic _, _ -> Engine.leaf engine mode (Engine.plan ~mode engine q) q
+    | _, None -> None
     | _, Some lq -> Some (Ldap.eval_indexed (Engine.dn_index engine) lq)
   in
   Engine.walk ~pager:(Engine.pager engine) ~window:(Engine.window engine)

@@ -1,5 +1,5 @@
 (* Query plans: the annotated-tree representation, cost-based access-path
-   selection, cost estimation, a normalized plan fingerprint, and
+   selection, the one pricing pass, a normalized plan fingerprint, and
    rendering.
 
    The paper's Section 8.2 evaluation strategy is fixed (bottom-up,
@@ -7,12 +7,11 @@
    costs — plus, since the planner became cost-based, one access-path
    decision per sub-scope atomic: index probe + prefix filter + sort,
    dn-index subtree scan, or a result-cache hit, each priced in page
-   reads/writes before any postings are materialized.  This module holds
-   everything about plans that does not need the engine — [estimate] and
-   [choose_path] work from a pager, an instance and optional index /
-   cache / calibration handles, so both [Explain] (above the engine) and
-   [Engine] itself (execution and the query journal) price paths with
-   the same model and cannot disagree. *)
+   reads/writes before any postings are materialized.  [plan] prices a
+   tree once, from a pager, an instance and optional index / cache /
+   calibration handles; execution, [Explain], the query journal, the
+   distributed coordinator and the server all read the node it returns,
+   so no two of them can decide differently. *)
 
 (* --- Access paths ------------------------------------------------------------ *)
 
@@ -31,7 +30,7 @@ type choice = { chosen : alt; rejected : alt list }
 
 type node = {
   label : string;  (* operator name *)
-  detail : string;  (* filter / aggregate text *)
+  query : Ast.t;  (* the subtree this node prices, as it runs *)
   est_rows : int;
   est_io : int;  (* = est_reads + est_writes *)
   est_reads : int;
@@ -45,13 +44,24 @@ type node = {
   children : node list;
 }
 
+(* Operator names: plan node labels and the walker's span names. *)
+let op_label : Ast.t -> string = function
+  | Ast.Atomic _ -> "atomic"
+  | Ast.And _ -> "&"
+  | Ast.Or _ -> "|"
+  | Ast.Diff _ -> "-"
+  | Ast.Hier (op, _, _, _) -> Qprinter.hier_op_to_string op
+  | Ast.Hier3 (op, _, _, _, _) -> Qprinter.hier_op3_to_string op
+  | Ast.Gsel _ -> "g"
+  | Ast.Eref (op, _, _, _, _) -> Qprinter.ref_op_to_string op
+
 (* Assemble a node from the read/write decomposition; [est_io] stays the
    sum so existing consumers keep one number. *)
-let mk ?access ~label ~detail ~est_rows ~est_reads ~est_writes
+let mk ?access ~query ~est_rows ~est_reads ~est_writes
     ~est_writes_saved children =
   {
-    label;
-    detail;
+    label = op_label query;
+    query;
     est_rows;
     est_io = est_reads + est_writes;
     est_reads;
@@ -341,7 +351,7 @@ let choose_path ~pager ~instance ?attr_index ?cache ?calib
   in
   { chosen; rejected = List.filter (fun alt -> alt != chosen) alts }
 
-(* --- Cost estimation -------------------------------------------------------------- *)
+(* --- The one pricing pass ---------------------------------------------------- *)
 
 type ctx = {
   c_pager : Pager.t;
@@ -351,126 +361,139 @@ type ctx = {
   c_calib : Planstats.t option;
   c_streaming : bool;
   c_force : path option;
+  c_reorder : bool;
 }
 
-let ctx_choose ctx a =
-  choose_path ~pager:ctx.c_pager ~instance:ctx.c_instance
-    ?attr_index:ctx.c_attr_index ?cache:ctx.c_cache ?calib:ctx.c_calib
-    ~streaming:ctx.c_streaming ?force:ctx.c_force a
-
-let rec estimate_node ctx (q : Ast.t) =
-  let pager = ctx.c_pager in
+(* One bottom-up pass prices every node: each sub-scope atomic through
+   [choose_path], once, and every operator from its children's rows.
+   With [c_reorder], the operands of a maximal [And] / [Or] chain are
+   sorted ascending by those same row estimates and the chain is rebuilt
+   left-deep, so the returned node's [query] is the tree to run and its
+   numbers are that tree's.  Ascending [And] chains drive every
+   intermediate toward the most selective operand's size: fewer
+   comparisons always, fewer boundary writes when materialized.  [Diff]
+   and the hierarchical operators are order-sensitive: their operands
+   only recurse.  No text is built here; [detail] renders a node's
+   [query] when it is printed. *)
+let rec price ctx (q : Ast.t) =
+  let pages = pages ctx.c_pager in
   match q with
   | Ast.Atomic a -> (
-      let detail =
-        Printf.sprintf "%s ? %s ? %s"
-          (Dn.to_string a.Ast.base)
-          (Ast.scope_to_string a.Ast.scope)
-          (Afilter.to_string a.Ast.filter)
-      in
       match a.Ast.scope with
       | Ast.Sub ->
           (* cost-based: the chosen access path prices the node *)
-          let choice = ctx_choose ctx a in
+          let choice =
+            choose_path ~pager:ctx.c_pager ~instance:ctx.c_instance
+              ?attr_index:ctx.c_attr_index ?cache:ctx.c_cache ?calib:ctx.c_calib
+              ~streaming:ctx.c_streaming ?force:ctx.c_force a
+          in
           let c = choice.chosen in
-          mk ~access:choice ~label:"atomic" ~detail ~est_rows:c.alt_rows
+          mk ~access:choice ~query:q ~est_rows:c.alt_rows
             ~est_reads:c.alt_reads ~est_writes:c.alt_writes
             ~est_writes_saved:c.alt_writes []
       | Ast.Base | Ast.One ->
           let scope_size = scope_size ctx.c_instance a in
           let est_rows = scope_rows scope_size a in
           (* descent + range scan; streaming skips the output write *)
-          mk ~label:"atomic" ~detail ~est_rows
-            ~est_reads:(1 + pages pager scope_size)
-            ~est_writes:(pages pager est_rows)
-            ~est_writes_saved:(pages pager est_rows) [])
-  | Ast.And (q1, q2) -> binary ctx "&" q1 q2 (fun n1 n2 -> min n1 n2 / 2)
-  | Ast.Or (q1, q2) -> binary ctx "|" q1 q2 (fun n1 n2 -> n1 + n2)
-  | Ast.Diff (q1, q2) -> binary ctx "-" q1 q2 (fun n1 _ -> n1 / 2)
+          mk ~query:q ~est_rows
+            ~est_reads:(1 + pages scope_size)
+            ~est_writes:(pages est_rows)
+            ~est_writes_saved:(pages est_rows) [])
+  | Ast.And (q1, q2) | Ast.Or (q1, q2) -> (
+      let is_and = match q with Ast.And _ -> true | _ -> false in
+      (* operands of the maximal chain, in source order *)
+      let rec operands q acc =
+        match q with
+        | Ast.And (a, b) when is_and -> operands a (operands b acc)
+        | Ast.Or (a, b) when not is_and -> operands a (operands b acc)
+        | _ -> q :: acc
+      in
+      let priced =
+        if ctx.c_reorder then
+          List.stable_sort
+            (fun n1 n2 -> Int.compare n1.est_rows n2.est_rows)
+            (List.map (price ctx) (operands q []))
+        else [ price ctx q1; price ctx q2 ]
+      in
+      match priced with
+      | [] -> assert false
+      | first :: rest ->
+          List.fold_left
+            (fun c1 c2 ->
+              let est_rows, query =
+                if is_and then
+                  (min c1.est_rows c2.est_rows / 2, Ast.And (c1.query, c2.query))
+                else (c1.est_rows + c2.est_rows, Ast.Or (c1.query, c2.query))
+              in
+              binary ctx query est_rows c1 c2)
+            first rest)
+  | Ast.Diff (q1, q2) ->
+      let c1 = price ctx q1 and c2 = price ctx q2 in
+      binary ctx (Ast.Diff (c1.query, c2.query)) (c1.est_rows / 2) c1 c2
   | Ast.Hier (op, q1, q2, agg) ->
-      let c1 = estimate_node ctx q1 and c2 = estimate_node ctx q2 in
+      let c1 = price ctx q1 and c2 = price ctx q2 in
       let est_rows = c1.est_rows / 2 in
-      let p1 = pages pager c1.est_rows in
+      let p1 = pages c1.est_rows in
       (* merged scan + annotation rescan (reads); annotated copy + output
          (writes).  A pipeline skips both writes, unless the aggregate
          filter needs entry sets, which keeps the annotated copy. *)
       mk
-        ~label:(Qprinter.hier_op_to_string op)
-        ~detail:(agg_detail agg) ~est_rows
-        ~est_reads:((2 * p1) + pages pager c2.est_rows)
-        ~est_writes:(p1 + pages pager est_rows)
+        ~query:(Ast.Hier (op, c1.query, c2.query, agg))
+        ~est_rows
+        ~est_reads:((2 * p1) + pages c2.est_rows)
+        ~est_writes:(p1 + pages est_rows)
         ~est_writes_saved:
-          (pages pager est_rows + (if hier_keeps_annots agg then 0 else p1))
+          (pages est_rows + if hier_keeps_annots agg then 0 else p1)
         [ c1; c2 ]
   | Ast.Hier3 (op, q1, q2, q3, agg) ->
-      let c1 = estimate_node ctx q1
-      and c2 = estimate_node ctx q2
-      and c3 = estimate_node ctx q3 in
+      let c1 = price ctx q1 and c2 = price ctx q2 and c3 = price ctx q3 in
       let est_rows = c1.est_rows / 2 in
-      let p1 = pages pager c1.est_rows in
+      let p1 = pages c1.est_rows in
       mk
-        ~label:(Qprinter.hier_op3_to_string op)
-        ~detail:(agg_detail agg) ~est_rows
-        ~est_reads:
-          ((2 * p1) + pages pager c2.est_rows + pages pager c3.est_rows)
-        ~est_writes:(p1 + pages pager est_rows)
+        ~query:(Ast.Hier3 (op, c1.query, c2.query, c3.query, agg))
+        ~est_rows
+        ~est_reads:((2 * p1) + pages c2.est_rows + pages c3.est_rows)
+        ~est_writes:(p1 + pages est_rows)
         ~est_writes_saved:
-          (pages pager est_rows + (if hier_keeps_annots agg then 0 else p1))
+          (pages est_rows + if hier_keeps_annots agg then 0 else p1)
         [ c1; c2; c3 ]
   | Ast.Gsel (q1, f) ->
-      let c1 = estimate_node ctx q1 in
+      let c1 = price ctx q1 in
       let scans = if Simple_agg.needs_global f then 2 else 1 in
       let est_rows = c1.est_rows / 2 in
       (* A global aggregate consumes its input twice, so a pipeline must
          force a live input resident — charging back one write. *)
-      mk ~label:"g"
-        ~detail:(Qprinter.agg_filter_to_string f)
-        ~est_rows
-        ~est_reads:(scans * pages pager c1.est_rows)
-        ~est_writes:(pages pager est_rows)
+      mk ~query:(Ast.Gsel (c1.query, f)) ~est_rows
+        ~est_reads:(scans * pages c1.est_rows)
+        ~est_writes:(pages est_rows)
         ~est_writes_saved:
-          (pages pager est_rows
-          - (if scans > 1 then pages pager c1.est_rows else 0))
+          (pages est_rows - if scans > 1 then pages c1.est_rows else 0)
         [ c1 ]
   | Ast.Eref (op, q1, q2, attr, agg) ->
-      let c1 = estimate_node ctx q1 and c2 = estimate_node ctx q2 in
+      let c1 = price ctx q1 and c2 = price ctx q2 in
       let m = 2 (* assumed mean reference fan-out *) in
       let source = match op with Ast.Vd -> c1.est_rows | Ast.Dv -> c2.est_rows in
-      let p = max 1 (pages pager (source * m)) in
+      let p = max 1 (pages (source * m)) in
       let rec log2 n = if n <= 1 then 1 else 1 + log2 (n / 2) in
       let est_rows = c1.est_rows / 2 in
       (* The pair list and its sort are boundaries either way; [vd]
          consumes $1 twice, so streaming forces it resident. *)
       mk
-        ~label:(Qprinter.ref_op_to_string op)
-        ~detail:
-          (attr
-          ^ (match agg with
-            | None -> ""
-            | Some f -> " " ^ Qprinter.agg_filter_to_string f))
+        ~query:(Ast.Eref (op, c1.query, c2.query, attr, agg))
         ~est_rows
-        ~est_reads:
-          ((p * log2 p) + pages pager c1.est_rows + pages pager c2.est_rows)
-        ~est_writes:((p * log2 p) + pages pager est_rows)
+        ~est_reads:((p * log2 p) + pages c1.est_rows + pages c2.est_rows)
+        ~est_writes:((p * log2 p) + pages est_rows)
         ~est_writes_saved:
-          (pages pager est_rows
-          - (match op with Ast.Vd -> pages pager c1.est_rows | Ast.Dv -> 0))
+          (pages est_rows
+          - match op with Ast.Vd -> pages c1.est_rows | Ast.Dv -> 0)
         [ c1; c2 ]
 
-and binary ctx label q1 q2 rows =
-  let c1 = estimate_node ctx q1 and c2 = estimate_node ctx q2 in
-  let est_rows = rows c1.est_rows c2.est_rows in
-  mk ~label ~detail:"" ~est_rows
-    ~est_reads:
-      (Pager.pages_of ctx.c_pager c1.est_rows
-      + Pager.pages_of ctx.c_pager c2.est_rows)
-    ~est_writes:(Pager.pages_of ctx.c_pager est_rows)
-    ~est_writes_saved:(Pager.pages_of ctx.c_pager est_rows)
+and binary ctx query est_rows c1 c2 =
+  let pages = pages ctx.c_pager in
+  mk ~query ~est_rows
+    ~est_reads:(pages c1.est_rows + pages c2.est_rows)
+    ~est_writes:(pages est_rows) ~est_writes_saved:(pages est_rows)
     [ c1; c2 ]
-
-and agg_detail = function
-  | None -> "count($2) > 0"
-  | Some f -> Qprinter.agg_filter_to_string f
 
 (* Does the hierarchical operator's finish phase keep a materialized
    annotated copy even when streaming?  Only when the filter aggregates
@@ -480,8 +503,8 @@ and hier_keeps_annots agg =
 
 (* The root's result is materialized in every mode (it is what the
    caller scans), so its own output write is never saved. *)
-let estimate ~pager ~instance ?attr_index ?cache ?calib ?(streaming = false)
-    ?force q =
+let plan ~pager ~instance ?attr_index ?cache ?calib ?(streaming = false) ?force
+    ~reorder q =
   let ctx =
     {
       c_pager = pager;
@@ -491,90 +514,41 @@ let estimate ~pager ~instance ?attr_index ?cache ?calib ?(streaming = false)
       c_calib = calib;
       c_streaming = streaming;
       c_force = force;
+      c_reorder = reorder;
     }
   in
-  let n = estimate_node ctx q in
+  let n = price ctx q in
   let root_out = pages pager n.est_rows in
   { n with est_writes_saved = max 0 (n.est_writes_saved - root_out) }
 
-(* --- Cardinality-ordered boolean merges --------------------------------------- *)
+let estimate ~pager ~instance ?attr_index ?cache ?calib ?streaming ?force q =
+  plan ~pager ~instance ?attr_index ?cache ?calib ?streaming ?force
+    ~reorder:false q
 
-(* Reorder the operands of associative-commutative boolean merges
-   ascending by estimated cardinality: maximal [And] / [Or] chains are
-   flattened, each operand estimated (atomics through the same
-   calibrated path probes the estimator uses, so "small" means what the
-   chosen access path will deliver), sorted smallest-first and rebuilt
-   left-deep.  Ascending [And] chains drive every intermediate toward
-   the most selective operand's size — fewer comparisons always, fewer
-   boundary writes when materialized ([est_writes_saved] is exactly the
-   part streaming already avoids).  [Diff] and the hierarchical
-   operators are order-sensitive: their operands only recurse. *)
-let reorder ~pager ~instance ?attr_index ?cache ?calib ?(streaming = false) q =
-  let ctx =
-    {
-      c_pager = pager;
-      c_instance = instance;
-      c_attr_index = attr_index;
-      c_cache = cache;
-      c_calib = calib;
-      c_streaming = streaming;
-      c_force = None;
-    }
-  in
-  let rec est (q : Ast.t) =
-    match q with
-    | Ast.Atomic a -> (
-        match a.Ast.scope with
-        | Ast.Sub -> (q, (ctx_choose ctx a).chosen.alt_rows)
-        | Ast.Base | Ast.One -> (q, scope_rows (scope_size instance a) a))
-    | Ast.And _ -> chain `And q
-    | Ast.Or _ -> chain `Or q
-    | Ast.Diff (q1, q2) ->
-        let q1, r1 = est q1 in
-        let q2, _ = est q2 in
-        (Ast.Diff (q1, q2), r1 / 2)
-    | Ast.Hier (op, q1, q2, agg) ->
-        let q1, r1 = est q1 in
-        let q2, _ = est q2 in
-        (Ast.Hier (op, q1, q2, agg), r1 / 2)
-    | Ast.Hier3 (op, q1, q2, q3, agg) ->
-        let q1, r1 = est q1 in
-        let q2, _ = est q2 in
-        let q3, _ = est q3 in
-        (Ast.Hier3 (op, q1, q2, q3, agg), r1 / 2)
-    | Ast.Gsel (q1, f) ->
-        let q1, r1 = est q1 in
-        (Ast.Gsel (q1, f), r1 / 2)
-    | Ast.Eref (op, q1, q2, attr, agg) ->
-        let q1, r1 = est q1 in
-        let q2, _ = est q2 in
-        (Ast.Eref (op, q1, q2, attr, agg), r1 / 2)
-  and chain kind q =
-    (* operands of the maximal chain, in source order *)
-    let rec operands q acc =
-      match (kind, q) with
-      | `And, Ast.And (a, b) -> operands a (operands b acc)
-      | `Or, Ast.Or (a, b) -> operands a (operands b acc)
-      | _ -> q :: acc
-    in
-    let sorted =
-      List.stable_sort
-        (fun (_, r1) (_, r2) -> Int.compare r1 r2)
-        (List.map est (operands q []))
-    in
-    match sorted with
-    | [] -> assert false
-    | first :: rest ->
-        List.fold_left
-          (fun (acc, racc) (qi, ri) ->
-            match kind with
-            | `And -> (Ast.And (acc, qi), min racc ri / 2)
-            | `Or -> (Ast.Or (acc, qi), racc + ri))
-          first rest
-  in
-  fst (est q)
+(* The access decision the pass took for the atomic [q], a subtree of
+   the planned tree (found by identity: the pass keeps every atomic). *)
+let rec access n q =
+  if n.query == q then n.access
+  else List.find_map (fun c -> access c q) n.children
 
 (* --- Rendering --------------------------------------------------------------- *)
+
+(* A node's filter / aggregate text, built only when it is printed. *)
+let detail n =
+  let agg = function
+    | None -> "count($2) > 0"
+    | Some f -> Qprinter.agg_filter_to_string f
+  in
+  match n.query with
+  | Ast.Atomic a ->
+      Printf.sprintf "%s ? %s ? %s" (Dn.to_string a.Ast.base)
+        (Ast.scope_to_string a.Ast.scope)
+        (Afilter.to_string a.Ast.filter)
+  | Ast.And _ | Ast.Or _ | Ast.Diff _ -> ""
+  | Ast.Hier (_, _, _, f) | Ast.Hier3 (_, _, _, _, f) -> agg f
+  | Ast.Gsel (_, f) -> Qprinter.agg_filter_to_string f
+  | Ast.Eref (_, _, _, attr, None) -> attr
+  | Ast.Eref (_, _, _, attr, Some f) -> attr ^ " " ^ Qprinter.agg_filter_to_string f
 
 let pp_alt ppf a =
   Fmt.pf ppf "%s rows=%d reads=%d+%dw" (path_name a.alt_path) a.alt_rows
@@ -591,7 +565,7 @@ let rec pp_node ppf (n : node) =
     "@[<v2>%s%s  [rows est=%d got=%s | io est=%d (%dr+%dw, saves %dw) \
      got=%s | alloc=%s | t=%s]%a%a@]"
     n.label
-    (if n.detail = "" then "" else " " ^ n.detail)
+    (match detail n with "" -> "" | d -> " " ^ d)
     n.est_rows (opt n.actual_rows) n.est_io n.est_reads n.est_writes
     n.est_writes_saved (opt n.actual_io)
     (bytes n.actual_alloc)
@@ -609,41 +583,14 @@ let rec pp_node ppf (n : node) =
       List.iter (fun c -> Fmt.pf ppf "@,%a" pp_node c) children)
     n.children
 
-let pp ppf n = Fmt.pf ppf "%a@." pp_node n
-
 let to_string n = Fmt.str "%a" pp_node n
 
-let total_actual_io n =
-  let rec sum n =
-    Option.value ~default:0 n.actual_io
-    + List.fold_left (fun a c -> a + sum c) 0 n.children
-  in
-  sum n
-
-let total_actual_ns n =
-  let rec sum n =
-    Option.value ~default:0 n.actual_ns
-    + List.fold_left (fun a c -> a + sum c) 0 n.children
-  in
-  sum n
-
-let total_est_writes_saved n =
-  let rec sum n =
-    n.est_writes_saved + List.fold_left (fun a c -> a + sum c) 0 n.children
-  in
-  sum n
-
-let total_est_reads n =
-  let rec sum n =
-    n.est_reads + List.fold_left (fun a c -> a + sum c) 0 n.children
-  in
-  sum n
-
-let total_est_writes n =
-  let rec sum n =
-    n.est_writes + List.fold_left (fun a c -> a + sum c) 0 n.children
-  in
-  sum n
+let rec sum f n = List.fold_left (fun a c -> a + sum f c) (f n) n.children
+let total_actual_io = sum (fun n -> Option.value ~default:0 n.actual_io)
+let total_actual_ns = sum (fun n -> Option.value ~default:0 n.actual_ns)
+let total_est_writes_saved = sum (fun n -> n.est_writes_saved)
+let total_est_reads = sum (fun n -> n.est_reads)
+let total_est_writes = sum (fun n -> n.est_writes)
 
 (* Preorder flattening with depths, the same shape [Qlog.ops_of_span]
    lifts from a span tree — the engine pairs the two row lists to join

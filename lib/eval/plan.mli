@@ -1,17 +1,17 @@
 (** Query plans below the engine: cost-based access-path selection, the
-    annotated-tree representation, cost estimation, a normalized plan
-    fingerprint, and rendering.
+    annotated-tree representation, the one pricing pass, a normalized
+    plan fingerprint, and rendering.
 
     Section 8.2's evaluation strategy is fixed (bottom-up sorted
     pipeline), so a plan is the query tree annotated with predicted
     cardinality and page-I/O and, after profiling, measured values —
     plus one access-path decision per sub-scope atomic: secondary-index
     probe, dn-index subtree scan, or result-cache hit, each priced
-    before any postings are materialized.  Everything here works from a
-    pager, an instance and optional index / cache / calibration handles
-    rather than an engine, so {!Explain}, {!Engine} (execution and the
-    query journal) and the distributed coordinator all price paths with
-    the same model. *)
+    before any postings are materialized.  {!plan} prices a tree once,
+    from a pager, an instance and optional index / cache / calibration
+    handles rather than an engine; execution, {!Explain}, the query
+    journal, the distributed coordinator and the server all read the
+    node it returns. *)
 
 (** {1 Access paths} *)
 
@@ -58,10 +58,10 @@ val choose_path :
     [force] pins the decision to a path when it is available.  Base and
     one-level scopes, which only the dn-index serves, always choose
     [Scan].  The CPU cost does not grow with the directory: the
-    instance size is O(1), the scope size is counted without building
-    it ({!Instance.subtree_size}: O(1) at {!Dn.root}, otherwise
-    O(log n) allocation plus an in-place walk of the scope), and the
-    index counters are O(log n) / O(|pattern|). *)
+    instance size is O(1), the scope size is the width of the base's
+    rank range ({!Instance.subtree_size}, O(log n)), and the index
+    counters are O(log n) / O(|pattern|).  {!plan} calls it once per
+    sub-scope atomic; nothing else in the library prices a path. *)
 
 val int_bounds : Afilter.cmp -> int -> int * int
 (** The closed key range an integer comparison probes — shared with the
@@ -76,8 +76,10 @@ val substr_probe : Afilter.substring -> (string * bool) option
 (** {1 The annotated plan tree} *)
 
 type node = {
-  label : string;
-  detail : string;
+  label : string;  (** operator name, as the walker names its span *)
+  query : Ast.t;
+      (** the subtree this node prices, as it runs: at the root, the
+          tree to evaluate *)
   est_rows : int;
   est_io : int;  (** = [est_reads + est_writes] *)
   est_reads : int;
@@ -95,6 +97,31 @@ type node = {
   children : node list;
 }
 
+val plan :
+  pager:Pager.t ->
+  instance:Instance.t ->
+  ?attr_index:Attr_index.t ->
+  ?cache:Cache.t ->
+  ?calib:Planstats.t ->
+  ?streaming:bool ->
+  ?force:path ->
+  reorder:bool ->
+  Ast.t ->
+  node
+(** The one pricing pass: every sub-scope atomic priced once through
+    {!choose_path} with the given handles (its {!node.access} is the
+    decision execution follows), every operator from its children's
+    rows.  With [reorder], maximal [And] / [Or] chains are rebuilt
+    left-deep ascending by those same row estimates; [And]/[Or] being
+    commutative and associative over sorted entry lists, results are
+    unchanged, and intermediate sizes (with them comparisons, and
+    boundary writes when materialized) only shrink when the estimates
+    are right.  Order-sensitive operators ([Diff], hierarchical,
+    references) keep their operand order.  The root's [query] is the
+    tree to run.  Without any handles the pass degrades to the
+    selectivity-based scan model.  No text is built: a node's filter /
+    aggregate text is rendered from its [query] when it is printed. *)
+
 val estimate :
   pager:Pager.t ->
   instance:Instance.t ->
@@ -105,28 +132,14 @@ val estimate :
   ?force:path ->
   Ast.t ->
   node
-(** Predicted plan, no execution.  Sub-scope atomics are priced through
-    {!choose_path} with the same optional handles, so the estimate's
-    per-node numbers are the chosen path's; without any handles the
-    estimate degrades to the selectivity-based scan model. *)
+(** {!plan} of the tree as given, without reordering. *)
 
-val reorder :
-  pager:Pager.t ->
-  instance:Instance.t ->
-  ?attr_index:Attr_index.t ->
-  ?cache:Cache.t ->
-  ?calib:Planstats.t ->
-  ?streaming:bool ->
-  Ast.t ->
-  Ast.t
-(** Cardinality-ordered boolean merges: flatten maximal [And] / [Or]
-    chains, estimate each operand (atomics through the same calibrated
-    access-path probes), rebuild left-deep ascending by estimated
-    cardinality.  [And]/[Or] being commutative and associative over
-    sorted entry lists, results are unchanged; intermediate sizes — and
-    with them comparisons, and boundary writes when materialized — only
-    shrink when the estimates are right.  Order-sensitive operators
-    ([Diff], hierarchical, references) keep their operand order. *)
+val access : node -> Ast.t -> choice option
+(** The access decision a plan took for one of its atomics, found by
+    identity among the subtrees of its root's [query]. *)
+
+val op_label : Ast.t -> string
+(** The operator name of a tree's root: ["atomic"], ["&"], ["vd"], ... *)
 
 val shape : Ast.t -> string
 (** The normalized plan: the operator tree with literal constants
@@ -141,7 +154,6 @@ val pp_node : Format.formatter -> node -> unit
     access decision additionally print the chosen path and the rejected
     alternatives with their losing costs. *)
 
-val pp : Format.formatter -> node -> unit
 val to_string : node -> string
 
 val total_actual_io : node -> int

@@ -11,6 +11,7 @@
 type 'a leaf = {
   mutable lkeys : int array;
   mutable lvals : 'a list array;  (* posting list per key, newest first *)
+  mutable lcounts : int array;  (* length of each key's posting list *)
   mutable lcount : int;
   mutable ltotal : int;  (* postings held by this leaf *)
   mutable next : 'a leaf option;
@@ -40,6 +41,7 @@ let fresh_leaf order =
        between the insert and the split that follows *)
     lkeys = Array.make ((2 * order) + 1) 0;
     lvals = Array.make ((2 * order) + 1) [];
+    lcounts = Array.make ((2 * order) + 1) 0;
     lcount = 0;
     ltotal = 0;
     next = None;
@@ -77,13 +79,17 @@ let child_index ikeys icount k =
 
 let leaf_insert leaf k v =
   let pos = lower_bound leaf.lkeys leaf.lcount k in
-  if pos < leaf.lcount && leaf.lkeys.(pos) = k then
-    leaf.lvals.(pos) <- v :: leaf.lvals.(pos)
+  if pos < leaf.lcount && leaf.lkeys.(pos) = k then begin
+    leaf.lvals.(pos) <- v :: leaf.lvals.(pos);
+    leaf.lcounts.(pos) <- leaf.lcounts.(pos) + 1
+  end
   else begin
     Array.blit leaf.lkeys pos leaf.lkeys (pos + 1) (leaf.lcount - pos);
     Array.blit leaf.lvals pos leaf.lvals (pos + 1) (leaf.lcount - pos);
+    Array.blit leaf.lcounts pos leaf.lcounts (pos + 1) (leaf.lcount - pos);
     leaf.lkeys.(pos) <- k;
     leaf.lvals.(pos) <- [ v ];
+    leaf.lcounts.(pos) <- 1;
     leaf.lcount <- leaf.lcount + 1
   end
 
@@ -92,7 +98,7 @@ let node_total = function Leaf l -> l.ltotal | Internal i -> i.itotal
 let leaf_total leaf =
   let n = ref 0 in
   for i = 0 to leaf.lcount - 1 do
-    n := !n + List.length leaf.lvals.(i)
+    n := !n + leaf.lcounts.(i)
   done;
   !n
 
@@ -109,6 +115,7 @@ let split_leaf t leaf =
   let moved = leaf.lcount - half in
   Array.blit leaf.lkeys half right.lkeys 0 moved;
   Array.blit leaf.lvals half right.lvals 0 moved;
+  Array.blit leaf.lcounts half right.lcounts 0 moved;
   (* Clear moved slots so posting lists do not leak into the left node. *)
   Array.fill leaf.lvals half moved [];
   right.lcount <- moved;
@@ -218,9 +225,12 @@ let rec remove_node t node k v =
                 let tail = leaf.lcount - pos - 1 in
                 Array.blit leaf.lkeys (pos + 1) leaf.lkeys pos tail;
                 Array.blit leaf.lvals (pos + 1) leaf.lvals pos tail;
+                Array.blit leaf.lcounts (pos + 1) leaf.lcounts pos tail;
                 leaf.lcount <- leaf.lcount - 1;
                 leaf.lvals.(leaf.lcount) <- []
-            | _ -> leaf.lvals.(pos) <- rest);
+            | _ ->
+                leaf.lvals.(pos) <- rest;
+                leaf.lcounts.(pos) <- leaf.lcounts.(pos) - 1);
             leaf.ltotal <- leaf.ltotal - 1;
             charge_write t;
             true)
@@ -275,9 +285,10 @@ let range t ~lo ~hi =
     List.rev !acc
   end
 
-(* Postings with key <= k, from the maintained subtree totals: one
-   root-to-leaf descent, each visited node charged as a read, children
-   left of the descent path contributing their totals wholesale. *)
+(* Postings with key <= k, from the maintained subtree totals and
+   per-key counts: one root-to-leaf descent, each visited node charged
+   as a read, children left of the descent path contributing their
+   totals wholesale. *)
 let count_le t k =
   let rec go node =
     charge_read t;
@@ -286,7 +297,7 @@ let count_le t k =
         let n = ref 0 in
         let i = ref 0 in
         while !i < leaf.lcount && leaf.lkeys.(!i) <= k do
-          n := !n + List.length leaf.lvals.(!i);
+          n := !n + leaf.lcounts.(!i);
           incr i
         done;
         !n
@@ -333,7 +344,8 @@ let rec check_node node ~lo ~hi ~depth =
       done;
       for i = 0 to leaf.lcount - 1 do
         (match lo with Some l -> assert (leaf.lkeys.(i) >= l) | None -> ());
-        (match hi with Some h -> assert (leaf.lkeys.(i) < h) | None -> ())
+        (match hi with Some h -> assert (leaf.lkeys.(i) < h) | None -> ());
+        assert (leaf.lcounts.(i) = List.length leaf.lvals.(i))
       done;
       assert (leaf.ltotal = leaf_total leaf);
       depth

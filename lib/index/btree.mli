@@ -32,11 +32,13 @@ val range : 'a t -> lo:int -> hi:int -> (int * 'a list) list
 
 val count_range : 'a t -> lo:int -> hi:int -> int
 (** Cardinality of [range ~lo ~hi] without materializing the postings:
-    maintained subtree totals make it O(log n) page reads (at most two
-    boundary descents; zero for the unbounded range). *)
+    maintained subtree totals and per-key posting counts make it
+    O(log n) page reads and time, however many postings a key holds (at
+    most two boundary descents; zero for the unbounded range). *)
 
 val fold_all : ('acc -> int -> 'a list -> 'acc) -> 'acc -> 'a t -> 'acc
 (** Fold over all keys in order (unaccounted; used by tests). *)
 
 val check_invariants : 'a t -> unit
-(** Assert key ordering, separator bounds and uniform depth. *)
+(** Assert key ordering, separator bounds, uniform depth and the
+    maintained totals and per-key counts. *)

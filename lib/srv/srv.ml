@@ -278,7 +278,8 @@ let failure = function
   | S_busy -> Some (`Shed, "busy")
   | S_error msg -> Some (`Error, msg)
 
-(* Evaluate one query on a worker's engine, appending rows to [out]
+(* Evaluate one query on a worker's engine, through the plan
+   [Engine.eval] would run ([Engine.plan]), appending rows to [out]
    and calling [flush] at every 64-row boundary (the rows still in
    [out] at the end are the caller's to send), checking the deadline
    between rows.  Returns the final status, the rows produced, the
@@ -304,13 +305,16 @@ let execute engine ~query_text ~deadline_ns ~out ~flush =
     in
     t_parsed := Mclock.now_ns ();
     t_done := !t_parsed;
-    let planned, status =
+    let planned = ref None in
+    let status =
       match parsed with
-      | Error msg -> (None, S_error msg)
+      | Error msg -> S_error msg
       | Ok ast ->
           let status = ref S_ok in
           (try
-             let src = Engine.eval_node_src engine ast in
+             let plan = Engine.plan ~mode:Engine.Streaming engine ast in
+             planned := Some plan;
+             let src = Engine.run_src engine plan in
              let rec pump n =
                if Mclock.now_ns () > deadline_ns then status := S_deadline
                else
@@ -331,16 +335,16 @@ let execute engine ~query_text ~deadline_ns ~out ~flush =
           | Exit -> ()
           | e -> status := S_error (Printexc.to_string e));
           t_done := Mclock.now_ns ();
-          (Some ast, !status)
+          !status
     in
-    (status, { Engine.planned; rows = !rows; failure = failure status })
+    (status, { Engine.planned = !planned; rows = !rows; failure = failure status })
   in
   let status =
     Engine.with_forced_tracing true @@ fun () ->
     Trace.with_trace_id tid @@ fun () ->
     Trace.with_actor "srv" @@ fun () ->
     match
-      Engine.ledger engine ~mode:Engine.Streaming ~label:"serve" ~origin:"srv"
+      Engine.ledger ~mode:Engine.Streaming ~label:"serve" ~origin:"srv"
         stats (Engine.Text query_text) ~note:served_note run
     with
     | status, _ -> status

@@ -108,16 +108,16 @@ let test_profile_matches_eval () =
       Testkit.check_entries ("profile result: " ^ text) expected
         (Ext_list.to_list result);
       (* every node carries actuals after profiling *)
-      let rec all_filled (n : Explain.node) =
-        n.Explain.actual_rows <> None
-        && n.Explain.actual_io <> None
-        && List.for_all all_filled n.Explain.children
+      let rec all_filled (n : Plan.node) =
+        n.Plan.actual_rows <> None
+        && n.Plan.actual_io <> None
+        && List.for_all all_filled n.Plan.children
       in
       Alcotest.(check bool) "actuals filled" true (all_filled plan);
       (* the root's actual row count is the result size *)
       Alcotest.(check (option int)) "root rows"
         (Some (List.length expected))
-        plan.Explain.actual_rows)
+        plan.Plan.actual_rows)
     [
       "( ? sub ? priority>=5)";
       "(- ( ? sub ? objectClass=node) ( ? sub ? tag=red))";
@@ -138,13 +138,13 @@ let test_estimate_shape () =
        objectClass=dcObject))"
   in
   let plan = Explain.estimate eng q in
-  Alcotest.(check string) "root label" "a" plan.Explain.label;
-  Alcotest.(check int) "two children" 2 (List.length plan.Explain.children);
-  Alcotest.(check bool) "estimates positive" true (plan.Explain.est_io > 0);
+  Alcotest.(check string) "root label" "a" plan.Plan.label;
+  Alcotest.(check int) "two children" 2 (List.length plan.Plan.children);
+  Alcotest.(check bool) "estimates positive" true (plan.Plan.est_io > 0);
   (* estimation must not execute anything *)
-  Alcotest.(check bool) "no actuals" true (plan.Explain.actual_rows = None);
+  Alcotest.(check bool) "no actuals" true (plan.Plan.actual_rows = None);
   (* rendering works *)
-  let text = Fmt.str "%a" Explain.pp_node plan in
+  let text = Fmt.str "%a" Plan.pp_node plan in
   Alcotest.(check bool) "renders" true (String.length text > 0)
 
 let prop_profile_total_io_near_engine (i, q) =
@@ -153,7 +153,7 @@ let prop_profile_total_io_near_engine (i, q) =
      bounded by 4x either way) *)
   let eng = Engine.create ~block:8 i in
   let _, plan = Explain.profile eng q in
-  let total = Explain.total_actual_io plan in
+  let total = Plan.total_actual_io plan in
   Engine.reset_stats eng;
   ignore (Engine.eval eng q);
   let direct = Io_stats.total_io (Engine.stats eng) in
@@ -184,7 +184,7 @@ let test_profile_honours_window () =
         profile_vs_eval ~mk:(fun () -> Testkit.engine ~window:1 i) ~mode q
       in
       Alcotest.(check int) "per-node io sums to eval's" direct
-        (Explain.total_actual_io plan))
+        (Plan.total_actual_io plan))
     Engine.[ Streaming; Materialized ]
 
 (* Profile and eval run the same walker: same result, the root's rows
@@ -198,8 +198,8 @@ let prop_profile_is_eval (i, q) =
       let result = Ext_list.to_list result in
       List.length result = List.length expected
       && List.for_all2 Entry.equal_dn result expected
-      && plan.Explain.actual_rows = Some (List.length expected)
-      && Explain.total_actual_io plan = direct)
+      && plan.Plan.actual_rows = Some (List.length expected)
+      && Plan.total_actual_io plan = direct)
     Engine.[ Streaming; Materialized ]
 
 let () =

@@ -408,6 +408,41 @@ let test_planning_cost_flat () =
         Alcotest.failf "%s atomic: min choose_path %d ns at 64k > 8x %d ns at 1k" scope t64 t1)
     rows
 
+(* A B-tree count reads per-key posting counts, so a boundary key's
+   postings are not walked: [count_range] over a key holding 16k
+   postings must take at most 8x the min-of-50 time (each sample a
+   batch of 1,000 calls, as [Mclock] ticks in microseconds) of the same
+   count over a key holding 1k.  The tree holds 10 keys, like
+   Dif_gen's [priority], with the boundary key in the middle. *)
+let test_btree_count_flat_in_postings () =
+  let samples = 50 and batch = 1_000 in
+  let measure postings =
+    let _, pager = with_pager () in
+    let bt = Btree.create pager in
+    for k = 0 to 9 do
+      for v = 1 to postings do
+        Btree.insert bt k v
+      done
+    done;
+    let count () = ignore (Btree.count_range bt ~lo:5 ~hi:5) in
+    count ();
+    let best = ref max_int in
+    for _ = 1 to samples do
+      let t0 = Mclock.now_ns () in
+      for _ = 1 to batch do
+        count ()
+      done;
+      best := min !best ((Mclock.now_ns () - t0) / batch)
+    done;
+    !best
+  in
+  let t1 = measure 1_000 and t16 = measure 16_000 in
+  Printf.printf "count_range over one key: %d ns at 1k postings, %d ns at 16k (%.1fx)\n" t1
+    t16
+    (float_of_int t16 /. float_of_int (max 1 t1));
+  if t16 > 8 * max 1 t1 then
+    Alcotest.failf "count_range %d ns over 16k postings > 8x %d ns over 1k" t16 t1
+
 (* --- The scan and join inner loops allocate nothing per entry ------------------- *)
 
 (* A karily instance's entries, each also referencing itself through
@@ -634,6 +669,8 @@ let () =
           Alcotest.test_case "L2 tree bound + memory" `Slow test_engine_l2_bound;
           Alcotest.test_case "engine scaling" `Slow test_engine_scaling_linear;
           Alcotest.test_case "planning cost flat in N" `Quick test_planning_cost_flat;
+          Alcotest.test_case "btree count flat in postings" `Quick
+            test_btree_count_flat_in_postings;
           Alcotest.test_case "filter allocates nothing" `Quick test_filter_allocates_nothing;
           Alcotest.test_case "reference keys not rebuilt" `Quick test_ref_keys_not_rebuilt;
           Alcotest.test_case "sweep words per entry flat" `Slow test_sweep_words_flat;

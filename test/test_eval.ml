@@ -475,6 +475,88 @@ let test_planner_cache_path () =
   let _, _, cached = Engine.path_counts eng in
   Alcotest.(check bool) "the cache path served an atomic" true (cached > 0)
 
+(* One plan per query: over generated serving trees, with the result
+   cache on and off and under every planner policy, the paths the
+   journal event names, the paths execution counted ([path_counts])
+   and the chosen paths [Explain.estimate] shows are the same set, each
+   priced atomic is counted once, and the answer is the oracle's.  With
+   the cache on, every atomic sub-query is evaluated first so the cache
+   path is on offer; a root that hits runs no plan, so its event names
+   no path and nothing is counted. *)
+let gen_mix_query =
+  QCheck2.Gen.map
+    (fun seed ->
+      let instance =
+        Dif_gen.generate ~params:{ Dif_gen.default_params with seed; size = 150 } ()
+      in
+      (instance, (Query_mix.generate_ast ~seed ~count:1 instance).(0)))
+    QCheck2.Gen.(int_range 1 10_000)
+
+let prop_one_plan (instance, q) =
+  let expected = Testkit.oracle instance q in
+  let journal = Filename.temp_file "ndq_oneplan" ".jsonl" in
+  let paths_of counts =
+    List.filter_map
+      (fun (name, n) -> if n > 0 then Some name else None)
+      (List.combine [ "cache"; "index"; "scan" ] counts)
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove journal)
+    (fun () ->
+      List.for_all
+        (fun (cached, planner) ->
+          let result_cache =
+            if cached then Some (Cache.create ~admit_min_io:0 ()) else None
+          in
+          let eng = Engine.create ~block:8 ?result_cache ~planner instance in
+          if cached then
+            List.iter
+              (fun a -> ignore (Engine.eval eng (Ast.Atomic a)))
+              (Ast.atomic_subqueries q);
+          let est = Explain.estimate eng q in
+          let chosen =
+            List.filter_map
+              (fun ((n : Plan.node), _) ->
+                Option.map
+                  (fun (c : Plan.choice) -> Plan.path_name c.Plan.chosen.Plan.alt_path)
+                  n.Plan.access)
+              (Plan.flatten est)
+          in
+          let i0, s0, c0 = Engine.path_counts eng in
+          Qlog.enable ~append:false journal;
+          let actual =
+            Fun.protect ~finally:Qlog.disable (fun () -> Engine.eval_entries eng q)
+          in
+          let i1, s1, c1 = Engine.path_counts eng in
+          let counts = [ c1 - c0; i1 - i0; s1 - s0 ] in
+          let ev =
+            match Qlog.load journal with
+            | [ ev ] -> ev
+            | evs -> QCheck2.Test.fail_reportf "%d journal events" (List.length evs)
+          in
+          let agree =
+            if ev.Qlog.cache = Some "hit" then
+              ev.Qlog.path = None && List.for_all (( = ) 0) counts
+            else
+              let names = List.sort_uniq String.compare chosen in
+              ev.Qlog.path
+              = (match names with [] -> None | l -> Some (String.concat "," l))
+              && paths_of counts = List.sort String.compare names
+              && List.fold_left ( + ) 0 counts = List.length chosen
+          in
+          if not agree then
+            QCheck2.Test.fail_reportf "%s (cache %b): journal path %s, estimate %s, counts %s"
+              (Qprinter.to_string q) cached
+              (Option.value ~default:"-" ev.Qlog.path)
+              (String.concat "," chosen)
+              (String.concat "," (List.map string_of_int counts));
+          List.length expected = List.length actual
+          && List.for_all2 Entry.equal_dn expected actual)
+        [
+          (false, Engine.Auto); (false, Engine.Force_index); (false, Engine.Force_scan);
+          (true, Engine.Auto); (true, Engine.Force_index); (true, Engine.Force_scan);
+        ])
+
 (* A directory-watched engine follows an update: a query through the
    index path sees the new value, from an attribute index patched in
    place rather than rebuilt. *)
@@ -811,5 +893,7 @@ let () =
             gen_update_ops prop_incremental_maintenance;
           Alcotest.test_case "explain renders chosen vs rejected" `Quick
             test_explain_shows_paths;
+          Testkit.qtest ~count:40 "journal, path counts and explain share one plan"
+            gen_mix_query prop_one_plan;
         ] );
     ]

@@ -485,7 +485,7 @@ let test_ledger_failed_run () =
       Tail.set_sample_every 0;
       let raised =
         match
-          Engine.ledger eng ~mode:Engine.Streaming ~label:"execute"
+          Engine.ledger ~mode:Engine.Streaming ~label:"execute"
             ~origin:"engine" (Engine.stats eng) (Engine.Tree q)
             ~note:(Engine.plain_note None) (fun () -> failwith "boom")
         with
@@ -566,21 +566,21 @@ let test_profile_actual_ns () =
   in
   let _, plan = Explain.profile eng q in
   let rec walk n =
-    (match n.Explain.actual_ns with
-    | None -> Alcotest.failf "node %s has no actual_ns" n.Explain.label
+    (match n.Plan.actual_ns with
+    | None -> Alcotest.failf "node %s has no actual_ns" n.Plan.label
     | Some ns ->
         Alcotest.(check bool)
-          (Printf.sprintf "%s: actual_ns %d >= 0" n.Explain.label ns)
+          (Printf.sprintf "%s: actual_ns %d >= 0" n.Plan.label ns)
           true (ns >= 0));
-    (match n.Explain.actual_io with
-    | None -> Alcotest.failf "node %s has no actual_io" n.Explain.label
+    (match n.Plan.actual_io with
+    | None -> Alcotest.failf "node %s has no actual_io" n.Plan.label
     | Some io ->
-        Alcotest.(check bool) (n.Explain.label ^ ": io >= 0") true (io >= 0));
-    List.iter walk n.Explain.children
+        Alcotest.(check bool) (n.Plan.label ^ ": io >= 0") true (io >= 0));
+    List.iter walk n.Plan.children
   in
   walk plan;
   Alcotest.(check bool) "total ns non-negative" true
-    (Explain.total_actual_ns plan >= 0)
+    (Plan.total_actual_ns plan >= 0)
 
 let test_observe_nan_guard () =
   (* a NaN observation must not poison count/sum/quantiles: it clamps

@@ -180,6 +180,37 @@ let test_served_slowlog () =
               Alcotest.(check string) "root span" "serve"
                 (Json.str (Json.member "name" root))))
 
+(* One plan whichever entry point runs a query: a boolean chain
+   written largest operand first, served and then run through
+   [Engine.eval], journals the same fingerprint (of the reordered
+   tree, not the text as written) and the same access paths. *)
+let test_served_plan_is_eval_plan () =
+  let instance = mk_instance () in
+  let text = "(& ( ? sub ? id=* ) ( ? sub ? priority=3))" in
+  let q = Qparser.of_string ~schema:(Instance.schema instance) text in
+  let path = Filename.temp_file "ndq_srv_plan" ".jsonl" in
+  Qlog.enable ~append:false path;
+  Fun.protect
+    ~finally:(fun () ->
+      Qlog.disable ();
+      Sys.remove path)
+    (fun () ->
+      with_srv ~workers:1 instance (fun srv ->
+          let status, _, _ =
+            Monitor.request ~meth:"POST" ~body:text ~port:(Srv.port srv) "/query"
+          in
+          Alcotest.(check int) "query served" 200 status);
+      ignore (Engine.eval (Engine.create ~block:32 instance) q);
+      Qlog.disable ();
+      match Qlog.load path with
+      | [ served; local ] ->
+          Alcotest.(check bool) "the chain was reordered" true
+            (local.Qlog.fingerprint <> Plan.fingerprint q);
+          Alcotest.(check string) "same fingerprint" local.Qlog.fingerprint
+            served.Qlog.fingerprint;
+          Alcotest.(check (option string)) "same paths" local.Qlog.path served.Qlog.path
+      | evs -> Alcotest.failf "expected 2 journal events, got %d" (List.length evs))
+
 (* The ledger's tier-1 twin: over N served requests, parse errors
    among them, the journal holds one event per request counted in
    srv_requests_total, every answered query's event carries the
@@ -642,6 +673,8 @@ let () =
           Alcotest.test_case "routes and streaming" `Quick test_http_routes;
           Alcotest.test_case "served slow query on /slowlog" `Quick
             test_served_slowlog;
+          Alcotest.test_case "served plan is the eval plan" `Quick
+            test_served_plan_is_eval_plan;
           Alcotest.test_case "served ledger reconciles" `Quick
             test_served_ledger;
         ] );
