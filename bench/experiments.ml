@@ -960,6 +960,51 @@ let e23 () =
     don.Io_stats.bytes_shipped
     (doff.Io_stats.messages - don.Io_stats.messages)
     (100. *. Cache.hit_rate ds);
+  (* Retention, outside the telemetry rows: eight selective scans (a
+     page of result for a whole subtree read) against one whole-root
+     result that fits the budget alone but not beside them, and is cheap
+     per page it holds.  Exact LRU let every store of it flush the hot
+     set; the cache must refuse it and keep serving the hot scans. *)
+  let rinst =
+    Dif_gen.generate
+      ~params:{ Dif_gen.default_params with size = 4_000; roots = 1; seed = 41 }
+      ()
+  in
+  let reng_cache = Cache.create () in
+  let reng =
+    Engine.create ~mode:!eval_mode ~block ~with_attr_index:false
+      ~result_cache:reng_cache rinst
+  in
+  let hot =
+    Array.init 8 (fun k ->
+        Qparser.of_string (Printf.sprintf "(dc=root0 ? sub ? id<%d)" (k + 2)))
+  and tail = Qparser.of_string "(dc=root0 ? sub ? id>=0)" in
+  let tail_pages = pages (Ext_list.length (Engine.eval reng tail)) in
+  Cache.clear reng_cache;
+  Cache.set_budget_pages reng_cache (tail_pages + 4);
+  let rrng = Prng.create 61 in
+  let hot_lookups = ref 0 and hot_hits = ref 0 in
+  let tail_lookups = ref 0 and tail_rejects = ref 0 in
+  for _ = 1 to 400 do
+    let s0 = Cache.stats reng_cache in
+    if Prng.flip rrng 0.1 then begin
+      ignore (Engine.eval reng tail);
+      incr tail_lookups;
+      tail_rejects :=
+        !tail_rejects + (Cache.stats reng_cache).Cache.rejects - s0.Cache.rejects
+    end
+    else begin
+      ignore (Engine.eval reng hot.(Prng.int rrng (Array.length hot)));
+      incr hot_lookups;
+      hot_hits := !hot_hits + (Cache.stats reng_cache).Cache.hits - s0.Cache.hits
+    end
+  done;
+  let rs = Cache.stats reng_cache in
+  let hot_hit_rate = ratio !hot_hits !hot_lookups in
+  row "@.retention: %d hot lookups + %d of a %d-page tail, budget %d pages@."
+    !hot_lookups !tail_lookups tail_pages rs.Cache.budget_pages;
+  row "%12s %10.3f %12s %10d %12s %10d@." "hot hit rate" hot_hit_rate
+    "tail refused" !tail_rejects "evictions" rs.Cache.evictions;
   (* Structured stats for the CI artifact. *)
   let out = open_out "BENCH_cache_stats.json" in
   Printf.fprintf out
@@ -970,7 +1015,11 @@ let e23 () =
      \"read_reduction\": %.2f},\n\
     \  \"dist\": {\"hits\": %d, \"misses\": %d, \"stale\": %d,\n\
     \    \"hit_rate\": %.3f, \"messages_off\": %d, \"messages_on\": %d, \
-     \"bytes_off\": %d, \"bytes_on\": %d}\n\
+     \"bytes_off\": %d, \"bytes_on\": %d},\n\
+    \  \"retention\": {\"hot_lookups\": %d, \"hot_hits\": %d, \
+     \"hot_hit_rate\": %.3f,\n\
+    \    \"tail_lookups\": %d, \"tail_rejects\": %d, \"tail_pages\": %d, \
+     \"evictions\": %d, \"budget_pages\": %d}\n\
      }\n"
     cs.Cache.hits cs.Cache.misses cs.Cache.stale cs.Cache.evictions
     cs.Cache.rejects (Cache.hit_rate cs) off.Io_stats.page_reads
@@ -978,7 +1027,8 @@ let e23 () =
     (ratio off.Io_stats.page_reads (max 1 on.Io_stats.page_reads))
     ds.Cache.hits ds.Cache.misses ds.Cache.stale (Cache.hit_rate ds)
     doff.Io_stats.messages don.Io_stats.messages doff.Io_stats.bytes_shipped
-    don.Io_stats.bytes_shipped;
+    don.Io_stats.bytes_shipped !hot_lookups !hot_hits hot_hit_rate !tail_lookups
+    !tail_rejects tail_pages rs.Cache.evictions rs.Cache.budget_pages;
   close_out out;
   row "wrote cache stats to BENCH_cache_stats.json@.";
   (* One stitched distributed trace for the CI artifact: trace the

@@ -1,7 +1,8 @@
 (* Distributed directories (Sections 3.3 / 8.3): the namespace is split
    into DNS-style domains, each served by its own server; a coordinator
    ships atomic sub-queries to the owning servers and combines the
-   results locally.
+   results locally.  (Primary/secondary replication of the domains,
+   Section 3.3, is experiment E21's: bench/ablation/replicated.ml.)
 
    Run with:  dune exec examples/distributed_directory.exe *)
 
@@ -53,32 +54,6 @@ let () =
 
   run "hierarchy operators over shipped operands" (Dn.of_string "dc=root0")
     "(a ( ? sub ? objectClass=person) ( ? sub ? objectClass=organizationalUnit))";
-
-  (* Replication: each domain has a primary and secondaries; updates hit
-     the primary, secondaries catch up on replicate, failover promotes
-     the most-caught-up secondary (Section 3.3, footnote 4). *)
-  let repl = Replicated.deploy ~secondaries:2 dir domains in
-  let entry k =
-    Entry.make
-      (Dn.of_string (Printf.sprintf "id=%d, dc=root0" (700000 + k)))
-      [ ("id", Value.Int (700000 + k)); ("surName", Value.Str "replicated");
-        (Schema.object_class, Value.Str "person") ]
-  in
-  List.iter
-    (fun k ->
-      match Replicated.update repl (Replicated.Add (entry k)) with
-      | Ok () -> ()
-      | Error e -> Fmt.epr "update rejected: %a@." Directory.pp_error e)
-    [ 1; 2; 3 ];
-  Fmt.pr "@.== replication@.after 3 updates, max secondary lag = %d@."
-    (Replicated.max_lag repl);
-  Replicated.replicate repl;
-  Fmt.pr "after replicate: lag = %d, consistent = %b, traffic = %d msgs / %d           bytes@."
-    (Replicated.max_lag repl) (Replicated.consistent repl)
-    repl.Replicated.stats.Io_stats.messages
-    repl.Replicated.stats.Io_stats.bytes_shipped;
-  let lost = Replicated.fail_primary repl (Dn.of_string "dc=root0") in
-  Fmt.pr "primary failover: %d updates lost, group keeps serving@." lost;
 
   (* Sanity: distributed answers match centralized evaluation. *)
   let coord = Dist.coordinator net (Dn.of_string "dc=root0") in

@@ -1,23 +1,27 @@
 (** The semantic query-result cache.
 
-    Entries are keyed by normalized plan fingerprint plus the exact
-    query text (so the constant-eliding, 64-bit fingerprint can never
-    alias two different queries), and carry the query's dn-subtree
+    Entries are keyed by the exact query text plus the query tree, as
+    two trees can print alike, and carry the query's dn-subtree
     {!Footprint} with its {!Vtrie} version stamps.  A hit is served iff
     every stamp is current: updates outside the footprint never cost a
-    cached result, updates inside it always invalidate.  Bounded by a
-    page budget with exact LRU eviction; admission is cost-aware.
+    cached result, updates inside it always invalidate.
+
+    A page budget bounds the entries under GreedyDual-Size priced in
+    page io: an entry's priority is [L + cost_io / pages], reset on
+    each hit; an eviction takes the lowest priority (ties to the least
+    recently used) and raises [L] to it, so equal cost per page is
+    exact LRU.  A result is admitted only if its measured io reaches a
+    threshold and no entry it would displace has a higher priority.
 
     A cache is an explicit handle, like [Io_stats] — no globals.
-    {!attach} subscribes it to a {!Directory}'s update hooks (at most
-    once per directory); the directory's generation counter is the
-    coarse safety net, invalidating everything if it ever advances
-    without a matching hook notification. *)
+    {!attach} subscribes it to a {!Directory}'s update hooks; the
+    directory's generation counter is the coarse safety net,
+    invalidating everything if it advances without a notification. *)
 
 type t
 
 type outcome =
-  | Hit of Entry.t array  (** fresh result, already in LRU order *)
+  | Hit of Entry.t array  (** fresh result, its priority reset *)
   | Stale  (** was cached, but its footprint's version advanced *)
   | Miss
 
@@ -34,27 +38,23 @@ val note_update : ?subtree:bool -> t -> Dn.t -> unit
 (** Record an update at [dn] directly (for sources without hooks, e.g.
     a distributed coordinator told of a remote write). *)
 
-val find : t -> fingerprint:string -> query:string -> outcome
-(** Look up; a [Stale] entry is dropped and counted. *)
+val find : t -> query:string -> Ast.t -> outcome
+(** Look up the result stored for this text and tree; a [Stale] entry
+    is dropped and counted. *)
 
-val peek : t -> fingerprint:string -> query:string -> Entry.t array option
+val peek : t -> query:string -> Ast.t -> Entry.t array option
 (** Read-only probe: the fresh cached result if one exists, moving no
-    counters and leaving the LRU order (and any stale entry) untouched.
+    counters and leaving every priority (and any stale entry) untouched.
     This is what the cost-based planner prices the cache path from —
     planning must not look like serving. *)
 
 val store :
-  t ->
-  fingerprint:string ->
-  query:string ->
-  footprint:Footprint.t ->
-  cost_io:int ->
-  pages:int ->
-  Entry.t array ->
-  bool
-(** Admit a result (evicting LRU entries to fit the budget), or refuse
-    it — [false] — when [cost_io] is under the admission threshold or
-    it alone exceeds the budget. *)
+  t -> query:string -> Ast.t -> footprint:Footprint.t -> cost_io:int -> pages:int ->
+  Entry.t array -> bool
+(** Admit a result, evicting the lowest priorities to fit the budget,
+    or refuse it — [false] — when [cost_io] is under the admission
+    threshold, it alone exceeds the budget, or it would displace an
+    entry of higher priority than its own [L + cost_io / pages]. *)
 
 val clear : t -> unit
 (** Drop every entry (counters survive). *)
@@ -65,6 +65,10 @@ val set_budget_pages : t -> int -> unit
 
 val admit_min_io : t -> int
 val set_admit_min_io : t -> int -> unit
+
+val check : t -> unit
+(** For tests: raise [Failure] unless the heap is ordered, table and
+    heap agree, and the page and byte totals are sums within budget. *)
 
 type stats = {
   hits : int;
@@ -85,5 +89,4 @@ val hit_rate : stats -> float
 (** The stats snapshot (plus derived hit rate) as a JSON object — the
     payload behind the introspection server's [/cache] route. *)
 val stats_json : t -> Json.t
-val pp_stats : Format.formatter -> stats -> unit
 val pp : Format.formatter -> t -> unit

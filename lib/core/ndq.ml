@@ -98,9 +98,6 @@ module Fuse = Fuse
 module Dist = Dist
 (** Distributed evaluation across domain-owning servers (Section 8.3). *)
 
-module Replicated = Replicated
-(** Primary/secondary replication of domain partitions (Section 3.3). *)
-
 (** {1 Observability} *)
 
 module Metrics = Metrics

@@ -188,15 +188,13 @@ let eval_shards t (a : Ast.atomic) =
                     match t.result_cache with
                     | None -> None
                     | Some c ->
-                        let fingerprint = Plan.fingerprint (Ast.Atomic a) in
                         let ckey =
                           Qprinter.to_string (Ast.Atomic a) ^ " @" ^ s.name
                         in
-                        Some (c, fingerprint, ckey,
-                              Cache.find c ~fingerprint ~query:ckey)
+                        Some (c, ckey, Cache.find c ~query:ckey (Ast.Atomic a))
                 in
                 match probe with
-                | Some (_, _, _, Cache.Hit arr) ->
+                | Some (_, _, Cache.Hit arr) ->
                     Metrics.add (m_saved_messages s.name) 2;
                     Metrics.add (m_saved_bytes s.name)
                       (query_bytes a + entries_bytes arr);
@@ -214,12 +212,11 @@ let eval_shards t (a : Ast.atomic) =
                     let arr = Array.of_list (Ext_list.to_list result) in
                     if not local then ship t s ~bytes:(entries_bytes arr);
                     (match probe with
-                    | Some (c, fingerprint, ckey, (Cache.Miss | Cache.Stale))
-                      ->
+                    | Some (c, ckey, (Cache.Miss | Cache.Stale)) ->
                         (* Cost is counted in messages: a hit saves the
                            two of a round trip. *)
                         ignore
-                          (Cache.store c ~fingerprint ~query:ckey
+                          (Cache.store c ~query:ckey (Ast.Atomic a)
                              ~footprint:(Footprint.of_query (Ast.Atomic a))
                              ~cost_io:2
                              ~pages:(Pager.pages_of t.pager (Array.length arr))

@@ -176,10 +176,7 @@ let atomic_cache_hit t (a : Ast.atomic) =
   | None -> None
   | Some c -> (
       let q = Ast.Atomic a in
-      match
-        Cache.find c ~fingerprint:(Plan.fingerprint q)
-          ~query:(Qprinter.to_string q)
-      with
+      match Cache.find c ~query:(Qprinter.to_string q) q with
       | Cache.Hit arr -> Some arr
       | Cache.Miss | Cache.Stale -> None)
 
@@ -501,7 +498,7 @@ let plan_paths plan =
 
 type subject =
   | Tree of Ast.t
-  | Keyed of Ast.t * string * string  (* with its fingerprint and text *)
+  | Keyed of Ast.t * string  (* with its printed text *)
   | Text of string
 
 type report = {
@@ -558,7 +555,7 @@ let journal_run ~mode subject (n : note) ~plan ~rows ~outcome ~wall_ns ~reads
   let query, fingerprint =
     match (subject, plan) with
     | Tree q, _ -> (Qprinter.to_string q, Plan.fingerprint q)
-    | Keyed (_, fingerprint, text), _ -> (text, fingerprint)
+    | Keyed (q, text), _ -> (text, Plan.fingerprint q)
     | Text s, Some p -> (s, Plan.fingerprint p.Plan.query)
     | Text s, None -> (s, "(parse)")
   in
@@ -586,7 +583,7 @@ let measured ~mode ~label ~origin stats subject ~note ~journal run =
     else
       match subject with
       | Tree q -> query_detail q
-      | Keyed (_, _, s) -> short_detail s
+      | Keyed (_, s) -> short_detail s
       | Text s -> s
   in
   (* the thunk catches, so a failed run's tree is ours too *)
@@ -661,14 +658,14 @@ let note_hit = plain_note (Some "hit")
    already holds its plan.  [probe] says how the result cache answered
    the lookup ([`Bypass] when there is none): a [`Miss] or [`Stale]
    result is offered back to the cache — admission decides — under the
-   fingerprint and text the lookup took, with the measured io as its
-   cost and its dn-subtree footprint for invalidation. *)
+   text the lookup took, with the measured io as its cost and its
+   dn-subtree footprint for invalidation. *)
 let eval_uncached t ~mode q ~planned ~probe =
   let subject, note =
     match probe with
     | `Bypass -> (Tree q, note_bypass)
-    | `Miss (fingerprint, text) -> (Keyed (q, fingerprint, text), note_miss)
-    | `Stale (fingerprint, text) -> (Keyed (q, fingerprint, text), note_stale)
+    | `Miss text -> (Keyed (q, text), note_miss)
+    | `Stale text -> (Keyed (q, text), note_stale)
   in
   let out, cost =
     ledger ~mode ~label:"execute" ~origin:"engine" (stats t) subject ~note
@@ -679,11 +676,11 @@ let eval_uncached t ~mode q ~planned ~probe =
   in
   count_query cost;
   (match (t.result_cache, probe) with
-  | Some c, (`Miss (fingerprint, query) | `Stale (fingerprint, query)) ->
+  | Some c, (`Miss query | `Stale query) ->
       Metrics.observe_ns m_miss_ns cost.wall_ns;
       let arr = Ext_list.to_array out in
       ignore
-        (Cache.store c ~fingerprint ~query ~footprint:(Footprint.of_query q)
+        (Cache.store c ~query q ~footprint:(Footprint.of_query q)
            ~cost_io:(cost.reads + cost.writes)
            ~pages:(Pager.pages_of t.pager (Array.length arr))
            arr)
@@ -737,15 +734,13 @@ let eval ?mode t q =
   match t.result_cache with
   | None -> eval_uncached t ~mode q ~planned ~probe:`Bypass
   | Some c -> (
-      (* the cache key, taken once for the lookup, the store and the
+      (* the cache key, printed once for the lookup, the store and the
          journal *)
-      let fingerprint = Plan.fingerprint q and text = Qprinter.to_string q in
-      match Cache.find c ~fingerprint ~query:text with
-      | Cache.Hit arr -> serve_hit t ~mode (Keyed (q, fingerprint, text)) arr
-      | Cache.Miss ->
-          eval_uncached t ~mode q ~planned ~probe:(`Miss (fingerprint, text))
-      | Cache.Stale ->
-          eval_uncached t ~mode q ~planned ~probe:(`Stale (fingerprint, text)))
+      let text = Qprinter.to_string q in
+      match Cache.find c ~query:text q with
+      | Cache.Hit arr -> serve_hit t ~mode (Keyed (q, text)) arr
+      | Cache.Miss -> eval_uncached t ~mode q ~planned ~probe:(`Miss text)
+      | Cache.Stale -> eval_uncached t ~mode q ~planned ~probe:(`Stale text))
 
 let eval_entries ?mode t q = Ext_list.to_list (eval ?mode t q)
 

@@ -184,12 +184,12 @@ val eval : ?mode:mode -> t -> Ast.t -> Entry.t Ext_list.t
     {!eval} (hit or miss), the distributed coordinator and the server. *)
 
 (** What a run answers: a tree (journaled as its printed text), a tree
-    with the fingerprint and text its caller already took (journaled as
-    those, so a cached {!eval} prints and fingerprints each query
-    once), or text the run parses itself (journaled verbatim). *)
+    with the text its caller already printed (journaled as that, so a
+    cached {!eval} prints each query once and fingerprints it only when
+    it journals), or text the run parses itself (journaled verbatim). *)
 type subject =
   | Tree of Ast.t
-  | Keyed of Ast.t * string * string  (** tree, fingerprint, text *)
+  | Keyed of Ast.t * string  (** tree, text *)
   | Text of string
 
 (** What a run reports back. *)

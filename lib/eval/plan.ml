@@ -317,10 +317,7 @@ let choose_path ~pager ~instance ?attr_index ?cache ?calib
     | (Ast.Base | Ast.One), _ | _, None -> None
     | Ast.Sub, Some c -> (
         let q = Ast.Atomic a in
-        match
-          Cache.peek c ~fingerprint:(fingerprint q)
-            ~query:(Qprinter.to_string q)
-        with
+        match Cache.peek c ~query:(Qprinter.to_string q) q with
         | Some arr ->
             (* the cached array re-serves as a resident list: no reads,
                no output write, and the cardinality is exact *)

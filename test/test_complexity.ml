@@ -601,8 +601,8 @@ let test_cache_store_words_flat () =
     let arr = result n in
     let c = Cache.create ~budget_pages:max_int ~admit_min_io:0 () in
     words_of (fun () ->
-        Cache.store c ~fingerprint:"fp" ~query:"q" ~footprint:(Footprint.Bases [ base ]) ~cost_io:10
-          ~pages:1 arr)
+        Cache.store c ~query:"q" (Ast.Atomic { Ast.base; scope = Ast.Sub; filter = Afilter.Present "id" })
+          ~footprint:(Footprint.Bases [ base ]) ~cost_io:10 ~pages:1 arr)
   in
   let small = store_words 500 and large = store_words 5_000 in
   Printf.printf "Cache.store: %d words for 500 entries, %d for 5,000\n" small large;
@@ -620,17 +620,87 @@ let test_cache_hit_words_flat () =
     Cache.note_update c (Dn.child base (Rdn.single "id" (Value.Int 1)));
     Cache.note_update c (deep_dn ~leaf:1 depth);
     let e = Entry.make (Dn.child base (Rdn.single "id" (Value.Int 2))) [ ("id", Value.Int 2) ] in
-    if not (Cache.store c ~fingerprint:"fp" ~query:"q" ~footprint:(Footprint.Bases [ base ]) ~cost_io:10 ~pages:1 [| e |])
+    let q = Ast.Atomic { Ast.base; scope = Ast.Sub; filter = Afilter.Present "id" } in
+    if not (Cache.store c ~query:"q" q ~footprint:(Footprint.Bases [ base ]) ~cost_io:10 ~pages:1 [| e |])
     then Alcotest.fail "result not admitted";
     words_of (fun () ->
-        match Cache.find c ~fingerprint:"fp" ~query:"q" with
+        match Cache.find c ~query:"q" q with
         | Cache.Hit _ -> ()
         | Cache.Miss | Cache.Stale -> Alcotest.fail "expected a hit")
   in
   let shallow = hit_words 3 and deep = hit_words 20 in
   Printf.printf "Cache.find hit: %d words at base depth 3, %d at depth 20\n" shallow deep;
-  if deep <> shallow then
-    Alcotest.failf "Cache.find hit: %d words at base depth 3, %d at depth 20" shallow deep
+  if deep <> shallow || deep > 32 then
+    Alcotest.failf "Cache.find hit: %d words at base depth 3, %d at depth 20 (at most 32)" shallow
+      deep
+
+(* A tree [depth] operators deep, with no boolean merge, so a lookup
+   needs no plan: descendants of descendants of ... an atomic. *)
+let deep_tree depth =
+  let leaf k = Ast.atomic (Dn.of_string "dc=root0") (Afilter.Int_cmp ("priority", Afilter.Ge, k)) in
+  let rec go d = if d = 0 then leaf 0 else Ast.descendants (go (d - 1)) (leaf (d mod 10)) in
+  go (depth - 1)
+
+(* An [Engine.eval] hit prints its query once and otherwise allocates a
+   constant: no fingerprint, no plan.  The words beyond
+   [Qprinter.to_string]'s are the same for a depth-20 tree as for an
+   atomic, within 16. *)
+let test_eval_hit_words () =
+  let instance = Dif_gen.generate ~params:{ Dif_gen.default_params with size = 400 } () in
+  let eng = Engine.create ~block ~result_cache:(Cache.create ~admit_min_io:0 ()) instance in
+  let extra depth =
+    let q = deep_tree depth in
+    ignore (Engine.eval eng q);
+    let hit = words_of (fun () -> Engine.eval eng q) in
+    let print = words_of (fun () -> Qprinter.to_string q) in
+    (hit, print, hit - print)
+  in
+  let h1, p1, x1 = extra 1 and h20, p20, x20 = extra 20 in
+  Printf.printf "Engine.eval hit: %d words (print %d) for an atomic, %d (print %d) at depth 20\n" h1
+    p1 h20 p20;
+  if x20 > x1 + 16 then
+    Alcotest.failf "Engine.eval hit at depth 20: %d words beyond printing, %d for an atomic" x20 x1
+
+(* A store that evicts one entry costs O(log n) in the entries resident:
+   with 4,096 resident it takes at most 8x the min-of-50 time (each
+   sample a batch of 256 stores, each evicting one) of the same with 64
+   resident. *)
+let test_cache_evict_flat_in_entries () =
+  let samples = 50 and batch = 256 in
+  let base = Dn.of_string "ou=a, dc=org" in
+  let keys n =
+    Array.init n (fun i ->
+        (string_of_int i, Ast.atomic base (Afilter.Int_cmp ("id", Afilter.Lt, i))))
+  in
+  let measure resident =
+    let c = Cache.create ~budget_pages:resident ~admit_min_io:0 () in
+    let ks = keys (resident + ((samples + 1) * batch)) in
+    let next = ref 0 in
+    let store () =
+      let text, q = ks.(!next) in
+      incr next;
+      if not (Cache.store c ~query:text q ~footprint:(Footprint.Bases [ base ]) ~cost_io:10 ~pages:1 [||])
+      then Alcotest.fail "store refused"
+    in
+    for _ = 1 to resident + batch do
+      store ()
+    done;
+    let best = ref max_int in
+    for _ = 1 to samples do
+      let t0 = Mclock.now_ns () in
+      for _ = 1 to batch do
+        store ()
+      done;
+      best := min !best ((Mclock.now_ns () - t0) / batch)
+    done;
+    if (Cache.stats c).Cache.entries <> resident then Alcotest.fail "entries resident drifted";
+    !best
+  in
+  let small = measure 64 and large = measure 4_096 in
+  Printf.printf "evicting store: %d ns with 64 resident, %d ns with 4,096 (%.1fx)\n" small large
+    (float_of_int large /. float_of_int (max 1 small));
+  if large > 8 * max 1 small then
+    Alcotest.failf "evicting store %d ns with 4,096 resident > 8x %d ns with 64" large small
 
 (* Outputs of every operator stay sorted end to end (Section 8.2's
    no-resorting invariant, experiment E15). *)
@@ -677,6 +747,9 @@ let () =
           Alcotest.test_case "cache store words flat in result size" `Quick
             test_cache_store_words_flat;
           Alcotest.test_case "cache hit words flat in base depth" `Quick test_cache_hit_words_flat;
+          Alcotest.test_case "eval hit allocates only its printing" `Quick test_eval_hit_words;
+          Alcotest.test_case "cache evicting store flat in entries" `Quick
+            test_cache_evict_flat_in_entries;
           Testkit.qtest ~count:100 "pipeline keeps sortedness"
             Testkit.gen_instance_and_query prop_pipeline_sorted;
         ] );

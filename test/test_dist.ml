@@ -120,109 +120,6 @@ let test_deploy_validation () =
   Alcotest.check_raises "no domains" (Invalid_argument "Dist.deploy: no domains")
     (fun () -> ignore (Dist.deploy i []))
 
-(* --- Replication (Section 3.3, footnote 4) ------------------------------- *)
-
-let repl_net seed =
-  let i = instance seed in
-  (Replicated.deploy ~secondaries:2 i (domains_of i), i)
-
-let fresh_entry uid =
-  Entry.make
-    (Dn.of_string (Printf.sprintf "id=%d, dc=root0" uid))
-    [ ("id", Value.Int uid); ("surName", Value.Str "newcomer");
-      (Schema.object_class, Value.Str "person") ]
-
-let ok = function
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "unexpected: %a" Directory.pp_error e
-
-let count_newcomers eng =
-  List.length
-    (Engine.eval_entries eng (Qparser.of_string "( ? sub ? surName=newcomer)"))
-
-let test_replication_lag_and_catchup () =
-  let net, _ = repl_net 31 in
-  ok (Replicated.update net (Replicated.Add (fresh_entry 900001)));
-  ok (Replicated.update net (Replicated.Add (fresh_entry 900002)));
-  (* visible at the primary immediately *)
-  let primary_eng = Replicated.engine net (dn "dc=root0") in
-  Alcotest.(check int) "primary sees both" 2 (count_newcomers primary_eng);
-  (* secondaries lag until replication runs *)
-  let sec_eng = Replicated.engine ~prefer:Replicated.Any_secondary net (dn "dc=root0") in
-  Alcotest.(check int) "secondary stale" 0 (count_newcomers sec_eng);
-  Alcotest.(check int) "lag = 2" 2 (Replicated.max_lag net);
-  Alcotest.(check bool) "inconsistent while lagging" false
-    (Replicated.consistent net);
-  let msgs_before = net.Replicated.stats.Io_stats.messages in
-  Replicated.replicate net;
-  (* 2 updates x 2 secondaries of the root0 group *)
-  Alcotest.(check int) "replication messages" 4
-    (net.Replicated.stats.Io_stats.messages - msgs_before);
-  Alcotest.(check int) "lag cleared" 0 (Replicated.max_lag net);
-  Alcotest.(check bool) "consistent after replicate" true
-    (Replicated.consistent net);
-  let sec_eng = Replicated.engine ~prefer:Replicated.Any_secondary net (dn "dc=root0") in
-  Alcotest.(check int) "secondary caught up" 2 (count_newcomers sec_eng)
-
-let test_update_routing_and_validation () =
-  let net, _ = repl_net 32 in
-  (* updates go to the owning group: a root1 entry does not appear in
-     root0's partition *)
-  let e =
-    Entry.make
-      (Dn.of_string "id=900005, dc=root1")
-      [ ("id", Value.Int 900005); ("surName", Value.Str "newcomer");
-        (Schema.object_class, Value.Str "person") ]
-  in
-  ok (Replicated.update net (Replicated.Add e));
-  let g0 = Replicated.group_of net (dn "dc=root0") in
-  let g1 = Replicated.group_of net (dn "dc=root1") in
-  Alcotest.(check int) "root0 log untouched" 0 g0.Replicated.log_length;
-  Alcotest.(check int) "root1 logged" 1 g1.Replicated.log_length;
-  (* schema violations are rejected at the primary and never logged *)
-  (match
-     Replicated.update net
-       (Replicated.Add
-          (Entry.make
-             (Dn.of_string "id=900009, dc=root1")
-             [ ("id", Value.Int 900009); ("ghost", Value.Str "boo");
-               (Schema.object_class, Value.Str "person") ]))
-   with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "invalid add must be rejected");
-  Alcotest.(check int) "rejected update not logged" 1 g1.Replicated.log_length;
-  (* modify and delete route the same way *)
-  ok
-    (Replicated.update net
-       (Replicated.Modify
-          (Entry.dn e, [ Directory.Add_value ("priority", Value.Int 4) ])));
-  ok (Replicated.update net (Replicated.Delete (Entry.dn e)));
-  Replicated.replicate net;
-  Alcotest.(check bool) "consistent at the end" true (Replicated.consistent net)
-
-let test_failover_loses_unreplicated_suffix () =
-  let net, _ = repl_net 33 in
-  ok (Replicated.update net (Replicated.Add (fresh_entry 900011)));
-  Replicated.replicate net;
-  ok (Replicated.update net (Replicated.Add (fresh_entry 900012)));
-  ok (Replicated.update net (Replicated.Add (fresh_entry 900013)));
-  (* primary dies before replicating the last two updates *)
-  let lost = Replicated.fail_primary net (dn "dc=root0") in
-  Alcotest.(check int) "two updates lost" 2 lost;
-  let eng = Replicated.engine net (dn "dc=root0") in
-  Alcotest.(check int) "promoted replica has only the replicated one" 1
-    (count_newcomers eng);
-  (* the group keeps serving reads and updates after failover *)
-  ok (Replicated.update net (Replicated.Add (fresh_entry 900014)));
-  Replicated.replicate net;
-  Alcotest.(check bool) "consistent after failover + new update" true
-    (Replicated.consistent net);
-  (* exhausting secondaries raises *)
-  let _ = Replicated.fail_primary net (dn "dc=root0") in
-  (match Replicated.fail_primary net (dn "dc=root0") with
-  | exception Replicated.No_secondary _ -> ()
-  | _ -> Alcotest.fail "expected No_secondary")
-
 let () =
   Alcotest.run "dist"
     [
@@ -240,14 +137,5 @@ let () =
             test_remote_query_and_combine;
           Alcotest.test_case "one-scope across delegation" `Quick
             test_scope_across_delegation;
-        ] );
-      ( "replication",
-        [
-          Alcotest.test_case "lag and catch-up" `Quick
-            test_replication_lag_and_catchup;
-          Alcotest.test_case "routing and validation" `Quick
-            test_update_routing_and_validation;
-          Alcotest.test_case "failover semantics" `Quick
-            test_failover_loses_unreplicated_suffix;
         ] );
     ]

@@ -374,20 +374,6 @@ let prop_output_sorted (instance, q) =
   in
   sorted actual
 
-(* Results are sub-instances: closure property (Section 4.1). *)
-let prop_er_hash_matches_oracle (instance, q) =
-  (* only eref nodes differ; rewrite evaluation to use the hash variant
-     by comparing on whole eref queries drawn from the generator *)
-  match q with
-  | Ast.Eref (op, q1, q2, attr, agg) ->
-      let eng = Testkit.engine instance in
-      let l1 = Engine.eval eng q1 and l2 = Engine.eval eng q2 in
-      let merge = Ext_list.to_list (Er.compute ?agg op l1 l2 attr) in
-      let hash = Ext_list.to_list (Er_hash.compute ?agg op l1 l2 attr) in
-      List.length merge = List.length hash
-      && List.for_all2 Entry.equal_dn merge hash
-  | _ -> true
-
 let prop_fused_matches_oracle (instance, q) =
   let expected = Testkit.oracle instance q in
   let eng = Testkit.engine instance in
@@ -399,6 +385,7 @@ let prop_fusion_never_more_scans (instance, q) =
   ignore instance;
   Fuse.scan_count (Fuse.plan_of q) <= List.length (Ast.atomic_subqueries q)
 
+(* Results are sub-instances: closure property (Section 4.1). *)
 let prop_closure (instance, q) =
   let eng = Testkit.engine instance in
   let result = Engine.eval_instance eng q in
@@ -869,8 +856,6 @@ let () =
             Testkit.gen_instance_and_query prop_fused_matches_oracle;
           Testkit.qtest ~count:150 "fusion never adds scans"
             Testkit.gen_instance_and_query prop_fusion_never_more_scans;
-          Testkit.qtest ~count:200 "hash eref = sort-merge eref"
-            Testkit.gen_instance_and_query prop_er_hash_matches_oracle;
           Testkit.qtest ~count:100 "cached engine = oracle (cold and warm)"
             Testkit.gen_instance_and_query prop_cached_engine_matches;
           Testkit.qtest ~count:100 "paging reassembles the result"

@@ -178,13 +178,7 @@ let test_operator_edges () =
     ~src_op:(fun () -> Er.compute_dv_src pager (s l1) (s l2) "ref");
   edge "eref vd (double-consumed L1)"
     ~list_op:(fun () -> Er.compute_vd l1 l2 "ref")
-    ~src_op:(fun () -> Er.compute_vd_src pager (s l1) (s l2) "ref");
-  edge "eref dv (hash)"
-    ~list_op:(fun () -> Er_hash.compute_dv l1 l2 "ref")
-    ~src_op:(fun () -> Er_hash.compute_dv_src pager (s l1) (s l2) "ref");
-  edge "eref vd (hash)"
-    ~list_op:(fun () -> Er_hash.compute_vd l1 l2 "ref")
-    ~src_op:(fun () -> Er_hash.compute_vd_src pager (s l1) (s l2) "ref")
+    ~src_op:(fun () -> Er.compute_vd_src pager (s l1) (s l2) "ref")
 
 (* --- Differential: streaming = materialized = semantics ------------------ *)
 
