@@ -133,8 +133,6 @@ let involved_servers t (a : Ast.atomic) =
   in
   owner :: inside
 
-let query_bytes q = String.length (Qprinter.to_string (Ast.Atomic q))
-
 (* Cross-server traffic also feeds the process-wide metrics registry,
    labeled by the answering server, so the shipping profile survives
    across queries and coordinators. *)
@@ -171,6 +169,11 @@ let entries_bytes = Array.fold_left (fun n e -> n + Entry.byte_size e) 0
    result is materialized at the coordinator (streaming never crosses
    the wire: a shard arrives whole before the pipeline can consume it). *)
 let eval_shards t (a : Ast.atomic) =
+  (* the shipped text, printed at most once for every server's ship,
+     saved-bytes count and cache key *)
+  let q = Ast.Atomic a in
+  let text = lazy (Qprinter.to_string q) in
+  let query_bytes () = String.length (Lazy.force text) in
     List.map
       (fun s ->
         (* One child span per involved server, remote or not; journal
@@ -188,26 +191,24 @@ let eval_shards t (a : Ast.atomic) =
                     match t.result_cache with
                     | None -> None
                     | Some c ->
-                        let ckey =
-                          Qprinter.to_string (Ast.Atomic a) ^ " @" ^ s.name
-                        in
-                        Some (c, ckey, Cache.find c ~query:ckey (Ast.Atomic a))
+                        let ckey = Lazy.force text ^ " @" ^ s.name in
+                        Some (c, ckey, Cache.find c ~query:ckey q)
                 in
                 match probe with
                 | Some (_, _, Cache.Hit arr) ->
                     Metrics.add (m_saved_messages s.name) 2;
                     Metrics.add (m_saved_bytes s.name)
-                      (query_bytes a + entries_bytes arr);
+                      (query_bytes () + entries_bytes arr);
                     Ext_list.materialize t.pager arr
                 | _ ->
                     (* Ship the atomic query out and the result back.
                        The server's engine spans carry its name as
                        actor, so a stitched trace shows each shard's
                        work in its own lane. *)
-                    if not local then ship t s ~bytes:(query_bytes a);
+                    if not local then ship t s ~bytes:(query_bytes ());
                     let result =
                       Trace.with_actor s.name (fun () ->
-                          Engine.eval s.engine (Ast.Atomic a))
+                          Engine.eval s.engine q)
                     in
                     let arr = Array.of_list (Ext_list.to_list result) in
                     if not local then ship t s ~bytes:(entries_bytes arr);
@@ -216,8 +217,8 @@ let eval_shards t (a : Ast.atomic) =
                         (* Cost is counted in messages: a hit saves the
                            two of a round trip. *)
                         ignore
-                          (Cache.store c ~query:ckey (Ast.Atomic a)
-                             ~footprint:(Footprint.of_query (Ast.Atomic a))
+                          (Cache.store c ~query:ckey q
+                             ~footprint:(Footprint.of_query q)
                              ~cost_io:2
                              ~pages:(Pager.pages_of t.pager (Array.length arr))
                              arr)

@@ -126,34 +126,10 @@ let path_counts t = (t.n_path_index, t.n_path_scan, t.n_path_cache)
 
 (* --- Atomic queries ----------------------------------------------------- *)
 
-(* Candidate entries from a secondary index, or None when the filter has
-   no indexable access path and the subtree must be scanned.  The probe
-   plumbing ([int_bounds], longest-component selection for substring
-   patterns) is shared with [Plan], so what the planner prices is what
-   execution does. *)
-let index_candidates t (f : Afilter.t) =
-  match t.attr_index with
-  | None -> None
-  | Some idx -> (
-      match f with
-      | Afilter.Present _ -> None
-      | Afilter.Int_cmp (a, op, k) ->
-          let lo, hi = Plan.int_bounds op k in
-          Attr_index.lookup_int_range idx a ~lo ~hi
-      | Afilter.Str_eq (a, s) -> Attr_index.lookup_str_eq idx a s
-      | Afilter.Dn_eq (a, d) -> Attr_index.lookup_dn_eq idx a d
-      | Afilter.Substr (a, pat) -> (
-          (* Probe with the longest available component — the most
-             selective — then post-filter with the full pattern. *)
-          match Plan.substr_probe pat with
-          | Some (comp, true) -> Attr_index.lookup_str_prefix idx a comp
-          | Some (comp, false) -> Attr_index.lookup_substring idx a comp
-          | None -> None))
-
 (* The one pricing pass with the engine's handles, over its indexes as
    they stand: under [Auto] it also reorders boolean chains; forced
    modes pin every path and keep the tree as given. *)
-let plan_as_is ~mode t q =
+let plan_as_is ?(reorder = true) ~mode t q =
   let force =
     match t.planner with
     | Force_index -> Some Plan.Index
@@ -162,23 +138,32 @@ let plan_as_is ~mode t q =
   in
   Plan.plan ~pager:t.pager ~instance:t.instance ?attr_index:t.attr_index
     ?cache:t.result_cache ?calib:t.calib ~streaming:(mode = Streaming) ?force
-    ~reorder:(t.planner = Auto) q
+    ~reorder:(reorder && t.planner = Auto) q
 
 let plan ?mode t q =
   refresh_if_dirty t;
   plan_as_is ~mode:(Option.value mode ~default:t.mode) t q
 
-(* Serve a sub-scope atomic's cache hit, if one is (still) fresh: the
-   mutating [find] does the LRU bump and hit accounting the planner's
-   read-only peek deliberately skipped. *)
-let atomic_cache_hit t (a : Ast.atomic) =
-  match t.result_cache with
-  | None -> None
-  | Some c -> (
-      let q = Ast.Atomic a in
-      match Cache.find c ~query:(Qprinter.to_string q) q with
+(* A plan runs only in the instance it resolved.  When a watched
+   directory moved on since it was made, its tree is planned again as
+   it stands (no reordering, so every atomic keeps its identity) over
+   the current instance: its ranks never index a newer snapshot. *)
+let current t ~mode plan =
+  refresh_if_dirty t;
+  if Plan.resolved_in t.instance plan then plan
+  else plan_as_is ~reorder:false ~mode t plan.Plan.query
+
+(* Serve a sub-scope atomic's cache hit, if one is (still) fresh, under
+   the text its plan printed: the mutating [find] re-prices the entry
+   (GreedyDual-Size) and counts the hit, which the planner's read-only
+   peek deliberately skipped. *)
+let atomic_cache_hit t q (atom : Plan.atom) =
+  match (t.result_cache, atom.Plan.text) with
+  | Some c, Some query -> (
+      match Cache.find c ~query q with
       | Cache.Hit arr -> Some arr
       | Cache.Miss | Cache.Stale -> None)
+  | _ -> None
 
 (* Of a choice's paths, the best one that is not the cache — the
    fallback when a peeked entry vanished by execution time. *)
@@ -209,18 +194,24 @@ let count_path t = function
       t.n_path_cache <- t.n_path_cache + 1;
       Metrics.incr m_path_cache
 
-(* One atomic query, its sorted hits leaving as a live source.  A
-   sub-scope atomic takes the path its plan chose; a result-cache hit
-   under [Materialized] stays the resident list its consumer scans and
-   under [Streaming] flows on free. *)
+(* One atomic query, its sorted hits leaving as a live source, read off
+   its plan node: the resolved base's range, and for a sub-scope atomic
+   the path its plan chose, with the probe and cache text it resolved.
+   A result-cache hit under [Materialized] stays the resident list its
+   consumer scans and under [Streaming] flows on free. *)
 let atomic_src t ~mode plan q (a : Ast.atomic) =
-  refresh_if_dirty t;
+  let access, atom =
+    match Plan.find plan q with
+    | Some { Plan.access; atom = Some atom; _ } -> (access, atom)
+    | _ -> invalid_arg "Engine.leaf: an atomic its plan did not resolve"
+  in
   let keep e = Afilter.matches a.filter e in
-  let scan () = Dn_index.scan_subtree_src t.dn_index a.base ~keep in
+  let scan () = Dn_index.scan t.dn_index a.scope atom.Plan.range ~keep in
   (* the index path: refine the probed postings to the scope and the
      full filter, sort; charges reading the postings *)
-  let indexed candidates =
-    let prefix = Dn.rev_key a.base in
+  let indexed idx probe =
+    let candidates = Attr_index.lookup idx probe in
+    let prefix = atom.Plan.range.Instance.key in
     let hits =
       List.filter
         (fun e -> Entry.key_is_prefix ~prefix (Entry.key e) && keep e)
@@ -230,31 +221,25 @@ let atomic_src t ~mode plan q (a : Ast.atomic) =
     Pager.charge_scan_read t.pager (List.length candidates);
     Ext_list.Source.of_array (Array.of_list hits)
   in
-  match a.scope with
-  | Ast.Base -> Dn_index.scan_base_src t.dn_index a.base ~keep
-  | Ast.One -> Dn_index.scan_children_src t.dn_index a.base ~keep
-  | Ast.Sub -> (
-      let choice =
-        match Plan.access plan q with
-        | Some c -> c
-        | None -> invalid_arg "Engine.leaf: an atomic its plan did not price"
-      in
-      let run = function
-        | Plan.Scan ->
+  let run = function
+    | Plan.Index | Plan.Cached -> (
+        match (t.attr_index, atom.Plan.probe) with
+        | Some idx, Some probe ->
+            count_path t Plan.Index;
+            indexed idx probe
+        | _ ->
             count_path t Plan.Scan;
-            scan ()
-        | Plan.Index | Plan.Cached -> (
-            match index_candidates t a.filter with
-            | Some candidates ->
-                count_path t Plan.Index;
-                indexed candidates
-            | None ->
-                count_path t Plan.Scan;
-                scan ())
-      in
+            scan ())
+    | Plan.Scan ->
+        count_path t Plan.Scan;
+        scan ()
+  in
+  match access with
+  | None -> scan ()
+  | Some choice -> (
       match choice.Plan.chosen.Plan.alt_path with
       | Plan.Cached -> (
-          match atomic_cache_hit t a with
+          match atomic_cache_hit t q atom with
           | Some arr -> (
               count_path t Plan.Cached;
               match mode with
@@ -265,7 +250,9 @@ let atomic_src t ~mode plan q (a : Ast.atomic) =
           | None -> run (best_uncached choice))
       | (Plan.Index | Plan.Scan) as p -> run p)
 
-let leaf t mode plan = function
+let leaf t mode plan =
+  let plan = current t ~mode plan in
+  function
   | Ast.Atomic a as q -> Some (atomic_src t ~mode plan q a)
   | _ -> None
 
@@ -298,7 +285,8 @@ let rec walk_src ~pager ~window ~mode ~leaf (q : Ast.t) =
   let go = walk_src ~pager ~window ~mode ~leaf in
   let binary = binary ~mode pager in
   let force = Ext_list.Source.force pager in
-  Trace.with_span ~detail:(span_detail q) ~stats:(Pager.stats pager)
+  let detail = if Trace.enabled () then span_detail q else "" in
+  Trace.with_span ~detail ~stats:(Pager.stats pager)
     (Plan.op_label q) (fun () ->
       let out =
         match leaf q with

@@ -137,10 +137,14 @@ val walk :
 val leaf :
   t -> mode -> Plan.node -> Ast.t -> Entry.t Ext_list.Source.src option
 (** The engine's leaf for {!walk} over a plan's tree: atomics answered
-    from its indexes (or its result cache) on the path the plan chose;
-    no other subtree is intercepted.
-    @raise Invalid_argument on a sub-scope atomic the plan did not
-    price. *)
+    from its indexes (or its result cache) on the path the plan chose,
+    reading the base range, index probe and cache text the plan
+    resolved; no other subtree is intercepted.  A plan runs only in the
+    instance it resolved: when a watched directory has moved on since
+    {!plan}, the leaf brings the indexes up to date and plans the tree
+    again as it stands (no reordering, so its atomics keep their
+    identity).
+    @raise Invalid_argument on an atomic the plan did not resolve. *)
 
 val union :
   mode:mode ->
@@ -152,8 +156,9 @@ val union :
     policy (the distributed coordinator's shard merge). *)
 
 val run_src : t -> Plan.node -> Entry.t Ext_list.Source.src
-(** {!walk} of a [Streaming] plan with the engine's leaf as one fused
-    pipeline, returning the root's live source unmaterialized.  Used by
+(** {!walk} of a [Streaming] plan with the engine's {!leaf} as one
+    fused pipeline (re-planned like the leaf when the plan is stale),
+    returning the root's live source unmaterialized.  Used by
     the server, which ships rows as they are pulled; {!eval}
     materializes the root. *)
 

@@ -9,9 +9,10 @@
    dn-index subtree scan, or a result-cache hit, each priced in page
    reads/writes before any postings are materialized.  [plan] prices a
    tree once, from a pager, an instance and optional index / cache /
-   calibration handles; execution, [Explain], the query journal, the
-   distributed coordinator and the server all read the node it returns,
-   so no two of them can decide differently. *)
+   calibration handles, resolving each atomic (base range, index probe,
+   cache text) on its node; execution, [Explain], the query journal,
+   the distributed coordinator and the server all read the node it
+   returns, so no two of them can decide or derive differently. *)
 
 (* --- Access paths ------------------------------------------------------------ *)
 
@@ -28,6 +29,12 @@ type alt = {
 
 type choice = { chosen : alt; rejected : alt list }
 
+type atom = {
+  range : Instance.range;  (* the base, resolved in the priced instance *)
+  probe : Attr_index.probe option;  (* sub scope, with an index *)
+  text : string option;  (* the printed atomic: sub scope, with a cache *)
+}
+
 type node = {
   label : string;  (* operator name *)
   query : Ast.t;  (* the subtree this node prices, as it runs *)
@@ -41,6 +48,7 @@ type node = {
   actual_ns : int option;  (* wall-clock, excluding children *)
   actual_alloc : int option;  (* bytes allocated, excluding children *)
   access : choice option;  (* the atomic's access-path decision, if any *)
+  atom : atom option;  (* the atomic's resolution *)
   children : node list;
 }
 
@@ -57,7 +65,7 @@ let op_label : Ast.t -> string = function
 
 (* Assemble a node from the read/write decomposition; [est_io] stays the
    sum so existing consumers keep one number. *)
-let mk ?access ~query ~est_rows ~est_reads ~est_writes
+let mk ?access ?atom ~query ~est_rows ~est_reads ~est_writes
     ~est_writes_saved children =
   {
     label = op_label query;
@@ -72,6 +80,7 @@ let mk ?access ~query ~est_rows ~est_reads ~est_writes
     actual_ns = None;
     actual_alloc = None;
     access;
+    atom;
     children;
   }
 
@@ -152,59 +161,6 @@ let fingerprint q = Printf.sprintf "%016Lx" (fnv64 (shape q))
 
 (* --- Access-path selection ------------------------------------------------------ *)
 
-(* The key range an integer comparison probes (shared with the engine's
-   index lookup, so pricing and execution agree on what the index path
-   does). *)
-let int_bounds op k =
-  match op with
-  | Afilter.Lt -> (min_int, k - 1)
-  | Afilter.Le -> (min_int, k)
-  | Afilter.Eq -> (k, k)
-  | Afilter.Ge -> (k, max_int)
-  | Afilter.Gt -> (k + 1, max_int)
-
-(* The component an indexed substring filter probes with: the longest
-   available one (ties prefer the initial component, whose exact-trie
-   prefix walk is cheaper than the suffix trie).  [true] means anchored
-   at the start.  Probing with anything shorter than the longest
-   component inflates the candidate set the full pattern then has to
-   filter back down. *)
-let substr_probe (pat : Afilter.substring) =
-  let components =
-    (match pat.Afilter.initial with Some s -> [ (s, true) ] | None -> [])
-    @ List.map (fun s -> (s, false)) pat.Afilter.middles
-    @ (match pat.Afilter.final with Some s -> [ (s, false) ] | None -> [])
-  in
-  List.fold_left
-    (fun best (s, anchored) ->
-      match best with
-      | Some (b, _) when String.length b >= String.length s -> best
-      | _ -> Some (s, anchored))
-    None components
-
-(* How the index path's candidates are collected, which decides the
-   collection cost beyond the probe's descent. *)
-type probe_kind = K_btree | K_exact | K_prefix | K_substr
-
-(* Cardinality of the index path's candidate set, by probing the
-   attribute index's maintained counters — O(log n) / O(|pattern|),
-   no postings materialized.  [None] when the filter has no indexable
-   access path. *)
-let index_count idx (f : Afilter.t) =
-  match f with
-  | Afilter.Present _ -> None
-  | Afilter.Int_cmp (a, op, k) ->
-      let lo, hi = int_bounds op k in
-      Some (Attr_index.count_int_range idx a ~lo ~hi, K_btree)
-  | Afilter.Str_eq (a, s) -> Some (Attr_index.count_str_eq idx a s, K_exact)
-  | Afilter.Dn_eq (a, d) -> Some (Attr_index.count_dn_eq idx a d, K_exact)
-  | Afilter.Substr (a, pat) -> (
-      match substr_probe pat with
-      | None -> None
-      | Some (comp, true) -> Some (Attr_index.count_prefix idx a comp, K_prefix)
-      | Some (comp, false) ->
-          Some (Attr_index.count_substring idx a comp, K_substr))
-
 (* Apply a calibration store's learned corrections to an estimated
    alternative: per-path classes ("atomic:index", "atomic:scan") first,
    the plain "atomic" class as fallback, nothing when there is no
@@ -230,123 +186,9 @@ let calibrate pager calib alt =
       let reads = corrected alt.alt_reads (lookup Planstats.bias_reads) in
       { alt with alt_rows = rows; alt_reads = reads; alt_writes = pages pager rows }
 
-(* Entries in an atomic's scope, as the scan path prices it.  [One]
-   prices the whole subtree, like [Sub]: the dn-index scans that range
-   and filters it by depth.  Counted without building the scope. *)
-let scope_size instance (a : Ast.atomic) =
-  match a.Ast.scope with
-  | Ast.Base -> 1
-  | Ast.One | Ast.Sub -> Instance.subtree_size instance a.Ast.base
-
 (* The selectivity model's output cardinality over [n] scoped entries. *)
 let scope_rows n (a : Ast.atomic) =
   max 0 (int_of_float (float_of_int n *. filter_selectivity a.Ast.filter))
-
-(* Price the access paths of one sub-scope atomic and pick the cheapest
-   (or the forced one).  The index probes consult maintained counters —
-   they are this system's optimizer statistics, so their descents are
-   refunded from the pager's read counter: planning is free, execution
-   pays only for the path actually taken, and a forced-path run costs
-   exactly what the auto-chosen run costs on the same path. *)
-let choose_path ~pager ~instance ?attr_index ?cache ?calib
-    ?(streaming = false) ?force (a : Ast.atomic) =
-  let scope_size = scope_size instance a in
-  let sel_rows = scope_rows scope_size a in
-  let scan =
-    calibrate pager calib
-      {
-        alt_path = Scan;
-        alt_rows = sel_rows;
-        alt_reads = 1 + pages pager scope_size;
-        alt_writes = pages pager sel_rows;
-      }
-  in
-  let index =
-    match (a.Ast.scope, attr_index) with
-    | (Ast.Base | Ast.One), _ | _, None -> None
-    | Ast.Sub, Some idx -> (
-        let stats = Pager.stats pager in
-        let r0 = stats.Io_stats.page_reads in
-        let counted = index_count idx a.Ast.filter in
-        let descent = stats.Io_stats.page_reads - r0 in
-        stats.Io_stats.page_reads <- r0;
-        match counted with
-        | None -> None
-        | Some (c, kind) ->
-            (* candidates are instance-wide; the scope prefix filter
-               keeps roughly the subtree's share, and a component probe
-               (substring patterns) overshoots the full pattern *)
-            let frac =
-              float_of_int scope_size
-              /. float_of_int (max 1 (Instance.size instance))
-            in
-            let exactness =
-              match kind with
-              | K_btree | K_exact -> 1.0
-              | K_prefix | K_substr -> 0.5
-            in
-            let rows =
-              min c
-                (int_of_float ((float_of_int c *. frac *. exactness) +. 0.5))
-            in
-            (* the lookup re-walks the probe's descent, then collects:
-               half-full order-16 leaves for the B-tree, the terminal
-               list for exact tries (already in hand), about one node
-               per payload for prefix / suffix subtree walks; reading
-               the candidate postings bills like any scan *)
-            let descent =
-              match kind with K_btree -> max 1 (descent / 2) | _ -> descent
-            in
-            let collect =
-              match kind with
-              | K_btree -> (c + 7) / 8
-              | K_exact -> 0
-              | K_prefix | K_substr -> c
-            in
-            Some
-              (calibrate pager calib
-                 {
-                   alt_path = Index;
-                   alt_rows = rows;
-                   alt_reads = descent + collect + pages pager c;
-                   alt_writes = pages pager rows;
-                 }))
-  in
-  let cached =
-    match (a.Ast.scope, cache) with
-    | (Ast.Base | Ast.One), _ | _, None -> None
-    | Ast.Sub, Some c -> (
-        let q = Ast.Atomic a in
-        match Cache.peek c ~query:(Qprinter.to_string q) q with
-        | Some arr ->
-            (* the cached array re-serves as a resident list: no reads,
-               no output write, and the cardinality is exact *)
-            Some
-              {
-                alt_path = Cached;
-                alt_rows = Array.length arr;
-                alt_reads = 0;
-                alt_writes = 0;
-              }
-        | None -> None)
-  in
-  let alts = List.filter_map Fun.id [ cached; index; Some scan ] in
-  let cost alt = alt.alt_reads + if streaming then 0 else alt.alt_writes in
-  let best =
-    List.fold_left
-      (fun b a -> if cost a < cost b then a else b)
-      (List.hd alts) (List.tl alts)
-  in
-  let chosen =
-    match force with
-    | None -> best
-    | Some p -> (
-        (* a forced path that is not available falls back to the best *)
-        match List.find_opt (fun alt -> alt.alt_path = p) alts with
-        | Some alt -> alt
-        | None -> best)
-  in
-  { chosen; rejected = List.filter (fun alt -> alt != chosen) alts }
 
 (* --- The one pricing pass ---------------------------------------------------- *)
 
@@ -361,8 +203,114 @@ type ctx = {
   c_reorder : bool;
 }
 
-(* One bottom-up pass prices every node: each sub-scope atomic through
-   [choose_path], once, and every operator from its children's rows.
+(* Resolve an atomic once, for pricing and execution alike: its base's
+   key and rank range, and for a sub-scope atomic the index probe and
+   the cache key text when those handles are attached. *)
+let resolve ctx q (a : Ast.atomic) =
+  let sub = a.Ast.scope = Ast.Sub in
+  {
+    range = Instance.resolve ctx.c_instance a.Ast.base;
+    probe =
+      (match ctx.c_attr_index with
+      | Some _ when sub -> Attr_index.probe a.Ast.filter
+      | _ -> None);
+    text = (match ctx.c_cache with Some _ when sub -> Some (Qprinter.to_string q) | _ -> None);
+  }
+
+(* Entries at or below the base: what a [one] or [sub] scan reads. *)
+let width atom = atom.range.Instance.hi - atom.range.Instance.lo
+
+(* Price the access paths of one resolved sub-scope atomic and pick the
+   cheapest (or the forced one).  The index probe consults maintained
+   counters — they are this system's optimizer statistics, so their
+   descents are refunded from the pager's read counter: planning is
+   free, execution pays only for the path actually taken, and a
+   forced-path run costs exactly what the auto-chosen run costs on the
+   same path. *)
+let choose ctx q (a : Ast.atomic) atom =
+  let pager = ctx.c_pager and calib = ctx.c_calib in
+  let scope_size = width atom in
+  let sel_rows = scope_rows scope_size a in
+  let scan =
+    calibrate pager calib
+      {
+        alt_path = Scan;
+        alt_rows = sel_rows;
+        alt_reads = 1 + pages pager scope_size;
+        alt_writes = pages pager sel_rows;
+      }
+  in
+  let index =
+    match (ctx.c_attr_index, atom.probe) with
+    | None, _ | _, None -> None
+    | Some idx, Some probe ->
+        let stats = Pager.stats pager in
+        let r0 = stats.Io_stats.page_reads in
+        let c = Attr_index.count idx probe in
+        let descent = stats.Io_stats.page_reads - r0 in
+        stats.Io_stats.page_reads <- r0;
+        (* candidates are instance-wide; the scope prefix filter keeps
+           roughly the subtree's share, and a component probe
+           (substring patterns) overshoots the full pattern *)
+        let frac =
+          float_of_int scope_size /. float_of_int (max 1 (Instance.size ctx.c_instance))
+        in
+        let exactness =
+          match probe with
+          | Attr_index.Int_range _ | Attr_index.Exact _ | Attr_index.Ref _ -> 1.0
+          | Attr_index.Prefix _ | Attr_index.Substring _ -> 0.5
+        in
+        let rows = min c (int_of_float ((float_of_int c *. frac *. exactness) +. 0.5)) in
+        (* the lookup re-walks the probe's descent, then collects:
+           half-full order-16 leaves for the B-tree, the terminal list
+           for exact tries (already in hand), about one node per payload
+           for prefix / suffix subtree walks; reading the candidate
+           postings bills like any scan *)
+        let descent, collect =
+          match probe with
+          | Attr_index.Int_range _ -> (max 1 (descent / 2), (c + 7) / 8)
+          | Attr_index.Exact _ | Attr_index.Ref _ -> (descent, 0)
+          | Attr_index.Prefix _ | Attr_index.Substring _ -> (descent, c)
+        in
+        Some
+          (calibrate pager calib
+             {
+               alt_path = Index;
+               alt_rows = rows;
+               alt_reads = descent + collect + pages pager c;
+               alt_writes = pages pager rows;
+             })
+  in
+  let cached =
+    match (ctx.c_cache, atom.text) with
+    | None, _ | _, None -> None
+    | Some c, Some query -> (
+        match Cache.peek c ~query q with
+        | Some arr ->
+            (* the cached array re-serves as a resident list: no reads,
+               no output write, and the cardinality is exact *)
+            Some { alt_path = Cached; alt_rows = Array.length arr; alt_reads = 0; alt_writes = 0 }
+        | None -> None)
+  in
+  let alts = List.filter_map Fun.id [ cached; index; Some scan ] in
+  let cost alt = alt.alt_reads + if ctx.c_streaming then 0 else alt.alt_writes in
+  let best =
+    List.fold_left (fun b a -> if cost a < cost b then a else b) (List.hd alts) (List.tl alts)
+  in
+  let chosen =
+    match ctx.c_force with
+    | None -> best
+    | Some p -> (
+        (* a forced path that is not available falls back to the best *)
+        match List.find_opt (fun alt -> alt.alt_path = p) alts with
+        | Some alt -> alt
+        | None -> best)
+  in
+  { chosen; rejected = List.filter (fun alt -> alt != chosen) alts }
+
+(* One bottom-up pass prices every node: each atomic resolved once and
+   each sub-scope one priced through [choose], and every operator from
+   its children's rows.
    With [c_reorder], the operands of a maximal [And] / [Or] chain are
    sorted ascending by those same row estimates and the chain is rebuilt
    left-deep, so the returned node's [query] is the tree to run and its
@@ -370,29 +318,27 @@ type ctx = {
    intermediate toward the most selective operand's size: fewer
    comparisons always, fewer boundary writes when materialized.  [Diff]
    and the hierarchical operators are order-sensitive: their operands
-   only recurse.  No text is built here; [detail] renders a node's
-   [query] when it is printed. *)
+   only recurse.  No text is built here but a cached atomic's key;
+   [detail] renders a node's [query] when it is printed. *)
 let rec price ctx (q : Ast.t) =
   let pages = pages ctx.c_pager in
   match q with
   | Ast.Atomic a -> (
+      let atom = resolve ctx q a in
       match a.Ast.scope with
       | Ast.Sub ->
           (* cost-based: the chosen access path prices the node *)
-          let choice =
-            choose_path ~pager:ctx.c_pager ~instance:ctx.c_instance
-              ?attr_index:ctx.c_attr_index ?cache:ctx.c_cache ?calib:ctx.c_calib
-              ~streaming:ctx.c_streaming ?force:ctx.c_force a
-          in
+          let choice = choose ctx q a atom in
           let c = choice.chosen in
-          mk ~access:choice ~query:q ~est_rows:c.alt_rows
+          mk ~access:choice ~atom ~query:q ~est_rows:c.alt_rows
             ~est_reads:c.alt_reads ~est_writes:c.alt_writes
             ~est_writes_saved:c.alt_writes []
       | Ast.Base | Ast.One ->
-          let scope_size = scope_size ctx.c_instance a in
+          (* a [one] scan reads the whole subtree range, filtered by depth *)
+          let scope_size = if a.Ast.scope = Ast.Base then 1 else width atom in
           let est_rows = scope_rows scope_size a in
           (* descent + range scan; streaming skips the output write *)
-          mk ~query:q ~est_rows
+          mk ~atom ~query:q ~est_rows
             ~est_reads:(1 + pages scope_size)
             ~est_writes:(pages est_rows)
             ~est_writes_saved:(pages est_rows) [])
@@ -522,11 +468,13 @@ let estimate ~pager ~instance ?attr_index ?cache ?calib ?streaming ?force q =
   plan ~pager ~instance ?attr_index ?cache ?calib ?streaming ?force
     ~reorder:false q
 
-(* The access decision the pass took for the atomic [q], a subtree of
-   the planned tree (found by identity: the pass keeps every atomic). *)
-let rec access n q =
-  if n.query == q then n.access
-  else List.find_map (fun c -> access c q) n.children
+(* The node the pass made for the atomic [q], a subtree of the planned
+   tree (found by identity: the pass keeps every atomic). *)
+let rec find n q = if n.query == q then Some n else List.find_map (fun c -> find c q) n.children
+
+let rec resolved_in inst n =
+  (match n.atom with Some a -> a.range.Instance.inst == inst | None -> true)
+  && List.for_all (resolved_in inst) n.children
 
 (* --- Rendering --------------------------------------------------------------- *)
 

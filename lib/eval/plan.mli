@@ -35,43 +35,19 @@ type choice = {
   rejected : alt list;  (** the alternatives, with the costs that lost *)
 }
 
-val choose_path :
-  pager:Pager.t ->
-  instance:Instance.t ->
-  ?attr_index:Attr_index.t ->
-  ?cache:Cache.t ->
-  ?calib:Planstats.t ->
-  ?streaming:bool ->
-  ?force:path ->
-  Ast.atomic ->
-  choice
-(** Price the access paths of one atomic and pick the cheapest by
-    estimated reads (plus output writes unless [streaming], where both
-    paths pipe).  The index path is priced from the attribute index's
-    cardinality counters ({!Attr_index.count_int_range} and friends) —
-    this system's optimizer statistics, so the probes' descent reads
-    are refunded from the pager's counter: planning is free and a
-    forced path costs exactly what auto-selection costs on that path.
-    The cache path is priced from a read-only {!Cache.peek}.  With
-    [calib], estimates are corrected by the learned per-path bias
-    (["atomic:index"], ["atomic:scan"], falling back to ["atomic"]).
-    [force] pins the decision to a path when it is available.  Base and
-    one-level scopes, which only the dn-index serves, always choose
-    [Scan].  The CPU cost does not grow with the directory: the
-    instance size is O(1), the scope size is the width of the base's
-    rank range ({!Instance.subtree_size}, O(log n)), and the index
-    counters are O(log n) / O(|pattern|).  {!plan} calls it once per
-    sub-scope atomic; nothing else in the library prices a path. *)
-
-val int_bounds : Afilter.cmp -> int -> int * int
-(** The closed key range an integer comparison probes — shared with the
-    engine's index lookup so pricing and execution agree. *)
-
-val substr_probe : Afilter.substring -> (string * bool) option
-(** The component an indexed substring filter probes with: the longest
-    available one (ties prefer the anchored initial component, whose
-    exact-trie walk is cheaper).  [true] = anchored at the start.
-    [None] for a bare [*]. *)
+(** How the pricing pass resolved one atomic; execution reads it
+    instead of deriving any of it again. *)
+type atom = {
+  range : Instance.range;
+      (** the base's key and rank range ({!Instance.resolve}), in the
+          instance the pass priced *)
+  probe : Attr_index.probe option;
+      (** the filter's index probe: sub scope, index attached, filter
+          indexable *)
+  text : string option;
+      (** the atomic's printed text, its result-cache key: sub scope,
+          cache attached *)
+}
 
 (** {1 The annotated plan tree} *)
 
@@ -94,6 +70,7 @@ type node = {
       (** bytes allocated by the operator, excluding children *)
   access : choice option;
       (** the access-path decision, on sub-scope atomic nodes *)
+  atom : atom option;  (** the resolution, on atomic nodes *)
   children : node list;
 }
 
@@ -108,10 +85,24 @@ val plan :
   reorder:bool ->
   Ast.t ->
   node
-(** The one pricing pass: every sub-scope atomic priced once through
-    {!choose_path} with the given handles (its {!node.access} is the
-    decision execution follows), every operator from its children's
-    rows.  With [reorder], maximal [And] / [Or] chains are rebuilt
+(** The one pricing pass.  Every atomic is resolved once ({!atom}) in
+    [instance], and every sub-scope atomic priced from that resolution:
+    the scan path from the width of the base's rank range, the index
+    path from the probe's count ({!Attr_index.count}; these counters
+    are this system's optimizer statistics, so the probe's descent
+    reads are refunded from the pager's counter: planning is free and a
+    forced path costs exactly what auto-selection costs on that path),
+    the cache path from a read-only {!Cache.peek} under the atomic's
+    text.  The cheapest by estimated reads (plus output writes unless
+    [streaming], where both paths pipe) is its {!node.access}, the
+    decision execution follows; [force] pins it to a path when that
+    path is available.  With [calib], estimates are corrected by the
+    learned per-path bias (["atomic:index"], ["atomic:scan"], falling
+    back to ["atomic"]).  Base and one-level scopes, which only the
+    dn-index serves, are priced as scans.  The CPU cost of an atomic
+    does not grow with the directory: O(log n) rank descents and index
+    counters, O(|pattern|) trie walks.  Every operator is priced from
+    its children's rows.  With [reorder], maximal [And] / [Or] chains are rebuilt
     left-deep ascending by those same row estimates; [And]/[Or] being
     commutative and associative over sorted entry lists, results are
     unchanged, and intermediate sizes (with them comparisons, and
@@ -119,8 +110,9 @@ val plan :
     are right.  Order-sensitive operators ([Diff], hierarchical,
     references) keep their operand order.  The root's [query] is the
     tree to run.  Without any handles the pass degrades to the
-    selectivity-based scan model.  No text is built: a node's filter /
-    aggregate text is rendered from its [query] when it is printed. *)
+    selectivity-based scan model.  No text is built beyond a cached
+    atomic's key: a node's filter / aggregate text is rendered from its
+    [query] when it is printed. *)
 
 val estimate :
   pager:Pager.t ->
@@ -134,9 +126,13 @@ val estimate :
   node
 (** {!plan} of the tree as given, without reordering. *)
 
-val access : node -> Ast.t -> choice option
-(** The access decision a plan took for one of its atomics, found by
-    identity among the subtrees of its root's [query]. *)
+val find : node -> Ast.t -> node option
+(** The node a plan made for one of its atomics, found by identity
+    among the subtrees of its root's [query]. *)
+
+val resolved_in : Instance.t -> node -> bool
+(** Every atomic of the plan was resolved in this instance, so its
+    ranks index it. *)
 
 val op_label : Ast.t -> string
 (** The operator name of a tree's root: ["atomic"], ["&"], ["vd"], ... *)

@@ -92,62 +92,72 @@ let build pager instance =
   Instance.iter (add_entry t) instance;
   t
 
-(* All lookups return candidate entries in unspecified order; callers
-   re-sort into canonical order (charged as the output write). *)
+(* --- Probes ---------------------------------------------------------------- *)
 
-let lookup_int_range t a ~lo ~hi =
-  match Hashtbl.find_opt t.ints a with
-  | None -> Some []  (* attribute never has int values *)
-  | Some bt -> Some (List.concat_map snd (Btree.range bt ~lo ~hi))
+type probe =
+  | Int_range of string * int * int
+  | Exact of string * string
+  | Prefix of string * string
+  | Substring of string * string
+  | Ref of string * string
 
-let lookup_str_eq t a s =
-  match Hashtbl.find_opt t.str_exact a with
-  | None -> Some []
-  | Some trie -> Some (Str_trie.find_exact trie s)
+(* The component a substring filter probes with: the longest available
+   one (ties prefer the initial component, whose exact-trie prefix walk
+   is cheaper than the suffix trie).  Probing with anything shorter
+   inflates the candidate set the full pattern then filters back down. *)
+let substr_probe a (pat : Afilter.substring) =
+  let longest best (s, anchored) =
+    match best with
+    | Some (b, _) when String.length b >= String.length s -> best
+    | _ -> Some (s, anchored)
+  in
+  let best = match pat.Afilter.initial with Some s -> Some (s, true) | None -> None in
+  let best = List.fold_left (fun b s -> longest b (s, false)) best pat.Afilter.middles in
+  let best = match pat.Afilter.final with Some s -> longest best (s, false) | None -> best in
+  match best with
+  | None -> None
+  | Some (s, true) -> Some (Prefix (a, s))
+  | Some (s, false) -> Some (Substring (a, s))
 
-let lookup_str_prefix t a s =
-  match Hashtbl.find_opt t.str_exact a with
-  | None -> Some []
-  | Some trie -> Some (Str_trie.find_prefix trie s)
+let probe (f : Afilter.t) =
+  match f with
+  | Afilter.Present _ -> None
+  | Afilter.Int_cmp (a, op, k) ->
+      let lo, hi =
+        match op with
+        | Afilter.Lt -> (min_int, k - 1)
+        | Afilter.Le -> (min_int, k)
+        | Afilter.Eq -> (k, k)
+        | Afilter.Ge -> (k, max_int)
+        | Afilter.Gt -> (k + 1, max_int)
+      in
+      Some (Int_range (a, lo, hi))
+  | Afilter.Str_eq (a, s) -> Some (Exact (a, s))
+  | Afilter.Dn_eq (a, d) -> Some (Ref (a, Entry.ref_key d))
+  | Afilter.Substr (a, pat) -> substr_probe a pat
 
-let lookup_substring t a s =
-  match Hashtbl.find_opt t.str_sub a with
-  | None -> Some []
-  | Some idx -> Some (Str_trie.Substr.find_substring idx s)
+(* Candidates in unspecified order, which callers re-sort into the
+   canonical one; none when the attribute is not indexed. *)
+let lookup t p =
+  let on tbl a f = match Hashtbl.find_opt tbl a with None -> [] | Some idx -> f idx in
+  match p with
+  | Int_range (a, lo, hi) -> on t.ints a (fun bt -> List.concat_map snd (Btree.range bt ~lo ~hi))
+  | Exact (a, s) -> on t.str_exact a (fun trie -> Str_trie.find_exact trie s)
+  | Prefix (a, s) -> on t.str_exact a (fun trie -> Str_trie.find_prefix trie s)
+  | Substring (a, s) -> on t.str_sub a (fun idx -> Str_trie.Substr.find_substring idx s)
+  | Ref (a, k) -> on t.dn_exact a (fun trie -> Str_trie.find_exact trie k)
 
-let lookup_dn_eq t a d =
-  match Hashtbl.find_opt t.dn_exact a with
-  | None -> Some []
-  | Some trie -> Some (Str_trie.find_exact trie (Dn.rev_key d))
-
-(* Cardinality probes: how many candidates the matching lookup would
-   return, without materializing the postings.  Descent I/O is charged
-   like a lookup's; the collection is not — O(log n) for the B-tree,
-   O(|pattern|) for the tries — which is what lets a planner price the
-   index path before committing to it. *)
-
-let count_int_range t a ~lo ~hi =
-  match Hashtbl.find_opt t.ints a with
-  | None -> 0
-  | Some bt -> Btree.count_range bt ~lo ~hi
-
-let count_str_eq t a s =
-  match Hashtbl.find_opt t.str_exact a with
-  | None -> 0
-  | Some trie -> Str_trie.count_exact trie s
-
-let count_prefix t a s =
-  match Hashtbl.find_opt t.str_exact a with
-  | None -> 0
-  | Some trie -> Str_trie.count_prefix trie s
-
-(* Upper bound: suffix occurrences, not distinct strings. *)
-let count_substring t a s =
-  match Hashtbl.find_opt t.str_sub a with
-  | None -> 0
-  | Some idx -> Str_trie.Substr.count_substring idx s
-
-let count_dn_eq t a d =
-  match Hashtbl.find_opt t.dn_exact a with
-  | None -> 0
-  | Some trie -> Str_trie.count_exact trie (Dn.rev_key d)
+(* How many candidates [lookup] would return, without materializing the
+   postings: descent I/O is charged like a lookup's, the collection is
+   not (O(log n) for the B-tree, O(|pattern|) for the tries), which is
+   what lets a planner price the index path before committing to it.
+   A substring count is an upper bound: suffix occurrences, not
+   distinct strings. *)
+let count t p =
+  let on tbl a f = match Hashtbl.find_opt tbl a with None -> 0 | Some idx -> f idx in
+  match p with
+  | Int_range (a, lo, hi) -> on t.ints a (fun bt -> Btree.count_range bt ~lo ~hi)
+  | Exact (a, s) -> on t.str_exact a (fun trie -> Str_trie.count_exact trie s)
+  | Prefix (a, s) -> on t.str_exact a (fun trie -> Str_trie.count_prefix trie s)
+  | Substring (a, s) -> on t.str_sub a (fun idx -> Str_trie.Substr.count_substring idx s)
+  | Ref (a, k) -> on t.dn_exact a (fun trie -> Str_trie.count_exact trie k)

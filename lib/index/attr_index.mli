@@ -20,29 +20,33 @@ val remove_entry : t -> Entry.t -> unit
     answers as a fresh {!build} over the remaining entries would (up to
     candidate order, which is unspecified anyway). *)
 
-val lookup_int_range : t -> string -> lo:int -> hi:int -> Entry.t list option
-(** Entries with an int value of the attribute in [lo, hi];
-    [Some []] when the attribute has no int values anywhere. *)
+(** {1 Probes}
 
-val lookup_str_eq : t -> string -> string -> Entry.t list option
-val lookup_str_prefix : t -> string -> string -> Entry.t list option
-val lookup_substring : t -> string -> string -> Entry.t list option
-val lookup_dn_eq : t -> string -> Value.dn -> Entry.t list option
+    What an indexed atomic filter asks of the index, built once from the
+    filter and then counted (planning) and looked up (execution). *)
 
-(** {1 Cardinality probes}
+type probe =
+  | Int_range of string * int * int  (** int values of the attribute in [\[lo, hi\]] *)
+  | Exact of string * string  (** a string value *)
+  | Prefix of string * string  (** string values with this prefix *)
+  | Substring of string * string  (** string values containing this *)
+  | Ref of string * string  (** references to the dn with this {!Entry.ref_key} *)
 
-    Candidate counts for the matching lookups, without materializing
-    the postings: the descent is charged like a lookup's, the
-    collection is not — O(log n) for the B-tree, O(|pattern|) for the
-    tries.  These are what {!Plan} prices the index access path from.
-    [0] when the attribute is not indexed anywhere. *)
+val probe : Afilter.t -> probe option
+(** The probe that answers a filter: the closed int range of a
+    comparison, the exact string, the longest component of a substring
+    pattern (ties prefer the anchored initial one, whose exact-trie walk
+    is cheaper), or the referenced dn's key, keyed here once.  [None]
+    for a presence filter or a bare [*]. *)
 
-val count_int_range : t -> string -> lo:int -> hi:int -> int
-val count_str_eq : t -> string -> string -> int
-val count_prefix : t -> string -> string -> int
+val lookup : t -> probe -> Entry.t list
+(** The candidates, in unspecified order (callers re-sort into the
+    canonical one); [\[\]] when the attribute is not indexed. *)
 
-val count_substring : t -> string -> string -> int
-(** Upper bound: a value containing the pattern more than once counts
-    once per occurrence ({!lookup_substring} dedups on collection). *)
-
-val count_dn_eq : t -> string -> Value.dn -> int
+val count : t -> probe -> int
+(** [List.length (lookup t p)] without materializing the postings —
+    except for [Substring], where it is an upper bound (a value holding
+    the pattern twice counts twice; {!lookup} dedups).  The descent is
+    charged like a lookup's, the collection is not: O(log n) for the
+    B-tree, O(|pattern|) for the tries.  This is what {!Plan} prices the
+    index access path from.  [0] when the attribute is not indexed. *)

@@ -1,6 +1,6 @@
 (* The clustering index on reverse-dn keys.
 
-   The entries of an instance, sorted by [Dn.rev_key], laid out on pages:
+   The entries of an instance, sorted by reverse-dn key, laid out on pages:
    the entry of rank r in canonical order sits on page r / B.  The
    instance's size-annotated tree answers every rank in O(log n), so the
    index is a view of the instance and holds no copy of its entries.
@@ -8,7 +8,7 @@
    three LDAP search scopes become key-range operations:
 
    - [base]: a point lookup (charged like a B-tree descent);
-   - [sub]:  the contiguous range of keys with prefix [rev_key base];
+   - [sub]:  the contiguous range of keys the base's key prefixes;
    - [one]:  the same range, filtered to depth(base) + 1.
 
    Atomic queries produce their result in canonical sorted order directly
@@ -52,44 +52,40 @@ let find t dn =
   charge_descent t;
   Instance.find t.instance dn
 
-let subtree_range t base = Instance.prefix_range t.instance (Dn.rev_key base)
+let instance t = t.instance
 
-(* Scan a subtree as a stream: charges the descent plus a sequential
-   read of the pages its rank range covers; the kept entries flow out as
-   a live source, ready to pipeline into an operator without ever being
-   written. *)
-let scan_subtree_src ?(keep = fun _ -> true) t base =
+(* Scan one scope of a resolved base: the descent, then for [one] and
+   [sub] a sequential read of the pages its rank range covers; the kept
+   entries flow out as a live source, ready to pipeline into an
+   operator without ever being written.  The base entry, when present,
+   is its range's first entry, the one whose key is the prefix itself. *)
+let scan ?(keep = fun _ -> true) t scope (r : Instance.range) =
+  if r.Instance.inst != t.instance then
+    invalid_arg "Dn_index.scan: a base resolved in another instance";
   charge_descent t;
-  let ((lo, hi) as range) = subtree_range t base in
-  if hi > lo then begin
-    let block = Pager.block t.pager in
-    for page = lo / block to (hi - 1) / block do
-      read_page t page
-    done
-  end;
-  let kept = Instance.fold_range (fun e l -> if keep e then e :: l else l) t.instance range [] in
+  let lo = r.Instance.lo and hi = r.Instance.hi in
+  let read_range () =
+    if hi > lo then begin
+      let block = Pager.block t.pager in
+      for page = lo / block to (hi - 1) / block do
+        read_page t page
+      done
+    end
+  in
+  let kept range keep = Instance.fold_range (fun e l -> if keep e then e :: l else l) t.instance range [] in
+  let kept =
+    match scope with
+    | Ast.Base ->
+        let is_base e = String.length (Entry.key e) = String.length r.Instance.key in
+        kept (lo, min hi (lo + 1)) (fun e -> is_base e && keep e)
+    | Ast.One ->
+        read_range ();
+        let d = Dn.depth r.Instance.base in
+        kept (lo, hi) (fun e ->
+            let depth = Dn.depth (Entry.dn e) in
+            (depth = d + 1 || depth = d) && keep e)
+    | Ast.Sub ->
+        read_range ();
+        kept (lo, hi) keep
+  in
   Ext_list.Source.of_array (Array.of_list kept)
-
-let scan_children_src ?(keep = fun _ -> true) t base =
-  let d = Dn.depth base in
-  scan_subtree_src t base ~keep:(fun e ->
-      let depth = Dn.depth (Entry.dn e) in
-      (depth = d + 1 || depth = d) && keep e)
-
-let scan_base_src ?(keep = fun _ -> true) t base =
-  charge_descent t;
-  Ext_list.Source.of_array
-    (match Instance.find t.instance base with
-    | Some e when keep e -> [| e |]
-    | _ -> [||])
-
-(* Materialized scans: the same ranges, with the output written through
-   a page-buffered writer. *)
-let scan_subtree ?keep t base =
-  Ext_list.Source.materialize t.pager (scan_subtree_src ?keep t base)
-
-let scan_children ?keep t base =
-  Ext_list.Source.materialize t.pager (scan_children_src ?keep t base)
-
-let scan_base ?keep t base =
-  Ext_list.Source.materialize t.pager (scan_base_src ?keep t base)

@@ -1,6 +1,6 @@
 (** The clustering index on reverse-dn keys.
 
-    The entries of an instance sorted by [Dn.rev_key] on pages: because
+    The entries of an instance sorted by reverse-dn key on pages: because
     an ancestor's key is a prefix of each descendant's, the three LDAP
     scopes are key-range operations, and atomic queries come out in the
     canonical order the whole pipeline needs (Section 8.2).
@@ -22,28 +22,16 @@ val length : t -> int
 val find : t -> Dn.t -> Entry.t option
 (** Point lookup; charges a B-tree-like descent. *)
 
-val subtree_range : t -> Dn.t -> int * int
-(** Rank range [(lo, hi)], [hi] exclusive, of the subtree rooted at the
-    base. *)
+val instance : t -> Instance.t
+(** The instance the index is a view of: resolve bases in it
+    ({!Instance.resolve}) to {!scan} them. *)
 
-val scan_subtree : ?keep:(Entry.t -> bool) -> t -> Dn.t -> Entry.t Ext_list.t
-(** The [sub] scope: descent + sequential read of the subtree range,
-    filtered through [keep], output written through a standard writer. *)
-
-val scan_children : ?keep:(Entry.t -> bool) -> t -> Dn.t -> Entry.t Ext_list.t
-(** The [one] scope (base entry plus its children). *)
-
-val scan_base : ?keep:(Entry.t -> bool) -> t -> Dn.t -> Entry.t Ext_list.t
-(** The [base] scope. *)
-
-val scan_subtree_src :
-  ?keep:(Entry.t -> bool) -> t -> Dn.t -> Entry.t Ext_list.Source.src
-(** Streaming [sub] scope: same descent and range-read charges, but the
-    kept entries flow out as a live source instead of being written —
-    the leaf of a pipelined plan (Section 8.2). *)
-
-val scan_children_src :
-  ?keep:(Entry.t -> bool) -> t -> Dn.t -> Entry.t Ext_list.Source.src
-
-val scan_base_src :
-  ?keep:(Entry.t -> bool) -> t -> Dn.t -> Entry.t Ext_list.Source.src
+val scan :
+  ?keep:(Entry.t -> bool) -> t -> Ast.scope -> Instance.range -> Entry.t Ext_list.Source.src
+(** One scope of a resolved base, in canonical order, its entries kept
+    by [keep] flowing out as a live source (the leaf of a pipelined
+    plan, Section 8.2): [base] charges the descent, [one] and [sub] the
+    descent plus a sequential read of the range's pages, which [one]
+    filters to the base and its children.  No key is built or compared
+    beyond the range.  [Ext_list.Source.materialize] writes it.
+    @raise Invalid_argument on a range resolved in another instance. *)

@@ -38,13 +38,11 @@ let eval instance q =
     [] instance
   |> List.rev
 
-(* Indexed evaluation: one scan of the base's subtree range. *)
+(* Indexed evaluation: one scan of the base's resolved scope. *)
 let eval_indexed dn_index q =
-  let keep e = matches q.filter e in
-  match q.scope with
-  | Ast.Base -> Dn_index.scan_base_src dn_index q.base ~keep
-  | Ast.One -> Dn_index.scan_children_src dn_index q.base ~keep
-  | Ast.Sub -> Dn_index.scan_subtree_src dn_index q.base ~keep
+  Dn_index.scan dn_index q.scope
+    (Instance.resolve (Dn_index.instance dn_index) q.base)
+    ~keep:(matches q.filter)
 
 (* --- Translations (Theorem 8.1) ---------------------------------------- *)
 

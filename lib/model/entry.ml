@@ -33,6 +33,9 @@ let size_of key attrs =
     (String.length key + 16)
     attrs
 
+(* The key a reference to [d] is cached and indexed under. *)
+let ref_key d = Dn.rev_key d
+
 let make dn attrs =
   let attrs =
     List.sort_uniq
@@ -43,7 +46,7 @@ let make dn attrs =
   in
   let refs =
     List.fold_right
-      (fun (a, v) refs -> match v with Value.Dn d -> Ref (a, Dn.rev_key d, refs) | _ -> refs)
+      (fun (a, v) refs -> match v with Value.Dn d -> Ref (a, ref_key d, refs) | _ -> refs)
       attrs No_ref
   in
   let key = Dn.rev_key dn in

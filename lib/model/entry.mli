@@ -45,6 +45,10 @@ val ref_keys : t -> string -> (string -> unit) -> unit
     nothing.  A key is fixed when the entry is made: renaming the
     referenced entry changes neither it nor the {!dn_values}. *)
 
+val ref_key : Dn.t -> string
+(** The key a reference to a dn is cached under ({!ref_keys}) and a
+    dn-valued attribute index posts it under: [Dn.rev_key]. *)
+
 val classes : t -> string list
 (** The values of [objectClass]. *)
 

@@ -306,16 +306,22 @@ let to_list t = fold_range List.cons t (0, size t) []
 
 let rank t key = count_before ~past:false key 0 t.tree
 
-let prefix_range t prefix =
-  (rank t prefix, count_before ~past:true prefix 0 t.tree)
+type range = { inst : t; base : Dn.t; key : string; lo : int; hi : int }
 
 (* A subtree is the key range [rev_key base] starts: an ancestor's key
-   is a prefix of each descendant's, and of no other key. *)
-let subtree t base = fold_range List.cons t (prefix_range t (Dn.rev_key base)) []
+   is a prefix of each descendant's, and of no other key.  This is
+   where a query's base is keyed, once. *)
+let resolve t base =
+  let key = Dn.rev_key base in
+  { inst = t; base; key; lo = rank t key; hi = count_before ~past:true key 0 t.tree }
+
+let subtree t base =
+  let r = resolve t base in
+  fold_range List.cons t (r.lo, r.hi) []
 
 let subtree_size t base =
-  let lo, hi = prefix_range t (Dn.rev_key base) in
-  hi - lo
+  let r = resolve t base in
+  r.hi - r.lo
 
 let diff old t ~removed ~added = diff_tree old.tree t.tree ~removed ~added
 

@@ -62,14 +62,24 @@ val rank : t -> string -> int
     — for an entry's own key, its position in {!to_list}.  O(log n), no
     allocation. *)
 
-val prefix_range : t -> string -> int * int
-(** The ranks [(lo, hi)], [hi] exclusive, of the entries whose key
-    starts with [prefix]: for [Dn.rev_key base], those at or below [base].
-    Two rank descents, no allocation. *)
+(** A base dn resolved in one instance: its key and the ranks
+    [\[lo, hi)] of the entries at or below it. *)
+type range = private {
+  inst : t;  (** the instance the ranks index *)
+  base : Dn.t;
+  key : string;  (** [Dn.rev_key base], a prefix of every key in range *)
+  lo : int;
+  hi : int;  (** exclusive *)
+}
+
+val resolve : t -> Dn.t -> range
+(** Key [base] and find its subtree's rank range: one keying, two rank
+    descents, O(log n).  Planning resolves each atomic's base once and
+    every scan of its scope reads the result. *)
 
 val fold_range : (Entry.t -> 'acc -> 'acc) -> t -> int * int -> 'acc -> 'acc
 (** [fold_range f t (lo, hi) init] folds [f] over the entries of ranks
-    [lo] to [hi - 1], such as a {!prefix_range}, from the last to the first
+    [lo] to [hi - 1], such as a {!range}'s, from the last to the first
     (so consing lists them in canonical order): O(log n + k) for k
     entries, no key compared. *)
 
@@ -78,7 +88,7 @@ val subtree : t -> Dn.t -> Entry.t list
 
 val subtree_size : t -> Dn.t -> int
 (** [List.length (subtree t base)] in O(log n), without building the
-    list: the width of the base's {!prefix_range}. *)
+    list: the width of the base's {!range}. *)
 
 val diff : t -> t -> removed:(Entry.t -> unit) -> added:(Entry.t -> unit) -> unit
 (** [diff old t ~removed ~added] reports each entry of [old] not

@@ -336,7 +336,8 @@ let test_engine_scaling_linear () =
 
 (* Pricing an atomic reads O(1) and O(log n) counters, so it must cost
    about the same on 1k and 64k entries: at most 4 KB allocated per
-   [Plan.choose_path] at either size, and a min-of-200 wall time at 64k
+   [Plan.estimate] of a sub-scope atomic (its resolution, path choice
+   and plan node) at either size, and a min-of-200 wall time at 64k
    within 8x of 1k's (each sample the mean of a batch of 20 calls).
    The atomics are a leaf's one-entry subtree, a grandchild of the
    karily root whose subtree holds between 1/16 and 1/4 of the
@@ -369,8 +370,8 @@ let test_planning_cost_flat () =
     let filter = Afilter.Str_eq (Schema.object_class, "node") in
     List.map
       (fun base ->
-        let a = { Ast.base; scope = Ast.Sub; filter } in
-        let price () = ignore (Plan.choose_path ~pager ~instance ~attr_index a) in
+        let q = Ast.Atomic { Ast.base; scope = Ast.Sub; filter } in
+        let price () = ignore (Plan.estimate ~pager ~instance ~attr_index q) in
         price ();
         let w0 = Gc.minor_words () in
         let best = ref max_int in
@@ -402,10 +403,10 @@ let test_planning_cost_flat () =
       List.iter
         (fun (n, a) ->
           if a > 4096. then
-            Alcotest.failf "%s atomic: %.0f B allocated per choose_path at %s > 4 KB" scope a n)
+            Alcotest.failf "%s atomic: %.0f B allocated per estimate at %s > 4 KB" scope a n)
         [ ("1k", a1); ("64k", a64) ];
       if t64 > 8 * max 1 t1 then
-        Alcotest.failf "%s atomic: min choose_path %d ns at 64k > 8x %d ns at 1k" scope t64 t1)
+        Alcotest.failf "%s atomic: min estimate %d ns at 64k > 8x %d ns at 1k" scope t64 t1)
     rows
 
 (* A B-tree count reads per-key posting counts, so a boundary key's
@@ -661,6 +662,89 @@ let test_eval_hit_words () =
   if x20 > x1 + 16 then
     Alcotest.failf "Engine.eval hit at depth 20: %d words beyond printing, %d for an atomic" x20 x1
 
+(* Two bases, [deep_dn 3] and [deep_dn 20], each with 16 children
+   alike: child i has id=i and references [target]. *)
+let target = Dn.of_string "dc=target"
+
+let keying_instance () =
+  let family depth =
+    let base = deep_dn depth in
+    Entry.make base [ (Schema.object_class, Value.Str "unit") ]
+    :: List.init 16 (fun i ->
+           Entry.make
+             (Dn.child base (Rdn.single "id" (Value.Int i)))
+             [ ("id", Value.Int i); ("ref", Value.Dn target); (Schema.object_class, Value.Str "node") ])
+  in
+  Instance.of_entries ~validate:false (Dif_gen.schema ()) (family 3 @ family 20)
+
+let rev_key_growth () =
+  let shallow = deep_dn 3 and deep = deep_dn 20 in
+  words_of (fun () -> Dn.rev_key deep) - words_of (fun () -> Dn.rev_key shallow)
+
+(* Planning resolves an atomic's base once and execution reads that
+   resolution, so [Engine.eval] of an atomic (no cache) grows from base
+   depth 3 to 20 by at most one [Dn.rev_key]'s growth, plus 16 words,
+   on every scope and path, a [ref=dn:] filter's index path included. *)
+let test_atomic_keyed_once () =
+  let instance = keying_instance () in
+  let scan = Engine.create ~block ~planner:Engine.Force_scan instance in
+  let index = Engine.create ~block ~planner:Engine.Force_index instance in
+  let key = rev_key_growth () in
+  let cases =
+    [
+      ("base", scan, fun d -> Ast.Atomic { Ast.base = deep_dn d; scope = Ast.Base; filter = Afilter.Present Schema.object_class });
+      ("one", scan, fun d -> Ast.Atomic { Ast.base = deep_dn d; scope = Ast.One; filter = Afilter.Present Schema.object_class });
+      ("sub scan", scan, fun d -> Ast.Atomic { Ast.base = deep_dn d; scope = Ast.Sub; filter = Afilter.Int_cmp ("id", Afilter.Lt, 8) });
+      ("sub index", index, fun d -> Ast.Atomic { Ast.base = deep_dn d; scope = Ast.Sub; filter = Afilter.Int_cmp ("id", Afilter.Eq, 5) });
+      ("ref base", index, fun d -> Ast.Atomic { Ast.base = deep_dn d; scope = Ast.Sub; filter = Afilter.Dn_eq ("ref", target) });
+    ]
+  in
+  List.iter
+    (fun (name, eng, q) ->
+      let words d =
+        let q = q d in
+        let rows = Ext_list.length (Engine.eval eng q) in
+        if rows = 0 then Alcotest.failf "%s at depth %d: no rows" name d;
+        words_of (fun () -> Engine.eval eng q)
+      in
+      let shallow = words 3 and deep = words 20 in
+      Printf.printf "%s: %d words at base depth 3, %d at 20 (one key grows %d)\n" name shallow deep key;
+      if deep - shallow > key + 16 then
+        Alcotest.failf "%s: %d words at base depth 3, %d at 20: grew %d, one key grows %d" name
+          shallow deep (deep - shallow) key)
+    cases
+
+(* With a cache, a sub-scope atomic the plan serves from it is printed
+   once: planning prints it for its peek and the hit reads that text.
+   [Engine.plan] plus [Engine.run_src] of a cached atomic grows from
+   base depth 3 to 20 by at most one [Qprinter.to_string]'s growth and
+   one [Dn.rev_key]'s, plus 16 words. *)
+let test_cached_atomic_printed_once () =
+  let instance = keying_instance () in
+  let eng = Engine.create ~block ~result_cache:(Cache.create ~admit_min_io:0 ()) instance in
+  let q d = Ast.Atomic { Ast.base = deep_dn d; scope = Ast.Sub; filter = Afilter.Int_cmp ("id", Afilter.Lt, 8) } in
+  let rec drain s = match Ext_list.Source.next s with None -> () | Some _ -> drain s in
+  let served d =
+    let q = q d in
+    ignore (Engine.eval eng q);
+    let p = Engine.plan eng q in
+    (match p.Plan.access with
+    | Some { Plan.chosen = { Plan.alt_path = Plan.Cached; _ }; _ } -> ()
+    | _ -> Alcotest.failf "depth %d: the plan does not serve the atomic from the cache" d);
+    words_of (fun () -> drain (Engine.run_src eng (Engine.plan eng q)))
+  in
+  let print =
+    let shallow = q 3 and deep = q 20 in
+    words_of (fun () -> Qprinter.to_string deep) - words_of (fun () -> Qprinter.to_string shallow)
+  in
+  let key = rev_key_growth () in
+  let shallow = served 3 and deep = served 20 in
+  Printf.printf "cached atomic: %d words at base depth 3, %d at 20 (print grows %d, key %d)\n" shallow
+    deep print key;
+  if deep - shallow > print + key + 16 then
+    Alcotest.failf "cached atomic: grew %d words from base depth 3 to 20; one print grows %d, one key %d"
+      (deep - shallow) print key
+
 (* A store that evicts one entry costs O(log n) in the entries resident:
    with 4,096 resident it takes at most 8x the min-of-50 time (each
    sample a batch of 256 stores, each evicting one) of the same with 64
@@ -748,6 +832,8 @@ let () =
             test_cache_store_words_flat;
           Alcotest.test_case "cache hit words flat in base depth" `Quick test_cache_hit_words_flat;
           Alcotest.test_case "eval hit allocates only its printing" `Quick test_eval_hit_words;
+          Alcotest.test_case "an atomic is keyed once" `Quick test_atomic_keyed_once;
+          Alcotest.test_case "a cached atomic is printed once" `Quick test_cached_atomic_printed_once;
           Alcotest.test_case "cache evicting store flat in entries" `Quick
             test_cache_evict_flat_in_entries;
           Testkit.qtest ~count:100 "pipeline keeps sortedness"

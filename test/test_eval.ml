@@ -716,39 +716,36 @@ let same_entries a b =
    build over the instance, does; lookups must return the instance's
    own entries. *)
 let attr_index_agrees ~probes ~fresh idx =
-  let lookups f =
-    let norm = Option.map (List.stable_sort Entry.compare_rev) in
-    match (norm (f idx), norm (f fresh)) with
-    | Some a, Some b -> List.length a = List.length b && List.for_all2 ( == ) a b
-    | None, None -> true
-    | _ -> false
+  let agrees p =
+    let norm x = List.stable_sort Entry.compare_rev (Attr_index.lookup x p) in
+    let a = norm idx and b = norm fresh in
+    List.length a = List.length b
+    && List.for_all2 ( == ) a b
+    && Attr_index.count idx p = Attr_index.count fresh p
   in
-  let counts f = f idx = f fresh in
   List.for_all
     (fun (a, v) ->
       match v with
       | Value.Int i ->
           List.for_all
-            (fun (lo, hi) ->
-              lookups (fun x -> Attr_index.lookup_int_range x a ~lo ~hi)
-              && counts (fun x -> Attr_index.count_int_range x a ~lo ~hi))
+            (fun (lo, hi) -> agrees (Attr_index.Int_range (a, lo, hi)))
             [ (i, i); (min_int, i) ]
       | Value.Str s ->
           let n = String.length s in
           let head = String.sub s 0 (min 2 n) and tail = String.sub s (max 0 (n - 2)) (min 2 n) in
-          lookups (fun x -> Attr_index.lookup_str_eq x a s)
-          && counts (fun x -> Attr_index.count_str_eq x a s)
-          && lookups (fun x -> Attr_index.lookup_str_prefix x a head)
-          && counts (fun x -> Attr_index.count_prefix x a head)
-          && lookups (fun x -> Attr_index.lookup_substring x a tail)
-          && counts (fun x -> Attr_index.count_substring x a tail)
-      | Value.Dn d ->
-          lookups (fun x -> Attr_index.lookup_dn_eq x a d)
-          && counts (fun x -> Attr_index.count_dn_eq x a d))
+          agrees (Attr_index.Exact (a, s))
+          && agrees (Attr_index.Prefix (a, head))
+          && agrees (Attr_index.Substring (a, tail))
+      | Value.Dn d -> List.for_all agrees (Option.to_list (Attr_index.probe (Afilter.Dn_eq (a, d)))))
     probes
 
 let dn_index_agrees inst eng =
-  let held = Ext_list.to_list (Dn_index.scan_subtree (Engine.dn_index eng) Dn.root) in
+  let idx = Engine.dn_index eng in
+  let held =
+    Ext_list.Source.materialize (Engine.pager eng)
+      (Dn_index.scan idx Ast.Sub (Instance.resolve (Dn_index.instance idx) Dn.root))
+    |> Ext_list.to_list
+  in
   let current = Instance.to_list inst in
   List.compare_lengths held current = 0 && List.for_all2 ( == ) held current
 
@@ -794,6 +791,63 @@ let prop_incremental_maintenance (instance, pool, ops) =
       | _ -> ())
     ops;
   true
+
+(* A plan made before an update runs after it: [Engine.run_src] answers
+   as [Semantics] over the instance the update left, under every
+   planner policy, with the result cache off and on (warmed with the
+   query's atomics, so plans choose the cache path the update then
+   invalidates).  The update is any a directory reports, a subtree
+   deletion among them; the plan's ranks index the old instance only. *)
+let gen_stale_plan =
+  let open QCheck2 in
+  let idx = Gen.int_range 0 10_000 in
+  let update =
+    Gen.frequency
+      [
+        (2, Gen.map (fun i -> Delete (i, true)) idx);
+        (1, Gen.map (fun i -> Delete (i, false)) idx);
+        (1, Gen.map2 (fun i p -> Reprioritize (i, p)) idx (Gen.int_range 0 9));
+        (1, Gen.map2 (fun i k -> Rename_value (i, k)) idx (Gen.int_range 0 4));
+        (1, Gen.map (fun i -> Add_child i) idx);
+        (1, Gen.map2 (fun i j -> Move (i, j)) idx (Gen.opt idx));
+        (1, Gen.map (fun i -> Burst i) idx);
+      ]
+  in
+  let ( let* ) = Gen.( >>= ) in
+  let* instance = Testkit.gen_instance in
+  let* q = Testkit.gen_query instance in
+  let* op = update in
+  Gen.return (instance, q, op)
+
+let prop_stale_plan_replanned (instance, q, op) =
+  List.for_all
+    (fun (cached, planner) ->
+      let d = Directory.create instance in
+      let result_cache = if cached then Some (Cache.create ~admit_min_io:0 ()) else None in
+      Option.iter (fun c -> Cache.attach c d) result_cache;
+      let eng = Engine.create ~block:8 ~planner ?result_cache ~directory:d (Directory.instance d) in
+      if cached then
+        List.iter (fun a -> ignore (Engine.eval eng (Ast.Atomic a))) (Ast.atomic_subqueries q);
+      let plan = Engine.plan ~mode:Engine.Streaming eng q in
+      apply_update d (ref 1_000_000) op;
+      let got =
+        Ext_list.to_list (Ext_list.Source.materialize (Engine.pager eng) (Engine.run_src eng plan))
+      in
+      same_entries (Testkit.oracle (Directory.instance d) q) got
+      || QCheck2.Test.fail_reportf "%s, cache %b: result differs from the oracle (%s)"
+           (match planner with
+           | Engine.Auto -> "auto"
+           | Engine.Force_index -> "index"
+           | Engine.Force_scan -> "scan")
+           cached (Qprinter.to_string q))
+    [
+      (false, Engine.Auto);
+      (false, Engine.Force_index);
+      (false, Engine.Force_scan);
+      (true, Engine.Auto);
+      (true, Engine.Force_index);
+      (true, Engine.Force_scan);
+    ]
 
 (* :explain's contract: an estimated plan renders the chosen access
    path and the rejected alternatives with the costs that lost. *)
@@ -876,6 +930,8 @@ let () =
             test_watched_fused_scan_sees_updates;
           Testkit.qtest ~count:40 "incremental maintenance = oracle + fresh build"
             gen_update_ops prop_incremental_maintenance;
+          Testkit.qtest ~count:100 "stale plan runs on the current instance"
+            gen_stale_plan prop_stale_plan_replanned;
           Alcotest.test_case "explain renders chosen vs rejected" `Quick
             test_explain_shows_paths;
           Testkit.qtest ~count:40 "journal, path counts and explain share one plan"

@@ -117,6 +117,11 @@ let prop_substr_index strs =
 
 (* --- Dn_index ------------------------------------------------------------------ *)
 
+(* One scope of [base], resolved in the index's instance, written out. *)
+let scan pager idx scope base =
+  Ext_list.Source.materialize pager
+    (Dn_index.scan idx scope (Instance.resolve (Dn_index.instance idx) base))
+
 let test_dn_index_scans () =
   let stats, pager = fresh ~block:4 () in
   let i = Dif_gen.karily ~fanout:3 ~size:50 () in
@@ -125,16 +130,16 @@ let test_dn_index_scans () =
   let root = Dn.of_string "dc=kroot" in
   Alcotest.(check int) "length" 50 (Dn_index.length idx);
   Alcotest.(check int) "subtree scan = all" 50
-    (Ext_list.length (Dn_index.scan_subtree idx root));
+    (Ext_list.length (scan pager idx Ast.Sub root));
   Alcotest.(check bool) "find present" true (Dn_index.find idx root <> None);
   Alcotest.(check bool) "find absent" true
     (Dn_index.find idx (Dn.of_string "dc=nothing") = None);
   (* children scope = base + its children *)
-  let one = Dn_index.scan_children idx root in
+  let one = scan pager idx Ast.One root in
   Alcotest.(check int) "one scope" 4 (Ext_list.length one);
   (* base scope via dedicated scan *)
   Alcotest.(check int) "base scope" 1
-    (Ext_list.length (Dn_index.scan_base idx root));
+    (Ext_list.length (scan pager idx Ast.Base root));
   Alcotest.(check bool) "io was charged" true (Io_stats.total_io stats > 0)
 
 let prop_dn_index_subtree_matches_instance seed =
@@ -146,13 +151,13 @@ let prop_dn_index_subtree_matches_instance seed =
   List.for_all
     (fun e ->
       let base = Entry.dn e in
-      let got = Ext_list.to_list (Dn_index.scan_subtree idx base) in
+      let got = Ext_list.to_list (scan pager idx Ast.Sub base) in
       let expect = Instance.subtree i base in
       List.length got = List.length expect
       && List.for_all2 Entry.equal_dn got expect)
     (Instance.to_list i)
 
-(* The subtree's index range, found by two binary searches, equals a
+(* The subtree's rank range, found by two binary searches, equals a
    linear lower bound followed by a linear scan while the key carries
    the prefix (tested by [String.sub]).  Sibling rdn values "a", "a\x01",
    "a\x02" and "a\x01b" put escaped bytes right at the range's end. *)
@@ -169,8 +174,6 @@ let prop_subtree_range_linear seed =
           (Entry.make (named v) [ ("name", Value.Str v); (Schema.object_class, Value.Str "node") ]))
       i [ "a"; "a\x01"; "a\x02"; "a\x01b" ]
   in
-  let _, pager = fresh () in
-  let idx = Dn_index.build pager i in
   let keys = Array.of_list (List.map Entry.key (Instance.to_list i)) in
   let n = Array.length keys in
   let linear base =
@@ -184,7 +187,9 @@ let prop_subtree_range_linear seed =
     (!lo, !hi)
   in
   List.for_all
-    (fun base -> Dn_index.subtree_range idx base = linear base)
+    (fun base ->
+      let r = Instance.resolve i base in
+      (r.Instance.lo, r.Instance.hi) = linear base)
     (Dn.root :: named "absent" :: named "a\x02b" :: List.map Entry.dn (Instance.to_list i))
 
 (* The in-place prefix test agrees with the [String.sub] definition,
@@ -218,28 +223,25 @@ let test_attr_index_lookups () =
   let i = Dif_gen.karily ~fanout:2 ~size:64 () in
   let idx = Attr_index.build pager i in
   (* id is unique: equality range returns one posting *)
-  (match Attr_index.lookup_int_range idx "id" ~lo:10 ~hi:10 with
-  | Some [ e ] -> Alcotest.(check bool) "right entry" true (Entry.int_values e "id" = [ 10 ])
+  (match Attr_index.lookup idx (Attr_index.Int_range ("id", 10, 10)) with
+  | [ e ] -> Alcotest.(check bool) "right entry" true (Entry.int_values e "id" = [ 10 ])
   | _ -> Alcotest.fail "expected exactly one id=10");
   (* range over priorities covers everything *)
-  (match Attr_index.lookup_int_range idx "priority" ~lo:0 ~hi:6 with
-  | Some es -> Alcotest.(check int) "all non-root entries" 63 (List.length es)
-  | None -> Alcotest.fail "priority should be indexed");
-  (match Attr_index.lookup_str_eq idx "tag" "even" with
-  | Some es ->
-      Alcotest.(check bool) "some evens" true (List.length es > 0);
-      Alcotest.(check bool) "all even" true
-        (List.for_all (fun e -> Entry.string_values e "tag" = [ "even" ]) es)
-  | None -> Alcotest.fail "tag should be indexed");
-  (match Attr_index.lookup_substring idx "tag" "ve" with
-  | Some es -> Alcotest.(check bool) "substring hits" true (List.length es > 0)
-  | None -> Alcotest.fail "substring index missing");
+  Alcotest.(check int) "all non-root entries" 63
+    (List.length (Attr_index.lookup idx (Attr_index.Int_range ("priority", 0, 6))));
+  let es = Attr_index.lookup idx (Attr_index.Exact ("tag", "even")) in
+  Alcotest.(check bool) "some evens" true (List.length es > 0);
+  Alcotest.(check bool) "all even" true
+    (List.for_all (fun e -> Entry.string_values e "tag" = [ "even" ]) es);
+  Alcotest.(check bool) "substring hits" true
+    (Attr_index.lookup idx (Attr_index.Substring ("tag", "ve")) <> []);
   Alcotest.(check bool) "unindexed attribute yields empty" true
-    (Attr_index.lookup_int_range idx "nosuch" ~lo:0 ~hi:9 = Some [])
+    (Attr_index.lookup idx (Attr_index.Int_range ("nosuch", 0, 9)) = [])
 
 (* Every cardinality probe agrees with materializing the matching
    lookup — the planner's statistics must be the truth it prices. *)
-let posting_len = function Some es -> List.length es | None -> 0
+let check_count idx name p =
+  Alcotest.(check int) name (List.length (Attr_index.lookup idx p)) (Attr_index.count idx p)
 
 let test_attr_index_counts () =
   let _, pager = fresh () in
@@ -247,33 +249,22 @@ let test_attr_index_counts () =
   let idx = Attr_index.build pager i in
   List.iter
     (fun (lo, hi) ->
-      Alcotest.(check int)
-        (Printf.sprintf "count_int_range id [%d,%d]" lo hi)
-        (posting_len (Attr_index.lookup_int_range idx "id" ~lo ~hi))
-        (Attr_index.count_int_range idx "id" ~lo ~hi))
+      check_count idx (Printf.sprintf "count int range id [%d,%d]" lo hi)
+        (Attr_index.Int_range ("id", lo, hi)))
     [ (10, 10); (0, 63); (20, 40); (70, 99); (min_int, max_int) ];
   List.iter
-    (fun s ->
-      Alcotest.(check int) ("count_str_eq tag " ^ s)
-        (posting_len (Attr_index.lookup_str_eq idx "tag" s))
-        (Attr_index.count_str_eq idx "tag" s))
+    (fun s -> check_count idx ("count exact tag " ^ s) (Attr_index.Exact ("tag", s)))
     [ "even"; "odd"; "neither" ];
   List.iter
-    (fun p ->
-      Alcotest.(check int) ("count_prefix tag " ^ p)
-        (posting_len (Attr_index.lookup_str_prefix idx "tag" p))
-        (Attr_index.count_prefix idx "tag" p))
+    (fun p -> check_count idx ("count prefix tag " ^ p) (Attr_index.Prefix ("tag", p)))
     [ "e"; "ev"; "even"; "o"; ""; "x" ];
   (* the substring probe is an upper bound (per-occurrence, the lookup
      dedups); these patterns occur at most once per value, so exact *)
   List.iter
-    (fun s ->
-      Alcotest.(check int) ("count_substring tag " ^ s)
-        (posting_len (Attr_index.lookup_substring idx "tag" s))
-        (Attr_index.count_substring idx "tag" s))
+    (fun s -> check_count idx ("count substring tag " ^ s) (Attr_index.Substring ("tag", s)))
     [ "ve"; "dd"; "even"; "zz" ];
   Alcotest.(check int) "count on unindexed attribute" 0
-    (Attr_index.count_int_range idx "nosuch" ~lo:0 ~hi:9)
+    (Attr_index.count idx (Attr_index.Int_range ("nosuch", 0, 9)))
 
 let test_attr_index_count_dn () =
   let _, pager = fresh () in
@@ -292,10 +283,9 @@ let test_attr_index_count_dn () =
   Alcotest.(check bool) "generator produced refs" true (refs <> []);
   List.iter
     (fun d ->
-      Alcotest.(check int)
-        ("count_dn_eq " ^ Dn.to_string d)
-        (posting_len (Attr_index.lookup_dn_eq idx "ref" d))
-        (Attr_index.count_dn_eq idx "ref" d))
+      match Attr_index.probe (Afilter.Dn_eq ("ref", d)) with
+      | Some p -> check_count idx ("count ref " ^ Dn.to_string d) p
+      | None -> Alcotest.fail "a dn filter has a probe")
     (Dn.child Dn.root (Rdn.single "id" (Value.Int 424242)) :: refs)
 
 (* Randomized: counts agree with lookups on arbitrary small string

@@ -257,8 +257,12 @@ let test_navigation () =
   let one =
     { Ldap.base = root; scope = Ast.One; filter = Ldap.F_atom (Afilter.Present Schema.object_class) }
   in
-  let idx = Dn_index.build (Pager.create ~block:8 (Io_stats.create ())) i in
-  let scanned = Ext_list.to_list (Dn_index.scan_children idx root) in
+  let pager = Pager.create ~block:8 (Io_stats.create ()) in
+  let idx = Dn_index.build pager i in
+  let scanned =
+    Ext_list.to_list
+      (Ext_list.Source.materialize pager (Dn_index.scan idx Ast.One (Instance.resolve i root)))
+  in
   Alcotest.(check (list string)) "one scope = Ldap.eval"
     (List.map Entry.key (Ldap.eval i one))
     (List.map Entry.key scanned);
