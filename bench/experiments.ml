@@ -1297,12 +1297,12 @@ let e27 () =
   ignore (rpq cached) (* warm up *);
   let warm = rpq cached and cold = rpq uncached in
   let threshold = Float.max 0.5 ((warm +. cold) /. 2.) in
-  (* A private evaluator over the default store and registry: its
+  (* A private evaluator over its own store on the default registry: its
      ALERTS series land in the same exposition a collector scrapes, but
      its ticks and aggressive thresholds stay out of the harness-wide
      evaluator.  Created after the warm-up, so its first tick reads only
      the baseline phase. *)
-  let a = Alerts.create () in
+  let a = Alerts.create (Tsdb.create ()) in
   ignore
     (Alerts.add ~severity:"critical" a ~name:"e27-read-amplification"
        (Printf.sprintf

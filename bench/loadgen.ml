@@ -135,11 +135,23 @@ let () =
   let instance = Dif_gen.generate ~params () in
   let queries = Query_mix.generate ~seed:(!seed + 1) ~count:total instance in
 
+  (* The flight recorder rides along at 4Hz when --tsdb asks for it.
+     With a spawned (in-process) server the recorder and the serving
+     metrics share the default registry, so the saved series carries
+     srv_request_ns, queue depth and the resident-page gauge, and the
+     server's /range reads the same recorder; against an external
+     --port server it records only this process's side. *)
+  let recorder =
+    if !tsdb_out = "" then None
+    else Some (Tsdb.create ~resolution_s:0.25 ())
+  in
   let spawned =
     if !port <> 0 then None
     else begin
       let srv =
-        Srv.start ~workers:!workers ~queue:!queue ~deadline_ms:!deadline_ms
+        Srv.start
+          ?obs:(Option.map Obs.create recorder)
+          ~workers:!workers ~queue:!queue ~deadline_ms:!deadline_ms
           ~make_engine:(fun () -> Engine.create ~block:64 instance)
           ()
       in
@@ -147,20 +159,7 @@ let () =
       Some srv
     end
   in
-
-  (* The flight recorder rides along at 4Hz when --tsdb asks for it.
-     With a spawned (in-process) server the recorder and the serving
-     metrics share the default registry, so the saved series carries
-     srv_request_ns, queue depth and the resident-page gauge; against
-     an external --port server it records only this process's side. *)
-  let recorder =
-    if !tsdb_out = "" then None
-    else begin
-      let ts = Tsdb.create ~resolution_s:0.25 () in
-      Tsdb.start ts;
-      Some ts
-    end
-  in
+  Option.iter Tsdb.start recorder;
 
   let slots =
     Array.init total (fun _ ->

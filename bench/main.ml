@@ -73,6 +73,9 @@ let () =
     "Querying Network Directories — experiment harness (blocking factor B = \
      %d)@."
     Util.block;
+  (* The harness's one context, over the default registry: the monitor
+     serves it, and the end-of-run artifacts below are written from it. *)
+  let obs = Obs.create (Tsdb.create ()) in
   let monitor =
     match !monitor_port with
     | None -> None
@@ -80,13 +83,13 @@ let () =
         (* A monitor-only server: with zero workers no engine is ever
            made, and the introspection routes answer on [port]. *)
         let m =
-          Srv.start ~workers:0 ~port
+          Srv.start ~obs ~workers:0 ~port
             ~make_engine:(fun () -> invalid_arg "monitor-only server")
             ()
         in
         (* The flight recorder samples while the monitor serves, so
            /range and /dashboard have series to draw mid-run. *)
-        Tsdb.start Tsdb.default;
+        Tsdb.start obs.Obs.tsdb;
         Fmt.pr "monitoring on http://127.0.0.1:%d/@." (Srv.port m);
         Some m
   in
@@ -99,17 +102,17 @@ let () =
   (* Feed the plan-quality store online, so /planstats and /workload
      serve live numbers during a monitored run and the end-of-run
      artifacts below reflect the whole workload. *)
-  Planstats.attach Planstats.default;
+  Planstats.attach obs.Obs.planstats;
   (* The stock service-health rules, ticked after each experiment so a
      monitored run serves live states on /alerts and exports the ALERTS
      series; a healthy run ends with zero firing (CI asserts this). *)
-  Alerts.install_defaults ();
+  Alerts.install_defaults obs.Obs.alerts;
   List.iter
     (fun id ->
       (match List.assoc_opt id Experiments.all with
       | Some f -> f ()
       | None -> Fmt.epr "unknown experiment %S (e1..e15, bechamel)@." id);
-      Alerts.tick Alerts.default;
+      Alerts.tick obs.Obs.alerts;
       (* Scrape our own endpoint mid-run, like an external collector
          would, and keep the snapshot next to the result rows. *)
       match monitor with
@@ -132,7 +135,7 @@ let () =
   (* Plan-quality artifacts: the q-error/workload report CI gates on,
      and the calibration cells an offline rebuild of the journal must
      reproduce byte for byte. *)
-  let ps = Planstats.default in
+  let ps = obs.Obs.planstats in
   let planstats_out = "BENCH_planstats.json" in
   let oc = open_out planstats_out in
   output_string oc
@@ -149,11 +152,11 @@ let () =
   let cells = Planstats.save ps calibration in
   Fmt.pr "wrote plan-quality report to %s (%d events, %d calibration cells in %s)@."
     planstats_out (Planstats.events ps) cells calibration;
-  (if Tsdb.running Tsdb.default then begin
-     Tsdb.stop Tsdb.default;
-     Tsdb.save Tsdb.default "BENCH_tsdb.json";
+  (if Tsdb.running obs.Obs.tsdb then begin
+     Tsdb.stop obs.Obs.tsdb;
+     Tsdb.save obs.Obs.tsdb "BENCH_tsdb.json";
      Fmt.pr "wrote %d flight-recorder windows to BENCH_tsdb.json@."
-       (Tsdb.window_count Tsdb.default)
+       (Tsdb.window_count obs.Obs.tsdb)
    end);
   Option.iter Srv.stop monitor;
   Fmt.pr "wrote the %d costliest queries to %s (journal: %s)@." captures slowlog

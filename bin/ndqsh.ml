@@ -20,6 +20,7 @@ type state = {
   mutable cache : Cache.t;  (* survives engine rebuilds, off by default *)
   mutable cache_on : bool;
   mutable server : Srv.t option;  (* the listener: queries + introspection *)
+  obs : Obs.t;  (* the stores :alerts, :planstats, :tsdb and the server read *)
   mutable mode : Engine.mode;  (* operator-boundary handling *)
   mutable planner : Engine.planner;  (* access-path policy *)
   mutable last_trace : Trace.span option;  (* root of the last traced query *)
@@ -44,9 +45,9 @@ let engine st =
       Engine.create ~block:st.block ~mode:st.mode ~planner:st.planner
         ?result_cache:(if st.cache_on then Some st.cache else None)
         ~directory:st.directory (Directory.instance st.directory);
-    (* journaled queries feed the default plan-quality store, and the
+    (* journaled queries feed the shell's plan-quality store, and the
        planner reads its bias cells back: the self-tuning loop *)
-    Engine.set_calibration st.engine (Some Planstats.default);
+    Engine.set_calibration st.engine (Some st.obs.Obs.planstats);
     st.engine_stale <- false
   end;
   st.engine
@@ -299,8 +300,8 @@ let srv_route_totals () =
    the :top counterpart of the dashboard's SVG panels.  Empty when the
    tsdb sampler has recorded nothing for the metric, so :top looks
    unchanged until :monitor or :serve starts the sampler. *)
-let spark ?(scale = 1.) ?(unit = "") name agg =
-  let pts = Tsdb.range Tsdb.default ~window_s:60. ~step_s:2. ~agg name in
+let spark st ?(scale = 1.) ?(unit = "") name agg =
+  let pts = Tsdb.range st.obs.Obs.tsdb ~window_s:60. ~step_s:2. ~agg name in
   let vals = List.filter_map snd pts in
   if vals = [] then ""
   else begin
@@ -346,9 +347,9 @@ let show_top st frames =
       (int_of_float (Metrics.quantile lat 0.5))
       Mclock.pp_ns
       (int_of_float (Metrics.quantile lat 0.99))
-      (spark ~scale:1e6 ~unit:"ms" "engine_query_ns" (Tsdb.Quantile 0.99));
+      (spark st ~scale:1e6 ~unit:"ms" "engine_query_ns" (Tsdb.Quantile 0.99));
     Fmt.pr "  io        reads=%d writes=%d%s@." reads writes
-      (spark ~unit:"/s" "engine_page_reads_total" Tsdb.Rate);
+      (spark st ~unit:"/s" "engine_page_reads_total" Tsdb.Rate);
     (let pi, ps, pc = Engine.path_counts st.engine in
      Fmt.pr "  planner   %s  paths: index=%d scan=%d cache=%d@."
        (match st.planner with
@@ -371,7 +372,7 @@ let show_top st frames =
           (Srv.port srv) (Srv.workers srv) (Srv.queue_depth srv)
           (Srv.queue_capacity srv) (Srv.session_count srv)
           (Metrics.counter_value (Metrics.counter "srv_shed_total"))
-          (spark ~scale:1e6 ~unit:"ms" "srv_request_ns" (Tsdb.Quantile 0.99));
+          (spark st ~scale:1e6 ~unit:"ms" "srv_request_ns" (Tsdb.Quantile 0.99));
         let now = srv_route_totals () in
         List.iter
           (fun (route, n) ->
@@ -393,15 +394,15 @@ let show_top st frames =
 (* The shell's one clock: the flight recorder's sampler thread, whose
    period ticks the alert evaluator (an alert tick takes the period's
    one sample, runtime gauges included). *)
-let start_sampler () =
-  Tsdb.start ~tick:(fun () -> Alerts.tick Alerts.default) Tsdb.default
+let start_sampler st =
+  Tsdb.start ~tick:(fun () -> Alerts.tick st.obs.Obs.alerts) st.obs.Obs.tsdb
 
 (* The flight recorder samples whenever the server runs (/range,
    /dashboard and /alerts feed on it).  When the server stops, so does
    the sampler thread; ndqsh exits with no thread left behind. *)
 let sync_tsdb st =
-  if st.server <> None then start_sampler ()
-  else if Tsdb.running Tsdb.default then Tsdb.stop Tsdb.default
+  if st.server <> None then start_sampler st
+  else Tsdb.stop st.obs.Obs.tsdb
 
 let stop_server st =
   let stopped =
@@ -425,7 +426,7 @@ let start_server st ~port ~workers ~queue =
   let instance = Directory.instance st.directory in
   let block = st.block and mode = st.mode in
   match
-    Srv.start ~workers ~queue ~port
+    Srv.start ~obs:st.obs ~workers ~queue ~port
       ~make_engine:(fun () -> Engine.create ~block ~mode instance)
       ()
   with
@@ -551,20 +552,20 @@ let run_command st line =
             events)
   | ":replay" :: path :: _ -> replay st path
   | ":planstats" :: "build" :: path :: _ -> (
-      let ps = Planstats.default in
+      let ps = st.obs.Obs.planstats in
       Planstats.clear ps;
       match Planstats.build ps path with
       | n -> Fmt.pr "rebuilt from %d events of %s@." n path
       | exception Sys_error m -> Fmt.pr "%s@." m
       | exception Json.Parse_error m -> Fmt.pr "bad journal %s: %s@." path m)
   | ":planstats" :: "save" :: path :: _ -> (
-      match Planstats.save Planstats.default path with
+      match Planstats.save st.obs.Obs.planstats path with
       | n -> Fmt.pr "wrote %d calibration cells to %s@." n path
       | exception Sys_error m -> Fmt.pr "%s@." m)
   | ":planstats" :: "load" :: path :: _ -> (
       match Planstats.load path with
       | loaded ->
-          Planstats.merge ~into:Planstats.default loaded;
+          Planstats.merge ~into:st.obs.Obs.planstats loaded;
           Fmt.pr "merged calibration from %s@." path
       | exception Sys_error m -> Fmt.pr "%s@." m
       | exception Json.Parse_error m ->
@@ -572,31 +573,31 @@ let run_command st line =
   | ":planstats" :: "baseline" :: path :: _ -> (
       match Planstats.load path with
       | b ->
-          Planstats.set_baseline Planstats.default b;
+          Planstats.set_baseline st.obs.Obs.planstats b;
           Fmt.pr "drift baseline loaded from %s@." path
       | exception Sys_error m -> Fmt.pr "%s@." m
       | exception Json.Parse_error m ->
           Fmt.pr "bad calibration %s: %s@." path m)
   | ":planstats" :: "drift" :: _ ->
-      Fmt.pr "%a" Planstats.pp_drift Planstats.default
+      Fmt.pr "%a" Planstats.pp_drift st.obs.Obs.planstats
   | ":planstats" :: "clear" :: _ ->
-      Planstats.clear Planstats.default;
+      Planstats.clear st.obs.Obs.planstats;
       Fmt.pr "plan-quality store cleared@."
   | ":planstats" :: _ ->
-      if Planstats.events Planstats.default = 0 then
+      if Planstats.events st.obs.Obs.planstats = 0 then
         Fmt.pr
           "no plan-quality observations (run journaled queries, or \
            :planstats build <journal>)@."
-      else Fmt.pr "%a" Planstats.pp_summary Planstats.default
+      else Fmt.pr "%a" Planstats.pp_summary st.obs.Obs.planstats
   | ":workload" :: rest ->
       let top =
         match rest with
         | s :: _ -> max 1 (Option.value ~default:20 (int_of_string_opt s))
         | [] -> 20
       in
-      if Planstats.events Planstats.default = 0 then
+      if Planstats.events st.obs.Obs.planstats = 0 then
         Fmt.pr "no workload observations (run journaled queries first)@."
-      else Fmt.pr "%a" (Planstats.pp_workload ~top) Planstats.default
+      else Fmt.pr "%a" (Planstats.pp_workload ~top) st.obs.Obs.planstats
   | ":cache" :: "on" :: _ ->
       st.cache_on <- true;
       invalidate_engine st;
@@ -654,7 +655,7 @@ let run_command st line =
               (Srv.queue_capacity s)
         | None -> "off")
   | ":alerts" :: "rules" :: _ ->
-      let a = Alerts.default in
+      let a = st.obs.Obs.alerts in
       (match Alerts.rules a with
       | [] -> Fmt.pr "no alert rules installed@."
       | rules ->
@@ -664,7 +665,7 @@ let run_command st line =
                 r.Alerts.text)
             rules)
   | ":alerts" :: "history" :: rest ->
-      let a = Alerts.default in
+      let a = st.obs.Obs.alerts in
       let n =
         match rest with
         | s :: _ -> max 1 (Option.value ~default:20 (int_of_string_opt s))
@@ -677,7 +678,7 @@ let run_command st line =
             (fun i tr -> if i < n then Fmt.pr "%a@." Alerts.pp_transition tr)
             trs)
   | ":alerts" :: "silence" :: name :: rest ->
-      let a = Alerts.default in
+      let a = st.obs.Obs.alerts in
       let on =
         match rest with "off" :: _ -> false | _ -> not (Alerts.is_silenced a name)
       in
@@ -685,12 +686,12 @@ let run_command st line =
         Fmt.pr "%s %s@." name (if on then "silenced" else "unsilenced")
       else Fmt.pr "no alert rule named %s@." name
   | ":alerts" :: "tick" :: _ ->
-      Alerts.tick Alerts.default;
+      Alerts.tick st.obs.Obs.alerts;
       Fmt.pr "tick %d: %d firing@."
-        (Alerts.ticks Alerts.default)
-        (List.length (Alerts.firing Alerts.default))
+        (Alerts.ticks st.obs.Obs.alerts)
+        (List.length (Alerts.firing st.obs.Obs.alerts))
   | ":alerts" :: _ ->
-      let a = Alerts.default in
+      let a = st.obs.Obs.alerts in
       (match Alerts.rules a with
       | [] ->
           Fmt.pr
@@ -743,17 +744,17 @@ let run_command st line =
         Fmt.pr "  ... %d more (/tail shows them all)@." (List.length rs - 10)
   | ":tsdb" :: "save" :: path :: _ ->
       ensure_parent path;
-      Tsdb.save Tsdb.default path;
-      Fmt.pr "wrote %d windows to %s@." (Tsdb.window_count Tsdb.default) path
+      Tsdb.save st.obs.Obs.tsdb path;
+      Fmt.pr "wrote %d windows to %s@." (Tsdb.window_count st.obs.Obs.tsdb) path
   | ":tsdb" :: "on" :: _ ->
-      start_sampler ();
+      start_sampler st;
       Fmt.pr "tsdb sampler on (%.3gs resolution)@."
-        (Tsdb.resolution_s Tsdb.default)
+        (Tsdb.resolution_s st.obs.Obs.tsdb)
   | ":tsdb" :: "off" :: _ ->
-      Tsdb.stop Tsdb.default;
+      Tsdb.stop st.obs.Obs.tsdb;
       Fmt.pr "tsdb sampler off@."
   | ":tsdb" :: _ ->
-      let t = Tsdb.default in
+      let t = st.obs.Obs.tsdb in
       let series = Tsdb.series t in
       Fmt.pr "tsdb: sampler %s, %d/%d windows at %.3gs resolution, %d series@."
         (if Tsdb.running t then "running" else "stopped")
@@ -928,12 +929,15 @@ let main kind size seed block journal monitor_port serve_port serve_workers
   let directory = Directory.create dir in
   let cache = Cache.create () in
   Cache.attach cache directory;
+  (* The shell's one context, over the default registry: the server
+     started by --serve, --monitor or :serve reads it too. *)
+  let obs = Obs.create (Tsdb.create ()) in
   (* Every journaled query feeds the plan-quality store, so
      :planstats, /planstats and /workload are live from the start. *)
-  Planstats.attach Planstats.default;
+  Planstats.attach obs.Obs.planstats;
   (* Stock service-health rules; :alerts and /alerts show them, the
      flight recorder's sampler ticks them while it runs. *)
-  Alerts.install_defaults ();
+  Alerts.install_defaults obs.Obs.alerts;
   let st =
     {
       directory;
@@ -944,12 +948,13 @@ let main kind size seed block journal monitor_port serve_port serve_workers
       cache;
       cache_on = false;
       server = None;
+      obs;
       mode = Engine.Streaming;
       planner = Engine.Auto;
       last_trace = None;
     }
   in
-  Engine.set_calibration st.engine (Some Planstats.default);
+  Engine.set_calibration st.engine (Some st.obs.Obs.planstats);
   (match journal with
   | Some path ->
       ensure_parent path;

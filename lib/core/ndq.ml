@@ -111,13 +111,18 @@ module Qlog = Qlog
 (** The query journal: JSON-lines per-query events. *)
 
 module Promexp = Promexp
-(** Prometheus text exposition of the metrics registry. *)
+(** OpenMetrics text exposition of a metrics registry. *)
 
 module Chrome_trace = Chrome_trace
 (** Chrome trace-event (catapult) export of span trees. *)
 
 module Monitor = Monitor
-(** Live HTTP introspection server (/metrics, /healthz, /trace, ...). *)
+(** The introspection route table {!Srv} serves (/metrics, /healthz,
+    /trace, ...). *)
+
+module Obs = Obs
+(** The observability context a server's routes read: registry, flight
+    recorder, alert evaluator and plan-quality store. *)
 
 module Alerts = Alerts
 (** SLO alerting: threshold/burn-rate rules over the metrics registry. *)

@@ -92,7 +92,7 @@ let history_capacity = 256
 
 (* Creation samples the store, so the first tick reads only what
    happened after it. *)
-let create ?(tsdb = Tsdb.default) () =
+let create tsdb =
   Tsdb.sample tsdb;
   {
     tsdb;
@@ -105,8 +105,6 @@ let create ?(tsdb = Tsdb.default) () =
     history = [];
     ticks = 0;
   }
-
-let default = create ()
 
 (* --- The rule language ---------------------------------------------------- *)
 
@@ -484,12 +482,6 @@ let ticks t = t.ticks
 let state t name = Hashtbl.find_opt t.states name
 let last_value t name = Hashtbl.find_opt t.values name
 
-let states t =
-  List.map
-    (fun r ->
-      (r, Option.value ~default:Inactive (Hashtbl.find_opt t.states r.name)))
-    t.rules
-
 let firing t =
   List.filter
     (fun r -> Hashtbl.find_opt t.states r.name = Some Firing)
@@ -530,7 +522,7 @@ let clear t =
    read-amplification band sits ~4x above the calibrated steady-state
    of the seeded workloads (tens of reads per query); latency gets a
    generous interactive bound.  [install_defaults] is idempotent. *)
-let install_defaults ?(t = default) () =
+let install_defaults t =
   if t.rules = [] then begin
     ignore
       (add t ~severity:"warn" ~name:"query-latency-p99"
@@ -606,8 +598,6 @@ let to_json t =
       ("rules", Json.Arr (List.map (rule_json t) t.rules));
       ("history", Json.Arr (List.map transition_json t.history));
     ]
-
-let pp_state ppf st = Fmt.string ppf (state_name st)
 
 let pp_rule t ppf r =
   let st = Option.value ~default:Inactive (Hashtbl.find_opt t.states r.name) in

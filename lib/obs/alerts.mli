@@ -83,16 +83,11 @@ type transition = {
 
 type t
 
-val create : ?tsdb:Tsdb.t -> unit -> t
-(** A fresh evaluator over [tsdb] (default {!Tsdb.default}) and the
-    registry it samples; starts with no rules.  Creation samples the
-    store once, so the first {!tick} reads only what happened after
-    it. *)
-
-val default : t
-(** The process-wide evaluator behind the monitor's [/alerts] route and
-    the shell's [:alerts].  Empty until rules are added
-    ({!install_defaults}). *)
+val create : Tsdb.t -> t
+(** A fresh evaluator over the store and the registry it samples;
+    starts with no rules.  Creation samples the store once, so the
+    first {!tick} reads only what happened after it.  An {!Obs}
+    context's evaluator is the one behind its server's [/alerts]. *)
 
 exception Parse_error of string
 
@@ -110,12 +105,12 @@ val remove : t -> string -> bool
 
 val rules : t -> rule list
 
-val install_defaults : ?t:t -> unit -> unit
+val install_defaults : t -> unit
 (** Install the stock service-health rules (interactive latency p99,
     read amplification per query, plan drift, serving-front-end p99 and
     shed rate, and a sustained-p99 rule over the flight recorder's
-    trailing minute) into [t] (default {!default}).  No-op when the
-    evaluator already has rules. *)
+    trailing minute) into the evaluator.  No-op when it already has
+    rules. *)
 
 (** {1 Evaluation} *)
 
@@ -129,7 +124,6 @@ val tick : t -> unit
 
 val ticks : t -> int
 val state : t -> string -> state option
-val states : t -> (rule * state) list
 
 val last_value : t -> string -> float option
 (** The value measured for the rule at its most recent evaluation. *)
@@ -164,6 +158,5 @@ val to_json : t -> Json.t
 (** The [/alerts] document: tick count, firing count, per-rule states,
     transition history. *)
 
-val pp_state : Format.formatter -> state -> unit
 val pp_rule : t -> Format.formatter -> rule -> unit
 val pp_transition : Format.formatter -> transition -> unit

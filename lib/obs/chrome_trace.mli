@@ -7,7 +7,5 @@
     [ts]/[dur] and the span's trace id, I/O delta and row annotation in
     [args]. *)
 
-val of_spans : Trace.span list -> Json.t
-(** The full trace-event document ([{"traceEvents": [...], ...}]). *)
-
 val to_string : Trace.span list -> string
+(** The full trace-event document ([{"traceEvents": [...], ...}]). *)

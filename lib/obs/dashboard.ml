@@ -11,8 +11,9 @@
    string is a constant. *)
 
 (* Panels: title, unit label, and the /range series to overlay.  scale
-   divides raw values before display (ns -> ms).  Kept as data here so
-   the shell's `:top` sparklines and the page agree on what matters. *)
+   divides raw values before display (ns -> ms).  Kept as data and
+   rendered into the page's script; nothing else reads it (the shell's
+   `:top` picks its own sparklines). *)
 let panels =
   [
     ( "served latency (ms)",

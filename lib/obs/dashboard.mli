@@ -2,14 +2,10 @@
     over the flight recorder.
 
     Inline CSS/JS/SVG only — it renders from [curl]'d output as well
-    as live.  The page polls the monitor's own JSON routes ([/range]
-    per sparkline panel, [/alerts], [/tail]) and draws inline SVG
-    polylines client-side, so the served string is constant. *)
+    as live.  The page polls the serving port's own JSON routes
+    ([/range] per sparkline panel, [/alerts], [/tail]), so it shows the
+    server's {!Obs} context, and draws inline SVG polylines
+    client-side; the served string is constant. *)
 
 val page : unit -> string
 (** The full HTML document. *)
-
-val panels : (string * (string * string * float * string * string) list) list
-(** The panel catalogue: [(title, series)] with each series
-    [(metric, agg, scale, color, label)] — shared intent with the
-    shell's [:top] sparklines. *)

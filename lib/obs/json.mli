@@ -19,9 +19,6 @@ exception Parse_error of string
 val to_string : t -> string
 (** Compact, single-line rendering (non-finite numbers become [null]). *)
 
-val escape : string -> string
-(** JSON string-body escaping (quotes, backslashes, control chars). *)
-
 val of_string : string -> t
 (** Parse one JSON document.
     @raise Parse_error on malformed input or trailing garbage. *)

@@ -334,31 +334,9 @@ let pp ppf registry =
             (sorted_series m))
         (sorted_families registry))
 
-(* Minimal JSON string escaping (quotes, backslashes, control chars). *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
+(* Names and label sets print through [Json], the one JSON escaper. *)
 let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) ->
-           Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-         labels)
-  ^ "}"
+  Json.to_string (Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels))
 
 let json_num v = Printf.sprintf "%.17g" (finite v)
 
@@ -371,8 +349,9 @@ let to_json_lines registry =
       List.iter
         (fun (labels, s) ->
           let head =
-            Printf.sprintf "{\"name\":\"%s\",\"type\":\"%s\",\"labels\":%s"
-              (json_escape m.mname) m.kind (json_labels labels)
+            Printf.sprintf "{\"name\":%s,\"type\":\"%s\",\"labels\":%s"
+              (Json.to_string (Json.Str m.mname))
+              m.kind (json_labels labels)
           in
           (match s with
           | C c -> Buffer.add_string b (Printf.sprintf "%s,\"value\":%d}" head c.c)

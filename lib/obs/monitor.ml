@@ -14,7 +14,9 @@
      /dashboard  self-contained live HTML dashboard
 
    /healthz is assembled by the server from [healthz_fields] plus its
-   own counters.  Route bodies may run on several session threads at
+   own counters.  Every store a route reads comes from the server's
+   [Obs.t] context, except the process-level journal, tail store and
+   trace recorder.  Route bodies may run on several session threads at
    once: the registry, journal, tail store and tsdb are mutexed; the
    alert and plan-quality stores are read unlocked, which sys-threads
    keep memory-safe and consistent enough for monitoring. *)
@@ -165,7 +167,7 @@ let tail_json () =
 (* /range: the flight recorder's query surface.  Unknown params are
    label matchers, so /range?metric=srv_request_ns&agg=p99&route=line
    restricts to that route's series. *)
-let range_response params =
+let range_response tsdb params =
   match List.assoc_opt "metric" params with
   | None | Some "" ->
       respond ~status:400
@@ -180,7 +182,7 @@ let range_response params =
         | None -> default
       in
       let window_s = fparam "window" 300. in
-      let step_s = fparam "step" (Tsdb.resolution_s Tsdb.default) in
+      let step_s = fparam "step" (Tsdb.resolution_s tsdb) in
       match
         match List.assoc_opt "agg" params with
         | None -> Some Tsdb.Avg
@@ -196,9 +198,7 @@ let range_response params =
                 not (List.mem k [ "metric"; "window"; "step"; "agg" ]))
               params
           in
-          let points =
-            Tsdb.range Tsdb.default ~labels ~step_s ~window_s ~agg metric
-          in
+          let points = Tsdb.range tsdb ~labels ~step_s ~window_s ~agg metric in
           respond ~content_type:"application/json"
             (Json.to_string
                (Json.Obj
@@ -241,7 +241,7 @@ let index_body =
 
 (* The introspection half of /healthz; the server appends its own
    fields (workers, queue, sessions, uptime, request count). *)
-let healthz_fields () =
+let healthz_fields (obs : Obs.t) =
   [
     ("status", Json.Str "ok");
     ( "journal",
@@ -259,12 +259,12 @@ let healthz_fields () =
             ("max_files", Json.Num (float_of_int (Qlog.max_files ())));
           ]) );
     ( "alerts_firing",
-      Json.Num (float_of_int (List.length (Alerts.firing Alerts.default))) );
+      Json.Num (float_of_int (List.length (Alerts.firing obs.Obs.alerts))) );
   ]
 
 (* The built-in routes on the bare path, the query string already
    parsed into [params]; [None] means the path is not ours. *)
-let route ~registry path params =
+let route (obs : Obs.t) path params =
   let json j =
     Some (respond ~content_type:"application/json" (Json.to_string j))
   in
@@ -273,16 +273,16 @@ let route ~registry path params =
   | "/metrics" ->
       Some
         (respond ~content_type:Promexp.content_type_openmetrics
-           (Promexp.to_openmetrics registry))
-  | "/range" -> Some (range_response params)
+           (Promexp.to_openmetrics obs.Obs.registry))
+  | "/range" -> Some (range_response obs.Obs.tsdb params)
   | "/dashboard" ->
       Some (respond ~content_type:"text/html; charset=utf-8" (Dashboard.page ()))
   | "/tail" -> json (tail_json ())
-  | "/alerts" -> json (Alerts.to_json Alerts.default)
+  | "/alerts" -> json (Alerts.to_json obs.Obs.alerts)
   | "/slowlog" ->
       Some (respond ~content_type:"application/x-ndjson" (slowlog_jsonl ()))
-  | "/planstats" -> json (Planstats.to_json Planstats.default)
-  | "/workload" -> json (Planstats.workload_json Planstats.default)
+  | "/planstats" -> json (Planstats.to_json obs.Obs.planstats)
+  | "/workload" -> json (Planstats.workload_json obs.Obs.planstats)
   | "/trace" | "/trace/" -> json (trace_summaries ())
   | path when String.length path > 7 && String.sub path 0 7 = "/trace/" -> (
       let sel = String.sub path 7 (String.length path - 7) in
@@ -306,8 +306,8 @@ let route_label path =
   | None -> path
   | exception Invalid_argument _ -> path
 
-let observe ~registry ~path ~status ~ns =
-  let route = route_label path in
+let observe (obs : Obs.t) ~path ~status ~ns =
+  let registry = obs.Obs.registry and route = route_label path in
   Metrics.incr
     (Metrics.counter ~registry
        ~help:"requests served by the introspection routes"

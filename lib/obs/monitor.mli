@@ -2,21 +2,22 @@
     routes, served by the one listener, {!Srv}, which reads every
     request and hands any path other than [/query] to its registered
     handlers and then to {!route}.  [Monitor] owns no socket and no
-    thread.
+    thread, and reads no store but the {!Obs} context it is given and
+    the process-level {!Tail}, {!Qlog} and {!Trace}.
 
     Built-in routes: [/] (index of every route the server answers),
-    [/metrics] (OpenMetrics exposition of the registry, histogram
-    exemplars included), [/alerts] (the default {!Alerts} evaluator's
-    rules, states and transition history as JSON), [/slowlog]
+    [/metrics] (OpenMetrics exposition of the context's registry,
+    histogram exemplars included), [/alerts] (the context's {!Alerts}
+    evaluator: rules, states and transition history as JSON), [/slowlog]
     (slow-query captures as JSON lines, each annotated with whether
     its trace is tail-retained), [/trace] (recent trace summaries),
     [/trace/<sel>] (one trace as Chrome trace-event JSON; [sel] is an
     index into the recent ring, a trace id — tail-retained ids resolve
     too — or [last]), [/tail] (the {!Tail} sampler's retained traces),
-    [/range] (a {!Tsdb} range query:
+    [/range] (a range query over the context's {!Tsdb}:
     [?metric=NAME&agg=p99&window=300&step=2], extra params act as label
     matchers), [/dashboard] (the self-contained live HTML dashboard),
-    [/planstats] (the default {!Planstats} store's q-error summaries +
+    [/planstats] (the context's {!Planstats} store: q-error summaries +
     calibration) and [/workload] (its top plans by wall time).
     [/healthz] is the server's: {!healthz_fields} plus its own
     counters.
@@ -31,24 +32,22 @@ type response = { status : int; content_type : string; body : string }
 val respond : ?status:int -> ?content_type:string -> string -> response
 (** [status] defaults to 200, [content_type] to [text/plain]. *)
 
-val route :
-  registry:Metrics.t -> string -> (string * string) list -> response option
-(** [route ~registry path params] answers a built-in route ([/metrics]
-    exposes [registry]); [None] when [path] is not one. *)
+val route : Obs.t -> string -> (string * string) list -> response option
+(** [route obs path params] answers a built-in route from [obs];
+    [None] when [path] is not one. *)
 
-val healthz_fields : unit -> (string * Json.t) list
+val healthz_fields : Obs.t -> (string * Json.t) list
 (** The introspection part of [/healthz]: [status], [journal] (sink
-    size and rotation limits) and [alerts_firing]. *)
+    size and rotation limits) and [alerts_firing] (the context's
+    firing rules, the count [/alerts] reports as [firing]). *)
 
-val observe : registry:Metrics.t -> path:string -> status:int -> ns:int -> unit
-(** Count one request answered by the route table in
-    [monitor_requests_total] and [monitor_request_ns]. *)
+val observe : Obs.t -> path:string -> status:int -> ns:int -> unit
+(** Count one request answered by the route table in the context
+    registry's [monitor_requests_total] and [monitor_request_ns]. *)
 
 val split_target : string -> string * (string * string) list
 (** [split_target "/p?a=1&b=x%20y"] is [("/p", [("a","1"); ("b","x y")])]:
     the path and the url-decoded query parameters in order. *)
-
-val url_decode : string -> string
 
 val get : ?host:string -> port:int -> string -> int * string
 (** A minimal loopback HTTP client: GET the path and return

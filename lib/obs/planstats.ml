@@ -26,13 +26,13 @@
    planner regression is observable before it becomes a perf
    regression.
 
-   Stores subscribe to [Qlog.set_on_record], so an online store sees
-   exactly the event stream an offline replay of the journal sees, in
-   the same order: rebuilding a store from the journal reproduces the
-   online aggregates bit for bit (floating-point sums included), which
-   CI checks by comparing the two saved files.  Like the rest of
-   lib/obs this module never inspects queries — it consumes only what
-   the journal records. *)
+   Stores subscribe to the journal ([Qlog.subscribe]), so an online
+   store sees exactly the event stream an offline replay of the journal
+   sees, in the same order: rebuilding a store from the journal
+   reproduces the online aggregates bit for bit (floating-point sums
+   included), which CI checks by comparing the two saved files.  Like
+   the rest of lib/obs this module never inspects queries — it
+   consumes only what the journal records. *)
 
 (* --- q-error and selectivity buckets -------------------------------------- *)
 
@@ -177,25 +177,29 @@ type t = {
   workload : (string, wrow) Hashtbl.t;  (* keyed by plan fingerprint *)
   recent : (string, ring) Hashtbl.t;  (* drift windows, card dim *)
   mutable events : int;
-  mutable metrics_on : bool;  (* observe the default Metrics registry *)
+  registry : Metrics.t option;  (* where q-errors and drift are exported *)
+  hists : (string * string, Metrics.histogram) Hashtbl.t;
+      (* the registry's plan_qerror_* handles, by (dimension, class) *)
   mutable baseline : t option;  (* drift reference calibration *)
   mutable drift : (string * float * float) list;
       (* (op, recent geomean, baseline geomean), newest first, one per op *)
+  mutable sub : Qlog.subscription option;  (* while attached *)
 }
 
-let create ?(metrics = false) () =
+let create ?registry () =
   {
     cells = Hashtbl.create 64;
     samples = Hashtbl.create 16;
     workload = Hashtbl.create 64;
     recent = Hashtbl.create 16;
     events = 0;
-    metrics_on = metrics;
+    registry;
+    hists = Hashtbl.create 16;
     baseline = None;
     drift = [];
+    sub = None;
   }
 
-let default = create ~metrics:true ()
 let events t = t.events
 let set_baseline t b = t.baseline <- Some b
 let drift t = t.drift
@@ -235,25 +239,22 @@ let class_samples t op =
 let dim_index = function Card -> 0 | Reads -> 1 | Writes -> 2
 
 (* One histogram family per dimension, labeled by operator class;
-   handles memoized process-wide (the default registry dedupes anyway,
-   this just skips the registry lookup per observation). *)
-let hist_cache : (string * string, Metrics.histogram) Hashtbl.t =
-  Hashtbl.create 16
-
-let m_qerror dim op =
+   handles memoized per store (the registry dedupes anyway, this just
+   skips the registry lookup per observation). *)
+let m_qerror t registry dim op =
   let key = (dim_name dim, op) in
-  match Hashtbl.find_opt hist_cache key with
+  match Hashtbl.find_opt t.hists key with
   | Some h -> h
   | None ->
       let h =
-        Metrics.histogram
+        Metrics.histogram ~registry
           ~help:
             ("plan estimate q-error, max(est/act, act/est), for "
            ^ dim_name dim)
           ~labels:[ ("op", op) ]
           ("plan_qerror_" ^ dim_name dim)
       in
-      Hashtbl.add hist_cache key h;
+      Hashtbl.add t.hists key h;
       h
 
 let ring t op =
@@ -269,7 +270,7 @@ let note_obs t ~op ~bucket dim ~est ~act =
   let q = qerror ~est ~act in
   buf_push (class_samples t op).(dim_index dim) q;
   if dim = Card then ring_push (ring t op) q;
-  if t.metrics_on then Metrics.observe (m_qerror dim op) q
+  Option.iter (fun r -> Metrics.observe (m_qerror t r dim op) q) t.registry
 
 (* --- Drift detection --------------------------------------------------------- *)
 
@@ -278,8 +279,8 @@ let drift_window_min = 32
 let drift_baseline_min = 4
 let drift_factor = 2.0
 
-let m_drift op =
-  Metrics.counter
+let m_drift registry op =
+  Metrics.counter ~registry
     ~help:
       "drift checks that found an operator's recent q-error distribution \
        shifted >= 2x from the calibration baseline, in either direction"
@@ -313,7 +314,7 @@ let check_drift t =
                    no longer describes the workload *)
                 if rg > bg *. drift_factor || bg > rg *. drift_factor
                 then begin
-                  if t.metrics_on then Metrics.incr (m_drift op);
+                  Option.iter (fun r -> Metrics.incr (m_drift r op)) t.registry;
                   t.drift <-
                     (op, rg, bg)
                     :: List.filter (fun (o, _, _) -> o <> op) t.drift
@@ -426,16 +427,12 @@ let note_event t (ev : Qlog.event) =
 
 (* --- Subscription -------------------------------------------------------------- *)
 
-let sinks : t list ref = ref []
-let dispatch ev = List.iter (fun s -> note_event s ev) !sinks
-
 let attach t =
-  if not (List.memq t !sinks) then sinks := !sinks @ [ t ];
-  Qlog.set_on_record (Some dispatch)
+  if Option.is_none t.sub then t.sub <- Some (Qlog.subscribe (note_event t))
 
 let detach t =
-  sinks := List.filter (fun s -> not (s == t)) !sinks;
-  if !sinks = [] then Qlog.set_on_record None
+  Option.iter Qlog.unsubscribe t.sub;
+  t.sub <- None
 
 (* --- Offline building ----------------------------------------------------------- *)
 

@@ -23,15 +23,12 @@ type t
 (** A store: calibration cells, quantile samples, workload profile and
     drift state. *)
 
-val create : ?metrics:bool -> unit -> t
-(** A fresh, empty store.  With [metrics] (default [false]) every
-    observation also feeds the default {!Metrics} registry's
-    [plan_qerror_*] histograms. *)
-
-val default : t
-(** The process-wide store (metrics on) behind the monitor's
-    [/planstats] and [/workload] routes and the shell's [:planstats].
-    Nothing flows into it until {!attach}ed. *)
+val create : ?registry:Metrics.t -> unit -> t
+(** A fresh, empty store.  With [registry] every observation also
+    feeds that registry's [plan_qerror_*] histograms, and every drift
+    finding its [plan_drift_total] counter; without, the store exports
+    nothing.  An {!Obs} context's store exports to the context's
+    registry. *)
 
 (** {1 The q-error} *)
 
@@ -56,11 +53,11 @@ val note_event : t -> Qlog.event -> unit
     structure, since span deltas are inclusive. *)
 
 val attach : t -> unit
-(** Subscribe the store to {!Qlog.record} (idempotent).  All attached
-    stores see every recorded event, once. *)
+(** Subscribe the store to {!Qlog.record} ({!Qlog.subscribe};
+    idempotent).  All attached stores see every recorded event, once. *)
 
 val detach : t -> unit
-(** Unsubscribe; the last detach clears the journal hook. *)
+(** Unsubscribe (a no-op when not attached). *)
 
 val of_events : Qlog.event list -> t
 (** A fresh store folded over the events, in order. *)

@@ -1,5 +1,5 @@
-(* Prometheus text exposition (format version 0.0.4) over the metrics
-   registry.
+(* OpenMetrics text exposition over the metrics registry: the one
+   format /metrics serves.
 
    The registry's internal names are already exposition-friendly, but
    nothing forces callers' label values to be, so this module owns the
@@ -12,7 +12,8 @@
    [name_bucket{le="..."}] series per power-of-two boundary up to the
    highest populated bucket, an [le="+Inf"] bucket equal to the count,
    plus [name_sum] and [name_count] — so a Prometheus scraper can
-   recompute quantiles with histogram_quantile(). *)
+   recompute quantiles with histogram_quantile().  Bucket lines carry
+   the bucket's exemplar, and the page ends with [# EOF]. *)
 
 let sanitize ~colon s =
   if s = "" then "_"
@@ -90,8 +91,6 @@ let labels_text = function
 let labels_le labels le =
   labels_text (labels @ [ ("le", le) ])
 
-let content_type = "text/plain; version=0.0.4; charset=utf-8"
-
 let content_type_openmetrics =
   "application/openmetrics-text; version=1.0.0; charset=utf-8"
 
@@ -104,7 +103,7 @@ let exemplar_text (ex : Metrics.exemplar) =
     (fmt_value ex.Metrics.ex_value)
     ex.Metrics.ex_ts
 
-let render ~openmetrics registry =
+let to_openmetrics registry =
   let b = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
   List.iter
@@ -128,11 +127,9 @@ let render ~openmetrics registry =
                 cum;
               for i = 0 to !top do
                 let ex =
-                  if openmetrics then
-                    match List.assoc_opt i h.Metrics.hv_exemplars with
-                    | Some e -> exemplar_text e
-                    | None -> ""
-                  else ""
+                  match List.assoc_opt i h.Metrics.hv_exemplars with
+                  | Some e -> exemplar_text e
+                  | None -> ""
                 in
                 line "%s_bucket%s %d%s" name
                   (labels_le labels (fmt_bound (Metrics.bucket_upper i)))
@@ -146,8 +143,5 @@ let render ~openmetrics registry =
                 h.Metrics.hv_count)
         f.Metrics.fv_series)
     (Metrics.export registry);
-  if openmetrics then Buffer.add_string b "# EOF\n";
+  Buffer.add_string b "# EOF\n";
   Buffer.contents b
-
-let to_text registry = render ~openmetrics:false registry
-let to_openmetrics registry = render ~openmetrics:true registry

@@ -1,33 +1,19 @@
-(** Prometheus text exposition (format 0.0.4) over a {!Metrics}
-    registry.
+(** OpenMetrics text exposition over a {!Metrics} registry: what
+    [/metrics] serves.
 
-    Metric and label names are sanitized to the exposition charset,
-    label values escaped per the grammar.  Histograms export the
+    Metric names are sanitized to [[a-zA-Z_:][a-zA-Z0-9_:]*] and label
+    names to [[a-zA-Z_][a-zA-Z0-9_]*] (offending characters become
+    ['_'], a leading digit is replaced); label values are escaped
+    (backslash, double quote, newline).  Histograms export the
     standard cumulative form: [name_bucket{le="..."}] per power-of-two
     boundary up to the highest populated bucket, [le="+Inf"] equal to
     the count, plus [name_sum] and [name_count]. *)
 
-val to_text : Metrics.t -> string
-(** The full exposition document, families sorted by name. *)
-
 val to_openmetrics : Metrics.t -> string
-(** Like {!to_text} but OpenMetrics-flavoured: histogram bucket lines
-    carry exemplars ([# {trace_id="..."} value timestamp]) when the
-    bucket has recorded a traced observation, and the document ends
-    with the mandatory [# EOF] terminator. *)
-
-val content_type : string
-(** The exposition content type ([text/plain; version=0.0.4; ...]). *)
+(** The full exposition document, families sorted by name.  Histogram
+    bucket lines carry exemplars ([# {trace_id="..."} value
+    timestamp]) when the bucket has recorded a traced observation, and
+    the document ends with the mandatory [# EOF] terminator. *)
 
 val content_type_openmetrics : string
 (** [application/openmetrics-text; version=1.0.0; charset=utf-8]. *)
-
-val sanitize_name : string -> string
-(** To [[a-zA-Z_:][a-zA-Z0-9_:]*]: offending characters become ['_'],
-    a leading digit is replaced. *)
-
-val sanitize_label : string -> string
-(** Like {!sanitize_name} but [':'] is not allowed in label names. *)
-
-val escape_value : string -> string
-(** Label-value escaping: backslash, double quote and newline. *)

@@ -73,7 +73,7 @@ let current_server : string option ref = ref None
    record concurrently, and an interleaved JSON line (or two threads
    rotating the same generation) would corrupt the sink.  [record]
    holds it across the sequence assignment, the append, the rotation
-   check and the observer fan-out, so an online
+   check and the subscriber fan-out, so an online
    consumer sees exactly the stream an offline replay reconstructs —
    in the same total order the sink received. *)
 let mu = Mutex.create ()
@@ -334,12 +334,22 @@ let m_slow =
   Metrics.counter ~help:"journal events promoted to slow-query captures"
     "qlog_slow_total"
 
-(* Observer hook: every recorded event flows through here exactly once
-   (journaled or not), so an online consumer — the plan-quality
-   observatory — sees precisely the stream an offline replay of the
-   journal would reconstruct. *)
-let on_record : (event -> unit) option ref = ref None
-let set_on_record f = on_record := f
+(* The subscribers: every recorded event flows through each of them
+   exactly once (journaled or not), under the journal lock, so an
+   online consumer — a plan-quality store — sees precisely the stream
+   an offline replay of the journal would reconstruct.  A subscription
+   is its own record, so two subscriptions of one function stay two. *)
+type subscription = { notify : event -> unit }
+
+let subscribers : subscription list ref = ref []
+
+let subscribe notify =
+  let s = { notify } in
+  locked (fun () -> subscribers := !subscribers @ [ s ]);
+  s
+
+let unsubscribe s =
+  locked (fun () -> subscribers := List.filter (fun x -> x != s) !subscribers)
 
 let record ?cache ?path ?server ?trace_id ?(shipped = []) ?(ops = []) ?capture
     ?alloc_bytes ?est_card ?est_reads ?est_writes ~query ~fingerprint
@@ -380,7 +390,7 @@ let record ?cache ?path ?server ?trace_id ?(shipped = []) ?(ops = []) ?capture
       maybe_rotate ()
   | None -> ());
   if ev.capture <> None then Metrics.incr m_slow;
-  (match !on_record with Some f -> f ev | None -> ());
+  List.iter (fun s -> s.notify ev) !subscribers;
   ev
 
 (* --- Rendering -------------------------------------------------------------------- *)

@@ -15,7 +15,7 @@
 
     {!record} is thread-safe: one process-wide mutex covers the
     sequence assignment, the sink append, the size-rotation check and
-    the {!set_on_record} observer fan-out, so
+    the fan-out to every {!subscribe}d observer, so
     concurrent workers can never interleave JSON lines, double-rotate a
     generation, or show an online observer a different order than the
     journal file records. *)
@@ -148,12 +148,18 @@ val record :
     journal (if any) and return the event.  Safe to call with no
     journal open. *)
 
-val set_on_record : (event -> unit) option -> unit
-(** Install (or clear) the event observer: called once with every event
-    {!record} produces, journaled or not.  The plan-quality observatory
-    hooks in here, which is what guarantees its online aggregates equal
-    an offline replay of the same journal — both see the identical
-    event stream in the identical order. *)
+type subscription
+
+val subscribe : (event -> unit) -> subscription
+(** Add a subscriber: called once with every event {!record} produces
+    from now on, journaled or not, under the journal lock and in
+    subscription order.  A plan-quality store subscribes here
+    ({!Planstats.attach}), which is what guarantees its online
+    aggregates equal an offline replay of the same journal — both see
+    the identical event stream in the identical order. *)
+
+val unsubscribe : subscription -> unit
+(** Remove the subscriber; a no-op when it is already gone. *)
 
 val clear : unit -> unit
 (** Restart sequence numbering. *)
@@ -161,7 +167,6 @@ val clear : unit -> unit
 (** {1 Reading a journal back} *)
 
 val to_json : event -> Json.t
-val of_json : Json.t -> event
 
 val load : string -> event list
 (** Parse a JSON-lines journal file.

@@ -69,10 +69,8 @@ let cfg_sample_every = ref 997  (* prime, so it doesn't beat with round QPS *)
 let cfg_budget_spans = ref 4096
 
 (* Seeded xorshift64 for the 1-in-N baseline sample: deterministic
-   across runs (same seed -> same kept requests), reseedable in tests. *)
+   across runs (same seed -> same kept requests). *)
 let rng = ref 0x9e3779b97f4a7c15L
-
-let reseed s = locked (fun () -> rng := Int64.logor 1L s)
 
 let next_rand () =
   (* caller holds the lock *)

@@ -84,6 +84,3 @@ val sample_every : unit -> int
 val set_budget_spans : int -> unit
 val budget_spans : unit -> int
 (** Span-count retention budget (default 4096); clamps below at 1. *)
-
-val reseed : int64 -> unit
-(** Reseed the sampling stream (tests). *)

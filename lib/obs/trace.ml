@@ -134,9 +134,6 @@ let with_actor name f =
       drop_if_default t)
     f
 
-let current_actor () =
-  match find_tls () with Some t -> t.bound_actor | None -> ""
-
 (* --- Recording ------------------------------------------------------------ *)
 
 let current_trace_id () =
@@ -245,5 +242,3 @@ let rec pp_span ppf s =
     (fun ppf children ->
       List.iter (fun c -> Fmt.pf ppf "@,%a" pp_span c) children)
     s.children
-
-let pp ppf s = Fmt.pf ppf "%a@." pp_span s

@@ -70,8 +70,6 @@ val with_actor : string -> (unit -> 'a) -> 'a
 val current_trace_id : unit -> string option
 (** The bound trace id, else the innermost open span's id. *)
 
-val current_actor : unit -> string
-
 val total_io : span -> int
 val depth : span -> int
 val span_count : span -> int
@@ -83,4 +81,3 @@ val pp_bytes : Format.formatter -> int -> unit
 (** Human byte count ([512B], [1.5kB], [2.0MB]). *)
 
 val pp_span : Format.formatter -> span -> unit
-val pp : Format.formatter -> span -> unit

@@ -100,8 +100,6 @@ let create ?(registry = Metrics.default) ?(resolution_s = 1.0) ?(capacity = 3600
     mu = Mutex.create ();
   }
 
-let default = create ()
-
 let locked t f =
   Mutex.lock t.mu;
   match f () with

@@ -32,9 +32,6 @@ val create :
     windows.  @raise Invalid_argument on non-positive resolution or
     capacity. *)
 
-val default : t
-(** The store the shell, server and monitor share. *)
-
 val registry : t -> Metrics.t
 (** The registry the store samples. *)
 
@@ -104,8 +101,6 @@ val save : t -> string -> unit
 
 val load : string -> t
 (** @raise Json.Parse_error on malformed documents. *)
-
-val of_json_lines : string -> t
 
 (** {1 The sampler thread} *)
 

@@ -50,7 +50,7 @@ type job = {
 type t = {
   sock : Unix.file_descr;
   port : int;
-  registry : Metrics.t;
+  obs : Obs.t;  (* every introspection route reads this context *)
   queue_cap : int;
   n_workers : int;
   deadline_ns : int;  (* default per-request budget *)
@@ -86,12 +86,12 @@ let observe ?trace_id ?(queue = 0) ?(parse = 0) ?(exec = 0) t ~route ~status
     [| queue; parse; exec; write; ns - queue - parse - exec - write |];
   Atomic.incr t.served;
   Metrics.incr
-    (Metrics.counter ~registry:t.registry
+    (Metrics.counter ~registry:t.obs.Obs.registry
        ~help:"requests handled by the serving front-end"
        ~labels:[ ("route", route); ("status", string_of_int status) ]
        "srv_requests_total");
   Metrics.observe_ns ?trace_id
-    (Metrics.histogram ~registry:t.registry
+    (Metrics.histogram ~registry:t.obs.Obs.registry
        ~help:
          "wall nanoseconds per served request, admission to the end of \
           its final write (queue wait included)"
@@ -471,7 +471,7 @@ let healthz t =
   Monitor.respond ~content_type:"application/json"
     (Json.to_string
        (Json.Obj
-          (Monitor.healthz_fields ()
+          (Monitor.healthz_fields t.obs
           @ [
               ("workers", num t.n_workers);
               ("queue_depth", num (locked t.qmu (fun () -> Queue.length t.queue)));
@@ -493,7 +493,7 @@ let route t target =
     | [] -> (
         match
           if path = "/healthz" then Some (healthz t)
-          else Monitor.route ~registry:t.registry path params
+          else Monitor.route t.obs path params
         with
         | Some r -> r
         | None -> Monitor.respond ~status:404 (Printf.sprintf "no route %s\n" path))
@@ -514,7 +514,7 @@ let answer t fd ~t0 ~path ?(head_only = false) response =
   if path = "/query" then observe t ~route:path ~status ~write:(w1 - w0) ~ns
   else begin
     Atomic.incr t.served;
-    Monitor.observe ~registry:t.registry ~path ~status ~ns
+    Monitor.observe t.obs ~path ~status ~ns
   end
 
 (* Streamed /query head: no Content-Length, the body is EOF-delimited;
@@ -642,10 +642,14 @@ let accept_loop t () =
 
 (* --- Lifecycle ------------------------------------------------------------- *)
 
-let start ?(registry = Metrics.default) ?(workers = 4) ?(queue = 64)
-    ?(deadline_ms = 5_000) ?(port = 0) ~make_engine () =
+let start ?obs ?(workers = 4) ?(queue = 64) ?(deadline_ms = 5_000) ?(port = 0)
+    ~make_engine () =
   if workers < 0 then invalid_arg "Srv.start: workers must not be negative";
   if queue < 1 then invalid_arg "Srv.start: queue must be positive";
+  let obs =
+    match obs with Some o -> o | None -> Obs.create (Tsdb.create ())
+  in
+  let registry = obs.Obs.registry in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   (try
      Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -661,7 +665,7 @@ let start ?(registry = Metrics.default) ?(workers = 4) ?(queue = 64)
     {
       sock;
       port;
-      registry;
+      obs;
       queue_cap = queue;
       n_workers = workers;
       deadline_ns = deadline_ms * 1_000_000;

@@ -56,15 +56,16 @@
     stamps as [srv_request_ns], so per request they sum to it exactly.
     Every other route counts in {!Monitor.observe}'s [monitor_*]
     series.  [srv_queue_depth], [srv_sessions] (every live
-    connection) and [srv_shed_total] complete the set, all in the given
-    registry; every executed query records a {!Qlog} event carrying a
-    fresh trace id.  {!Alerts.install_defaults} includes SLO rules over
-    the latency histogram and the shed rate. *)
+    connection) and [srv_shed_total] complete the set, all in the
+    context's registry; every executed query records a {!Qlog} event
+    carrying a fresh trace id.  {!Alerts.install_defaults} includes SLO
+    rules over the latency histogram and the shed rate; they run when
+    the host installs them in the context's evaluator. *)
 
 type t
 
 val start :
-  ?registry:Metrics.t ->
+  ?obs:Obs.t ->
   ?workers:int ->
   ?queue:int ->
   ?deadline_ms:int ->
@@ -78,8 +79,13 @@ val start :
     [make_engine] is never called.  [queue] (default 64) bounds the
     admission queue; [deadline_ms] (default 5000) is the per-request
     budget; [port] 0 (the default) picks a free port — see {!port}.
-    [registry] (default {!Metrics.default}) receives the server's own
-    series and is the one [/metrics] exposes.
+    [obs] is the context every introspection route reads: its registry
+    receives the server's own series and is the one [/metrics]
+    exposes, and [/range], [/alerts], [/planstats], [/workload] and
+    [/healthz]'s [alerts_firing] read its stores.  Without it the
+    server makes a fresh context over {!Metrics.default} whose stores
+    start empty (an unsampled recorder, no rules, no plan-quality
+    events), so every route keeps its shape.
     @raise Unix.Unix_error when the port is taken.
     @raise Invalid_argument when [workers] is negative or [queue] is
     not positive. *)

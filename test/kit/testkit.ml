@@ -21,10 +21,14 @@ let engine ?(block = 8) ?(window = 2) ?(with_attr_index = true) ?mode
   Engine.create ~block ~window ~with_attr_index ?mode ?planner ?directory
     instance
 
+(* A context of its own: a fresh registry, an unsampled recorder over
+   it, no alert rules and an empty plan-quality store. *)
+let fresh_obs () = Obs.create (Tsdb.create ~registry:(Metrics.create ()) ())
+
 (* A monitor-only server on a free port: zero workers, so no engine is
    ever made and only the introspection routes answer. *)
-let start_monitor ?registry () =
-  Srv.start ?registry ~workers:0
+let start_monitor ?obs () =
+  Srv.start ?obs ~workers:0
     ~make_engine:(fun () -> invalid_arg "monitor-only server")
     ()
 

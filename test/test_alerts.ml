@@ -44,7 +44,7 @@ let test_parse_errors () =
   bad "a p99 increasing"
 
 let test_duplicate_rule_rejected () =
-  let a = Alerts.create ~tsdb:(Tsdb.create ~registry:(Metrics.create ()) ()) () in
+  let a = Alerts.create (Tsdb.create ~registry:(Metrics.create ()) ()) in
   ignore (Alerts.add a ~name:"dup" "gc_heap_words > 5");
   (match Alerts.add a ~name:"dup" "gc_heap_words > 9" with
   | _ -> Alcotest.fail "duplicate rule name accepted"
@@ -58,7 +58,7 @@ let test_duplicate_rule_rejected () =
 let fresh_store () =
   let r = Metrics.create () in
   let tsdb = Tsdb.create ~registry:r () in
-  (r, tsdb, Alerts.create ~tsdb ())
+  (r, tsdb, Alerts.create tsdb)
 
 let fresh () =
   let r, _, a = fresh_store () in
@@ -245,10 +245,10 @@ let test_clear_and_json () =
 
 let test_install_defaults () =
   let _, a = fresh () in
-  Alerts.install_defaults ~t:a ();
+  Alerts.install_defaults a;
   let n = List.length (Alerts.rules a) in
   Alcotest.(check bool) "stock rules installed" true (n >= 3);
-  Alerts.install_defaults ~t:a ();
+  Alerts.install_defaults a;
   Alcotest.(check int) "idempotent" n (List.length (Alerts.rules a))
 
 (* --- One window: per-tick sources read the store ------------------------------ *)
@@ -347,7 +347,7 @@ let test_runtime_sample () =
 let test_sampler_tick_hook () =
   let r = Metrics.create () in
   let tsdb = Tsdb.create ~registry:r ~resolution_s:0.01 () in
-  let a = Alerts.create ~tsdb () in
+  let a = Alerts.create tsdb in
   Tsdb.start ~tick:(fun () -> Alerts.tick a) tsdb;
   let deadline = Unix.gettimeofday () +. 5. in
   while Alerts.ticks a < 3 && Unix.gettimeofday () < deadline do
@@ -455,8 +455,9 @@ let test_qlog_max_files () =
 (* --- Monitor hardening ------------------------------------------------------------ *)
 
 let test_monitor_alerts_route () =
-  Alerts.install_defaults ();
-  let m = Testkit.start_monitor () in
+  let obs = Testkit.fresh_obs () in
+  Alerts.install_defaults obs.Obs.alerts;
+  let m = Testkit.start_monitor ~obs () in
   Fun.protect
     ~finally:(fun () -> Srv.stop m)
     (fun () ->

@@ -415,7 +415,7 @@ let prop_planner_modes_match_oracle (instance, q) =
 let prop_calibrated_planner_matches (instance, q) =
   let path = Filename.temp_file "ndq_caltest" ".jsonl" in
   Qlog.enable ~append:false path;
-  let store = Planstats.create ~metrics:false () in
+  let store = Planstats.create () in
   Planstats.attach store;
   Fun.protect
     ~finally:(fun () ->

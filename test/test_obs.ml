@@ -669,7 +669,7 @@ let test_quantile_edges () =
   Metrics.observe z 0.;
   Alcotest.(check (float 0.)) "all zeros" 0. (Metrics.quantile z 0.9)
 
-(* --- Prometheus exposition -------------------------------------------------- *)
+(* --- OpenMetrics exposition ------------------------------------------------- *)
 
 (* A minimal exposition parser: every sample line must be
    "name{labels} value" with a legal metric name and a parseable value.
@@ -718,9 +718,7 @@ let test_promexp_exposition () =
   Metrics.set g 2.5;
   let h = Metrics.histogram ~registry:r "lat_ns" in
   List.iter (Metrics.observe h) [ 1.; 3.; 9.; 100.; 5000. ];
-  let text = Promexp.to_text r in
-  Alcotest.(check bool) "content type is 0.0.4 text" true
-    (contains Promexp.content_type "version=0.0.4");
+  let text = Promexp.to_openmetrics r in
   (* hostile names and labels are sanitized, values escaped *)
   Alcotest.(check bool) "dots and dashes rewritten" true
     (contains text "weird_name_total");
@@ -1067,12 +1065,12 @@ let test_qlog_concurrent_hammer () =
   Qlog.clear ();
   let observed = ref 0 in
   let omu = Mutex.create () in
-  Qlog.set_on_record
-    (Some
-       (fun _ ->
-         Mutex.lock omu;
-         incr observed;
-         Mutex.unlock omu));
+  let sub =
+    Qlog.subscribe (fun _ ->
+        Mutex.lock omu;
+        incr observed;
+        Mutex.unlock omu)
+  in
   let n_threads = 8 and per_thread = 250 in
   spawn_join n_threads (fun i ->
       for k = 1 to per_thread do
@@ -1082,7 +1080,7 @@ let test_qlog_concurrent_hammer () =
              ~fingerprint:"hammer" ~result_count:k ~reads:1 ~writes:0
              ~wall_ns:1000 ~outcome:Qlog.Ok ())
       done);
-  Qlog.set_on_record None;
+  Qlog.unsubscribe sub;
   Qlog.disable ();
   let total = n_threads * per_thread in
   Alcotest.(check int) "observer saw every event exactly once" total !observed;

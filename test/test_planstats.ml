@@ -154,11 +154,11 @@ let check_content_length headers body =
     (header headers "content-length")
 
 let test_monitor_planstats_routes () =
-  (* route bodies come from the default store; make sure it has rows *)
-  Planstats.clear Planstats.default;
-  Planstats.note_event Planstats.default
+  (* route bodies come from the server's context; give its store rows *)
+  let obs = Testkit.fresh_obs () in
+  Planstats.note_event obs.Obs.planstats
     (mk_event ~est_card:4 ~card:8 ~reads:2 ~writes:0 ());
-  let m = Testkit.start_monitor () in
+  let m = Testkit.start_monitor ~obs () in
   Fun.protect
     ~finally:(fun () -> Srv.stop m)
     (fun () ->

@@ -7,8 +7,8 @@ let mk_instance ?(size = 300) ?(seed = 11) () =
     ~params:{ Dif_gen.default_params with seed; size }
     ()
 
-let start_srv ?registry ?(workers = 4) ?(queue = 64) ?deadline_ms instance =
-  Srv.start ?registry ~workers ~queue ?deadline_ms
+let start_srv ?obs ?(workers = 4) ?(queue = 64) ?deadline_ms instance =
+  Srv.start ?obs ~workers ~queue ?deadline_ms
     ~make_engine:(fun () -> Engine.create ~block:32 instance)
     ()
 
@@ -17,8 +17,8 @@ let contains ~affix s =
   let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
   n = 0 || go 0
 
-let with_srv ?registry ?workers ?queue ?deadline_ms instance f =
-  let srv = start_srv ?registry ?workers ?queue ?deadline_ms instance in
+let with_srv ?obs ?workers ?queue ?deadline_ms instance f =
+  let srv = start_srv ?obs ?workers ?queue ?deadline_ms instance in
   Fun.protect ~finally:(fun () -> Srv.stop srv) (fun () -> f srv)
 
 (* N client threads, each its own connection, racing distinct query
@@ -218,10 +218,11 @@ let test_served_plan_is_eval_plan () =
    capture with the plan, and a Planstats store sees every event. *)
 let test_served_ledger () =
   let instance = mk_instance () in
-  let registry = Metrics.create () in
+  let obs = Testkit.fresh_obs () in
+  let registry = obs.Obs.registry in
   let path = Filename.temp_file "ndq_srv_ledger" ".jsonl" in
   let thr = Tail.slow_threshold_ns () in
-  let store = Planstats.create ~metrics:false () in
+  let store = Planstats.create () in
   let queries =
     [ "( ? sub ? id=* )"; "( ? sub ? id<40 )"; "(( ? sub ? id=*";
       "( ? sub ? id>=100 )"; "not a query"; "(& ( ? sub ? id=* ) ( ? sub ? id<40 ))" ]
@@ -239,7 +240,7 @@ let test_served_ledger () =
     (fun () ->
       let events0 = Planstats.events store in
       let codes =
-        with_srv ~registry ~workers:1 instance (fun srv ->
+        with_srv ~obs ~workers:1 instance (fun srv ->
             List.map
               (fun q ->
                 let status, _, _ =
@@ -288,8 +289,8 @@ let test_served_ledger () =
    concurrent requests at a queue of 1). *)
 let test_shed_backpressure () =
   let instance = mk_instance ~size:800 () in
-  let registry = Metrics.create () in
-  with_srv ~registry ~workers:1 ~queue:1 instance (fun srv ->
+  let obs = Testkit.fresh_obs () in
+  with_srv ~obs ~workers:1 ~queue:1 instance (fun srv ->
       let port = Srv.port srv in
       let heavy = "( d ( ? sub ? id=* ) ( ? sub ? id=* ) )" in
       let busy = ref 0 and retry_ms = ref 0 in
@@ -531,11 +532,12 @@ let test_pipelined () =
    whatever stage it is in. *)
 let test_stage_reconciliation () =
   let instance = mk_instance () in
-  let registry = Metrics.create () in
+  let obs = Testkit.fresh_obs () in
+  let registry = obs.Obs.registry in
   let gate = Mutex.create () and opened = Condition.create () in
   let is_open = ref false in
   let srv =
-    Srv.start ~registry ~workers:1 ~queue:1
+    Srv.start ~obs ~workers:1 ~queue:1
       ~make_engine:(fun () ->
         Mutex.lock gate;
         while not !is_open do
@@ -608,14 +610,13 @@ let test_stage_reconciliation () =
    answer must be whole. *)
 let test_concurrent_scrapes () =
   let instance = mk_instance () in
-  Alerts.install_defaults ();
-  let sampling = not (Tsdb.running Tsdb.default) in
-  if sampling then
-    Tsdb.start ~tick:(fun () -> Alerts.tick Alerts.default) Tsdb.default;
+  let obs = Testkit.fresh_obs () in
+  Alerts.install_defaults obs.Obs.alerts;
+  Tsdb.start ~tick:(fun () -> Alerts.tick obs.Obs.alerts) obs.Obs.tsdb;
   Fun.protect
-    ~finally:(fun () -> if sampling then Tsdb.stop Tsdb.default)
+    ~finally:(fun () -> Tsdb.stop obs.Obs.tsdb)
     (fun () ->
-      with_srv ~workers:2 instance (fun srv ->
+      with_srv ~obs ~workers:2 instance (fun srv ->
           let port = Srv.port srv in
           let routes =
             [ "/metrics"; "/range?metric=srv_request_ns"; "/alerts"; "/tail"; "/dashboard" ]
@@ -660,6 +661,77 @@ let test_concurrent_scrapes () =
               Alcotest.failf "%d bad answers; first: %s" (List.length !failures)
                 first))
 
+(* Two servers in one process, each started with its own context:
+   every store-backed route describes its own context.  One context
+   gets a firing rule, a sampled series and plan-quality drift; the
+   other none of them, and neither server may show the other's. *)
+let test_two_contexts () =
+  let a = Testkit.fresh_obs () and b = Testkit.fresh_obs () in
+  Metrics.set (Metrics.gauge ~registry:a.Obs.registry "ctx_load") 10.;
+  ignore (Alerts.add a.Obs.alerts ~name:"ctx-hot" "ctx_load > 5");
+  Alerts.tick a.Obs.alerts;
+  Alerts.tick b.Obs.alerts;
+  let event est_card =
+    Qlog.record ~est_card ~query:"( ? sub ? id=* )" ~fingerprint:"ctx"
+      ~result_count:10 ~reads:1 ~writes:0 ~wall_ns:1000 ~outcome:Qlog.Ok ()
+  in
+  Planstats.set_baseline a.Obs.planstats
+    (Planstats.of_events (List.init 8 (fun _ -> event 10)));
+  for _ = 1 to 64 do
+    Planstats.note_event a.Obs.planstats (event 80)
+  done;
+  let ma = Testkit.start_monitor ~obs:a () in
+  let mb = Testkit.start_monitor ~obs:b () in
+  Fun.protect
+    ~finally:(fun () -> List.iter Srv.stop [ ma; mb ])
+    (fun () ->
+      let get srv path =
+        match Monitor.get ~port:(Srv.port srv) path with
+        | 200, body -> body
+        | status, _ -> Alcotest.failf "%s answered %d" path status
+      in
+      let json srv path = Json.of_string (get srv path) in
+      let num j k = Json.to_float (Json.member k j) in
+      (* /metrics: each registry, and only it *)
+      let metrics_a = get ma "/metrics" and metrics_b = get mb "/metrics" in
+      Alcotest.(check bool) "a exposes its series" true (contains ~affix:"ctx_load" metrics_a);
+      Alcotest.(check bool) "a exposes its alert" true
+        (contains ~affix:"ALERTS{alertname=\"ctx-hot\"" metrics_a);
+      Alcotest.(check bool) "a exposes its drift" true
+        (contains ~affix:"plan_drift_total" metrics_a);
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) ("b does not expose " ^ name) false
+            (contains ~affix:name metrics_b))
+        [ "ctx_load"; "ALERTS"; "plan_drift_total"; "plan_qerror_card" ];
+      (* /range: each flight recorder *)
+      let points srv =
+        Json.arr (Json.member "points" (json srv "/range?metric=ctx_load&agg=max&window=60"))
+        |> List.filter_map (fun p ->
+               match Json.arr p with [ _; Json.Num v ] -> Some v | _ -> None)
+      in
+      Alcotest.(check bool) "a's recorder holds the series" true
+        (List.mem 10. (points ma));
+      Alcotest.(check (list (float 0.))) "b's recorder does not" [] (points mb);
+      (* /alerts and /healthz's alerts_firing: each evaluator *)
+      let alerts_a = json ma "/alerts" and alerts_b = json mb "/alerts" in
+      Alcotest.(check int) "a has its rule" 1 (List.length (Json.arr (Json.member "rules" alerts_a)));
+      Alcotest.(check int) "b has no rules" 0 (List.length (Json.arr (Json.member "rules" alerts_b)));
+      Alcotest.(check (float 0.)) "a: one firing" 1. (num alerts_a "firing");
+      Alcotest.(check (float 0.)) "b: none firing" 0. (num alerts_b "firing");
+      Alcotest.(check (float 0.)) "a: healthz agrees with /alerts" 1.
+        (num (json ma "/healthz") "alerts_firing");
+      Alcotest.(check (float 0.)) "b: healthz agrees with /alerts" 0.
+        (num (json mb "/healthz") "alerts_firing");
+      (* /planstats and /workload: each plan-quality store *)
+      let ps_a = json ma "/planstats" and ps_b = json mb "/planstats" in
+      Alcotest.(check (float 0.)) "a's store saw its events" 64. (num ps_a "events");
+      Alcotest.(check (float 0.)) "b's store saw none" 0. (num ps_b "events");
+      Alcotest.(check bool) "a drifted" true (Json.arr (Json.member "drift" ps_a) <> []);
+      Alcotest.(check bool) "b did not" true (Json.arr (Json.member "drift" ps_b) = []);
+      Alcotest.(check (float 0.)) "a's workload" 1. (num (json ma "/workload") "plans");
+      Alcotest.(check (float 0.)) "b's workload" 0. (num (json mb "/workload") "plans"))
+
 let () =
   Alcotest.run "srv"
     [
@@ -692,6 +764,8 @@ let () =
         [
           Alcotest.test_case "concurrent scrapes" `Quick
             test_concurrent_scrapes;
+          Alcotest.test_case "two servers, two contexts" `Quick
+            test_two_contexts;
         ] );
       ( "line-protocol",
         [

@@ -387,9 +387,6 @@ let test_exemplar_roundtrip () =
         "page ends with # EOF" true
         (contains ~affix:"# EOF\n"
            (String.sub om (String.length om - 6) 6));
-      Alcotest.(check bool)
-        "prometheus text has no exemplars" false
-        (contains ~affix:"trace_id" (Promexp.to_text registry));
       (* The round trip: the id printed on /metrics resolves to the
          retained trace — what an operator pasting it into /trace/<id>
          relies on. *)
@@ -405,7 +402,7 @@ let test_exemplar_roundtrip () =
 let test_alerts_over_window () =
   let registry = Metrics.create () in
   let tsdb = Tsdb.create ~registry () in
-  let a = Alerts.create ~tsdb () in
+  let a = Alerts.create tsdb in
   let g = Metrics.gauge ~registry "load_g" in
   Metrics.set g 10.;
   Tsdb.sample tsdb;
@@ -429,7 +426,7 @@ let test_alerts_over_window () =
 
 let test_alerts_exemplar_on_transition () =
   let registry = Metrics.create () in
-  let a = Alerts.create ~tsdb:(Tsdb.create ~registry ()) () in
+  let a = Alerts.create (Tsdb.create ~registry ()) in
   let h = Metrics.histogram ~registry "slow_ns" in
   let tid = Trace.next_trace_id () in
   Metrics.observe ~trace_id:tid h 1e9;
@@ -507,7 +504,7 @@ let test_shutdown_stress () =
     let ts = Tsdb.create ~registry ~resolution_s:0.005 () in
     Tsdb.start ts;
     let srv =
-      Srv.start ~registry ~workers:2 ~queue:4 ~port:0
+      Srv.start ~obs:(Obs.create ts) ~workers:2 ~queue:4 ~port:0
         ~make_engine:(fun () -> Engine.create ~block:32 instance)
         ()
     in
